@@ -117,7 +117,7 @@ func benchScheduleAllLazy(b *testing.B, workers int) {
 		ExtraSlotsPerJob: 2,
 		Cost:             power.Affine{Alpha: 4, Rate: 1},
 	})
-	opts := sched.Options{Lazy: true, Workers: workers}
+	opts := sched.Options{Workers: workers}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -131,6 +131,35 @@ func BenchmarkScheduleAllLazyW1(b *testing.B) { benchScheduleAllLazy(b, 1) }
 func BenchmarkScheduleAllLazyW2(b *testing.B) { benchScheduleAllLazy(b, 2) }
 func BenchmarkScheduleAllLazyW4(b *testing.B) { benchScheduleAllLazy(b, 4) }
 func BenchmarkScheduleAllLazyW8(b *testing.B) { benchScheduleAllLazy(b, 8) }
+
+// solveColdPool is the solve-cold serving shape: distinct 20-job
+// Poisson-burst instances on 2 processors over a 64-slot horizon, each
+// job free to move 2 slots around its anchor. (internal/sched's
+// TestScheduleAllSweepAllocs pins the allocations on the same shape.)
+func solveColdPool(n int) []*sched.Instance {
+	pool := make([]*sched.Instance, n)
+	for i := range pool {
+		tr := workload.PoissonBurstTrace(rand.New(rand.NewSource(int64(i+1))),
+			workload.TraceParams{Procs: 2, Horizon: 64, Jobs: 20, Window: 2})
+		pool[i] = tr.FinalInstance()
+	}
+	return pool
+}
+
+// BenchmarkScheduleAllSolveCold is ScheduleAll as a cold wire solve runs
+// it — model build, candidate pricing, the sweep-seeded lazy greedy and
+// schedule extraction — cycling through distinct instances so no state
+// carries over between operations.
+func BenchmarkScheduleAllSolveCold(b *testing.B) {
+	pool := solveColdPool(64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sched.ScheduleAll(pool[i%len(pool)], sched.Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 // BenchmarkSessionResolve measures the session's warm re-solve cycle —
 // mutate (add a job), solve, mutate back (remove it), solve — against

@@ -192,6 +192,45 @@ func TestGainOfSetMatchesCommit(t *testing.T) {
 	}
 }
 
+// TestPrefixGainsMatchGainOfSet: every prefix gain equals a separate
+// GainOfSet probe of that prefix, over random committed bases and probe
+// lists that repeat vertices and revisit enabled ones, and the sweep
+// leaves the committed matching exactly as it found it.
+func TestPrefixGainsMatchGainOfSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 80; trial++ {
+		g := randomGraph(rng, 14, 10, 0.3)
+		m := NewMatcher(g)
+		for i := rng.Intn(5); i > 0; i-- {
+			m.Enable(rng.Intn(14))
+		}
+		xs := make([]int, 1+rng.Intn(10))
+		for i := range xs {
+			xs[i] = rng.Intn(14)
+		}
+		size, enabled := m.Size(), m.Enabled().Clone()
+		matchX := make([]int, 14)
+		for x := range matchX {
+			matchX[x] = m.MatchOfX(x)
+		}
+		gains := make([]int, len(xs))
+		m.PrefixGains(xs, gains)
+		for i := range xs {
+			if want := m.GainOfSet(xs[:i+1]); gains[i] != want {
+				t.Fatalf("trial %d: prefix %d gain %d, GainOfSet %d", trial, i, gains[i], want)
+			}
+		}
+		if m.Size() != size || !m.Enabled().Equal(enabled) {
+			t.Fatalf("trial %d: PrefixGains mutated the committed matching", trial)
+		}
+		for x := range matchX {
+			if m.MatchOfX(x) != matchX[x] {
+				t.Fatalf("trial %d: PrefixGains left x=%d rematched", trial, x)
+			}
+		}
+	}
+}
+
 func TestGainOfSetDoesNotMutateEnabled(t *testing.T) {
 	g := NewGraph(3, 3)
 	g.AddEdge(0, 0)

@@ -101,7 +101,8 @@ func TestWeightedMatcherJournalReplay(t *testing.T) {
 }
 
 // TestMatcherProbeDoesNotAllocate pins the undo-journal probe path: once
-// the undo and added buffers are warm, GainOfSet allocates nothing.
+// the undo and added buffers are warm, GainOfSet and PrefixGains
+// allocate nothing.
 func TestMatcherProbeDoesNotAllocate(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	g := randomGraph(rng, 16, 12, 0.3)
@@ -111,6 +112,11 @@ func TestMatcherProbeDoesNotAllocate(t *testing.T) {
 	m.GainOfSet(probe) // warm the journals
 	if allocs := testing.AllocsPerRun(50, func() { m.GainOfSet(probe) }); allocs != 0 {
 		t.Fatalf("GainOfSet allocates %v times per probe, want 0", allocs)
+	}
+	gains := make([]int, len(probe))
+	m.PrefixGains(probe, gains)
+	if allocs := testing.AllocsPerRun(50, func() { m.PrefixGains(probe, gains) }); allocs != 0 {
+		t.Fatalf("PrefixGains allocates %v times per sweep, want 0", allocs)
 	}
 
 	wy := make([]float64, 12)

@@ -138,19 +138,56 @@ func (m *Matcher) ApplyJournal(xs []int, journal []MatchAssign, gain int) {
 // no match-array snapshots.
 func (m *Matcher) GainOfSet(xs []int) int {
 	gain := 0
+	m.beginProbe()
+	for _, x := range xs {
+		gain += m.probeEnable(x)
+	}
+	m.endProbe()
+	return gain
+}
+
+// PrefixGains writes to gains[i] the matching-size gain that enabling
+// xs[0..i] would produce, for every i < len(xs), without committing
+// anything: gains[i] equals GainOfSet(xs[:i+1]). It enables the prefix
+// one vertex at a time and rolls back once at the end, so pricing all
+// len(xs) prefixes costs one augmenting search per vertex — the same as
+// a single GainOfSet(xs) — instead of one probe per prefix. gains must
+// have room for len(xs) entries.
+func (m *Matcher) PrefixGains(xs []int, gains []int) {
+	gain := 0
+	m.beginProbe()
+	for i, x := range xs {
+		gain += m.probeEnable(x)
+		gains[i] = gain
+	}
+	m.endProbe()
+}
+
+// beginProbe starts an uncommitted probe: augmentations are journaled in
+// undo until endProbe rolls them back.
+func (m *Matcher) beginProbe() {
 	m.logging = true
 	m.undo = m.undo[:0]
 	m.added = m.added[:0]
-	for _, x := range xs {
-		if m.enabled.Contains(x) {
-			continue
-		}
-		m.enabled.Add(x)
-		m.added = append(m.added, x)
-		if m.augment(int32(x)) {
-			gain++
-		}
+}
+
+// probeEnable temporarily enables x inside a probe and returns its gain
+// (0 for an already-enabled vertex).
+func (m *Matcher) probeEnable(x int) int {
+	if m.enabled.Contains(x) {
+		return 0
 	}
+	m.enabled.Add(x)
+	m.added = append(m.added, x)
+	if m.augment(int32(x)) {
+		return 1
+	}
+	return 0
+}
+
+// endProbe disables the probe's vertices and rolls back every rematch it
+// journaled, restoring the committed matching exactly.
+func (m *Matcher) endProbe() {
 	for _, x := range m.added {
 		m.enabled.Remove(x)
 	}
@@ -160,7 +197,6 @@ func (m *Matcher) GainOfSet(xs []int) int {
 		m.matchY[e.y] = e.prevY
 	}
 	m.logging = false
-	return gain
 }
 
 // Clone returns an independent copy of the matcher (shares the graph).

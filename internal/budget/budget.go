@@ -15,9 +15,16 @@
 // LazyGreedy is the classical lazy-evaluation variant: stale marginal
 // ratios are kept in a max-heap and only re-evaluated when popped, which is
 // sound because capped marginals of a monotone submodular function can only
-// shrink as the solution grows. Both variants pick identical subsets (ties
-// broken by index); they differ only in oracle-call counts, which ablation
-// A1 measures.
+// shrink as the solution grows. For integral utilities (unit-weight
+// coverage, the matching utility of Theorem 2.2.1) both variants pick
+// identical subsets (ties broken by index); they differ only in
+// oracle-call counts, which ablation A1 measures. For float-valued
+// utilities the two can resolve exact floating-point ties differently —
+// the lazy heap compares a gain computed rounds ago against fresh ones,
+// and the sums round differently — so picks may differ at equal cost and
+// utility: on 1,800 random prize-collecting solves (the weighted matching
+// utility, real-valued job values) lazy and eager disagreed 10 times, in
+// pick order or assignment, which is why sched's prize modes stay eager.
 //
 // Both greedies scale across CPUs without giving up the incremental-oracle
 // fast path: Options.Workers shards the candidate scan over goroutines
@@ -167,7 +174,24 @@ func (r *Result) Phases(threshold float64) []float64 {
 // threshold with the given subsets.
 var ErrInfeasible = errors.New("budget: threshold unreachable with given subsets")
 
+// ErrBrokenBound is returned by the lazy greedy when a re-probed subset's
+// fresh gain exceeds the stale upper bound its heap entry held by more
+// than boundSlack. Lazy evaluation is exact only while those bounds hold,
+// so the run stops instead of picking from a heap it can no longer trust.
+// On a run seeded only by its own probes (or exact initial gains) a violation
+// means F is not submodular; on a warm start it means a bound hint
+// under-stated a gain, and the caller should re-solve cold.
+var ErrBrokenBound = errors.New("budget: lazy gain bound violated")
+
 const tol = 1e-12
+
+// boundSlack is how far a fresh gain may exceed its stale bound before
+// ErrBrokenBound: a relative 1e-9 of the larger of the bound and the
+// current utility (the float-valued oracles sum the same terms in a
+// different order on every probe), never below an absolute 1e-9.
+func boundSlack(bound, curU float64) float64 {
+	return 1e-9 * math.Max(1, math.Max(math.Abs(bound), math.Abs(curU)))
+}
 
 // scanCand is one worker's reduction slot: its shard's best candidate.
 type scanCand struct {
@@ -194,7 +218,8 @@ type workspace struct {
 	// mode: copy-on-write views or deep clones, see newWorkspace) or by
 	// replaying every commit themselves. nil on the plain-Eval path.
 	replicas []submodular.Incremental
-	itemsOf  [][]int
+	subsets  []Subset
+	itemsOf  [][]int // materialized Items, only when some subset lacks Elems
 
 	// Delta mode (workers > 1, oracle implements DeltaOracle, and
 	// NoDeltaReplay unset): the per-worker delta surfaces, and the pick's
@@ -223,7 +248,7 @@ type workspace struct {
 	// paths and exits flush it explicitly.
 	pending []int
 
-	best []scanCand // per-worker reduction slots
+	best []scanCand // per-worker reduction slots (Greedy's scans only)
 
 	// Lazy revalidation result buffers, one slot per batch entry.
 	batchGain  []float64
@@ -232,11 +257,11 @@ type workspace struct {
 
 	// Initial-gain recording for Stepwise warm starts: while recordZero
 	// is set (no pick made yet), every probe's capped gain against the
-	// initial base set is noted per subset. Parallel phases write
-	// distinct indices, so the slices need no locking.
+	// initial base set is noted per subset; NaN marks subsets not yet
+	// probed. Parallel phases write distinct indices, so the slice needs
+	// no locking.
 	recordZero bool
 	zeroGain   []float64
-	zeroSeen   []bool
 }
 
 // newWorkspace resolves options against the problem and allocates all
@@ -254,7 +279,6 @@ func newWorkspace(f submodular.Function, p Problem, opts Options) *workspace {
 		workers: workers,
 		x:       p.Threshold,
 		cur:     bitset.New(p.F.Universe()),
-		best:    make([]scanCand, workers),
 	}
 	if !opts.PlainEval {
 		if inc, ok := submodular.AsIncremental(f); ok {
@@ -292,12 +316,18 @@ func newWorkspace(f submodular.Function, p Problem, opts Options) *workspace {
 					ws.replicas[w] = inc.Clone()
 				}
 			}
-			ws.itemsOf = make([][]int, len(p.Subsets))
+			ws.subsets = p.Subsets
 			for i := range p.Subsets {
-				if p.Subsets[i].Elems != nil {
-					ws.itemsOf[i] = p.Subsets[i].Elems
-				} else {
-					ws.itemsOf[i] = p.Subsets[i].Items.Elements()
+				if p.Subsets[i].Elems == nil {
+					ws.itemsOf = make([][]int, len(p.Subsets))
+					for j := range p.Subsets {
+						if p.Subsets[j].Elems != nil {
+							ws.itemsOf[j] = p.Subsets[j].Elems
+						} else {
+							ws.itemsOf[j] = p.Subsets[j].Items.Elements()
+						}
+					}
+					break
 				}
 			}
 		}
@@ -309,6 +339,14 @@ func newWorkspace(f submodular.Function, p Problem, opts Options) *workspace {
 		}
 	}
 	return ws
+}
+
+// items returns subset i's element list for the incremental oracles.
+func (ws *workspace) items(i int) []int {
+	if ws.itemsOf != nil {
+		return ws.itemsOf[i]
+	}
+	return ws.subsets[i].Elems
 }
 
 // markPicked commits the chosen subset. The caller updates cur itself
@@ -326,10 +364,10 @@ func (ws *workspace) markPicked(i int) {
 		return
 	}
 	if ws.wdelta != nil {
-		ws.pendingDelta, _ = ws.wdelta[0].CommitDelta(ws.itemsOf[i])
+		ws.pendingDelta, _ = ws.wdelta[0].CommitDelta(ws.items(i))
 		return
 	}
-	ws.pending = ws.itemsOf[i]
+	ws.pending = ws.items(i)
 }
 
 // syncReplica brings worker w's replica up to date with the primary
@@ -389,14 +427,13 @@ func (ws *workspace) utility() float64 {
 func (ws *workspace) probe(w, i int, base, curU float64, subsets []Subset) (gain, ratio float64, ok bool) {
 	var v float64
 	if ws.replicas != nil {
-		v = math.Min(ws.x, base+ws.replicas[w].Gain(ws.itemsOf[i]))
+		v = math.Min(ws.x, base+ws.replicas[w].Gain(ws.items(i)))
 	} else {
 		v = math.Min(ws.x, evalUnion(ws.f, ws.scratch[w], ws.cur, &subsets[i]))
 	}
 	gain = v - curU
 	if ws.recordZero {
 		ws.zeroGain[i] = gain
-		ws.zeroSeen[i] = true
 	}
 	if gain <= tol {
 		return 0, 0, false
@@ -518,6 +555,7 @@ func Greedy(p Problem, opts Options) (*Result, error) {
 	target := (1 - opts.Eps) * x
 
 	ws := newWorkspace(f, p, opts)
+	ws.best = make([]scanCand, ws.workers)
 	cur := ws.cur
 	curU := math.Min(x, ws.utility())
 	res := &Result{Union: cur}
@@ -699,16 +737,21 @@ func (ws *workspace) initHeap(subsets []Subset, curU float64) lazyHeap {
 // round. Workers first replay the pending commit on their replica, then
 // split the batch; pushes happen on the calling goroutine in batch order.
 // Which worker probes which entry cannot matter: replicas are identical.
-func (ws *workspace) revalidate(h *lazyHeap, batch []lazyEntry, subsets []Subset, curU float64, round int) {
+// A fresh gain above its entry's stale bound returns ErrBrokenBound.
+func (ws *workspace) revalidate(h *lazyHeap, batch []lazyEntry, subsets []Subset, curU float64, round int) error {
 	if ws.workers == 1 {
 		ws.flushPending()
 		base := ws.base(0)
 		for _, e := range batch {
-			if gain, ratio, ok := ws.probe(0, e.idx, base, curU, subsets); ok {
+			gain, ratio, ok := ws.probe(0, e.idx, base, curU, subsets)
+			if err := checkBound(e, gain, curU, round); err != nil {
+				return err
+			}
+			if ok {
 				h.push(lazyEntry{idx: e.idx, ratio: ratio, gain: gain, round: round})
 			}
 		}
-		return
+		return nil
 	}
 	if len(ws.batchOK) < len(batch) {
 		ws.batchGain = make([]float64, len(batch))
@@ -725,14 +768,30 @@ func (ws *workspace) revalidate(h *lazyHeap, batch []lazyEntry, subsets []Subset
 	})
 	ws.pending, ws.pendingDelta = nil, nil
 	for bi, e := range batch {
+		if err := checkBound(e, ws.batchGain[bi], curU, round); err != nil {
+			return err
+		}
 		if ws.batchOK[bi] {
 			h.push(lazyEntry{idx: e.idx, ratio: ws.batchRatio[bi], gain: ws.batchGain[bi], round: round})
 		}
 	}
+	return nil
+}
+
+// checkBound is the lazy loop's free soundness check: the fresh gain the
+// re-probe just computed must not exceed the stale bound e held.
+func checkBound(e lazyEntry, fresh, curU float64, round int) error {
+	if fresh > e.gain+boundSlack(e.gain, curU) {
+		return fmt.Errorf("%w: subset %d re-probed at gain %g above its bound %g in round %d",
+			ErrBrokenBound, e.idx, fresh, e.gain, round)
+	}
+	return nil
 }
 
 // LazyGreedy computes the same solution as Greedy with (typically far)
-// fewer oracle calls, using stale-ratio lazy evaluation. Like Greedy it
+// fewer oracle calls, using stale-ratio lazy evaluation — the same picks
+// for integral utilities; float-valued ones may break exact ties
+// differently (see the package doc). Like Greedy it
 // takes the incremental fast path when F provides one, compounding the
 // two savings: fewer probes, and each probe cheaper. With Workers > 1 the
 // stale entries at the top of the heap are revalidated in concurrent
@@ -740,7 +799,8 @@ func (ws *workspace) revalidate(h *lazyHeap, batch []lazyEntry, subsets []Subset
 // are still exactly Greedy's (the heap order is total and probes answer
 // identically on every replica); a batch may merely re-probe up to
 // Workers−1 entries that serial evaluation would have skipped, so Evals
-// can exceed the serial count slightly.
+// can exceed the serial count slightly. A re-probe above its stale bound
+// stops the run with ErrBrokenBound.
 func LazyGreedy(p Problem, opts Options) (*Result, error) {
 	s, err := NewStepwise(p, opts, nil)
 	if err != nil {

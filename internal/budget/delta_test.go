@@ -1,6 +1,7 @@
 package budget
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -132,10 +133,10 @@ func TestStepwiseDeltaReplay(t *testing.T) {
 
 			// Warm start from the cold run's measured zero gains, inflated
 			// slightly so they stay upper bounds.
-			zg, zs := sw.ZeroGains()
+			zg := sw.ZeroGains()
 			var hints []Hint
 			for i := range zg {
-				if zs[i] {
+				if !math.IsNaN(zg[i]) {
 					hints = append(hints, Hint{Subset: i, GainBound: zg[i] * 1.25})
 				}
 			}

@@ -17,18 +17,30 @@ import (
 // previous solve of a *similar* problem can seed them here — suitably
 // inflated for whatever changed — and skip the full initial probe sweep.
 // An under-estimate breaks the greedy's exactness; when in doubt use a
-// structural bound (e.g. |Sᵢ| for integral rank-like utilities).
+// structural bound (e.g. |Sᵢ| for integral rank-like utilities). An
+// under-estimate that surfaces at the top of the heap is caught by its
+// re-probe (ErrBrokenBound); one that never surfaces cannot be detected.
+//
+// Hints are bounds, so their entries start stale and are re-probed before
+// they can be picked. A caller that knows the initial gains *exactly*,
+// more cheaply than one probe per subset, seeds them with
+// NewStepwiseExact instead (sched prices every candidate interval with
+// one prefix sweep per start slot): exact entries start fresh, never
+// re-probed in round 0, and the run is indistinguishable from one that
+// probed them itself.
 type Hint struct {
 	Subset    int     // index into Problem.Subsets
 	GainBound float64 // upper bound on the subset's initial capped gain
 }
 
 // Stepwise is the resumable form of the lazy budgeted greedy: the same
-// pick sequence as Greedy/LazyGreedy, advanced one pick at a time, with
-// optional warm-start hints. It exists so that callers owning long-lived
-// solver state (sched.Session) can re-solve after a small instance
-// mutation by replaying the still-valid pick prefix out of the seeded
-// heap instead of re-probing every candidate from zero.
+// pick sequence as LazyGreedy (and Greedy, for integral utilities),
+// advanced one pick at a time, with optional hints. It exists so that
+// callers owning long-lived solver state (sched.Session) can re-solve
+// after a small instance mutation by replaying the still-valid pick
+// prefix out of the seeded heap instead of re-probing every candidate
+// from zero, and so that callers able to price the initial gains in bulk
+// (sched.Model.ScheduleAll) can skip the initial probe sweep.
 //
 // A Stepwise must not be shared between goroutines; Options.Workers
 // parallelism happens inside each Step call, as in LazyGreedy.
@@ -56,29 +68,16 @@ type Stepwise struct {
 // surface at the top; subsets not covered by any hint are probed fresh.
 // Hints must be unique and in range.
 func NewStepwise(p Problem, opts Options, hints []Hint) (*Stepwise, error) {
-	if err := validate(p, opts); err != nil {
+	zero := make([]float64, len(p.Subsets))
+	for i := range zero {
+		zero[i] = math.NaN()
+	}
+	s, err := newStepwise(p, opts, zero)
+	if err != nil {
 		return nil, err
 	}
-	f := submodular.NewCounting(p.F)
-	ws := newWorkspace(f, p, opts)
-	s := &Stepwise{
-		p:    p,
-		opts: opts,
-		f:    f,
-		ws:   ws,
-	}
-	s.curU = math.Min(p.Threshold, ws.utility())
-	s.target = (1 - opts.Eps) * p.Threshold
-	s.res = &Result{Union: ws.cur}
-
-	// Record initial-state gains while no pick has been made: a future
-	// warm start derives its hint bounds from them.
-	ws.zeroGain = make([]float64, len(p.Subsets))
-	ws.zeroSeen = make([]bool, len(p.Subsets))
-	ws.recordZero = true
-
 	if hints == nil {
-		s.h = ws.initHeap(p.Subsets, s.curU)
+		s.h = s.ws.initHeap(p.Subsets, s.curU)
 		return s, nil
 	}
 	hinted := make([]bool, len(p.Subsets))
@@ -112,36 +111,106 @@ func NewStepwise(p Problem, opts Options, hints []Hint) (*Stepwise, error) {
 			unhinted = append(unhinted, i)
 		}
 	}
-	// Probe the unhinted subsets like initHeap's sweep: sharded across
-	// the worker replicas (no pick has happened, so there is nothing to
-	// replay), results appended in index order for a deterministic heap.
-	if n := len(unhinted); n > 0 {
-		gains := make([]float64, n)
-		ratios := make([]float64, n)
-		oks := make([]bool, n)
-		ws.runWorkers(func(w int) {
-			base := ws.base(w)
-			for u := w; u < n; u += ws.workers {
-				gains[u], ratios[u], oks[u] = ws.probe(w, unhinted[u], base, s.curU, p.Subsets)
-			}
-		})
-		for u, i := range unhinted {
-			if oks[u] {
-				s.h = append(s.h, lazyEntry{idx: i, ratio: ratios[u], gain: gains[u]})
-			}
-		}
-	}
+	s.probeFresh(unhinted)
 	s.h.init()
 	return s, nil
 }
 
+// NewStepwiseExact prepares a run whose initial heap is seeded from exact
+// initial gains: gains[i] is subset i's capped gain against the initial
+// base set — precisely what the initial probe would return — or NaN to
+// have the run probe subset i itself. Exact entries are seeded fresh
+// (round 0, never re-probed before the first pick) and each is billed as
+// one oracle call, so the heap, the pick sequence and Result.Evals are
+// those of NewStepwise(p, opts, nil). gains becomes the run's ZeroGains
+// record: the caller must not modify it while the run is in use.
+func NewStepwiseExact(p Problem, opts Options, gains []float64) (*Stepwise, error) {
+	if len(gains) != len(p.Subsets) {
+		return nil, fmt.Errorf("budget: %d exact gains for %d subsets", len(gains), len(p.Subsets))
+	}
+	s, err := newStepwise(p, opts, gains)
+	if err != nil {
+		return nil, err
+	}
+	s.h = make(lazyHeap, 0, len(p.Subsets))
+	var unknown []int
+	for i, g := range gains {
+		if math.IsNaN(g) {
+			unknown = append(unknown, i)
+			continue
+		}
+		gain := math.Min(p.Threshold, g)
+		gains[i] = gain // recorded exactly as a probe would record it
+		if gain <= tol {
+			continue
+		}
+		ratio := math.Inf(1)
+		if c := p.Subsets[i].Cost; c > tol {
+			ratio = gain / c
+		}
+		s.h = append(s.h, lazyEntry{idx: i, ratio: ratio, gain: gain})
+	}
+	s.f.Charge(int64(len(gains) - len(unknown)))
+	s.probeFresh(unknown)
+	s.h.init()
+	return s, nil
+}
+
+// newStepwise validates p and sets up a run with an empty heap, recording
+// initial-state gains into zero while no pick has been made (a future
+// warm start derives its hint bounds from them).
+func newStepwise(p Problem, opts Options, zero []float64) (*Stepwise, error) {
+	if err := validate(p, opts); err != nil {
+		return nil, err
+	}
+	f := submodular.NewCounting(p.F)
+	ws := newWorkspace(f, p, opts)
+	ws.zeroGain = zero
+	ws.recordZero = true
+	return &Stepwise{
+		p:      p,
+		opts:   opts,
+		f:      f,
+		ws:     ws,
+		curU:   math.Min(p.Threshold, ws.utility()),
+		target: (1 - opts.Eps) * p.Threshold,
+		res:    &Result{Union: ws.cur},
+	}, nil
+}
+
+// probeFresh probes the listed subsets like initHeap's sweep and appends
+// the useful ones to the heap: sharded across the worker replicas (no
+// pick has happened, so there is nothing to replay), results appended in
+// index order for a deterministic heap.
+func (s *Stepwise) probeFresh(idx []int) {
+	n := len(idx)
+	if n == 0 {
+		return
+	}
+	ws := s.ws
+	gains := make([]float64, n)
+	ratios := make([]float64, n)
+	oks := make([]bool, n)
+	ws.runWorkers(func(w int) {
+		base := ws.base(w)
+		for u := w; u < n; u += ws.workers {
+			gains[u], ratios[u], oks[u] = ws.probe(w, idx[u], base, s.curU, s.p.Subsets)
+		}
+	})
+	for u, i := range idx {
+		if oks[u] {
+			s.h = append(s.h, lazyEntry{idx: i, ratio: ratios[u], gain: gains[u]})
+		}
+	}
+}
+
 // ZeroGains reports, per subset, the capped gain measured against the
-// run's initial base set, and whether the run probed that subset before
-// its first pick. Only seen entries are meaningful; a warm run touches
-// only the candidates that surfaced near the top of the heap, so callers
-// keep their previous records for the rest.
-func (s *Stepwise) ZeroGains() (gain []float64, seen []bool) {
-	return s.ws.zeroGain, s.ws.zeroSeen
+// run's initial base set (probed, or given to NewStepwiseExact), or NaN
+// when the run did not measure that subset before its first pick: a warm
+// run touches only the candidates that surfaced near the top of the heap,
+// so callers keep their previous records for the rest.
+func (s *Stepwise) ZeroGains() []float64 {
+	return s.ws.zeroGain
 }
 
 // Done reports whether the run has reached its target (or failed).
@@ -158,7 +227,9 @@ func (s *Stepwise) Result() *Result {
 // Step advances the run by one greedy pick. It returns (step, true, nil)
 // after a pick, (Step{}, false, nil) when the target was already met, and
 // (Step{}, false, err) when no remaining subset can improve utility
-// (ErrInfeasible). The pick sequence is exactly Greedy's.
+// (ErrInfeasible) or a re-probe broke its heap bound (ErrBrokenBound).
+// The pick sequence is exactly Greedy's for integral utilities (see the
+// package doc).
 func (s *Stepwise) Step() (Step, bool, error) {
 	if s.err != nil {
 		return Step{}, false, s.err
@@ -192,7 +263,11 @@ func (s *Stepwise) Step() (Step, bool, error) {
 		for len(s.h) > 0 && s.h[0].round != s.round && len(s.batch) < batchCap {
 			s.batch = append(s.batch, s.h.pop())
 		}
-		s.ws.revalidate(&s.h, s.batch, s.p.Subsets, s.curU, s.round)
+		if err := s.ws.revalidate(&s.h, s.batch, s.p.Subsets, s.curU, s.round); err != nil {
+			s.err = err
+			s.Result()
+			return Step{}, false, err
+		}
 		if par > 1 && batchCap < 8*par {
 			batchCap *= 2
 		}
@@ -219,7 +294,8 @@ func (s *Stepwise) Step() (Step, bool, error) {
 }
 
 // Solve runs Step to completion and returns the final result — identical
-// picks to LazyGreedy (and, by the lazy-evaluation argument, to Greedy).
+// picks to LazyGreedy (and, by the lazy-evaluation argument, to Greedy
+// for integral utilities).
 func (s *Stepwise) Solve() (*Result, error) {
 	for {
 		_, ok, err := s.Step()

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"repro/internal/bitset"
 )
 
 // TestStepwiseMatchesLazyGreedy: with nil hints a Stepwise run is
@@ -102,10 +104,10 @@ func TestStepwiseWarmHintsExact(t *testing.T) {
 			if errC != nil {
 				continue
 			}
-			gains, seen := cold.ZeroGains()
+			gains := cold.ZeroGains()
 			hints := make([]Hint, 0, len(p.Subsets))
 			for i := range p.Subsets {
-				if !seen[i] {
+				if math.IsNaN(gains[i]) {
 					t.Fatalf("%s: cold run left subset %d unprobed", name, i)
 				}
 				hints = append(hints, Hint{Subset: i, GainBound: gains[i]})
@@ -174,6 +176,9 @@ func TestStepwiseHintValidation(t *testing.T) {
 		[]Hint{{Subset: 0, GainBound: 1}, {Subset: 0, GainBound: 2}}); err == nil {
 		t.Fatal("duplicate hint accepted")
 	}
+	if _, err := NewStepwiseExact(p, Options{Eps: 0.1}, []float64{2}); err == nil {
+		t.Fatal("exact gains for the wrong number of subsets accepted")
+	}
 	// Hint only subset 0; subset 1 must still be found and picked.
 	s, err := NewStepwise(p, Options{Eps: 0.1}, []Hint{{Subset: 0, GainBound: 2}})
 	if err != nil {
@@ -198,5 +203,97 @@ func TestStepwiseInfeasible(t *testing.T) {
 	}
 	if _, err := s.Solve(); !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
+	}
+}
+
+// TestStepwiseExactGainsMatchLazyGreedy: seeding subsets with their exact
+// initial gains (NewStepwiseExact) reproduces the self-probing run
+// exactly — picks, cost, Evals (each exact gain billed as the probe it
+// replaces) and the recorded zero gains — at every worker count, also
+// when some gains are left NaN for the run to probe itself.
+func TestStepwiseExactGainsMatchLazyGreedy(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	for trial := 0; trial < 6; trial++ {
+		for name, p := range oracleProblems(rng) {
+			for _, workers := range []int{1, 4} {
+				opts := Options{Eps: 0.1, Workers: workers}
+				cold, err := NewStepwise(p, opts, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, errW := cold.Solve()
+				wantZero := cold.ZeroGains()
+				gains := slices.Clone(wantZero)
+				for i := trial % 3; trial%2 == 1 && i < len(gains); i += 3 {
+					gains[i] = math.NaN()
+				}
+				s, err := NewStepwiseExact(p, opts, gains)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, errG := s.Solve()
+				if (errW == nil) != (errG == nil) {
+					t.Fatalf("%s W%d: feasibility disagreement: %v vs %v", name, workers, errW, errG)
+				}
+				if !slices.Equal(want.Chosen, got.Chosen) || want.Cost != got.Cost || want.Evals != got.Evals {
+					t.Fatalf("%s W%d: exact-hint run %v (cost %g, %d evals), probing run %v (cost %g, %d evals)",
+						name, workers, got.Chosen, got.Cost, got.Evals, want.Chosen, want.Cost, want.Evals)
+				}
+				if !slices.Equal(wantZero, s.ZeroGains()) {
+					t.Fatalf("%s W%d: exact gains not recorded as zero gains", name, workers)
+				}
+			}
+		}
+	}
+}
+
+// TestStepwiseUnderstatedHintCaught: a bound hint below the subset's true
+// gain surfaces at the top of the heap, and its re-probe stops the run
+// with ErrBrokenBound instead of picking from a heap it cannot trust.
+func TestStepwiseUnderstatedHintCaught(t *testing.T) {
+	// Subset 0 covers 4 elements but is hinted at 3.5; subset 1 (3
+	// elements) is probed fresh, so the stale 3.5 tops the heap.
+	p := setCoverProblem(7, [][]int{{0, 1, 2, 3}, {4, 5, 6}}, []float64{1, 1})
+	s, err := NewStepwise(p, Options{Eps: 0.1}, []Hint{{Subset: 0, GainBound: 3.5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Solve(); !errors.Is(err, ErrBrokenBound) {
+		t.Fatalf("err = %v, want ErrBrokenBound", err)
+	}
+	if _, ok, err := s.Step(); ok || !errors.Is(err, ErrBrokenBound) {
+		t.Fatalf("Step after the violation = (%v, %v), want the same error", ok, err)
+	}
+	// A sound bound on the same problem solves normally.
+	s, err = NewStepwise(p, Options{Eps: 0.1}, []Hint{{Subset: 0, GainBound: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Solve(); err != nil {
+		t.Fatalf("sound hint: %v", err)
+	}
+}
+
+// squareCount is F(S) = |S|², monotone but supermodular: marginals grow.
+type squareCount struct{ n int }
+
+func (f squareCount) Universe() int { return f.n }
+func (f squareCount) Eval(s *bitset.Set) float64 {
+	c := float64(s.Count())
+	return c * c
+}
+
+// TestLazyGreedyCatchesNonSubmodular: on a cold run the lazy loop's free
+// check turns a non-submodular oracle into ErrBrokenBound at the first
+// re-probe; the eager greedy, which trusts no stale value, still runs.
+func TestLazyGreedyCatchesNonSubmodular(t *testing.T) {
+	p := Problem{F: squareCount{3}, Threshold: 9, Subsets: []Subset{
+		{Elems: []int{0}, Cost: 1}, {Elems: []int{1}, Cost: 1}, {Elems: []int{2}, Cost: 1},
+	}}
+	if _, err := LazyGreedy(p, Options{Eps: 0.1}); !errors.Is(err, ErrBrokenBound) {
+		t.Fatalf("LazyGreedy err = %v, want ErrBrokenBound", err)
+	}
+	if _, err := Greedy(p, Options{Eps: 0.1}); err != nil {
+		t.Fatalf("Greedy err = %v", err)
 	}
 }

@@ -13,12 +13,12 @@
 //     beyond-horizon slots at +Inf when the model declares bounds, and is
 //     safe for concurrent readers (CheckCostModel, CheckMonotone,
 //     CheckConcurrent).
-//   - Solver contract: schedules are feasible (Schedule.Validate), the
-//     incremental oracle fast path picks exactly what the from-scratch
-//     baseline picks, the parallel greedy is invariant in Workers, and a
-//     session's warm re-solve after any mutation script is byte-identical
-//     to a cold from-scratch solve of the equivalent instance
-//     (CheckSolve, CheckSession).
+//   - Solver contract: schedules are feasible (Schedule.Validate), every
+//     ScheduleAll path picks exactly what the textbook eager greedy
+//     (EagerScheduleAll) picks, the parallel greedy is invariant in
+//     Workers, and a session's warm re-solve after any mutation script is
+//     byte-identical to a cold from-scratch solve of the equivalent
+//     instance (CheckSolve, CheckSession).
 //
 // Checkers return errors instead of taking a *testing.T so that fuzz
 // targets and non-test callers can drive them; the matrix test wraps them
@@ -31,6 +31,9 @@ import (
 	"math"
 	"sync"
 
+	"repro/internal/bipartite"
+	"repro/internal/bitset"
+	"repro/internal/budget"
 	"repro/internal/power"
 	"repro/internal/sched"
 )
@@ -153,67 +156,161 @@ func CheckConcurrent(m power.CostModel, procs, horizon int) error {
 	return <-errs
 }
 
-// CheckSolve exercises the solver contract on one instance: the
-// from-scratch plain-oracle serial greedy is the baseline, and every
-// other path — incremental oracles, the lazy greedy, Workers ∈ {2,4,8}
-// over both, and (for parallel incremental runs) per-round delta replay
-// versus clone-and-replay replicas — must produce a byte-identical
-// schedule that Schedule.Validate accepts. If the baseline fails (e.g.
-// the model's blocked slots make the instance unschedulable), every path
-// must fail the same way. The streaming tier is its own arm
-// (checkStreaming): it picks different schedules by design, so instead
-// of byte-equality with the baseline it must be feasible, complete,
-// worker-count invariant over W ∈ {1,2,4,8}, and — in budgeted form at
-// the baseline's cost — within the sieve's (1/2−ε) utility guarantee of
-// the baseline's scheduled count.
+// EagerScheduleAll is the textbook reference for Theorem 2.2.1, rebuilt
+// from sched's public surface rather than its solve path: the eager
+// budget.Greedy (every unpicked candidate probed every round) over
+// Model.MatchingUtility, with the candidates of Model.Candidates plus
+// opts.Extra priced by the instance's cost model, infinite-cost and
+// slotless intervals pruned as ScheduleAll prunes them, and the schedule
+// read off a final maximum matching over the awake slots. opts.PlainOracle
+// selects from-scratch probes, opts.Workers the probe parallelism;
+// opts.Policy, opts.Eps and opts.Extra mean what they mean to
+// ScheduleAll, and the remaining options are ignored. Its output is what
+// ScheduleAll must reproduce byte for byte (Schedule.SameAs); Evals is
+// the eager greedy's probe count. An instance whose jobs cannot all be
+// scheduled returns an error wrapping sched.ErrUnschedulable.
+func EagerScheduleAll(ins *sched.Instance, opts sched.Options) (*sched.Schedule, error) {
+	model, err := sched.NewModel(ins)
+	if err != nil {
+		return nil, err
+	}
+	n := len(ins.Jobs)
+	if n == 0 {
+		return &sched.Schedule{Assignment: []sched.SlotKey{}}, nil
+	}
+	ivs, err := model.Candidates(opts.Policy)
+	if err != nil {
+		return nil, err
+	}
+	var cands []sched.Interval
+	var subsets []budget.Subset
+	for _, iv := range append(ivs, opts.Extra...) {
+		if iv.Proc < 0 || iv.Proc >= ins.Procs || iv.Start < 0 || iv.End > ins.Horizon || iv.Start >= iv.End {
+			return nil, fmt.Errorf("conformance: extra candidate %v outside instance", iv)
+		}
+		c := ins.Cost.Cost(iv.Proc, iv.Start, iv.End)
+		if math.IsInf(c, 1) || math.IsNaN(c) {
+			continue
+		}
+		items := model.IntervalItems(iv)
+		if len(items) == 0 {
+			continue
+		}
+		cands = append(cands, iv)
+		subsets = append(subsets, budget.Subset{Elems: items, Cost: c})
+	}
+	// Every job must be matchable inside the slots some candidate covers.
+	enabled := bitset.New(model.G.NX())
+	for _, sub := range subsets {
+		for _, x := range sub.Elems {
+			enabled.Add(x)
+		}
+	}
+	if got := bipartite.MaxMatchingSize(model.G, enabled); got < n {
+		return nil, fmt.Errorf("%w: eager reference matches %d of %d jobs", sched.ErrUnschedulable, got, n)
+	}
+	eps := opts.Eps
+	if eps <= 0 {
+		eps = 1 / float64(n+1)
+	}
+	res, err := budget.Greedy(budget.Problem{
+		F: model.MatchingUtility(), Subsets: subsets, Threshold: float64(n),
+	}, budget.Options{Eps: eps, Workers: opts.Workers, PlainEval: opts.PlainOracle})
+	if errors.Is(err, budget.ErrInfeasible) {
+		return nil, fmt.Errorf("%w: %v", sched.ErrUnschedulable, err)
+	}
+	if err != nil {
+		return nil, err
+	}
+	enabled.Clear()
+	for _, i := range res.Chosen {
+		for _, x := range subsets[i].Elems {
+			enabled.Add(x)
+		}
+	}
+	_, _, matchY := bipartite.MaxMatching(model.G, enabled)
+	out := &sched.Schedule{Assignment: make([]sched.SlotKey, n), Evals: res.Evals}
+	for _, i := range res.Chosen {
+		out.Intervals = append(out.Intervals, cands[i])
+		out.Cost += subsets[i].Cost
+	}
+	for j := range out.Assignment {
+		out.Assignment[j] = sched.Unassigned
+		if x := matchY[j]; x >= 0 {
+			out.Assignment[j] = model.Slots[x]
+			out.Value += ins.Jobs[j].Value
+			out.Scheduled++
+		}
+	}
+	if out.Scheduled < n && opts.Eps <= 0 {
+		return nil, fmt.Errorf("%w: eager reference stopped at %d of %d", sched.ErrUnschedulable, out.Scheduled, n)
+	}
+	return out, nil
+}
+
+// CheckSolve exercises the solver contract on one instance. The baseline
+// is EagerScheduleAll with from-scratch probes, serial; every ScheduleAll
+// arm — the default sweep-seeded lazy path and the plain-oracle lazy
+// path, each at Workers ∈ {1,2,4,8}, and (for parallel incremental runs)
+// per-round delta replay versus clone-and-replay replicas — must produce
+// a schedule byte-identical to it (Schedule.SameAs) that
+// Schedule.Validate accepts. If ScheduleAll rejects the instance (e.g.
+// the model's blocked slots make it unschedulable), the baseline must
+// reject it too and every arm must fail the same way as the first. The
+// streaming tier is its own arm (checkStreaming): it picks different
+// schedules by design, so instead of byte-equality with the baseline it
+// must be feasible, complete, worker-count invariant over W ∈ {1,2,4,8},
+// and — in budgeted form at the baseline's cost — within the sieve's
+// (1/2−ε) utility guarantee of the baseline's scheduled count.
 func CheckSolve(ins *sched.Instance, opts sched.Options) error {
 	baseOpts := opts
 	baseOpts.PlainOracle = true
-	baseOpts.Lazy = false
 	baseOpts.Workers = 1
-	base, baseErr := sched.ScheduleAll(ins, baseOpts)
+	base, baseErr := EagerScheduleAll(ins, baseOpts)
 	if baseErr == nil {
 		if err := base.Validate(ins); err != nil {
-			return fmt.Errorf("conformance: baseline schedule infeasible: %w", err)
+			return fmt.Errorf("conformance: eager baseline schedule infeasible: %w", err)
 		}
 	}
-	for _, lazy := range []bool{false, true} {
-		for _, plain := range []bool{false, true} {
-			for _, workers := range []int{1, 2, 4, 8} {
-				for _, noDelta := range []bool{false, true} {
-					if noDelta && (plain || workers == 1) {
-						// Delta replay only engages on parallel incremental
-						// runs; elsewhere the knob selects identical code.
-						continue
+	_, firstErr := sched.ScheduleAll(ins, opts)
+	if (firstErr == nil) != (baseErr == nil) ||
+		(firstErr != nil && errors.Is(firstErr, sched.ErrUnschedulable) != errors.Is(baseErr, sched.ErrUnschedulable)) {
+		return fmt.Errorf("conformance: ScheduleAll error %v, eager baseline error %v", firstErr, baseErr)
+	}
+	for _, plain := range []bool{false, true} {
+		for _, workers := range []int{1, 2, 4, 8} {
+			for _, noDelta := range []bool{false, true} {
+				if noDelta && (plain || workers == 1) {
+					// Delta replay only engages on parallel incremental
+					// runs; elsewhere the knob selects identical code.
+					continue
+				}
+				o := opts
+				o.PlainOracle = plain
+				o.Workers = workers
+				o.NoDeltaReplay = noDelta
+				got, err := sched.ScheduleAll(ins, o)
+				label := fmt.Sprintf("plain=%t workers=%d nodelta=%t", plain, workers, noDelta)
+				if firstErr != nil {
+					if err == nil {
+						return fmt.Errorf("conformance: %s solved an instance the default path rejects (%v)", label, firstErr)
 					}
-					o := opts
-					o.Lazy = lazy
-					o.PlainOracle = plain
-					o.Workers = workers
-					o.NoDeltaReplay = noDelta
-					got, err := sched.ScheduleAll(ins, o)
-					label := fmt.Sprintf("lazy=%t plain=%t workers=%d nodelta=%t", lazy, plain, workers, noDelta)
-					if baseErr != nil {
-						if err == nil {
-							return fmt.Errorf("conformance: %s solved an instance the baseline rejects (%v)", label, baseErr)
+					if !errors.Is(err, sched.ErrUnschedulable) ||
+						!errors.Is(firstErr, sched.ErrUnschedulable) {
+						if err.Error() != firstErr.Error() {
+							return fmt.Errorf("conformance: %s error %q, default path %q", label, err, firstErr)
 						}
-						if !errors.Is(err, sched.ErrUnschedulable) ||
-							!errors.Is(baseErr, sched.ErrUnschedulable) {
-							if err.Error() != baseErr.Error() {
-								return fmt.Errorf("conformance: %s error %q, baseline %q", label, err, baseErr)
-							}
-						}
-						continue
 					}
-					if err != nil {
-						return fmt.Errorf("conformance: %s: %w", label, err)
-					}
-					if err := got.SameAs(base); err != nil {
-						return fmt.Errorf("conformance: %s diverges from baseline: %w", label, err)
-					}
-					if err := got.Validate(ins); err != nil {
-						return fmt.Errorf("conformance: %s schedule infeasible: %w", label, err)
-					}
+					continue
+				}
+				if err != nil {
+					return fmt.Errorf("conformance: %s: %w", label, err)
+				}
+				if err := got.SameAs(base); err != nil {
+					return fmt.Errorf("conformance: %s diverges from the eager baseline: %w", label, err)
+				}
+				if err := got.Validate(ins); err != nil {
+					return fmt.Errorf("conformance: %s schedule infeasible: %w", label, err)
 				}
 			}
 		}

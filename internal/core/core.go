@@ -23,8 +23,7 @@ import (
 // Report summarizes one instance solved by every applicable algorithm.
 type Report struct {
 	Greedy    *sched.Schedule // ScheduleAll with from-scratch oracles (PlainOracle)
-	Lazy      *sched.Schedule // lazy-evaluation variant
-	Fast      *sched.Schedule // incremental-matcher oracle (the default path)
+	Fast      *sched.Schedule // the default path: sweep-seeded lazy greedy, incremental matcher
 	Parallel  *sched.Schedule // Workers>1 sharded-replica greedy
 	Session   *sched.Schedule // session replay: jobs arrive one by one, warm re-solves
 	AlwaysOn  *sched.Schedule
@@ -44,15 +43,12 @@ func SolveAll(ins *sched.Instance, exactLimit int) (*Report, error) {
 	if r.Greedy, err = sched.ScheduleAll(ins, sched.Options{PlainOracle: true}); err != nil {
 		return nil, fmt.Errorf("core: greedy: %w", err)
 	}
-	if r.Lazy, err = sched.ScheduleAll(ins, sched.Options{Lazy: true}); err != nil {
-		return nil, fmt.Errorf("core: lazy: %w", err)
-	}
 	if r.Fast, err = sched.ScheduleAll(ins, sched.Options{}); err != nil {
 		return nil, fmt.Errorf("core: fast: %w", err)
 	}
 	// Workers > 1: the parallel sharded-replica greedy must land on the
 	// same schedule end to end, not only in the package tests.
-	if r.Parallel, err = sched.ScheduleAll(ins, sched.Options{Lazy: true, Workers: 4}); err != nil {
+	if r.Parallel, err = sched.ScheduleAll(ins, sched.Options{Workers: 4}); err != nil {
 		return nil, fmt.Errorf("core: parallel: %w", err)
 	}
 	if r.Session, err = sessionReplay(ins); err != nil {
@@ -111,7 +107,7 @@ func (r *Report) check(ins *sched.Instance) error {
 		name string
 		s    *sched.Schedule
 	}{
-		{"greedy", r.Greedy}, {"lazy", r.Lazy}, {"fast", r.Fast},
+		{"greedy", r.Greedy}, {"fast", r.Fast},
 		{"parallel", r.Parallel}, {"session", r.Session},
 		{"always-on", r.AlwaysOn}, {"per-job", r.PerJob},
 		{"merge-gaps", r.MergeGaps}, {"exact", r.Exact},
@@ -128,10 +124,9 @@ func (r *Report) check(ins *sched.Instance) error {
 		}
 	}
 	// All greedy strategies pick identical interval sequences.
-	if math.Abs(r.Greedy.Cost-r.Lazy.Cost) > 1e-9 || math.Abs(r.Greedy.Cost-r.Fast.Cost) > 1e-9 ||
-		math.Abs(r.Greedy.Cost-r.Parallel.Cost) > 1e-9 {
-		return fmt.Errorf("core: greedy variants disagree: plain %g lazy %g fast %g parallel %g",
-			r.Greedy.Cost, r.Lazy.Cost, r.Fast.Cost, r.Parallel.Cost)
+	if math.Abs(r.Greedy.Cost-r.Fast.Cost) > 1e-9 || math.Abs(r.Greedy.Cost-r.Parallel.Cost) > 1e-9 {
+		return fmt.Errorf("core: greedy variants disagree: plain %g fast %g parallel %g",
+			r.Greedy.Cost, r.Fast.Cost, r.Parallel.Cost)
 	}
 	// The session replay — jobs revealed one at a time, warm re-solves —
 	// must end byte-identical to the from-scratch solve of the final

@@ -95,7 +95,7 @@ func TestSolveAllNewArmsPopulated(t *testing.T) {
 	if err := r.Session.SameAs(r.Fast); err != nil {
 		t.Fatalf("session replay differs: %v", err)
 	}
-	if err := r.Parallel.SameAs(r.Lazy); err != nil {
-		t.Fatalf("parallel differs from lazy: %v", err)
+	if err := r.Parallel.SameAs(r.Fast); err != nil {
+		t.Fatalf("parallel differs from the serial default path: %v", err)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"repro/internal/budget"
+	"repro/internal/conformance"
 	"repro/internal/power"
 	"repro/internal/sched"
 	"repro/internal/schedexact"
@@ -65,7 +66,9 @@ func e2Instance(rng *rand.Rand, n int) (*sched.Instance, float64) {
 }
 
 // E2 sweeps n and reports schedule-all cost ratios against the planted
-// cost, alongside the prior-work baselines.
+// cost — the textbook eager greedy (greedy/B) next to ScheduleAll's lazy
+// path (lazy/B), which picks the same intervals — alongside the
+// prior-work baselines.
 func E2(cfg Config) *stats.Table {
 	tbl := stats.NewTable("E2 — Theorem 2.2.1: schedule-all cost vs O(log n)·B and baselines",
 		"n", "log2(n+1)", "greedy/B", "lazy/B", "always-on/B", "per-job/B", "merge-gaps/B")
@@ -81,10 +84,10 @@ func E2(cfg Config) *stats.Table {
 		}
 		parTrials(trials, cfg.Seed+int64(n), func(trial int, rng *rand.Rand) {
 			ins, b := e2Instance(rng, n)
-			if s, err := sched.ScheduleAll(ins, sched.Options{Workers: cfg.Workers}); err == nil {
+			if s, err := conformance.EagerScheduleAll(ins, sched.Options{Workers: cfg.Workers}); err == nil {
 				ratios["greedy"][trial] = s.Cost / b
 			}
-			if s, err := sched.ScheduleAll(ins, sched.Options{Lazy: true, Workers: cfg.Workers}); err == nil {
+			if s, err := sched.ScheduleAll(ins, sched.Options{Workers: cfg.Workers}); err == nil {
 				ratios["lazy"][trial] = s.Cost / b
 			}
 			if s, err := schedexact.AlwaysOn(ins); err == nil {
@@ -196,7 +199,7 @@ func E12(cfg Config) *stats.Table {
 			}
 			gr[trial] = cost / k
 			red := setcover.ToScheduling(ins)
-			s, err := sched.ScheduleAll(red, sched.Options{Lazy: true})
+			s, err := sched.ScheduleAll(red, sched.Options{})
 			if err != nil {
 				return
 			}

@@ -52,7 +52,7 @@ func E16(cfg Config) *stats.Table {
 			missed[trial] = float64(rep.Missed) / float64(tr.Jobs())
 			var cold int64
 			for k := 1; k <= len(tr.Events); k++ {
-				s, err := sched.ScheduleAll(tr.InstancePrefix(k), sched.Options{Lazy: true, Workers: cfg.Workers})
+				s, err := sched.ScheduleAll(tr.InstancePrefix(k), sched.Options{Workers: cfg.Workers})
 				if err != nil {
 					return
 				}

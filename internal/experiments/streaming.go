@@ -3,6 +3,7 @@ package experiments
 import (
 	"math/rand"
 
+	"repro/internal/conformance"
 	"repro/internal/sched"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -12,9 +13,10 @@ import (
 // (workload.MassiveInstance, SingleSlots candidates — the shape the
 // streaming tier is for). Three tiers solve each size:
 //
-//   - stepwise: the plain (non-lazy) exact greedy — budget.Stepwise's
-//     eval profile, O(candidates) probes per pick, Θ(n²) total;
-//   - lazy: the lazy exact greedy, the repo's fast exact tier;
+//   - stepwise: the plain (non-lazy) exact greedy
+//     (conformance.EagerScheduleAll) — O(candidates) probes per pick,
+//     Θ(n²) total;
+//   - lazy: ScheduleAll's lazy exact greedy, the repo's fast exact tier;
 //   - stream: ScheduleAll's sieve path (Options.Streaming), bounded
 //     candidate memory and Õ(n) total probes across residual passes.
 //
@@ -42,13 +44,11 @@ func E18(cfg Config) *stats.Table {
 		n := sizes[trial]
 		ins := workload.MassiveInstance(rng, 4, n, 2)
 		base := sched.Options{Policy: sched.SingleSlots, Workers: cfg.Workers}
-		step, err := sched.ScheduleAll(ins, base)
+		step, err := conformance.EagerScheduleAll(ins, base)
 		if err != nil {
 			return // leaves zeros; planted instances are always feasible
 		}
-		lazyO := base
-		lazyO.Lazy = true
-		lazy, err := sched.ScheduleAll(ins, lazyO)
+		lazy, err := sched.ScheduleAll(ins, base)
 		if err != nil {
 			return
 		}

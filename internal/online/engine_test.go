@@ -122,7 +122,7 @@ func TestEngineWarmCheaperThanColdReplay(t *testing.T) {
 		}
 		var cold int64
 		for k := 1; k <= len(tr.Events); k++ {
-			s, err := sched.ScheduleAll(tr.InstancePrefix(k), sched.Options{Lazy: true})
+			s, err := sched.ScheduleAll(tr.InstancePrefix(k), sched.Options{})
 			if err != nil {
 				t.Fatalf("%s: cold prefix %d: %v", name, k, err)
 			}

@@ -29,20 +29,18 @@ func TestSchedulingNoDeltaReplayKnob(t *testing.T) {
 			scheds["prize-exact"], errs["prize-exact"] = PrizeCollectingExact(ins, z, opts)
 			return scheds, errs
 		}
-		for _, lazy := range []bool{false, true} {
-			refScheds, refErrs := run(Options{Lazy: lazy})
-			for _, workers := range []int{2, 8} {
-				gotScheds, gotErrs := run(Options{Lazy: lazy, Workers: workers, NoDeltaReplay: true})
-				for algo := range refScheds {
-					if (refErrs[algo] == nil) != (gotErrs[algo] == nil) {
-						t.Fatalf("trial %d %s lazy=%t workers=%d: feasibility disagreement: %v vs %v",
-							trial, algo, lazy, workers, refErrs[algo], gotErrs[algo])
-					}
-					if refErrs[algo] != nil {
-						continue
-					}
-					sameSchedule(t, algo, refScheds[algo], gotScheds[algo])
+		refScheds, refErrs := run(Options{})
+		for _, workers := range []int{2, 8} {
+			gotScheds, gotErrs := run(Options{Workers: workers, NoDeltaReplay: true})
+			for algo := range refScheds {
+				if (refErrs[algo] == nil) != (gotErrs[algo] == nil) {
+					t.Fatalf("trial %d %s workers=%d: feasibility disagreement: %v vs %v",
+						trial, algo, workers, refErrs[algo], gotErrs[algo])
 				}
+				if refErrs[algo] != nil {
+					continue
+				}
+				sameSchedule(t, algo, refScheds[algo], gotScheds[algo])
 			}
 		}
 	}

@@ -27,11 +27,11 @@ func TestExtraCandidatesUsed(t *testing.T) {
 	}
 	// Without the extra candidate, event points only see [1,4)-style
 	// intervals and miss the discounted block starting at 0.
-	plain, err := ScheduleAll(ins, Options{Fast: true})
+	plain, err := ScheduleAll(ins, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	extra, err := ScheduleAll(ins, Options{Fast: true,
+	extra, err := ScheduleAll(ins, Options{
 		Extra: []Interval{{Proc: 0, Start: 0, End: 4}}})
 	if err != nil {
 		t.Fatal(err)

@@ -95,7 +95,7 @@ func TestImproveNeverWorseOnRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	for trial := 0; trial < 20; trial++ {
 		ins := randomInstance(rng, 2, 12, 6)
-		s, err := ScheduleAll(ins, Options{Fast: true})
+		s, err := ScheduleAll(ins, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

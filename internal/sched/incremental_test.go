@@ -99,7 +99,8 @@ func TestMatchingOraclesIncremental(t *testing.T) {
 
 // TestPlainOracleMatchesIncremental checks that the from-scratch and
 // incremental oracle paths produce identical schedules for both the
-// schedule-all and prize-collecting greedy stacks.
+// schedule-all and prize-collecting greedy stacks, and that both
+// schedule-all paths match the eager reference.
 func TestPlainOracleMatchesIncremental(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)*7907 + 13))
@@ -107,15 +108,17 @@ func TestPlainOracleMatchesIncremental(t *testing.T) {
 
 		inc, errInc := ScheduleAll(ins, Options{})
 		plain, errPlain := ScheduleAll(ins, Options{PlainOracle: true})
-		lazy, errLazy := ScheduleAll(ins, Options{Lazy: true})
-		if (errInc == nil) != (errPlain == nil) || (errInc == nil) != (errLazy == nil) {
-			t.Fatalf("trial %d: paths disagree on feasibility: inc=%v plain=%v lazy=%v",
-				trial, errInc, errPlain, errLazy)
+		eager, errEager := eagerScheduleAll(ins, Options{})
+		if (errInc == nil) != (errPlain == nil) || (errInc == nil) != (errEager == nil) {
+			t.Fatalf("trial %d: paths disagree on feasibility: inc=%v plain=%v eager=%v",
+				trial, errInc, errPlain, errEager)
 		}
 		if errInc == nil {
-			if math.Abs(inc.Cost-plain.Cost) > 1e-9 || math.Abs(inc.Cost-lazy.Cost) > 1e-9 {
-				t.Fatalf("trial %d: costs diverge: inc %g plain %g lazy %g",
-					trial, inc.Cost, plain.Cost, lazy.Cost)
+			if err := inc.SameAs(eager); err != nil {
+				t.Fatalf("trial %d: incremental path diverges from the eager reference: %v", trial, err)
+			}
+			if err := plain.SameAs(eager); err != nil {
+				t.Fatalf("trial %d: plain-oracle path diverges from the eager reference: %v", trial, err)
 			}
 			if inc.Evals >= plain.Evals {
 				t.Fatalf("trial %d: incremental path should issue fewer counted evals (%d vs %d)",

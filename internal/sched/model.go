@@ -29,11 +29,13 @@ type Model struct {
 	timesByProc [][]int // sorted distinct slot times per processor
 	slotsByProc [][]int // X indices parallel to timesByProc
 
-	// ivScratch is the candidate-interval buffer reused across solves
-	// (buildCandidates re-prices candidates on every solve; sessions
-	// re-solve after every mutation). Reuse is why a Model must not run
-	// concurrent solves — already the documented contract.
-	ivScratch []Interval
+	// Prefix-sweep state (sweepGains), reused across solves — one reason
+	// a Model must not run concurrent solves, already the documented
+	// contract: scratch for runs longer than the sweep's stack buffer,
+	// and the sweep's matcher, rolled back to empty, until the greedy's
+	// primary oracle adopts it (sweptMatchFn).
+	sweepBuf []int
+	sweepMat *bipartite.Matcher
 }
 
 // NewModel builds the bipartite formulation. Only slots usable by some job
@@ -130,35 +132,27 @@ func (m *Model) addJob(job Job) {
 
 // Candidates enumerates candidate awake intervals under the policy.
 func (m *Model) Candidates(policy CandidatePolicy) ([]Interval, error) {
-	return m.appendCandidates(nil, policy)
+	n, err := m.candidateCount(policy)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Interval, 0, n)
+	m.eachCandidate(policy, func(iv Interval) { out = append(out, iv) })
+	return out, nil
 }
 
-// appendCandidates appends the policy's enumeration to out, growing it to
-// the exact final size up front so the enumeration loops never reallocate
-// (buildCandidates feeds a reusable buffer through here every solve).
-func (m *Model) appendCandidates(out []Interval, policy CandidatePolicy) ([]Interval, error) {
+// candidateCount returns the exact size of the policy's enumeration, or
+// the error that rules the policy out for this model.
+func (m *Model) candidateCount(policy CandidatePolicy) (int, error) {
 	switch policy {
 	case SingleSlots:
-		out = slices.Grow(out, len(m.Slots))
-		for _, s := range m.Slots {
-			out = append(out, Interval{Proc: s.Proc, Start: s.Time, End: s.Time + 1})
-		}
-		return out, nil
+		return len(m.Slots), nil
 	case EventPoints:
 		total := 0
 		for _, times := range m.timesByProc {
 			total += len(times) * (len(times) + 1) / 2
 		}
-		out = slices.Grow(out, total)
-		for proc := 0; proc < m.Ins.Procs; proc++ {
-			times := m.timesByProc[proc]
-			for i := range times {
-				for j := i; j < len(times); j++ {
-					out = append(out, Interval{Proc: proc, Start: times[i], End: times[j] + 1})
-				}
-			}
-		}
-		return out, nil
+		return total, nil
 	case AllPairs:
 		const maxAllPairs = 4_000_000
 		h := m.Ins.Horizon
@@ -166,20 +160,41 @@ func (m *Model) appendCandidates(out []Interval, policy CandidatePolicy) ([]Inte
 		// overflow int on adversarial horizons. h > 2000 alone already
 		// exceeds the cap (Procs ≥ 1), and h ≤ 2000 keeps h² safe.
 		if p := m.Ins.Procs; h > 2000 || p > maxAllPairs/(h*h) {
-			return nil, fmt.Errorf("sched: AllPairs would enumerate ~%.3g intervals; use EventPoints",
+			return 0, fmt.Errorf("sched: AllPairs would enumerate ~%.3g intervals; use EventPoints",
 				float64(p)*float64(h)*float64(h)/2)
 		}
-		out = slices.Grow(out, m.Ins.Procs*h*(h+1)/2)
+		return m.Ins.Procs * h * (h + 1) / 2, nil
+	default:
+		return 0, fmt.Errorf("sched: unknown candidate policy %d", int(policy))
+	}
+}
+
+// eachCandidate calls fn on every interval of the policy's enumeration,
+// in order, without materializing the list (buildCandidates prices each
+// one as it comes). The policy must have passed candidateCount.
+func (m *Model) eachCandidate(policy CandidatePolicy, fn func(Interval)) {
+	switch policy {
+	case SingleSlots:
+		for _, s := range m.Slots {
+			fn(Interval{Proc: s.Proc, Start: s.Time, End: s.Time + 1})
+		}
+	case EventPoints:
 		for proc := 0; proc < m.Ins.Procs; proc++ {
-			for s := 0; s < h; s++ {
-				for e := s + 1; e <= h; e++ {
-					out = append(out, Interval{Proc: proc, Start: s, End: e})
+			times := m.timesByProc[proc]
+			for i := range times {
+				for j := i; j < len(times); j++ {
+					fn(Interval{Proc: proc, Start: times[i], End: times[j] + 1})
 				}
 			}
 		}
-		return out, nil
-	default:
-		return nil, fmt.Errorf("sched: unknown candidate policy %d", int(policy))
+	case AllPairs:
+		for proc := 0; proc < m.Ins.Procs; proc++ {
+			for s := 0; s < m.Ins.Horizon; s++ {
+				for e := s + 1; e <= m.Ins.Horizon; e++ {
+					fn(Interval{Proc: proc, Start: s, End: e})
+				}
+			}
+		}
 	}
 }
 
@@ -205,6 +220,8 @@ func (m *Model) IntervalItems(iv Interval) []int {
 }
 
 // candidate pairs an interval with its precomputed cost and slot items.
+// items is always a contiguous run of slotsByProc[iv.Proc] — the fact the
+// prefix sweep (sweepGains) prices candidates by.
 type candidate struct {
 	iv    Interval
 	cost  float64
@@ -216,33 +233,82 @@ type candidate struct {
 // (unavailable) and slotless intervals are dropped; negative costs are an
 // input error.
 func (m *Model) buildCandidates(policy CandidatePolicy, extra []Interval) ([]candidate, error) {
-	ivs, err := m.appendCandidates(m.ivScratch[:0], policy)
+	n, err := m.candidateCount(policy)
 	if err != nil {
 		return nil, err
 	}
-	m.ivScratch = ivs // keep the grown buffer for the next re-pricing
 	for _, iv := range extra {
 		if iv.Proc < 0 || iv.Proc >= m.Ins.Procs || iv.Start < 0 || iv.End > m.Ins.Horizon || iv.Start >= iv.End {
 			return nil, fmt.Errorf("sched: extra candidate %v outside instance", iv)
 		}
 	}
-	ivs = append(ivs, extra...)
-	out := make([]candidate, 0, len(ivs))
-	for _, iv := range ivs {
+	out := make([]candidate, 0, n+len(extra))
+	add := func(iv Interval) {
+		if err != nil {
+			return
+		}
 		c := m.Ins.Cost.Cost(iv.Proc, iv.Start, iv.End)
 		if math.IsInf(c, 1) || math.IsNaN(c) {
-			continue
+			return
 		}
 		if c < 0 {
-			return nil, fmt.Errorf("sched: negative cost %g for interval %v", c, iv)
+			err = fmt.Errorf("sched: negative cost %g for interval %v", c, iv)
+			return
 		}
-		items := m.IntervalItems(iv)
-		if len(items) == 0 {
-			continue
+		if items := m.IntervalItems(iv); len(items) > 0 {
+			out = append(out, candidate{iv: iv, cost: c, items: items})
 		}
-		out = append(out, candidate{iv: iv, cost: c, items: items})
+	}
+	m.eachCandidate(policy, add)
+	for _, iv := range extra {
+		add(iv)
+	}
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// sweepGains prices every candidate's exact gain against the empty slot
+// set, for seeding the lazy greedy's initial heap
+// (budget.NewStepwiseExact). A candidate's items are a contiguous run of
+// its processor's sorted slots, so the candidates sharing a first slot
+// are prefixes of the longest of them, and their gains — maximum
+// matchings over those slots — are entries of that run's prefix gains.
+// The policies' enumerations emit each start's candidates together, so
+// one Matcher.PrefixGains pass per group of consecutive candidates with
+// the same first slot prices them all: O(k²) augmenting searches per
+// processor of k slots, where probing each candidate costs O(k³). The
+// values equal what the initial probes would return, so the heap, the
+// picks and the billed evals are unchanged. The sweep's matcher is left
+// rolled back to empty in m.sweepMat, for the greedy's primary oracle to
+// adopt (sweptMatchFn).
+func (m *Model) sweepGains(cands []candidate) []float64 {
+	gains := make([]float64, len(cands))
+	mat := bipartite.NewMatcher(m.G)
+	var small [64]int // prefix-gain scratch for runs up to 64 slots
+	for lo := 0; lo < len(cands); {
+		first, run := cands[lo].items[0], cands[lo].items
+		hi := lo + 1
+		for ; hi < len(cands) && cands[hi].items[0] == first; hi++ {
+			if len(cands[hi].items) > len(run) {
+				run = cands[hi].items
+			}
+		}
+		prefix := small[:0]
+		if len(run) > len(small) {
+			m.sweepBuf = slices.Grow(m.sweepBuf[:0], len(run))
+			prefix = m.sweepBuf
+		}
+		prefix = prefix[:len(run)]
+		mat.PrefixGains(run, prefix)
+		for i := lo; i < hi; i++ {
+			gains[i] = float64(prefix[len(cands[i].items)-1])
+		}
+		lo = hi
+	}
+	m.sweepMat = mat
+	return gains
 }
 
 // budgetSubsets converts candidates to budget.Subset values over the slot
@@ -280,6 +346,25 @@ func (f matchFn) Eval(s *bitset.Set) float64 {
 // (snapshot + augment) instead of a fresh Hopcroft–Karp run per call.
 func (f matchFn) NewIncremental() submodular.Incremental {
 	return &matchOracle{fn: f, mat: bipartite.NewMatcher(f.m.G)}
+}
+
+// sweptMatchFn is matchFn for the greedy that follows a prefix sweep:
+// its incremental oracle adopts the sweep's matcher (m.sweepMat) instead
+// of allocating one — rolled back to empty it is indistinguishable from
+// a fresh matcher, and its probe journals are already grown. Only the
+// run's primary oracle is made through NewIncremental (replicas are
+// clones), and once the matcher is taken later calls allocate as matchFn
+// does.
+type sweptMatchFn struct{ matchFn }
+
+// NewIncremental implements submodular.IncrementalProvider.
+func (f sweptMatchFn) NewIncremental() submodular.Incremental {
+	mat := f.m.sweepMat
+	if mat == nil {
+		mat = bipartite.NewMatcher(f.m.G)
+	}
+	f.m.sweepMat = nil
+	return &matchOracle{fn: f.matchFn, mat: mat}
 }
 
 // matchOracle adapts bipartite.Matcher to submodular.Incremental and

@@ -25,9 +25,9 @@ func sameSchedule(t *testing.T, label string, ref, got *Schedule) {
 }
 
 // TestSchedulingWorkerCountDeterminism runs every algorithm over the
-// matcher oracles (Lemmas 2.2.2 and 2.3.2) serial vs 2/4/8 workers, plain
-// and lazy greedy, incremental and from-scratch oracles, and asserts the
-// schedules are identical. The CI race job runs this package with -race,
+// matcher oracles (Lemmas 2.2.2 and 2.3.2) serial vs 2/4/8 workers,
+// incremental and from-scratch oracles, and asserts the schedules are
+// identical. The CI race job runs this package with -race,
 // which exercises the sharded matcher replicas for data races.
 func TestSchedulingWorkerCountDeterminism(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
@@ -39,32 +39,30 @@ func TestSchedulingWorkerCountDeterminism(t *testing.T) {
 		}
 		z := 0.6 * total
 
-		for _, lazy := range []bool{false, true} {
-			for _, plain := range []bool{false, true} {
-				base := Options{Lazy: lazy, PlainOracle: plain}
-				run := func(opts Options) (map[string]*Schedule, map[string]error) {
-					scheds, errs := map[string]*Schedule{}, map[string]error{}
-					scheds["all"], errs["all"] = ScheduleAll(ins, opts)
-					scheds["prize"], errs["prize"] = PrizeCollecting(ins, z, withEps(opts, 0.1))
-					scheds["prize-exact"], errs["prize-exact"] = PrizeCollectingExact(ins, z, opts)
-					return scheds, errs
-				}
-				refScheds, refErrs := run(base)
-				for _, workers := range []int{2, 4, 8} {
-					opts := base
-					opts.Workers = workers
-					gotScheds, gotErrs := run(opts)
-					for algo := range refScheds {
-						label := algo
-						if (refErrs[algo] == nil) != (gotErrs[algo] == nil) {
-							t.Fatalf("trial %d %s lazy=%t plain=%t workers=%d: feasibility disagreement: %v vs %v",
-								trial, label, lazy, plain, workers, refErrs[algo], gotErrs[algo])
-						}
-						if refErrs[algo] != nil {
-							continue
-						}
-						sameSchedule(t, label, refScheds[algo], gotScheds[algo])
+		for _, plain := range []bool{false, true} {
+			base := Options{PlainOracle: plain}
+			run := func(opts Options) (map[string]*Schedule, map[string]error) {
+				scheds, errs := map[string]*Schedule{}, map[string]error{}
+				scheds["all"], errs["all"] = ScheduleAll(ins, opts)
+				scheds["prize"], errs["prize"] = PrizeCollecting(ins, z, withEps(opts, 0.1))
+				scheds["prize-exact"], errs["prize-exact"] = PrizeCollectingExact(ins, z, opts)
+				return scheds, errs
+			}
+			refScheds, refErrs := run(base)
+			for _, workers := range []int{2, 4, 8} {
+				opts := base
+				opts.Workers = workers
+				gotScheds, gotErrs := run(opts)
+				for algo := range refScheds {
+					label := algo
+					if (refErrs[algo] == nil) != (gotErrs[algo] == nil) {
+						t.Fatalf("trial %d %s plain=%t workers=%d: feasibility disagreement: %v vs %v",
+							trial, label, plain, workers, refErrs[algo], gotErrs[algo])
 					}
+					if refErrs[algo] != nil {
+						continue
+					}
+					sameSchedule(t, label, refScheds[algo], gotScheds[algo])
 				}
 			}
 		}

@@ -55,11 +55,11 @@ func prizeCollecting(model *Model, z float64, opts Options) (*Schedule, error) {
 		Subsets:   budgetSubsets(cands),
 		Threshold: z,
 	}
-	run := budget.Greedy
-	if opts.Lazy {
-		run = budget.LazyGreedy
-	}
-	res, err := run(prob, budget.Options{
+	// Prize modes stay on the eager greedy. The weighted utility is
+	// float-valued, and the lazy heap can resolve exact floating-point
+	// ties differently (see the budget package doc): switching would
+	// change prize answers on the wire at equal cost and value.
+	res, err := budget.Greedy(prob, budget.Options{
 		Eps: eps, Workers: opts.Workers, Parallel: opts.Parallel,
 		PlainEval: opts.PlainOracle, NoDeltaReplay: opts.NoDeltaReplay,
 	})

@@ -117,7 +117,6 @@ func (p CandidatePolicy) String() string {
 type Options struct {
 	Policy CandidatePolicy
 	Eps    float64 // bicriteria slack for PrizeCollecting; ScheduleAll defaults to 1/(n+1)
-	Lazy   bool    // lazy-evaluation greedy
 	// Workers is the number of concurrent candidate-probe goroutines
 	// inside the greedy. Each worker owns a cloned incremental-matcher
 	// replica, so multicore and the incremental fast path compose; the
@@ -137,10 +136,6 @@ type Options struct {
 	// is identical either way; the knob exists for the conformance matrix
 	// and ablations.
 	NoDeltaReplay bool
-	// Fast is deprecated: the incremental-matcher oracle it used to select
-	// is now the default for every greedy variant. The field is retained
-	// for compatibility and ignored.
-	Fast bool
 	// Extra adds caller-supplied candidate awake intervals on top of the
 	// policy's enumeration — the thesis's "costs might be explicitly given
 	// in the input" mode, e.g. contract blocks a power provider offers.

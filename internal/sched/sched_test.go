@@ -6,9 +6,34 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/budget"
 	"repro/internal/power"
 	"repro/internal/submodular"
 )
+
+// eagerScheduleAll is the textbook eager reference for ScheduleAll: the
+// same prepared solve input (candidates, Hall check, ε) run through
+// budget.Greedy, which probes every unpicked candidate every round. The
+// from-scratch twin built only from the public surface is
+// conformance.EagerScheduleAll.
+func eagerScheduleAll(ins *Instance, opts Options) (*Schedule, error) {
+	m, err := NewModel(ins)
+	if err != nil {
+		return nil, err
+	}
+	if len(ins.Jobs) == 0 {
+		return &Schedule{Assignment: []SlotKey{}}, nil
+	}
+	in, err := m.scheduleAllInput(opts)
+	if err != nil {
+		return nil, err
+	}
+	res, err := budget.Greedy(in.prob, budget.Options{Eps: in.eps, PlainEval: opts.PlainOracle})
+	if err != nil {
+		return nil, err
+	}
+	return m.finishScheduleAll(opts, in, res)
+}
 
 // window returns the slots [lo, hi) on proc as an Allowed list.
 func window(proc, lo, hi int) []SlotKey {
@@ -144,15 +169,17 @@ func TestScheduleAllValidatesOnRandom(t *testing.T) {
 	}
 }
 
+// TestFastMatchesBudgetPath: the default path (sweep-seeded lazy greedy,
+// incremental matcher) picks the eager budget greedy's exact sequence.
 func TestFastMatchesBudgetPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 15; trial++ {
 		ins := randomInstance(rng, 2, 10, 5)
-		slow, err := ScheduleAll(ins, Options{})
+		slow, err := eagerScheduleAll(ins, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		fast, err := ScheduleAll(ins, Options{Fast: true})
+		fast, err := ScheduleAll(ins, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,20 +200,22 @@ func TestFastMatchesBudgetPath(t *testing.T) {
 	}
 }
 
+// TestLazyMatchesPlainSched: ScheduleAll's lazy greedy reproduces the
+// eager reference decision for decision, with no more evals.
 func TestLazyMatchesPlainSched(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for trial := 0; trial < 10; trial++ {
 		ins := randomInstance(rng, 2, 10, 5)
-		plain, err := ScheduleAll(ins, Options{})
+		plain, err := eagerScheduleAll(ins, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		lazy, err := ScheduleAll(ins, Options{Lazy: true})
+		lazy, err := ScheduleAll(ins, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Abs(plain.Cost-lazy.Cost) > 1e-9 {
-			t.Fatalf("lazy cost %v != plain cost %v", lazy.Cost, plain.Cost)
+		if err := lazy.SameAs(plain); err != nil {
+			t.Fatalf("lazy diverges from the eager reference: %v", err)
 		}
 		if lazy.Evals > plain.Evals {
 			t.Fatalf("lazy evals %d > plain evals %d", lazy.Evals, plain.Evals)
@@ -452,7 +481,7 @@ func BenchmarkScheduleAll(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ScheduleAll(ins, Options{Fast: true}); err != nil {
+		if _, err := ScheduleAll(ins, Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -57,12 +58,13 @@ type Session struct {
 	churn  int  // total jobs added + removed since session start
 	solved bool // at least one successful solve recorded hints
 
-	lastEvals    int64
-	totalEvals   int64
-	solves       int
-	warmSolves   int
-	streamSolves int
-	cacheHits    int
+	lastEvals     int64
+	totalEvals    int64
+	solves        int
+	warmSolves    int
+	streamSolves  int
+	cacheHits     int
+	coldFallbacks int
 }
 
 type hintRec struct {
@@ -73,8 +75,7 @@ type hintRec struct {
 // NewSession validates the instance and opens a session over a private
 // copy of it (jobs and allowed-slot slices are deep-copied; the cost
 // model is shared and must not be mutated by the caller afterwards).
-// opts.Lazy is ignored: sessions always solve through the stepwise lazy
-// greedy, which picks identical subsets to both Greedy and LazyGreedy.
+// Sessions solve through the stepwise lazy greedy, as ScheduleAll does.
 func NewSession(ins *Instance, opts Options) (*Session, error) {
 	if err := ins.check(); err != nil {
 		return nil, err
@@ -136,6 +137,10 @@ func (s *Session) TotalEvals() int64 { return s.totalEvals }
 func (s *Session) Stats() (solves, warm, cacheHits int) {
 	return s.solves, s.warmSolves, s.cacheHits
 }
+
+// ColdFallbacks reports how many warm Solves a broken hint bound
+// (budget.ErrBrokenBound) sent back to a cold re-solve.
+func (s *Session) ColdFallbacks() int { return s.coldFallbacks }
 
 // AddJob appends a job and returns its index. The model, if built, is
 // extended in place; recorded warm-start gains stay usable with one unit
@@ -289,7 +294,9 @@ func (s *Session) ImportWarmState(ws WarmState) error {
 // instance — byte-identical to ScheduleAll on the same instance built
 // from scratch. Repeated Solves without intervening mutations are
 // answered from the session cache with zero oracle calls; re-solves
-// after mutations are warm-started (see the type comment).
+// after mutations are warm-started (see the type comment). A warm run
+// whose re-probe finds a gain above its hint bound (budget.ErrBrokenBound)
+// is abandoned for one cold re-solve, counted by ColdFallbacks.
 func (s *Session) Solve() (*Schedule, error) {
 	if s.cached != nil {
 		s.lastEvals = 0
@@ -329,14 +336,18 @@ func (s *Session) Solve() (*Schedule, error) {
 			hints[i] = budget.Hint{Subset: i, GainBound: bound}
 		}
 	}
-	sw, err := budget.NewStepwise(in.prob, budget.Options{
-		Eps: in.eps, Workers: s.opts.Workers, Parallel: s.opts.Parallel,
-		PlainEval: s.opts.PlainOracle, NoDeltaReplay: s.opts.NoDeltaReplay,
-	}, hints)
-	if err != nil {
-		return nil, fmt.Errorf("sched: greedy failed: %w", err)
+	sw, res, err := s.runGreedy(in, hints)
+	if hints != nil && errors.Is(err, budget.ErrBrokenBound) {
+		// A warm bound under-stated a gain: the seeded heap cannot be
+		// trusted, so answer from one cold re-solve instead. Its evals
+		// include the abandoned warm attempt's.
+		warmEvals := sw.Result().Evals
+		s.coldFallbacks++
+		sw, res, err = s.runGreedy(in, nil)
+		if res != nil {
+			res.Evals += warmEvals
+		}
 	}
-	res, err := sw.Solve()
 	if err != nil {
 		return nil, fmt.Errorf("sched: greedy failed: %w", err)
 	}
@@ -348,10 +359,10 @@ func (s *Session) Solve() (*Schedule, error) {
 	// that no longer exist — without it a long-lived session under
 	// remove/advance churn would accumulate a record for every interval
 	// ever enumerated.
-	gains, seen := sw.ZeroGains()
+	gains := sw.ZeroGains()
 	fresh := make(map[Interval]hintRec, len(in.cands))
 	for i, c := range in.cands {
-		if seen[i] {
+		if !math.IsNaN(gains[i]) {
 			fresh[c.iv] = hintRec{gain: gains[i], stamp: s.churn}
 		} else if rec, ok := s.hints[c.iv]; ok {
 			fresh[c.iv] = rec
@@ -371,6 +382,20 @@ func (s *Session) Solve() (*Schedule, error) {
 	s.solves++
 	s.cached = copySchedule(sched)
 	return sched, nil
+}
+
+// runGreedy runs the stepwise lazy greedy over in, seeded with hints
+// (nil for a cold run).
+func (s *Session) runGreedy(in *solveInput, hints []budget.Hint) (*budget.Stepwise, *budget.Result, error) {
+	sw, err := budget.NewStepwise(in.prob, budget.Options{
+		Eps: in.eps, Workers: s.opts.Workers, Parallel: s.opts.Parallel,
+		PlainEval: s.opts.PlainOracle, NoDeltaReplay: s.opts.NoDeltaReplay,
+	}, hints)
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := sw.Solve()
+	return sw, res, err
 }
 
 // SolveStreaming is Solve through the bounded-memory sieve tier:

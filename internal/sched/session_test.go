@@ -45,7 +45,7 @@ func plantedSessionInstance(rng *rand.Rand, per int) *Instance {
 func checkAgainstFromScratch(t *testing.T, sess *Session, opts Options, label string) {
 	t.Helper()
 	got, errS := sess.Solve()
-	want, errF := ScheduleAll(sess.Instance(), opts)
+	want, errF := eagerScheduleAll(sess.Instance(), opts)
 	if (errS == nil) != (errF == nil) {
 		t.Fatalf("%s: feasibility disagreement: session=%v from-scratch=%v", label, errS, errF)
 	}
@@ -135,12 +135,16 @@ func TestSessionWarmResolveBeatsColdOnASeries(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cold, err := ScheduleAll(sess.Instance(), Options{Lazy: true})
+			cold, err := ScheduleAll(sess.Instance(), Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !equalSchedules(warm, cold) {
-				t.Fatalf("per=%d: warm schedule differs from cold", per)
+			eager, err := eagerScheduleAll(sess.Instance(), Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !equalSchedules(warm, eager) {
+				t.Fatalf("per=%d: warm schedule differs from the eager reference", per)
 			}
 			if warm.Evals >= cold.Evals {
 				t.Fatalf("per=%d: warm re-solve used %d evals, cold used %d — no savings",
@@ -203,9 +207,12 @@ func TestSessionCacheAndTargetedInvalidation(t *testing.T) {
 	if !equalSchedules(first, blocked) {
 		t.Fatal("blocking an unused slot changed the schedule")
 	}
-	cold, err := ScheduleAll(sess.Instance(), Options{Lazy: true})
+	cold, err := ScheduleAll(sess.Instance(), Options{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !equalSchedules(blocked, cold) {
+		t.Fatal("warm re-solve after block differs from the cold solve")
 	}
 	if blocked2 := sess.LastEvals(); blocked2 >= cold.Evals {
 		t.Fatalf("warm re-solve after block spent %d evals, cold %d", blocked2, cold.Evals)
@@ -413,5 +420,64 @@ func TestSessionWarmStateValidation(t *testing.T) {
 			t.Fatalf("unsound warm state %d accepted: %+v", i, ws)
 		}
 		checkAgainstFromScratch(t, fresh, Options{}, fmt.Sprintf("after rejected import %d", i))
+	}
+}
+
+// TestSessionUnderstatedWarmStateFallsBackCold: warm state whose gains
+// were corrupted below the truth is caught by the lazy loop's bound check
+// on the first re-probe; the session answers from one cold re-solve,
+// byte-identical to the cold ScheduleAll and the eager reference.
+func TestSessionUnderstatedWarmStateFallsBackCold(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	ins := plantedSessionInstance(rng, 4)
+	donor, err := NewSession(ins, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := donor.Solve(); err != nil {
+		t.Fatal(err)
+	}
+	state := donor.ExportWarmState()
+	for i := range state.Hints {
+		state.Hints[i].Gain /= 4 // still non-negative, so ImportWarmState accepts it
+	}
+	sess, err := NewSession(ins, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.ImportWarmState(state); err != nil {
+		t.Fatal(err)
+	}
+	got, err := sess.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sess.ColdFallbacks() != 1 {
+		t.Fatalf("ColdFallbacks = %d, want 1", sess.ColdFallbacks())
+	}
+	cold, err := ScheduleAll(sess.Instance(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := got.SameAs(cold); err != nil {
+		t.Fatalf("fallback answer differs from the cold ScheduleAll: %v", err)
+	}
+	eager, err := eagerScheduleAll(sess.Instance(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := got.SameAs(eager); err != nil {
+		t.Fatalf("fallback answer differs from the eager reference: %v", err)
+	}
+	// The cold re-solve re-recorded sound gains: the next warm solve after
+	// a harmless mutation needs no fallback.
+	if err := sess.SetUnavailable(0, sess.Horizon()-1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Solve(); err != nil {
+		t.Fatal(err)
+	}
+	if sess.ColdFallbacks() != 1 {
+		t.Fatalf("ColdFallbacks = %d after a sound warm solve, want 1", sess.ColdFallbacks())
 	}
 }

@@ -185,17 +185,30 @@ func (m *Model) scheduleAllStreaming(opts Options) (*Schedule, error) {
 	return m.finishScheduleAll(opts, in, res)
 }
 
-// scheduleAllExact runs the exact greedy over an already-built solve
-// input, charging any oracle evals spent before the fallback.
+// scheduleAllExact runs the exact greedy — the stepwise lazy greedy, its
+// initial heap priced by the prefix sweep — over an already-built solve
+// input, charging any oracle evals spent before the fallback. PlainOracle
+// runs skip the sweep and probe every candidate through Eval, keeping
+// the from-scratch arm independent of the matcher machinery.
 func (m *Model) scheduleAllExact(opts Options, in *solveInput, priorEvals int64) (*Schedule, error) {
-	run := budget.Greedy
-	if opts.Lazy {
-		run = budget.LazyGreedy
-	}
-	res, err := run(in.prob, budget.Options{
+	bopts := budget.Options{
 		Eps: in.eps, Workers: opts.Workers, Parallel: opts.Parallel,
 		PlainEval: opts.PlainOracle, NoDeltaReplay: opts.NoDeltaReplay,
-	})
+	}
+	var sw *budget.Stepwise
+	var err error
+	if opts.PlainOracle {
+		sw, err = budget.NewStepwise(in.prob, bopts, nil)
+	} else {
+		gains := m.sweepGains(in.cands)
+		prob := in.prob
+		prob.F = sweptMatchFn{matchFn{m}}
+		sw, err = budget.NewStepwiseExact(prob, bopts, gains)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("sched: greedy failed: %w", err)
+	}
+	res, err := sw.Solve()
 	if err != nil {
 		return nil, fmt.Errorf("sched: greedy failed: %w", err)
 	}

@@ -266,6 +266,7 @@ func TestHTTPSolveTimeout(t *testing.T) {
 	if err := json.Unmarshal(body, &created); err != nil {
 		t.Fatal(err)
 	}
+	before := svc.submitted.Load()
 	resp, err := http.Post(srv.URL+"/v1/session/"+created.ID+"/solve", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -282,6 +283,15 @@ func TestHTTPSolveTimeout(t *testing.T) {
 	h, err := svc.session(created.ID)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The handler can give up before the background solve takes the
+	// session lock; wait until it has (it counts the submission under
+	// the lock), or the Lock below could win the race and look too early.
+	for deadline := time.Now().Add(10 * time.Second); svc.submitted.Load() == before; {
+		if time.Now().After(deadline) {
+			t.Fatal("abandoned solve never started")
+		}
+		time.Sleep(time.Millisecond)
 	}
 	h.mu.Lock() // blocks until the background solve releases the session
 	key := cacheKey(Request{InstanceKey: h.digest, Mode: ModeAll, Opts: h.opts})

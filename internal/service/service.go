@@ -540,9 +540,9 @@ func cacheKey(req Request) string {
 	if req.InstanceKey == "" {
 		return ""
 	}
-	key := fmt.Sprintf("%s|m%d|z%g|e%g|i%t|p%d|l%t|po%t",
+	key := fmt.Sprintf("%s|m%d|z%g|e%g|i%t|p%d|po%t",
 		req.InstanceKey, req.Mode, req.Z, req.Opts.Eps, req.Improve,
-		req.Opts.Policy, req.Opts.Lazy, req.Opts.PlainOracle)
+		req.Opts.Policy, req.Opts.PlainOracle)
 	if req.Opts.Streaming {
 		// The sieve tier picks different (still worker-count-invariant)
 		// schedules, so streaming requests get their own entries.

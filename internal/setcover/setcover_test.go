@@ -78,7 +78,7 @@ func TestReductionRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	ins, planted := Planted(rng, 18, 3, 8)
 	red := ToScheduling(ins)
-	s, err := sched.ScheduleAll(red, sched.Options{Fast: true})
+	s, err := sched.ScheduleAll(red, sched.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,6 +61,11 @@ func (c *Counting) Eval(s *bitset.Set) float64 {
 // too (see AsIncremental).
 func (c *Counting) count() { atomic.AddInt64(&c.calls, 1) }
 
+// Charge bills n oracle calls answered without the wrapper — values a
+// caller computed by a cheaper route than one call each, billed as the
+// calls they replace so counts stay comparable across routes.
+func (c *Counting) Charge(n int64) { atomic.AddInt64(&c.calls, n) }
+
 // Calls returns the number of Eval calls so far.
 func (c *Counting) Calls() int64 { return atomic.LoadInt64(&c.calls) }
 

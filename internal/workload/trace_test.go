@@ -31,7 +31,7 @@ func TestTracesValidAndPrefixFeasible(t *testing.T) {
 			}
 			for k := 1; k <= len(tr.Events); k++ {
 				ins := tr.InstancePrefix(k)
-				if _, err := sched.ScheduleAll(ins, sched.Options{Lazy: true}); err != nil {
+				if _, err := sched.ScheduleAll(ins, sched.Options{}); err != nil {
 					t.Fatalf("%s seed %d: prefix %d infeasible: %v", name, seed, k, err)
 				}
 			}

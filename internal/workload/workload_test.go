@@ -22,7 +22,7 @@ func TestPlantedScheduleFeasibleAtPlantedCost(t *testing.T) {
 		if planted <= 0 {
 			t.Fatalf("planted cost = %v", planted)
 		}
-		s, err := sched.ScheduleAll(ins, sched.Options{Fast: true})
+		s, err := sched.ScheduleAll(ins, sched.Options{})
 		if err != nil {
 			t.Fatalf("planted instance unschedulable: %v", err)
 		}

@@ -37,7 +37,7 @@ func TestFacadeScheduleAll(t *testing.T) {
 		},
 		Cost: powersched.Affine{Alpha: 2, Rate: 1},
 	}
-	s, err := powersched.ScheduleAll(ins, powersched.Options{Fast: true})
+	s, err := powersched.ScheduleAll(ins, powersched.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,14 @@ cd "$(dirname "$0")/.."
 
 pkgs="${*:-./...}"
 
+echo "lint: bench drift baseline is the latest committed snapshot"
+latest=$(ls BENCH_pr*.json | sed -n 's/^BENCH_pr\([0-9][0-9]*\)\.json$/\1/p' | sort -n | tail -n 1)
+baseline=$(sed -n 's/.*bench_diff\.sh \(BENCH_[^ ]*\.json\) .*/\1/p' .github/workflows/ci.yml)
+if [ "$baseline" != "BENCH_pr$latest.json" ]; then
+    echo "lint: ci.yml diffs against ${baseline:-no snapshot}, but the latest committed snapshot is BENCH_pr$latest.json" >&2
+    exit 1
+fi
+
 echo "lint: building cmd/powerschedlint"
 go build -o bin/powerschedlint ./cmd/powerschedlint
 
