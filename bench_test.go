@@ -161,12 +161,12 @@ func BenchmarkScheduleAllSolveCold(b *testing.B) {
 	}
 }
 
-// BenchmarkSessionResolve measures the session's warm re-solve cycle —
+// BenchmarkSessionResolve measures the session's re-solve cycle —
 // mutate (add a job), solve, mutate back (remove it), solve — against
 // the same planted instance BenchmarkScheduleAllLazyW1 solves from
-// scratch. The add-side re-solve rides the in-place model extension and
-// the seeded lazy heap; the remove side pays the model rebuild, keeping
-// the number honest about both invalidation paths.
+// scratch. The add-side re-solve rides the in-place model extension; the
+// remove side pays the model rebuild, keeping the number honest about
+// both invalidation paths.
 func BenchmarkSessionResolve(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	ins, _ := workload.PlantedSchedule(rng, workload.PlantedParams{
@@ -201,9 +201,43 @@ func BenchmarkSessionResolve(b *testing.B) {
 	}
 }
 
+// BenchmarkSessionSlide is one step of the serving benchmark's
+// session-churn workload, in process: a 20-job window sliding over a
+// 40-job Poisson-burst trace (2 processors, horizon 80, window 2) drops
+// its oldest job, admits the next one and re-solves. RemoveJob forces a
+// model rebuild, so each step pays model build, candidate pricing and
+// the sweep-priced lazy greedy.
+func BenchmarkSessionSlide(b *testing.B) {
+	tr := workload.PoissonBurstTrace(rand.New(rand.NewSource(1)),
+		workload.TraceParams{Procs: 2, Horizon: 80, Jobs: 40, Window: 2})
+	ins := tr.FinalInstance()
+	jobs := ins.Jobs
+	ins.Jobs = jobs[:20]
+	sess, err := sched.NewSession(ins, sched.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := sess.Solve(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := sess.RemoveJob(0); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := sess.AddJob(jobs[(i+20)%len(jobs)]); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := sess.Solve(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkEngineTrace runs a whole Poisson-burst arrival trace through
-// the rolling-horizon engine per iteration: trace generation, one warm
-// re-solve per event, commitment, and the final report.
+// the rolling-horizon engine per iteration: trace generation, one
+// session re-solve per event, commitment, and the final report.
 func BenchmarkEngineTrace(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

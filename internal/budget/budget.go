@@ -178,9 +178,9 @@ var ErrInfeasible = errors.New("budget: threshold unreachable with given subsets
 // fresh gain exceeds the stale upper bound its heap entry held by more
 // than boundSlack. Lazy evaluation is exact only while those bounds hold,
 // so the run stops instead of picking from a heap it can no longer trust.
-// On a run seeded only by its own probes (or exact initial gains) a violation
-// means F is not submodular; on a warm start it means a bound hint
-// under-stated a gain, and the caller should re-solve cold.
+// On a run seeded by its own probes a violation means F is not
+// submodular; on one seeded with NewStepwiseExact it can also mean an
+// exact gain under-stated the truth.
 var ErrBrokenBound = errors.New("budget: lazy gain bound violated")
 
 const tol = 1e-12
@@ -254,14 +254,6 @@ type workspace struct {
 	batchGain  []float64
 	batchRatio []float64
 	batchOK    []bool
-
-	// Initial-gain recording for Stepwise warm starts: while recordZero
-	// is set (no pick made yet), every probe's capped gain against the
-	// initial base set is noted per subset; NaN marks subsets not yet
-	// probed. Parallel phases write distinct indices, so the slice needs
-	// no locking.
-	recordZero bool
-	zeroGain   []float64
 }
 
 // newWorkspace resolves options against the problem and allocates all
@@ -350,8 +342,7 @@ func (ws *workspace) items(i int) []int {
 }
 
 // markPicked commits the chosen subset. The caller updates cur itself
-// (both paths need the union). Probes stop counting as initial-state
-// gains from here on.
+// (both paths need the union).
 //
 // In delta mode the primary commits here, on the coordinating goroutine
 // between probe phases, and the resulting delta is parked for workers
@@ -359,7 +350,6 @@ func (ws *workspace) items(i int) []int {
 // pick's items are parked for deferred Commit replay: the parallel phases
 // replay them per worker, serial paths flush them explicitly.
 func (ws *workspace) markPicked(i int) {
-	ws.recordZero = false
 	if ws.replicas == nil {
 		return
 	}
@@ -432,9 +422,6 @@ func (ws *workspace) probe(w, i int, base, curU float64, subsets []Subset) (gain
 		v = math.Min(ws.x, evalUnion(ws.f, ws.scratch[w], ws.cur, &subsets[i]))
 	}
 	gain = v - curU
-	if ws.recordZero {
-		ws.zeroGain[i] = gain
-	}
 	if gain <= tol {
 		return 0, 0, false
 	}
@@ -802,7 +789,7 @@ func checkBound(e lazyEntry, fresh, curU float64, round int) error {
 // can exceed the serial count slightly. A re-probe above its stale bound
 // stops the run with ErrBrokenBound.
 func LazyGreedy(p Problem, opts Options) (*Result, error) {
-	s, err := NewStepwise(p, opts, nil)
+	s, err := NewStepwise(p, opts)
 	if err != nil {
 		return nil, err
 	}

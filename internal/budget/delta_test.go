@@ -1,7 +1,6 @@
 package budget
 
 import (
-	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -108,15 +107,15 @@ func TestValidateRejectsBadElems(t *testing.T) {
 }
 
 // TestStepwiseDeltaReplay runs the resumable solver with delta replay
-// against its serial self, including warm-started runs — the hint path
-// shares the same workspace sync machinery.
+// against its serial self, including runs seeded with exact initial
+// gains — the seeded heap shares the same workspace sync machinery.
 func TestStepwiseDeltaReplay(t *testing.T) {
 	for trial := 0; trial < 4; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)*911 + 41))
 		for oracle, p := range oracleProblems(rng) {
 			ref, refErr := LazyGreedy(p, Options{Eps: 0.05})
 
-			sw, err := NewStepwise(p, Options{Eps: 0.05, Workers: 4}, nil)
+			sw, err := NewStepwise(p, Options{Eps: 0.05, Workers: 4})
 			if err != nil {
 				t.Fatalf("%s: NewStepwise: %v", oracle, err)
 			}
@@ -131,25 +130,16 @@ func TestStepwiseDeltaReplay(t *testing.T) {
 				t.Fatalf("%s: stepwise delta picks diverged:\nserial %v\ndelta  %v", oracle, ref.Chosen, got.Chosen)
 			}
 
-			// Warm start from the cold run's measured zero gains, inflated
-			// slightly so they stay upper bounds.
-			zg := sw.ZeroGains()
-			var hints []Hint
-			for i := range zg {
-				if !math.IsNaN(zg[i]) {
-					hints = append(hints, Hint{Subset: i, GainBound: zg[i] * 1.25})
-				}
-			}
-			warm, err := NewStepwise(p, Options{Eps: 0.05, Workers: 4}, hints)
+			exact, err := NewStepwiseExact(p, Options{Eps: 0.05, Workers: 4}, initialGains(p))
 			if err != nil {
-				t.Fatalf("%s: warm NewStepwise: %v", oracle, err)
+				t.Fatalf("%s: NewStepwiseExact: %v", oracle, err)
 			}
-			wres, werr := warm.Solve()
-			if werr != nil {
-				t.Fatalf("%s: warm solve: %v", oracle, werr)
+			eres, eerr := exact.Solve()
+			if eerr != nil {
+				t.Fatalf("%s: exact-seeded solve: %v", oracle, eerr)
 			}
-			if !slices.Equal(ref.Chosen, wres.Chosen) {
-				t.Fatalf("%s: warm delta picks diverged:\nserial %v\nwarm   %v", oracle, ref.Chosen, wres.Chosen)
+			if !slices.Equal(ref.Chosen, eres.Chosen) {
+				t.Fatalf("%s: exact-seeded delta picks diverged:\nserial %v\nexact  %v", oracle, ref.Chosen, eres.Chosen)
 			}
 		}
 	}

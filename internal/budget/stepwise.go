@@ -8,39 +8,13 @@ import (
 	"repro/internal/submodular"
 )
 
-// Hint seeds a warm-started Stepwise run with an upper bound on one
-// subset's initial gain. GainBound must be a valid upper bound on the
-// capped gain min(Threshold, F(S₀ ∪ Sᵢ)) − min(Threshold, F(S₀)) of the
-// subset against the solver's initial base set S₀ (the empty set for a
-// fresh oracle). Lazy evaluation only needs upper bounds to reproduce the
-// exact greedy pick sequence, so a caller that remembers gains from a
-// previous solve of a *similar* problem can seed them here — suitably
-// inflated for whatever changed — and skip the full initial probe sweep.
-// An under-estimate breaks the greedy's exactness; when in doubt use a
-// structural bound (e.g. |Sᵢ| for integral rank-like utilities). An
-// under-estimate that surfaces at the top of the heap is caught by its
-// re-probe (ErrBrokenBound); one that never surfaces cannot be detected.
-//
-// Hints are bounds, so their entries start stale and are re-probed before
-// they can be picked. A caller that knows the initial gains *exactly*,
-// more cheaply than one probe per subset, seeds them with
-// NewStepwiseExact instead (sched prices every candidate interval with
-// one prefix sweep per start slot): exact entries start fresh, never
-// re-probed in round 0, and the run is indistinguishable from one that
-// probed them itself.
-type Hint struct {
-	Subset    int     // index into Problem.Subsets
-	GainBound float64 // upper bound on the subset's initial capped gain
-}
-
 // Stepwise is the resumable form of the lazy budgeted greedy: the same
 // pick sequence as LazyGreedy (and Greedy, for integral utilities),
-// advanced one pick at a time, with optional hints. It exists so that
-// callers owning long-lived solver state (sched.Session) can re-solve
-// after a small instance mutation by replaying the still-valid pick
-// prefix out of the seeded heap instead of re-probing every candidate
-// from zero, and so that callers able to price the initial gains in bulk
-// (sched.Model.ScheduleAll) can skip the initial probe sweep.
+// advanced one pick at a time. It exists so that callers able to price
+// the initial gains in bulk (sched.Model.ScheduleAll prices every
+// candidate interval with one prefix sweep per start slot) can seed the
+// initial heap exactly through NewStepwiseExact and skip the initial
+// probe sweep.
 //
 // A Stepwise must not be shared between goroutines; Options.Workers
 // parallelism happens inside each Step call, as in LazyGreedy.
@@ -61,58 +35,15 @@ type Stepwise struct {
 	err    error
 }
 
-// NewStepwise validates the problem and prepares a resumable run. With
-// hints == nil every candidate is probed up front (exactly LazyGreedy's
-// initial heap build). With hints, the heap is seeded from the bounds
-// instead — zero oracle calls — and candidates are only probed when they
-// surface at the top; subsets not covered by any hint are probed fresh.
-// Hints must be unique and in range.
-func NewStepwise(p Problem, opts Options, hints []Hint) (*Stepwise, error) {
-	zero := make([]float64, len(p.Subsets))
-	for i := range zero {
-		zero[i] = math.NaN()
-	}
-	s, err := newStepwise(p, opts, zero)
+// NewStepwise validates the problem and prepares a resumable run whose
+// initial heap is built by probing every candidate up front (exactly
+// LazyGreedy's initial heap build).
+func NewStepwise(p Problem, opts Options) (*Stepwise, error) {
+	s, err := newStepwise(p, opts)
 	if err != nil {
 		return nil, err
 	}
-	if hints == nil {
-		s.h = s.ws.initHeap(p.Subsets, s.curU)
-		return s, nil
-	}
-	hinted := make([]bool, len(p.Subsets))
-	s.h = make(lazyHeap, 0, len(p.Subsets))
-	for _, hint := range hints {
-		if hint.Subset < 0 || hint.Subset >= len(p.Subsets) {
-			return nil, fmt.Errorf("budget: hint subset %d out of range [0,%d)", hint.Subset, len(p.Subsets))
-		}
-		if hinted[hint.Subset] {
-			return nil, fmt.Errorf("budget: duplicate hint for subset %d", hint.Subset)
-		}
-		hinted[hint.Subset] = true
-		bound := math.Min(p.Threshold, hint.GainBound)
-		if bound <= tol {
-			// A true upper bound at or below zero can never grow under a
-			// monotone submodular F, so the subset is dropped for good —
-			// exactly as a non-positive probe drops it in initHeap.
-			continue
-		}
-		ratio := math.Inf(1)
-		if c := p.Subsets[hint.Subset].Cost; c > tol {
-			ratio = bound / c
-		}
-		// round −1 marks the entry stale: it is revalidated with a real
-		// probe before it can ever be picked.
-		s.h = append(s.h, lazyEntry{idx: hint.Subset, ratio: ratio, gain: bound, round: -1})
-	}
-	var unhinted []int
-	for i := range p.Subsets {
-		if !hinted[i] {
-			unhinted = append(unhinted, i)
-		}
-	}
-	s.probeFresh(unhinted)
-	s.h.init()
+	s.h = s.ws.initHeap(p.Subsets, s.curU)
 	return s, nil
 }
 
@@ -122,13 +53,14 @@ func NewStepwise(p Problem, opts Options, hints []Hint) (*Stepwise, error) {
 // have the run probe subset i itself. Exact entries are seeded fresh
 // (round 0, never re-probed before the first pick) and each is billed as
 // one oracle call, so the heap, the pick sequence and Result.Evals are
-// those of NewStepwise(p, opts, nil). gains becomes the run's ZeroGains
-// record: the caller must not modify it while the run is in use.
+// those of NewStepwise(p, opts). An exact gain that understates the
+// truth is caught like any stale bound: when its entry is re-probed in a
+// later round, the fresh gain exceeds the seeded one (ErrBrokenBound).
 func NewStepwiseExact(p Problem, opts Options, gains []float64) (*Stepwise, error) {
 	if len(gains) != len(p.Subsets) {
 		return nil, fmt.Errorf("budget: %d exact gains for %d subsets", len(gains), len(p.Subsets))
 	}
-	s, err := newStepwise(p, opts, gains)
+	s, err := newStepwise(p, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -140,7 +72,6 @@ func NewStepwiseExact(p Problem, opts Options, gains []float64) (*Stepwise, erro
 			continue
 		}
 		gain := math.Min(p.Threshold, g)
-		gains[i] = gain // recorded exactly as a probe would record it
 		if gain <= tol {
 			continue
 		}
@@ -156,17 +87,13 @@ func NewStepwiseExact(p Problem, opts Options, gains []float64) (*Stepwise, erro
 	return s, nil
 }
 
-// newStepwise validates p and sets up a run with an empty heap, recording
-// initial-state gains into zero while no pick has been made (a future
-// warm start derives its hint bounds from them).
-func newStepwise(p Problem, opts Options, zero []float64) (*Stepwise, error) {
+// newStepwise validates p and sets up a run with an empty heap.
+func newStepwise(p Problem, opts Options) (*Stepwise, error) {
 	if err := validate(p, opts); err != nil {
 		return nil, err
 	}
 	f := submodular.NewCounting(p.F)
 	ws := newWorkspace(f, p, opts)
-	ws.zeroGain = zero
-	ws.recordZero = true
 	return &Stepwise{
 		p:      p,
 		opts:   opts,
@@ -202,15 +129,6 @@ func (s *Stepwise) probeFresh(idx []int) {
 			s.h = append(s.h, lazyEntry{idx: i, ratio: ratios[u], gain: gains[u]})
 		}
 	}
-}
-
-// ZeroGains reports, per subset, the capped gain measured against the
-// run's initial base set (probed, or given to NewStepwiseExact), or NaN
-// when the run did not measure that subset before its first pick: a warm
-// run touches only the candidates that surfaced near the top of the heap,
-// so callers keep their previous records for the rest.
-func (s *Stepwise) ZeroGains() []float64 {
-	return s.ws.zeroGain
 }
 
 // Done reports whether the run has reached its target (or failed).

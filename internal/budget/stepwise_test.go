@@ -8,11 +8,12 @@ import (
 	"testing"
 
 	"repro/internal/bitset"
+	"repro/internal/submodular"
 )
 
-// TestStepwiseMatchesLazyGreedy: with nil hints a Stepwise run is
-// LazyGreedy — identical picks, trace, cost, and oracle-call count — for
-// every incremental-oracle problem family and worker count.
+// TestStepwiseMatchesLazyGreedy: a Stepwise run is LazyGreedy — identical
+// picks, trace, cost, and oracle-call count — for every incremental-oracle
+// problem family and worker count.
 func TestStepwiseMatchesLazyGreedy(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 8; trial++ {
@@ -20,7 +21,7 @@ func TestStepwiseMatchesLazyGreedy(t *testing.T) {
 			for _, workers := range []int{1, 4} {
 				opts := Options{Eps: 0.1, Workers: workers}
 				want, errW := LazyGreedy(p, opts)
-				s, err := NewStepwise(p, opts, nil)
+				s, err := NewStepwise(p, opts)
 				if err != nil {
 					t.Fatalf("%s: NewStepwise: %v", name, err)
 				}
@@ -54,7 +55,7 @@ func TestStepwiseStepByStep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewStepwise(p, Options{Eps: 0.1}, nil)
+	s, err := NewStepwise(p, Options{Eps: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,117 +88,11 @@ func TestStepwiseStepByStep(t *testing.T) {
 	}
 }
 
-// TestStepwiseWarmHintsExact: seeding a second run with the first run's
-// recorded initial gains (exact bounds, since nothing changed) reproduces
-// the pick sequence with strictly fewer oracle calls — the initial
-// full-sweep probe is skipped entirely.
-func TestStepwiseWarmHintsExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(47))
-	saved := 0
-	for trial := 0; trial < 8; trial++ {
-		for name, p := range oracleProblems(rng) {
-			cold, err := NewStepwise(p, Options{Eps: 0.1}, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, errC := cold.Solve()
-			if errC != nil {
-				continue
-			}
-			gains := cold.ZeroGains()
-			hints := make([]Hint, 0, len(p.Subsets))
-			for i := range p.Subsets {
-				if math.IsNaN(gains[i]) {
-					t.Fatalf("%s: cold run left subset %d unprobed", name, i)
-				}
-				hints = append(hints, Hint{Subset: i, GainBound: gains[i]})
-			}
-			warm, err := NewStepwise(p, Options{Eps: 0.1}, hints)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, errW := warm.Solve()
-			if errW != nil {
-				t.Fatalf("%s: warm run failed: %v", name, errW)
-			}
-			if !slices.Equal(want.Chosen, got.Chosen) {
-				t.Fatalf("%s: warm picks differ: %v vs %v", name, want.Chosen, got.Chosen)
-			}
-			if got.Evals >= want.Evals {
-				t.Fatalf("%s: warm run used %d evals, cold used %d", name, got.Evals, want.Evals)
-			}
-			saved++
-		}
-	}
-	if saved == 0 {
-		t.Fatal("no feasible trials exercised the warm path")
-	}
-}
-
-// TestStepwiseWarmHintsInflated: loose (over-estimated) bounds still
-// reproduce the exact pick sequence — lazy evaluation only needs upper
-// bounds — they just cost extra revalidation probes.
-func TestStepwiseWarmHintsInflated(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	for trial := 0; trial < 6; trial++ {
-		for name, p := range oracleProblems(rng) {
-			want, errC := LazyGreedy(p, Options{Eps: 0.1})
-			if errC != nil {
-				continue
-			}
-			hints := make([]Hint, len(p.Subsets))
-			for i := range p.Subsets {
-				// Structural over-estimate: the whole threshold.
-				hints[i] = Hint{Subset: i, GainBound: p.Threshold}
-			}
-			warm, err := NewStepwise(p, Options{Eps: 0.1}, hints)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, errW := warm.Solve()
-			if errW != nil {
-				t.Fatalf("%s: warm run failed: %v", name, errW)
-			}
-			if !slices.Equal(want.Chosen, got.Chosen) {
-				t.Fatalf("%s: inflated-hint picks differ: %v vs %v", name, want.Chosen, got.Chosen)
-			}
-		}
-	}
-}
-
-// TestStepwiseHintValidation: out-of-range and duplicate hints are
-// rejected; subsets without hints are probed fresh and still picked.
-func TestStepwiseHintValidation(t *testing.T) {
-	p := setCoverProblem(4, [][]int{{0, 1}, {2, 3}}, []float64{1, 1})
-	if _, err := NewStepwise(p, Options{Eps: 0.1}, []Hint{{Subset: 5, GainBound: 1}}); err == nil {
-		t.Fatal("out-of-range hint accepted")
-	}
-	if _, err := NewStepwise(p, Options{Eps: 0.1},
-		[]Hint{{Subset: 0, GainBound: 1}, {Subset: 0, GainBound: 2}}); err == nil {
-		t.Fatal("duplicate hint accepted")
-	}
-	if _, err := NewStepwiseExact(p, Options{Eps: 0.1}, []float64{2}); err == nil {
-		t.Fatal("exact gains for the wrong number of subsets accepted")
-	}
-	// Hint only subset 0; subset 1 must still be found and picked.
-	s, err := NewStepwise(p, Options{Eps: 0.1}, []Hint{{Subset: 0, GainBound: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Solve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Chosen) != 2 {
-		t.Fatalf("picks = %v, want both subsets", res.Chosen)
-	}
-}
-
 // TestStepwiseInfeasible: a run that cannot reach the threshold surfaces
 // ErrInfeasible from Step and Solve alike.
 func TestStepwiseInfeasible(t *testing.T) {
 	p := setCoverProblem(4, [][]int{{0, 1}}, []float64{1})
-	s, err := NewStepwise(p, Options{Eps: 0.1}, nil)
+	s, err := NewStepwise(p, Options{Eps: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,22 +103,21 @@ func TestStepwiseInfeasible(t *testing.T) {
 
 // TestStepwiseExactGainsMatchLazyGreedy: seeding subsets with their exact
 // initial gains (NewStepwiseExact) reproduces the self-probing run
-// exactly — picks, cost, Evals (each exact gain billed as the probe it
-// replaces) and the recorded zero gains — at every worker count, also
-// when some gains are left NaN for the run to probe itself.
+// exactly — picks, cost, and Evals (each exact gain billed as the probe
+// it replaces) — at every worker count, also when some gains are left
+// NaN for the run to probe itself.
 func TestStepwiseExactGainsMatchLazyGreedy(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	for trial := 0; trial < 6; trial++ {
 		for name, p := range oracleProblems(rng) {
 			for _, workers := range []int{1, 4} {
 				opts := Options{Eps: 0.1, Workers: workers}
-				cold, err := NewStepwise(p, opts, nil)
+				cold, err := NewStepwise(p, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
 				want, errW := cold.Solve()
-				wantZero := cold.ZeroGains()
-				gains := slices.Clone(wantZero)
+				gains := initialGains(p)
 				for i := trial % 3; trial%2 == 1 && i < len(gains); i += 3 {
 					gains[i] = math.NaN()
 				}
@@ -236,27 +130,58 @@ func TestStepwiseExactGainsMatchLazyGreedy(t *testing.T) {
 					t.Fatalf("%s W%d: feasibility disagreement: %v vs %v", name, workers, errW, errG)
 				}
 				if !slices.Equal(want.Chosen, got.Chosen) || want.Cost != got.Cost || want.Evals != got.Evals {
-					t.Fatalf("%s W%d: exact-hint run %v (cost %g, %d evals), probing run %v (cost %g, %d evals)",
+					t.Fatalf("%s W%d: exact-seeded run %v (cost %g, %d evals), probing run %v (cost %g, %d evals)",
 						name, workers, got.Chosen, got.Cost, got.Evals, want.Chosen, want.Cost, want.Evals)
-				}
-				if !slices.Equal(wantZero, s.ZeroGains()) {
-					t.Fatalf("%s W%d: exact gains not recorded as zero gains", name, workers)
 				}
 			}
 		}
 	}
 }
 
-// TestStepwiseUnderstatedHintCaught: a bound hint below the subset's true
-// gain surfaces at the top of the heap, and its re-probe stops the run
+// initialGains prices every subset's capped gain against the empty set
+// exactly as a run's initial probe does (the incremental oracle's Gain
+// when F has one, a union Eval otherwise), for seeding NewStepwiseExact.
+func initialGains(p Problem) []float64 {
+	gains := make([]float64, len(p.Subsets))
+	inc, incremental := submodular.AsIncremental(p.F)
+	var base float64
+	if incremental {
+		base = inc.Value()
+	} else {
+		base = p.F.Eval(bitset.New(p.F.Universe()))
+	}
+	curU := math.Min(p.Threshold, base)
+	for i := range p.Subsets {
+		items := p.Subsets[i].Elems
+		if items == nil {
+			items = p.Subsets[i].Items.Elements()
+		}
+		var v float64
+		if incremental {
+			v = base + inc.Gain(items)
+		} else {
+			v = p.F.Eval(bitset.FromSlice(p.F.Universe(), items))
+		}
+		gains[i] = math.Min(p.Threshold, v) - curU
+	}
+	return gains
+}
+
+// TestStepwiseUnderstatedHintCaught: an exact initial gain seeded below
+// the subset's true gain is fresh, so round 0 trusts it; when it loses
+// round 0 its entry goes stale, and the re-probe in round 1 stops the run
 // with ErrBrokenBound instead of picking from a heap it cannot trust.
 func TestStepwiseUnderstatedHintCaught(t *testing.T) {
-	// Subset 0 covers 4 elements but is hinted at 3.5; subset 1 (3
-	// elements) is probed fresh, so the stale 3.5 tops the heap.
+	// Subset 0 covers 4 elements but is seeded at 2.5; subset 1 (3
+	// elements, seeded exactly) wins round 0.
 	p := setCoverProblem(7, [][]int{{0, 1, 2, 3}, {4, 5, 6}}, []float64{1, 1})
-	s, err := NewStepwise(p, Options{Eps: 0.1}, []Hint{{Subset: 0, GainBound: 3.5}})
+	s, err := NewStepwiseExact(p, Options{Eps: 0.1}, []float64{2.5, 3})
 	if err != nil {
 		t.Fatal(err)
+	}
+	st, ok, err := s.Step()
+	if err != nil || !ok || st.Subset != 1 {
+		t.Fatalf("round 0 = (%+v, %v, %v), want subset 1 picked", st, ok, err)
 	}
 	if _, err := s.Solve(); !errors.Is(err, ErrBrokenBound) {
 		t.Fatalf("err = %v, want ErrBrokenBound", err)
@@ -264,13 +189,16 @@ func TestStepwiseUnderstatedHintCaught(t *testing.T) {
 	if _, ok, err := s.Step(); ok || !errors.Is(err, ErrBrokenBound) {
 		t.Fatalf("Step after the violation = (%v, %v), want the same error", ok, err)
 	}
-	// A sound bound on the same problem solves normally.
-	s, err = NewStepwise(p, Options{Eps: 0.1}, []Hint{{Subset: 0, GainBound: 4}})
+	// The true gains on the same problem solve normally.
+	s, err = NewStepwiseExact(p, Options{Eps: 0.1}, []float64{4, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Solve(); err != nil {
-		t.Fatalf("sound hint: %v", err)
+		t.Fatalf("true gains: %v", err)
+	}
+	if _, err := NewStepwiseExact(p, Options{Eps: 0.1}, []float64{2}); err == nil {
+		t.Fatal("exact gains for the wrong number of subsets accepted")
 	}
 }
 

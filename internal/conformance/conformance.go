@@ -16,9 +16,9 @@
 //   - Solver contract: schedules are feasible (Schedule.Validate), every
 //     ScheduleAll path picks exactly what the textbook eager greedy
 //     (EagerScheduleAll) picks, the parallel greedy is invariant in
-//     Workers, and a session's warm re-solve after any mutation script is
+//     Workers, and a session's re-solve after any mutation script is
 //     byte-identical to a cold from-scratch solve of the equivalent
-//     instance (CheckSolve, CheckSession).
+//     instance, evals included (CheckSolve, CheckSession).
 //
 // Checkers return errors instead of taking a *testing.T so that fuzz
 // targets and non-test callers can drive them; the matrix test wraps them
@@ -425,32 +425,42 @@ type Mutation struct {
 }
 
 // CheckSession runs a mutation script through a sched.Session and, after
-// the initial solve and after every mutation, compares the session's warm
+// the initial solve and after every mutation, compares the session's
 // solve against a cold from-scratch ScheduleAll of the equivalent
-// instance. The two must be byte-identical (Schedule.SameAs) — or fail
-// identically when a mutation (e.g. blocking a load-bearing slot) makes
-// the instance unschedulable. Mutations the session rejects (out-of-range
-// indexes, shrinking horizons) are fine: the error is recorded and the
-// state must be unchanged, which the next comparison verifies.
+// instance. The two must be byte-identical (Schedule.SameAs) and spend
+// the same evals — the session runs ScheduleAll's solve, so LastEvals
+// equals ScheduleAll's Evals whenever the session actually solved (a
+// solve answered from the session cache bills 0 and returns the cached
+// schedule, whose Evals must still match) — or fail identically when a
+// mutation (e.g. blocking a load-bearing slot) makes the instance
+// unschedulable. Mutations the session rejects (out-of-range indexes,
+// shrinking horizons) are fine: the error is recorded and the state must
+// be unchanged, which the next comparison verifies.
 func CheckSession(ins *sched.Instance, opts sched.Options, script []Mutation) error {
 	sess, err := sched.NewSession(ins, opts)
 	if err != nil {
 		return fmt.Errorf("conformance: NewSession: %w", err)
 	}
 	compare := func(step string) error {
-		warm, warmErr := sess.Solve()
+		_, hitsBefore := sess.Stats()
+		got, gotErr := sess.Solve()
+		_, hits := sess.Stats()
 		cold, coldErr := sched.ScheduleAll(sess.Instance(), opts)
-		if (warmErr == nil) != (coldErr == nil) {
-			return fmt.Errorf("conformance: %s: warm err %v vs cold err %v", step, warmErr, coldErr)
+		if (gotErr == nil) != (coldErr == nil) {
+			return fmt.Errorf("conformance: %s: session err %v vs cold err %v", step, gotErr, coldErr)
 		}
-		if warmErr != nil {
-			if errors.Is(warmErr, sched.ErrUnschedulable) != errors.Is(coldErr, sched.ErrUnschedulable) {
-				return fmt.Errorf("conformance: %s: warm %v vs cold %v disagree on unschedulability", step, warmErr, coldErr)
+		if gotErr != nil {
+			if errors.Is(gotErr, sched.ErrUnschedulable) != errors.Is(coldErr, sched.ErrUnschedulable) {
+				return fmt.Errorf("conformance: %s: session %v vs cold %v disagree on unschedulability", step, gotErr, coldErr)
 			}
 			return nil
 		}
-		if err := warm.SameAs(cold); err != nil {
-			return fmt.Errorf("conformance: %s: warm solve diverges from cold: %w", step, err)
+		if err := got.SameAs(cold); err != nil {
+			return fmt.Errorf("conformance: %s: session solve diverges from cold: %w", step, err)
+		}
+		if got.Evals != cold.Evals || (hits == hitsBefore && sess.LastEvals() != cold.Evals) {
+			return fmt.Errorf("conformance: %s: session solve spent %d evals (LastEvals %d), cold ScheduleAll %d",
+				step, got.Evals, sess.LastEvals(), cold.Evals)
 		}
 		// A repeat solve with no mutation must come from the session cache
 		// and still match.
@@ -458,7 +468,7 @@ func CheckSession(ins *sched.Instance, opts sched.Options, script []Mutation) er
 		if err != nil {
 			return fmt.Errorf("conformance: %s: cached re-solve: %w", step, err)
 		}
-		if err := again.SameAs(warm); err != nil {
+		if err := again.SameAs(got); err != nil {
 			return fmt.Errorf("conformance: %s: cached re-solve diverges: %w", step, err)
 		}
 		return nil

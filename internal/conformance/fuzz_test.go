@@ -58,9 +58,9 @@ func decodeScript(data []byte, procs, horizon int) []Mutation {
 }
 
 // FuzzSessionScript drives random mutation scripts through CheckSession:
-// whatever the script does, a session's warm solve must stay
-// byte-identical to the cold from-scratch solve of the equivalent
-// instance, and rejected mutations must leave the session consistent.
+// whatever the script does, a session's solve must stay byte-identical
+// to the cold from-scratch solve of the equivalent instance, evals
+// included, and rejected mutations must leave the session consistent.
 // Run long with:
 //
 //	go test -run '^$' -fuzz FuzzSessionScript ./internal/conformance

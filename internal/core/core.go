@@ -25,7 +25,7 @@ type Report struct {
 	Greedy    *sched.Schedule // ScheduleAll with from-scratch oracles (PlainOracle)
 	Fast      *sched.Schedule // the default path: sweep-seeded lazy greedy, incremental matcher
 	Parallel  *sched.Schedule // Workers>1 sharded-replica greedy
-	Session   *sched.Schedule // session replay: jobs arrive one by one, warm re-solves
+	Session   *sched.Schedule // session replay: jobs arrive one by one, re-solved on an extended model
 	AlwaysOn  *sched.Schedule
 	PerJob    *sched.Schedule
 	MergeGaps *sched.Schedule
@@ -76,10 +76,10 @@ func SolveAll(ins *sched.Instance, exactLimit int) (*Report, error) {
 
 // sessionReplay rebuilds ins through a full mutation trace — a session
 // opened on the empty instance, every job added as if arriving online,
-// with a warm re-solve at the halfway point — and returns the final
-// solve. SolveAll cross-checks it byte-identical against the from-scratch
-// Fast schedule, exercising the session's targeted invalidation and the
-// warm-started stepwise greedy in the end-to-end self-check.
+// with a re-solve at the halfway point — and returns the final solve.
+// SolveAll cross-checks it byte-identical against the from-scratch Fast
+// schedule, exercising the session's in-place model extension in the
+// end-to-end self-check.
 func sessionReplay(ins *sched.Instance) (*sched.Schedule, error) {
 	empty := &sched.Instance{Procs: ins.Procs, Horizon: ins.Horizon, Cost: ins.Cost}
 	sess, err := sched.NewSession(empty, sched.Options{})
@@ -91,8 +91,8 @@ func sessionReplay(ins *sched.Instance) (*sched.Schedule, error) {
 			return nil, fmt.Errorf("adding job %d: %w", j, err)
 		}
 		if j == len(ins.Jobs)/2 {
-			// Mid-trace solve primes the warm-start records, so the final
-			// solve below actually takes the warm path.
+			// Mid-trace solve builds the model, so the final solve below
+			// runs on a model the later AddJobs extended in place.
 			if _, err := sess.Solve(); err != nil {
 				return nil, fmt.Errorf("mid-trace solve: %w", err)
 			}
@@ -128,7 +128,7 @@ func (r *Report) check(ins *sched.Instance) error {
 		return fmt.Errorf("core: greedy variants disagree: plain %g fast %g parallel %g",
 			r.Greedy.Cost, r.Fast.Cost, r.Parallel.Cost)
 	}
-	// The session replay — jobs revealed one at a time, warm re-solves —
+	// The session replay — jobs revealed one at a time, then re-solved —
 	// must end byte-identical to the from-scratch solve of the final
 	// instance: same intervals, same assignment, not merely same cost.
 	if err := r.Session.SameAs(r.Fast); err != nil {

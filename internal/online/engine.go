@@ -13,9 +13,9 @@ import (
 // sched.Session; each arrival event first *commits* the prefix of the
 // current plan that has already executed (awake slots stayed awake, jobs
 // whose slots passed ran there — decisions that are never revoked), then
-// mutates the session with the new jobs and re-solves. Re-solves are
-// warm-started by the session, so the per-event cost is the incremental
-// greedy work, not a from-scratch solve.
+// mutates the session with the new jobs and re-solves. The session keeps
+// the instance and extends its model in place on each arrival, so an
+// event pays candidate pricing and the greedy, not a model rebuild.
 //
 // Two schedules fall out of a run:
 //
@@ -85,7 +85,7 @@ func (e *Engine) Arrive(at int, jobs []sched.Job) error {
 // session's sieve tier (Session.SolveStreaming): once the accumulated
 // instance crosses Options.StreamThreshold jobs, each arrival batch is
 // absorbed by bounded-memory streaming passes over the candidate set
-// instead of the exact warm-started greedy. Below the threshold it
+// instead of the exact greedy. Below the threshold it
 // behaves exactly like Arrive, so an engine can use it for a whole trace
 // and pay the streaming trade-off only at scale. Mixing Arrive and
 // ArriveStreaming calls on one engine is allowed — the commit-prefix

@@ -109,32 +109,6 @@ func TestEngineCommittedScheduleSound(t *testing.T) {
 	}
 }
 
-// TestEngineWarmCheaperThanColdReplay: the engine's total oracle spend
-// across a trace is strictly below replaying every prefix from scratch —
-// the session warm start composing with the event loop.
-func TestEngineWarmCheaperThanColdReplay(t *testing.T) {
-	params := workload.TraceParams{Procs: 2, Horizon: 32, Jobs: 12, Window: 2}
-	for name, gen := range engineGenerators() {
-		tr := gen(rand.New(rand.NewSource(11)), params)
-		rep, err := RunTrace(tr, sched.Options{})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		var cold int64
-		for k := 1; k <= len(tr.Events); k++ {
-			s, err := sched.ScheduleAll(tr.InstancePrefix(k), sched.Options{})
-			if err != nil {
-				t.Fatalf("%s: cold prefix %d: %v", name, k, err)
-			}
-			cold += s.Evals
-		}
-		if rep.Evals >= cold {
-			t.Fatalf("%s: engine spent %d evals, cold replay %d — warm start saved nothing", name, rep.Evals, cold)
-		}
-		t.Logf("%s: %d events, engine evals %d vs cold replay %d", name, rep.Solves, rep.Evals, cold)
-	}
-}
-
 // TestEngineStreamingServesTrace: ArriveStreaming (via RunTrace with
 // Options.Streaming and the threshold forced to zero) absorbs every
 // trace the exact path handles, produces a sound report, and its final

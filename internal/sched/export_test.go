@@ -15,7 +15,7 @@ func ScheduleAllProbed(ins *Instance, opts Options) (*Schedule, error) {
 	if err != nil {
 		return nil, err
 	}
-	sw, err := budget.NewStepwise(in.prob, budget.Options{Eps: in.eps}, nil)
+	sw, err := budget.NewStepwise(in.prob, budget.Options{Eps: in.eps})
 	if err != nil {
 		return nil, err
 	}

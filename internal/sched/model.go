@@ -101,7 +101,7 @@ func (m *Model) buildProcIndex() {
 // jobs in order, and an appended job's novel slots appear last in exactly
 // the order addJob appends them; likewise its Y vertex and edges land at
 // the positions a full scan would produce. Sessions rely on this for
-// byte-identical warm re-solves after AddJob. Live matcher oracles over
+// byte-identical re-solves after AddJob. Live matcher oracles over
 // the old graph must not be reused (they are rebuilt per solve).
 func (m *Model) addJob(job Job) {
 	j := m.G.AddY()

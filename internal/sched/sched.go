@@ -216,9 +216,9 @@ func (e *UnschedulableError) Unwrap() error { return ErrUnschedulable }
 // SameAs reports whether two schedules are identical decision for
 // decision — the interval sequence, the per-job assignment, and the
 // totals all match (Cost and Value to 1e-9, since different solve paths
-// may sum the same terms in different orders). Evals is ignored: warm
-// and cold re-solves legitimately spend different probe counts for the
-// same answer. A nil error means identical; otherwise the error names
+// may sum the same terms in different orders). Evals is ignored: solve
+// paths (eager, lazy, plain-oracle, parallel) legitimately spend
+// different probe counts for the same answer. A nil error means identical; otherwise the error names
 // the first divergence. The differential self-checks (core.SolveAll,
 // the session and engine tests) all compare through this one helper.
 func (s *Schedule) SameAs(other *Schedule) error {

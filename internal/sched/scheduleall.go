@@ -43,8 +43,7 @@ func (m *Model) ScheduleAll(opts Options) (*Schedule, error) {
 
 // solveInput is the prepared greedy problem for one schedule-all run: the
 // priced candidate intervals, the budget problem over them, and the
-// resolved ε. Sessions build it once per (mutation-invalidated) solve and
-// feed it to the warm-started stepwise greedy.
+// resolved ε.
 type solveInput struct {
 	cands []candidate
 	prob  budget.Problem

@@ -1,12 +1,8 @@
 package sched
 
 import (
-	"errors"
 	"fmt"
-	"math"
-	"sort"
 
-	"repro/internal/budget"
 	"repro/internal/power"
 )
 
@@ -21,21 +17,17 @@ import (
 //   - RemoveJob invalidates the model: slot numbering depends on
 //     first-appearance order over the remaining jobs, so only a rebuild
 //     reproduces the from-scratch layout the equivalence contract needs.
-//   - SetUnavailable re-prices candidates only; the graph, the slot
-//     universe, and all recorded warm-start gains stay valid untouched.
+//   - SetUnavailable re-prices candidates only; the graph and the slot
+//     universe stay valid untouched.
 //   - AdvanceHorizon invalidates nothing under EventPoints/SingleSlots
 //     (candidates are derived from usable slots, not the horizon) — even
 //     the cached schedule survives; only AllPairs re-enumerates.
 //
-// Solve is byte-identical to ScheduleAll on an equivalent instance built
-// from scratch, at any mutation history: identical intervals, assignment,
-// cost, and value. Only Evals differs — re-solves are warm-started
-// through budget.Stepwise, seeding the lazy heap with each candidate's
-// last recorded empty-set gain inflated by the job churn since it was
-// recorded (a sound upper bound: adding or removing one job changes any
-// matching marginal, and the utility cap, by at most one), so a re-solve
-// after a small mutation replays the still-valid pick prefix out of the
-// heap instead of probing every candidate from zero.
+// Solve runs ScheduleAll's own solve (sweep-priced lazy greedy) on the
+// session's model, so at any mutation history it is byte-identical to
+// ScheduleAll on an equivalent instance built from scratch — intervals,
+// assignment, cost, value, and Evals. Sessions carry no warm-start
+// hints from one solve to the next; DESIGN §1 says why.
 //
 // A Session is not safe for concurrent use; callers serialize access
 // (the service layer locks per session). The cost model passed in must
@@ -51,31 +43,16 @@ type Session struct {
 	cached       *Schedule // last solve, valid until the next mutation
 	cachedStream *Schedule // last SolveStreaming, same lifecycle
 
-	// Warm-start state: per candidate interval, the capped gain against
-	// the empty set as last measured, stamped with the churn counter at
-	// measurement time.
-	hints  map[Interval]hintRec
-	churn  int  // total jobs added + removed since session start
-	solved bool // at least one successful solve recorded hints
-
-	lastEvals     int64
-	totalEvals    int64
-	solves        int
-	warmSolves    int
-	streamSolves  int
-	cacheHits     int
-	coldFallbacks int
-}
-
-type hintRec struct {
-	gain  float64
-	stamp int
+	lastEvals    int64
+	totalEvals   int64
+	solves       int
+	streamSolves int
+	cacheHits    int
 }
 
 // NewSession validates the instance and opens a session over a private
 // copy of it (jobs and allowed-slot slices are deep-copied; the cost
 // model is shared and must not be mutated by the caller afterwards).
-// Sessions solve through the stepwise lazy greedy, as ScheduleAll does.
 func NewSession(ins *Instance, opts Options) (*Session, error) {
 	if err := ins.check(); err != nil {
 		return nil, err
@@ -93,7 +70,6 @@ func NewSession(ins *Instance, opts Options) (*Session, error) {
 		ins:      private,
 		opts:     opts,
 		baseCost: ins.Cost,
-		hints:    map[Interval]hintRec{},
 	}, nil
 }
 
@@ -133,18 +109,13 @@ func (s *Session) LastEvals() int64 { return s.lastEvals }
 // TotalEvals returns the oracle calls spent across all Solves.
 func (s *Session) TotalEvals() int64 { return s.totalEvals }
 
-// Stats reports (solves, warm-started solves, cache hits).
-func (s *Session) Stats() (solves, warm, cacheHits int) {
-	return s.solves, s.warmSolves, s.cacheHits
+// Stats reports (solves, cache hits).
+func (s *Session) Stats() (solves, cacheHits int) {
+	return s.solves, s.cacheHits
 }
 
-// ColdFallbacks reports how many warm Solves a broken hint bound
-// (budget.ErrBrokenBound) sent back to a cold re-solve.
-func (s *Session) ColdFallbacks() int { return s.coldFallbacks }
-
 // AddJob appends a job and returns its index. The model, if built, is
-// extended in place; recorded warm-start gains stay usable with one unit
-// of churn inflation.
+// extended in place.
 func (s *Session) AddJob(job Job) (int, error) {
 	for _, sk := range job.Allowed {
 		if sk.Proc < 0 || sk.Proc >= s.ins.Procs || sk.Time < 0 || sk.Time >= s.ins.Horizon {
@@ -159,7 +130,6 @@ func (s *Session) AddJob(job Job) (int, error) {
 	if s.model != nil {
 		s.model.addJob(s.ins.Jobs[idx])
 	}
-	s.churn++
 	s.cached, s.cachedStream = nil, nil
 	return idx, nil
 }
@@ -173,16 +143,14 @@ func (s *Session) RemoveJob(j int) error {
 	}
 	s.ins.Jobs = append(s.ins.Jobs[:j], s.ins.Jobs[j+1:]...)
 	s.model = nil
-	s.churn++
 	s.cached, s.cachedStream = nil, nil
 	return nil
 }
 
 // SetUnavailable masks slot t on processor proc at infinite cost by
 // (re)wrapping the session's base cost model with a frozen
-// power.Unavailable mask. The bipartite model and every recorded gain
-// stay valid — utilities do not depend on costs — so the next Solve only
-// re-prices candidates.
+// power.Unavailable mask. The bipartite model stays valid — utilities do
+// not depend on costs — so the next Solve only re-prices candidates.
 func (s *Session) SetUnavailable(proc, t int) error {
 	if proc < 0 || proc >= s.ins.Procs || t < 0 || t >= s.ins.Horizon {
 		return fmt.Errorf("sched: session slot (%d,%d) outside instance", proc, t)
@@ -216,95 +184,18 @@ func (s *Session) AdvanceHorizon(h int) error {
 	return nil
 }
 
-// WarmHint is one exported warm-start record: the capped empty-set gain
-// last measured for a candidate interval, stamped with the job churn at
-// measurement time.
-type WarmHint struct {
-	Interval Interval
-	Gain     float64
-	Stamp    int
-}
-
-// WarmState packages a session's warm-start knowledge for durable
-// snapshots: the recorded hints, the churn counter their stamps are
-// relative to, and whether a successful solve has happened (cold
-// sessions export Solved == false and restore cold). The schedule a
-// session computes never depends on this state — hints are sound upper
-// bounds that only cut oracle evals — so restoring without it is always
-// correct, just slower.
-type WarmState struct {
-	Hints  []WarmHint
-	Churn  int
-	Solved bool
-}
-
-// ExportWarmState snapshots the session's warm-start records. Hints are
-// sorted (proc, start, end) so the export is canonical: equal sessions
-// export byte-identical state.
-func (s *Session) ExportWarmState() WarmState {
-	ws := WarmState{Churn: s.churn, Solved: s.solved}
-	for iv, rec := range s.hints {
-		ws.Hints = append(ws.Hints, WarmHint{Interval: iv, Gain: rec.gain, Stamp: rec.stamp})
-	}
-	sort.Slice(ws.Hints, func(i, j int) bool {
-		a, b := ws.Hints[i].Interval, ws.Hints[j].Interval
-		if a.Proc != b.Proc {
-			return a.Proc < b.Proc
-		}
-		if a.Start != b.Start {
-			return a.Start < b.Start
-		}
-		return a.End < b.End
-	})
-	return ws
-}
-
-// ImportWarmState seeds a freshly created session (no solves, no
-// mutations yet) with previously exported warm state, so a restored
-// session's first Solve is warm-started exactly like the live session's
-// next Solve would have been. Soundness guards: a hint with NaN, ±Inf,
-// or negative gain, or a stamp ahead of the imported churn, could
-// under-bound a true gain and silently break greedy exactness — such
-// state is rejected wholesale and the caller should restore cold.
-func (s *Session) ImportWarmState(ws WarmState) error {
-	if s.solved || s.churn != 0 || len(s.hints) != 0 {
-		return fmt.Errorf("sched: warm state must be imported into a fresh session")
-	}
-	if ws.Churn < 0 {
-		return fmt.Errorf("sched: warm state churn %d < 0", ws.Churn)
-	}
-	for _, h := range ws.Hints {
-		if math.IsNaN(h.Gain) || math.IsInf(h.Gain, 0) || h.Gain < 0 {
-			return fmt.Errorf("sched: warm hint for %v has unsound gain %g", h.Interval, h.Gain)
-		}
-		if h.Stamp < 0 || h.Stamp > ws.Churn {
-			return fmt.Errorf("sched: warm hint for %v stamped %d outside churn %d", h.Interval, h.Stamp, ws.Churn)
-		}
-	}
-	s.churn = ws.Churn
-	s.solved = ws.Solved
-	s.hints = make(map[Interval]hintRec, len(ws.Hints))
-	for _, h := range ws.Hints {
-		s.hints[h.Interval] = hintRec{gain: h.Gain, stamp: h.Stamp}
-	}
-	return nil
-}
-
 // Solve returns Theorem 2.2.1's schedule for the session's current
-// instance — byte-identical to ScheduleAll on the same instance built
-// from scratch. Repeated Solves without intervening mutations are
-// answered from the session cache with zero oracle calls; re-solves
-// after mutations are warm-started (see the type comment). A warm run
-// whose re-probe finds a gain above its hint bound (budget.ErrBrokenBound)
-// is abandoned for one cold re-solve, counted by ColdFallbacks.
+// instance: it runs exactly ScheduleAll's solve on the session's model,
+// so schedule and Evals are those of ScheduleAll on the same instance
+// built from scratch. Repeated Solves without intervening mutations are
+// answered from the session cache with zero oracle calls.
 func (s *Session) Solve() (*Schedule, error) {
 	if s.cached != nil {
 		s.lastEvals = 0
 		s.cacheHits++
 		return copySchedule(s.cached), nil
 	}
-	n := len(s.ins.Jobs)
-	if n == 0 {
+	if len(s.ins.Jobs) == 0 {
 		s.cached = &Schedule{Assignment: []SlotKey{}}
 		s.lastEvals = 0
 		s.solves++
@@ -321,92 +212,25 @@ func (s *Session) Solve() (*Schedule, error) {
 	if err != nil {
 		return nil, err
 	}
-	var hints []budget.Hint
-	if s.solved {
-		hints = make([]budget.Hint, len(in.cands))
-		for i, c := range in.cands {
-			// Structural bound: enabling |items| slots raises the maximum
-			// matching by at most |items| (and never past n).
-			bound := float64(min(len(c.items), n))
-			if rec, ok := s.hints[c.iv]; ok {
-				if b := rec.gain + float64(s.churn-rec.stamp); b < bound {
-					bound = b
-				}
-			}
-			hints[i] = budget.Hint{Subset: i, GainBound: bound}
-		}
-	}
-	sw, res, err := s.runGreedy(in, hints)
-	if hints != nil && errors.Is(err, budget.ErrBrokenBound) {
-		// A warm bound under-stated a gain: the seeded heap cannot be
-		// trusted, so answer from one cold re-solve instead. Its evals
-		// include the abandoned warm attempt's.
-		warmEvals := sw.Result().Evals
-		s.coldFallbacks++
-		sw, res, err = s.runGreedy(in, nil)
-		if res != nil {
-			res.Evals += warmEvals
-		}
-	}
-	if err != nil {
-		return nil, fmt.Errorf("sched: greedy failed: %w", err)
-	}
-	// Harvest fresh empty-set gains for the next warm start: a cold run
-	// probed everything; a warm run touched only the candidates that
-	// surfaced near the top of the heap, and the rest carry their old
-	// records over (inflated by churn when used). Rebuilding the map
-	// from the current candidate set also prunes records for intervals
-	// that no longer exist — without it a long-lived session under
-	// remove/advance churn would accumulate a record for every interval
-	// ever enumerated.
-	gains := sw.ZeroGains()
-	fresh := make(map[Interval]hintRec, len(in.cands))
-	for i, c := range in.cands {
-		if !math.IsNaN(gains[i]) {
-			fresh[c.iv] = hintRec{gain: gains[i], stamp: s.churn}
-		} else if rec, ok := s.hints[c.iv]; ok {
-			fresh[c.iv] = rec
-		}
-	}
-	s.hints = fresh
-	sched, err := s.model.finishScheduleAll(s.opts, in, res)
+	sched, err := s.model.scheduleAllExact(s.opts, in, 0)
 	if err != nil {
 		return nil, err
 	}
-	if s.solved {
-		s.warmSolves++
-	}
-	s.solved = true
-	s.lastEvals = res.Evals
-	s.totalEvals += res.Evals
+	s.lastEvals = sched.Evals
+	s.totalEvals += sched.Evals
 	s.solves++
 	s.cached = copySchedule(sched)
 	return sched, nil
 }
 
-// runGreedy runs the stepwise lazy greedy over in, seeded with hints
-// (nil for a cold run).
-func (s *Session) runGreedy(in *solveInput, hints []budget.Hint) (*budget.Stepwise, *budget.Result, error) {
-	sw, err := budget.NewStepwise(in.prob, budget.Options{
-		Eps: in.eps, Workers: s.opts.Workers, Parallel: s.opts.Parallel,
-		PlainEval: s.opts.PlainOracle, NoDeltaReplay: s.opts.NoDeltaReplay,
-	}, hints)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := sw.Solve()
-	return sw, res, err
-}
-
 // SolveStreaming is Solve through the bounded-memory sieve tier:
 // instances with at least Options.StreamThreshold jobs are solved by
 // residual sieve passes over the candidate stream (the streaming path of
-// ScheduleAll) instead of the exact warm-started greedy; smaller
-// instances delegate to Solve, so callers like the online engine's
-// batched-arrival mode can call it unconditionally. Streaming solves
-// share the session's mutation lifecycle but not its warm-start records
-// — the sieve takes no hints — and cache independently of Solve, since
-// the two paths legitimately return different schedules.
+// ScheduleAll) instead of the exact greedy; smaller instances delegate
+// to Solve, so callers like the online engine's batched-arrival mode can
+// call it unconditionally. Streaming solves share the session's mutation
+// lifecycle and cache independently of Solve, since the two paths
+// legitimately return different schedules.
 func (s *Session) SolveStreaming() (*Schedule, error) {
 	n := len(s.ins.Jobs)
 	if n == 0 || n < s.opts.streamThreshold() {

@@ -198,7 +198,7 @@ func (m *Model) scheduleAllExact(opts Options, in *solveInput, priorEvals int64)
 	var sw *budget.Stepwise
 	var err error
 	if opts.PlainOracle {
-		sw, err = budget.NewStepwise(in.prob, bopts, nil)
+		sw, err = budget.NewStepwise(in.prob, bopts)
 	} else {
 		gains := m.sweepGains(in.cands)
 		prob := in.prob

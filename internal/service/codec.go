@@ -81,7 +81,7 @@ type InstanceSpec struct {
 	Eps     float64 `json:"eps,omitempty"`
 	Improve bool    `json:"improve,omitempty"`
 	// Solver picks the greedy tier for mode "all": "exact" (default) is
-	// the warm-startable stepwise greedy; "streaming" routes instances at
+	// the sweep-priced lazy greedy; "streaming" routes instances at
 	// or above sched.DefaultStreamThreshold jobs through the bounded-
 	// memory sieve (sched.Options.Streaming) and is rejected for the
 	// prize modes, which have no streaming tier.

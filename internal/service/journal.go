@@ -17,11 +17,10 @@ package service
 // whole journal is quarantined rather than served.
 //
 // Periodic compaction (Config.CompactEvery accepted mutations) folds
-// the journal back to a single snapshot record — including the
-// session's current warm-start hints — via write-temp, fsync, rename,
-// so a crash during compaction leaves either the old journal or the
-// new one, both complete. Recovery re-compacts every restored journal,
-// which also normalizes away any tolerated torn tail.
+// the journal back to a single snapshot record via write-temp, fsync,
+// rename, so a crash during compaction leaves either the old journal or
+// the new one, both complete. Recovery re-compacts every restored
+// journal, which also normalizes away any tolerated torn tail.
 //
 // All filesystem access goes through faultfs.FS, so the crash-matrix
 // tests can fail any individual write, fsync, rename, or open and
@@ -63,10 +62,7 @@ type journalRecord struct {
 	Sum    string `json:"sum"`
 }
 
-// recordSum checksums a record's content (with Sum blanked). Records
-// re-encode canonically — the FuzzWireCodec fixed point — so the sum a
-// reader recomputes from the parsed record matches what the writer
-// embedded, unless bytes were lost or altered in between.
+// recordSum checksums a record's encoding with Sum blanked.
 func recordSum(rec journalRecord) string {
 	rec.Sum = ""
 	data, err := json.Marshal(rec)
@@ -74,6 +70,23 @@ func recordSum(rec journalRecord) string {
 		return "" // unreachable for these plain structs; an empty sum never verifies
 	}
 	h := sha256.Sum256(data)
+	return hex.EncodeToString(h[:8])
+}
+
+// lineSum recomputes recordSum from a record line as written: Sum is the
+// record's last field, so the line with its `"sum":"<hex>"}` tail blanked
+// to `"sum":""}` is exactly the encoding the writer hashed. Checking the
+// bytes rather than a re-encoding of the parsed record keeps records with
+// fields this version no longer has verifiable: snapshots written while
+// sessions carried warm-start hints still hold "hints", "churn" and
+// "solved", which decoding drops.
+func lineSum(line []byte, sum string) string {
+	tail := `"sum":"` + sum + `"}`
+	if !bytes.HasSuffix(line, []byte(tail)) {
+		return ""
+	}
+	blanked := append(line[:len(line)-len(tail):len(line)-len(tail)], `"sum":""}`...)
+	h := sha256.Sum256(blanked)
 	return hex.EncodeToString(h[:8])
 }
 
@@ -98,7 +111,7 @@ func decodeRecordLine(line []byte) (journalRecord, error) {
 	if rec.V != journalVersion {
 		return rec, fmt.Errorf("%w: journal record version %d, want %d", ErrSnapshotCorrupt, rec.V, journalVersion)
 	}
-	if rec.Sum == "" || recordSum(rec) != rec.Sum {
+	if rec.Sum == "" || lineSum(line, rec.Sum) != rec.Sum {
 		return rec, fmt.Errorf("%w: journal record checksum mismatch", ErrSnapshotCorrupt)
 	}
 	switch rec.T {
@@ -411,9 +424,8 @@ func (s *Service) recoverOne(id, path string) (*sessionHandle, error) {
 				ErrSnapshotCorrupt, i, h.digest, rj.Digests[i])
 		}
 	}
-	// Normalize on disk: fold the replayed state (there are no warm
-	// hints beyond the snapshot's — solves are not journaled) into a
-	// fresh single-record journal.
+	// Normalize on disk: fold the replayed state into a fresh
+	// single-record journal.
 	j := &sessionJournal{s: s, path: path}
 	if nf, ferr := s.cfg.FS.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644); ferr == nil {
 		j.file = nf
@@ -437,8 +449,8 @@ func (s *Service) recoverOne(id, path string) (*sessionHandle, error) {
 }
 
 // flushJournals folds every live session into a compacted snapshot —
-// capturing warm-start hints recorded since the last compaction — and
-// closes the journals. Called on the drain path of Close.
+// the next Open then replays no mutation records — and closes the
+// journals. Called on the drain path of Close.
 func (s *Service) flushJournals() {
 	s.sessMu.Lock()
 	handles := make(map[string]*sessionHandle, len(s.sessions))

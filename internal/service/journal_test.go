@@ -8,10 +8,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/faultfs"
+	"repro/internal/sched"
 )
 
 // durableConfig is the base config for durability tests: one worker,
@@ -124,9 +126,39 @@ func TestDurableKill9Differential(t *testing.T) {
 	}
 }
 
+// solveSameAsCold solves a session and checks the answer against a cold
+// ScheduleAll of the session's current instance: the same schedule and,
+// since sessions run ScheduleAll's solve, the same evals.
+func solveSameAsCold(t *testing.T, svc *Service, id string) {
+	t.Helper()
+	res := svc.SolveSession(context.Background(), id)
+	if res.Err != nil {
+		t.Fatalf("solve %s: %v", id, res.Err)
+	}
+	snap, err := svc.SnapshotSession(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := BuildRequest(snap.Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := sched.ScheduleAll(req.Instance, req.Opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := res.Schedule.SameAs(cold); err != nil {
+		t.Fatalf("session %s: solve differs from a cold ScheduleAll: %v", id, err)
+	}
+	if res.Schedule.Evals != cold.Evals {
+		t.Fatalf("session %s: solve spent %d evals, cold ScheduleAll %d", id, res.Schedule.Evals, cold.Evals)
+	}
+}
+
 // TestDurableCloseFlushRestoresWarm: a graceful Close compacts every
-// journal to one snapshot carrying the warm-start state, and the next
-// Open restores it — Solved round-trips through the snapshot.
+// journal to one snapshot record, and after a restart the restored
+// session's solve is the same as a cold ScheduleAll (and as the answer
+// before the restart).
 func TestDurableCloseFlushRestoresWarm(t *testing.T) {
 	dir := t.TempDir()
 	svc1, err := Open(durableConfig(dir))
@@ -135,6 +167,9 @@ func TestDurableCloseFlushRestoresWarm(t *testing.T) {
 	}
 	id, _, err := svc1.CreateSession(sessionSpec())
 	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc1.MutateSession(id, []MutationSpec{{Op: "add_job", Job: ptr(extraJob())}}); err != nil {
 		t.Fatal(err)
 	}
 	want := solveBytes(t, svc1, id)
@@ -153,25 +188,70 @@ func TestDurableCloseFlushRestoresWarm(t *testing.T) {
 	if rj.Records != 1 || len(rj.Muts) != 0 {
 		t.Fatalf("flushed journal has %d records, %d mutations; want a single snapshot", rj.Records, len(rj.Muts))
 	}
-	if !rj.Snap.Solved {
-		t.Fatal("flush snapshot lost the solved warm state")
-	}
 
 	svc2, err := Open(durableConfig(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer svc2.Close(context.Background())
+	solveSameAsCold(t, svc2, id)
 	if got := solveBytes(t, svc2, id); !bytes.Equal(got, want) {
-		t.Fatal("warm restore solve diverges")
+		t.Fatal("restored solve diverges from the solve before the restart")
 	}
-	snap, err := svc2.SnapshotSession(id)
+}
+
+// TestLegacyHintJournalRestores: journals written while sessions still
+// carried warm-start hints hold snapshot records with "hints", "churn"
+// and "solved" fields. The committed FuzzJournalReplay seed
+// seed_legacy_hints is such a journal (a compacted snapshot of a solved,
+// mutated session plus one mutate record). It must replay and restore
+// unchanged, and the restored session must answer like a cold
+// ScheduleAll.
+func TestLegacyHintJournalRestores(t *testing.T) {
+	seed, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzJournalReplay", "seed_legacy_hints"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !snap.Solved || len(snap.Hints) == 0 {
-		t.Fatalf("restored warm state: solved=%t hints=%d, want solved with hints", snap.Solved, len(snap.Hints))
+	quoted := strings.TrimSuffix(strings.TrimPrefix(string(seed), "go test fuzz v1\n[]byte("), ")")
+	data, err := strconv.Unquote(quoted)
+	if err != nil {
+		t.Fatalf("unquoting the seed: %v", err)
 	}
+	if !strings.Contains(data, `"hints":[`) || !strings.Contains(data, `"solved":true`) {
+		t.Fatal("seed_legacy_hints carries no legacy hint fields")
+	}
+	rj, err := ReplayJournal([]byte(data))
+	if err != nil {
+		t.Fatalf("legacy journal does not replay: %v", err)
+	}
+	if rj.Truncated || len(rj.Muts) != 1 {
+		t.Fatalf("legacy journal replayed to %+v, want a snapshot plus one mutation", rj)
+	}
+
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, "sessions"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	id := rj.Snap.ID
+	if err := os.WriteFile(filepath.Join(dir, "sessions", id+journalExt), []byte(data), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	svc, err := Open(durableConfig(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close(context.Background())
+	if got := svc.Stats().SessionsRestored; got != 1 {
+		t.Fatalf("restored %d sessions from the legacy journal, want 1", got)
+	}
+	info, err := svc.SessionInfo(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Seq != rj.Snap.Seq+1 || info.Digest != rj.Digests[0] {
+		t.Fatalf("restored info %+v, want seq %d and digest %s", info, rj.Snap.Seq+1, rj.Digests[0])
+	}
+	solveSameAsCold(t, svc, id)
 }
 
 // TestDurableTruncationMatrix cuts a multi-record journal at record

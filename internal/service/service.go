@@ -88,8 +88,8 @@ type Config struct {
 	ProbeWorkers int
 	// MaxSessions bounds the live solver sessions (default 1024;
 	// negative disables sessions entirely). Each session holds a full
-	// model plus warm-start state, so an unbounded registry would let
-	// clients that never DELETE grow the process without limit;
+	// instance, model and cached schedule, so an unbounded registry
+	// would let clients that never DELETE grow the process without limit;
 	// CreateSession refuses past the cap until sessions are dropped.
 	// Recovery restores every intact journal even past the cap — acked
 	// state is never discarded to satisfy a tuning knob.
@@ -394,9 +394,9 @@ func (s *Service) enqueue(ctx context.Context, t *task) error {
 // Close drains the service: new submissions are refused, queued requests
 // are still answered, and Close returns once every worker has exited and
 // — on a durable service — every session journal has been folded to a
-// final snapshot (capturing warm-start hints) and fsynced, so the next
-// Open restores sessions warm. If ctx expires first, the drain keeps
-// running in the background.
+// final snapshot and fsynced, so the next Open restores every session
+// without replaying mutation records. If ctx expires first, the drain
+// keeps running in the background.
 func (s *Service) Close(ctx context.Context) error {
 	s.closeMu.Lock()
 	first := !s.closed

@@ -14,8 +14,9 @@ import (
 // solver state behind opaque ids. A stateless request (service.go) ships
 // its whole instance every time; a session is created once from an
 // InstanceSpec, then mutated incrementally (MutationSpec) and re-solved.
-// Under the hood each session owns a sched.Session, so re-solves after
-// small mutations are warm-started instead of computed from scratch.
+// Under the hood each session owns a sched.Session, which keeps the
+// instance, extends its model in place on add_job, and caches its last
+// schedule until the next mutation.
 //
 // Sessions share the service's digest result cache with the stateless
 // path: a solve is keyed by the digest of the session's *current*
@@ -28,10 +29,9 @@ import (
 // by Config.MaxSessions (CreateSession answers ErrTooManySessions / 429
 // at the cap), and a draining service refuses session work with
 // ErrClosed / 503 across create, mutate, and solve alike. Session solves
-// run on the caller's goroutine under the per-session lock — warm
-// re-solves are cheap by design — rather than through the worker pool,
-// so per-session mutate/solve streams serialize naturally instead of
-// queueing.
+// run on the caller's goroutine under the per-session lock rather than
+// through the worker pool, so per-session mutate/solve streams serialize
+// naturally instead of queueing.
 
 // ErrNoSession is returned for unknown or dropped session ids.
 var ErrNoSession = errors.New("service: no such session")
@@ -407,7 +407,7 @@ func (h *sessionHandle) apply(m MutationSpec) error {
 // (same digest, same options) is answered from the shared result cache —
 // stateless requests for the same instance share the entries — and a
 // mutated session always re-solves, because its digest moved with the
-// mutation. Cache misses are solved warm on the session and cached.
+// mutation. Cache misses are solved on the session and cached.
 //
 // The solve is bounded by ctx and Config.SolveTimeout: past the
 // deadline the caller gets ctx's error (503 + Retry-After over HTTP)
@@ -470,7 +470,6 @@ type SessionInfo struct {
 	Jobs    int    `json:"jobs"`
 	Horizon int    `json:"horizon"`
 	Solves  int    `json:"solves"`
-	Warm    int    `json:"warm_solves"`
 	Evals   int64  `json:"evals"`
 }
 
@@ -482,7 +481,7 @@ func (s *Service) SessionInfo(id string) (SessionInfo, error) {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	solves, warm, _ := h.sess.Stats()
+	solves, _ := h.sess.Stats()
 	return SessionInfo{
 		ID:      id,
 		Digest:  h.digest,
@@ -490,7 +489,6 @@ func (s *Service) SessionInfo(id string) (SessionInfo, error) {
 		Jobs:    h.sess.Jobs(),
 		Horizon: h.sess.Horizon(),
 		Solves:  solves,
-		Warm:    warm,
 		Evals:   h.sess.TotalEvals(),
 	}, nil
 }

@@ -287,8 +287,8 @@ func TestSessionHTTPRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	getResp.Body.Close()
-	if info.Jobs != 5 || info.Solves != 2 || info.Warm != 1 {
-		t.Fatalf("info = %+v, want 5 jobs, 2 solves, 1 warm", info)
+	if info.Jobs != 5 || info.Solves != 2 {
+		t.Fatalf("info = %+v, want 5 jobs, 2 solves", info)
 	}
 
 	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/session/"+created.ID, nil)

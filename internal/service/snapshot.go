@@ -2,52 +2,37 @@ package service
 
 // This file is the canonical session snapshot codec: a live session
 // serializes to a SessionSnapshot — its current InstanceSpec (accepted
-// mutations folded in), warm-start hint records, and the digest that
-// keys its cached results — and restores to a session whose next Solve
-// is byte-identical to the live one. The snapshot is the unit the
-// write-ahead journal (journal.go) compacts to, the shape a create
-// record carries, and the foundation the ROADMAP's shard-migration
-// work moves between processes.
+// mutations folded in) and the digest that keys its cached results — and
+// restores to a session whose next Solve is byte-identical to the live
+// one. The snapshot is the unit the write-ahead journal (journal.go)
+// compacts to, the shape a create record carries, and the foundation the
+// ROADMAP's shard-migration work moves between processes.
 //
 // The codec leans on two proven fixed points: InstanceSpec re-encodes
 // canonically (FuzzWireCodec pins decode∘marshal as digest-preserving),
-// and a session's warm solve is byte-identical to a cold from-scratch
-// solve (conformance.CheckSession) — so a restore that rebuilds from
-// the spec and re-imports hints can only change oracle-eval counts,
-// never the schedule. Digest verification makes that checkable: a
-// snapshot whose spec does not hash to its recorded digest is corrupt
-// and must not be restored.
+// and a session's solve is byte-identical to a from-scratch ScheduleAll
+// (conformance.CheckSession) — so a restore that rebuilds from the spec
+// answers exactly as the live session would. Digest verification makes
+// that checkable: a snapshot whose spec does not hash to its recorded
+// digest is corrupt and must not be restored.
+//
+// Snapshots written before sessions dropped their warm-start hints also
+// carry "hints", "churn" and "solved" fields. encoding/json ignores them,
+// the digest covers only Spec, and journal records are checksummed over
+// their bytes as written (lineSum), so those snapshots restore unchanged.
 
 import (
 	"errors"
 	"fmt"
-
-	"repro/internal/sched"
 )
-
-// HintSpec is one warm-start record on the wire: the capped empty-set
-// gain last measured for the candidate interval [Start, End) on Proc,
-// stamped with the session's job churn at measurement time.
-type HintSpec struct {
-	Proc  int     `json:"proc"`
-	Start int     `json:"start"`
-	End   int     `json:"end"`
-	Gain  float64 `json:"gain"`
-	Stamp int     `json:"stamp,omitempty"`
-}
 
 // SessionSnapshot is a session's durable state on the wire. Spec is the
 // current instance spec with every accepted mutation folded in — the
 // same canonical form the digest cache keys on — so restoring never
-// depends on replaying history. Hints/Churn/Solved carry the warm-start
-// state; they affect only oracle-eval counts, never the schedule, so a
-// snapshot with them stripped still restores correctly (just cold).
+// depends on replaying history.
 type SessionSnapshot struct {
-	ID     string       `json:"id"`
-	Spec   InstanceSpec `json:"spec"`
-	Hints  []HintSpec   `json:"hints,omitempty"`
-	Churn  int          `json:"churn,omitempty"`
-	Solved bool         `json:"solved,omitempty"`
+	ID   string       `json:"id"`
+	Spec InstanceSpec `json:"spec"`
 	// Seq is the count of mutations accepted over the session's whole
 	// lifetime, monotone across snapshot/restore and process handoff. A
 	// mutate replayed on top of the snapshot advances it by one, so the
@@ -74,22 +59,12 @@ func cloneInstanceSpec(spec InstanceSpec) InstanceSpec {
 
 // snapshotLocked captures the handle's current state; h.mu must be held.
 func (h *sessionHandle) snapshotLocked(id string) *SessionSnapshot {
-	snap := &SessionSnapshot{
+	return &SessionSnapshot{
 		ID:     id,
 		Spec:   cloneInstanceSpec(h.spec),
 		Digest: h.digest,
 		Seq:    h.seq,
 	}
-	ws := h.sess.ExportWarmState()
-	snap.Churn = ws.Churn
-	snap.Solved = ws.Solved
-	for _, wh := range ws.Hints {
-		snap.Hints = append(snap.Hints, HintSpec{
-			Proc: wh.Interval.Proc, Start: wh.Interval.Start, End: wh.Interval.End,
-			Gain: wh.Gain, Stamp: wh.Stamp,
-		})
-	}
-	return snap
 }
 
 // SnapshotSession serializes a live session's current state.
@@ -104,10 +79,8 @@ func (s *Service) SnapshotSession(id string) (*SessionSnapshot, error) {
 }
 
 // restoreHandle rebuilds a session handle from a snapshot: digest
-// verification, spec rebuild, warm-state import. Unsound warm state is
-// not corruption — hints never change answers — so it falls back to a
-// cold restore with a logged warning; a digest mismatch is corruption
-// and fails.
+// verification and spec rebuild. A digest mismatch is corruption and
+// fails.
 func (s *Service) restoreHandle(snap *SessionSnapshot) (*sessionHandle, error) {
 	if snap.ID == "" {
 		return nil, fmt.Errorf("%w: snapshot has no session id", ErrSnapshotCorrupt)
@@ -120,25 +93,14 @@ func (s *Service) restoreHandle(snap *SessionSnapshot) (*sessionHandle, error) {
 		return nil, fmt.Errorf("%w: rebuilding instance: %v", ErrSnapshotCorrupt, err)
 	}
 	h.seq = snap.Seq
-	ws := sched.WarmState{Churn: snap.Churn, Solved: snap.Solved}
-	for _, hs := range snap.Hints {
-		ws.Hints = append(ws.Hints, sched.WarmHint{
-			Interval: sched.Interval{Proc: hs.Proc, Start: hs.Start, End: hs.End},
-			Gain:     hs.Gain, Stamp: hs.Stamp,
-		})
-	}
-	if err := h.sess.ImportWarmState(ws); err != nil {
-		s.logf("powersched: session %s: discarding warm state (%v); restoring cold", snap.ID, err)
-	}
 	return h, nil
 }
 
 // RestoreSession installs a snapshotted session under its recorded id —
 // the restore half of the snapshot codec. The restored session's next
 // Solve is byte-identical to the live session the snapshot was taken
-// from (warm hints make it cheap; they cannot make it different). On a
-// durable service the restored session gets a fresh journal, so it is
-// indistinguishable from one created through CreateSession.
+// from. On a durable service the restored session gets a fresh journal,
+// so it is indistinguishable from one created through CreateSession.
 func (s *Service) RestoreSession(snap *SessionSnapshot) error {
 	if err := s.sessionsOpen(); err != nil {
 		return err

@@ -114,8 +114,9 @@ func (s *Service) TakeoverSession(id string) (digest string, seq uint64, err err
 
 // ReleaseSession drops the in-memory handle and closes the journal,
 // keeping the file on disk for the next owner — the donor half of a
-// ring-resize migration. The final compaction folds warm-start hints
-// into the snapshot so the taker restores warm. On a non-durable
+// ring-resize migration. The final compaction folds the session's
+// mutations into one snapshot record, so the taker restores without
+// replaying them. On a non-durable
 // service releasing is just dropping: there is no file to hand over.
 func (s *Service) ReleaseSession(id string) error {
 	if err := s.sessionsOpen(); err != nil {

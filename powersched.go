@@ -121,11 +121,11 @@ const (
 // ---- Solver sessions (instance → model → session lifecycle) ----
 
 // Session is the mutable solver-session stage of the lifecycle: it owns
-// the built model, candidate intervals, and warm-start state across
-// mutations (AddJob, RemoveJob, SetUnavailable, AdvanceHorizon), and
-// re-solves with targeted invalidation instead of full rebuilds. Solve is
-// byte-identical to ScheduleAll on the equivalently-mutated instance
-// built from scratch; only the oracle-eval spend differs.
+// the instance, the built model and the last schedule across mutations
+// (AddJob, RemoveJob, SetUnavailable, AdvanceHorizon), and re-solves with
+// targeted invalidation instead of full rebuilds. Solve runs ScheduleAll's
+// solve, so it is byte-identical to ScheduleAll on the equivalently-mutated
+// instance built from scratch, oracle-eval spend included.
 type Session = sched.Session
 
 // NewSession opens a solver session over a private copy of the instance.
@@ -139,7 +139,7 @@ func NewSession(ins *Instance, opts Options) (*Session, error) {
 type (
 	// Engine is the rolling-horizon event loop: it commits the executed
 	// prefix of the current plan (never revoking past decisions), mutates
-	// its session with each arrival batch, and re-solves warm.
+	// its session with each arrival batch, and re-solves.
 	Engine = online.Engine
 	// EngineReport is a finished run's outcome: the clairvoyant-equal
 	// final plan, the committed online schedule and cost, and the oracle
