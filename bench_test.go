@@ -18,46 +18,21 @@ import (
 
 func benchExperiment(b *testing.B, id string) {
 	b.Helper()
-	benchExperimentCfg(b, id, experiments.Config{Seed: 42, Quick: true})
-}
-
-// benchExperimentW times an experiment with the greedy's probe
-// parallelism set: the same tables (worker counts never change picks),
-// only the candidate scans and lazy revalidation run W-wide on sharded
-// incremental-oracle replicas. Compare against the serial benchmark of
-// the same experiment for the parallel-scaling table in the README.
-func benchExperimentW(b *testing.B, id string, workers int) {
-	b.Helper()
-	benchExperimentCfg(b, id, experiments.Config{Seed: 42, Quick: true, Workers: workers})
-}
-
-func benchExperimentCfg(b *testing.B, id string, cfg experiments.Config) {
-	b.Helper()
-	var run func(experiments.Config) interface {
-		WriteTo(io.Writer) (int64, error)
-	}
+	cfg := experiments.Config{Seed: 42, Quick: true}
 	for _, e := range experiments.All() {
-		if e.ID == id {
-			e := e
-			run = func(c experiments.Config) interface {
-				WriteTo(io.Writer) (int64, error)
-			} {
-				return e.Run(c)
+		if e.ID != id {
+			continue
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := e.Run(cfg).WriteTo(io.Discard); err != nil {
+				b.Fatal(err)
 			}
-			break
 		}
+		return
 	}
-	if run == nil {
-		b.Fatalf("no experiment %s", id)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tbl := run(cfg)
-		if _, err := tbl.WriteTo(io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
+	b.Fatalf("no experiment %s", id)
 }
 
 func BenchmarkE1BudgetedGreedy(b *testing.B)      { benchExperiment(b, "E1") }
@@ -83,54 +58,25 @@ func BenchmarkA2CandidatePolicy(b *testing.B)     { benchExperiment(b, "A2") }
 func BenchmarkA3IncrementalMatching(b *testing.B) { benchExperiment(b, "A3") }
 func BenchmarkA4EpsilonSweep(b *testing.B)        { benchExperiment(b, "A4") }
 
-// Worker sweeps for the greedy-bound experiments (the parallel-scaling
-// table): serial is the plain benchmark above; W2/W4/W8 shard candidate
-// probes across that many incremental-oracle replicas, synced per round
-// by delta replay. The CI multicore perf job runs this sweep on a
-// multi-core runner (the dev container is single-CPU, where the sweep
-// only measures coordination overhead).
-func BenchmarkE2ScheduleAllW2(b *testing.B)         { benchExperimentW(b, "E2", 2) }
-func BenchmarkE2ScheduleAllW4(b *testing.B)         { benchExperimentW(b, "E2", 4) }
-func BenchmarkE2ScheduleAllW8(b *testing.B)         { benchExperimentW(b, "E2", 8) }
-func BenchmarkE3PrizeCollectingW2(b *testing.B)     { benchExperimentW(b, "E3", 2) }
-func BenchmarkE3PrizeCollectingW4(b *testing.B)     { benchExperimentW(b, "E3", 4) }
-func BenchmarkE3PrizeCollectingW8(b *testing.B)     { benchExperimentW(b, "E3", 8) }
-func BenchmarkE4ExactThresholdW2(b *testing.B)      { benchExperimentW(b, "E4", 2) }
-func BenchmarkE4ExactThresholdW4(b *testing.B)      { benchExperimentW(b, "E4", 4) }
-func BenchmarkE4ExactThresholdW8(b *testing.B)      { benchExperimentW(b, "E4", 8) }
-func BenchmarkE6MonotoneSecretaryW2(b *testing.B)   { benchExperimentW(b, "E6", 2) }
-func BenchmarkE6MonotoneSecretaryW4(b *testing.B)   { benchExperimentW(b, "E6", 4) }
-func BenchmarkE6MonotoneSecretaryW8(b *testing.B)   { benchExperimentW(b, "E6", 8) }
-func BenchmarkA3IncrementalMatchingW2(b *testing.B) { benchExperimentW(b, "A3", 2) }
-func BenchmarkA3IncrementalMatchingW4(b *testing.B) { benchExperimentW(b, "A3", 4) }
-func BenchmarkA3IncrementalMatchingW8(b *testing.B) { benchExperimentW(b, "A3", 8) }
-
-// benchScheduleAllLazy isolates per-instance worker scaling from the
-// experiments' trial-level parallelism: one planted instance, one lazy
-// incremental greedy, W probe workers. This is the latency story a single
-// service request sees; the experiment sweeps above measure throughput.
-func benchScheduleAllLazy(b *testing.B, workers int) {
-	b.Helper()
+// BenchmarkScheduleAllLazy isolates one solve from the experiments'
+// trial-level parallelism: one planted instance, one sweep-seeded lazy
+// incremental greedy. This is the latency story a single service request
+// sees; the experiment benchmarks above measure throughput.
+func BenchmarkScheduleAllLazy(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	ins, _ := workload.PlantedSchedule(rng, workload.PlantedParams{
 		Procs: 2, Horizon: 96, IntervalsPerProc: 2, JobsPerInterval: 16,
 		ExtraSlotsPerJob: 2,
 		Cost:             power.Affine{Alpha: 4, Rate: 1},
 	})
-	opts := sched.Options{Workers: workers}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sched.ScheduleAll(ins, opts); err != nil {
+		if _, err := sched.ScheduleAll(ins, sched.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
-
-func BenchmarkScheduleAllLazyW1(b *testing.B) { benchScheduleAllLazy(b, 1) }
-func BenchmarkScheduleAllLazyW2(b *testing.B) { benchScheduleAllLazy(b, 2) }
-func BenchmarkScheduleAllLazyW4(b *testing.B) { benchScheduleAllLazy(b, 4) }
-func BenchmarkScheduleAllLazyW8(b *testing.B) { benchScheduleAllLazy(b, 8) }
 
 // solveColdPool is the solve-cold serving shape: distinct 20-job
 // Poisson-burst instances on 2 processors over a 64-slot horizon, each
@@ -163,7 +109,7 @@ func BenchmarkScheduleAllSolveCold(b *testing.B) {
 
 // BenchmarkSessionResolve measures the session's re-solve cycle —
 // mutate (add a job), solve, mutate back (remove it), solve — against
-// the same planted instance BenchmarkScheduleAllLazyW1 solves from
+// the same planted instance BenchmarkScheduleAllLazy solves from
 // scratch. The add-side re-solve rides the in-place model extension; the
 // remove side pays the model rebuild, keeping the number honest about
 // both invalidation paths.

@@ -35,7 +35,6 @@ func run() error {
 	seed := flag.Int64("seed", 42, "base RNG seed (runs are deterministic per seed)")
 	quick := flag.Bool("quick", false, "smaller sweeps and trial counts")
 	exp := flag.String("exp", "", "comma-separated experiment ids (default: all)")
-	workers := flag.Int("workers", 0, "greedy probe parallelism for E2/E3/E4/A3/E6 (0 = serial; picks identical at any count, but A3's evals/ms columns vary)")
 	list := flag.Bool("list", false, "list experiments and exit")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the experiment runs to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile (after the runs) to this file")
@@ -64,7 +63,7 @@ func run() error {
 			ids = append(ids, strings.TrimSpace(id))
 		}
 	}
-	cfg := experiments.Config{Seed: *seed, Quick: *quick, Workers: *workers}
+	cfg := experiments.Config{Seed: *seed, Quick: *quick}
 	if err := experiments.RunAll(os.Stdout, cfg, ids); err != nil {
 		return err
 	}

@@ -24,18 +24,15 @@
 // idle}; "composite" {wakes, speeds, exp, price, blocked};
 // "unavailable" {base: <model>, blocked: [{proc, time}, ...]}.
 //
-// Solve flags: -workers sets the greedy's candidate-probe parallelism
-// (sharded incremental-oracle replicas; identical schedules at any count,
-// the JSON "workers" field wins when set); -solver exact|streaming picks
-// the mode-"all" greedy tier — "streaming" routes instances at or above
-// the streaming threshold through the bounded-memory sieve instead of
-// the exact stepwise greedy (below it the flag is a no-op).
+// Solve flags: -solver exact|streaming picks the mode-"all" greedy tier
+// — "streaming" routes instances at or above the streaming threshold
+// through the bounded-memory sieve instead of the exact stepwise greedy
+// (below it the flag is a no-op).
 //
-// Serve flags: -addr (default :8080), -workers, -queue, -cache,
-// -probe-workers (default per-request greedy parallelism for requests
-// whose spec leaves "workers" unset). The server drains gracefully on
-// SIGINT/SIGTERM: in-flight and queued requests are answered, new ones
-// are refused with 503. Session endpoints (/v1/session …) expose the
+// Serve flags: -addr (default :8080), -workers (solver goroutines),
+// -queue, -cache. The server drains gracefully on SIGINT/SIGTERM:
+// in-flight and queued requests are answered, new ones are refused with
+// 503. Session endpoints (/v1/session …) expose the
 // mutable solver-session lifecycle. With -state-dir every session is
 // journaled to disk (write-ahead, -fsync always|never, compacted every
 // -compact-every mutations) and restored on restart — kill -9 included;
@@ -60,10 +57,9 @@
 // Simulate flags: -trace poisson|diurnal|frontloaded, -cost
 // affine|speedscaled|sleepstate|composite, -procs, -horizon, -jobs,
 // -window, -seed, -alpha (wake cost, all models), -rate (per-slot cost;
-// read by affine and sleepstate only), -workers, -solver
-// exact|streaming (streaming re-solves arrivals through the sieve tier
-// once the accumulated instance crosses the streaming threshold). The
-// run is
+// read by affine and sleepstate only), -solver exact|streaming
+// (streaming re-solves arrivals through the sieve tier once the
+// accumulated instance crosses the streaming threshold). The run is
 // deterministic per seed; the JSON report compares the committed online
 // schedule against the clairvoyant offline solve of the same trace, and
 // for sleep-state models also reports the gap-aware hardware cost of the
@@ -92,7 +88,7 @@ import (
 	"repro/internal/workload"
 )
 
-func run(in io.Reader, out io.Writer, workers int, solver string) error {
+func run(in io.Reader, out io.Writer, solver string) error {
 	data, err := io.ReadAll(in)
 	if err != nil {
 		return err
@@ -100,9 +96,6 @@ func run(in io.Reader, out io.Writer, workers int, solver string) error {
 	req, err := service.DecodeRequest(data)
 	if err != nil {
 		return err
-	}
-	if req.Opts.Workers == 0 {
-		req.Opts.Workers = workers
 	}
 	switch solver {
 	case "", "exact":
@@ -125,7 +118,6 @@ func run(in io.Reader, out io.Writer, workers int, solver string) error {
 
 func solveMain(args []string) error {
 	fs := flag.NewFlagSet("solve", flag.ContinueOnError)
-	workers := fs.Int("workers", 0, "greedy probe parallelism (0 = serial; schedules are identical at any count)")
 	solver := fs.String("solver", "", "greedy tier for mode \"all\": exact (default) | streaming (bounded-memory sieve above the streaming threshold)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -139,7 +131,7 @@ func solveMain(args []string) error {
 		defer f.Close()
 		in = f
 	}
-	return run(in, os.Stdout, *workers, *solver)
+	return run(in, os.Stdout, *solver)
 }
 
 func serveMain(args []string) error {
@@ -148,7 +140,6 @@ func serveMain(args []string) error {
 	workers := fs.Int("workers", 0, "solver goroutines (0 = GOMAXPROCS)")
 	queue := fs.Int("queue", 0, "request queue depth (0 = 4×workers); a full queue blocks submitters")
 	cache := fs.Int("cache", 0, "result cache entries (0 = 256, negative disables)")
-	probeWorkers := fs.Int("probe-workers", 0, "default per-request greedy parallelism when the spec leaves \"workers\" unset (0 = serial requests)")
 	maxSessions := fs.Int("max-sessions", 0, "live solver-session cap (0 = 1024, negative disables sessions)")
 	drain := fs.Duration("drain", 30*time.Second, "graceful-shutdown drain budget")
 	stateDir := fs.String("state-dir", "", "durable session state directory (empty = in-memory sessions only)")
@@ -162,7 +153,7 @@ func serveMain(args []string) error {
 	}
 
 	svc, err := service.Open(service.Config{
-		Workers: *workers, QueueDepth: *queue, CacheSize: *cache, ProbeWorkers: *probeWorkers,
+		Workers: *workers, QueueDepth: *queue, CacheSize: *cache,
 		MaxSessions: *maxSessions,
 		StateDir:    *stateDir, Fsync: *fsync, CompactEvery: *compactEvery, LazyRestore: *lazySessions,
 		SolveTimeout: *solveTimeout, RetryAfter: *retryAfter,
@@ -290,12 +281,11 @@ func simulateMain(args []string, out io.Writer) error {
 	window := fs.Int("window", 2, "half-window of each job around its planted slot")
 	alpha := fs.Float64("alpha", 4, "wake cost (all cost models)")
 	rate := fs.Float64("rate", 1, "per-slot cost (affine and sleepstate; speedscaled/composite derive slot costs from the speed ramp)")
-	workers := fs.Int("workers", 0, "greedy probe parallelism inside each re-solve")
 	solver := fs.String("solver", "", "re-solve tier: exact (default) | streaming (sieve re-solves once the instance crosses the streaming threshold)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	opts := sched.Options{Workers: *workers}
+	var opts sched.Options
 	switch *solver {
 	case "", "exact":
 	case "streaming":

@@ -15,7 +15,7 @@ import (
 func solve(t *testing.T, input string) service.ScheduleSpec {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := run(strings.NewReader(input), &buf, 0, ""); err != nil {
+	if err := run(strings.NewReader(input), &buf, ""); err != nil {
 		t.Fatal(err)
 	}
 	var out service.ScheduleSpec
@@ -118,7 +118,7 @@ func TestRunErrors(t *testing.T) {
 	}
 	for name, input := range cases {
 		var buf bytes.Buffer
-		if err := run(strings.NewReader(input), &buf, 0, ""); err == nil {
+		if err := run(strings.NewReader(input), &buf, ""); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
@@ -137,7 +137,7 @@ func TestRunSolverFlag(t *testing.T) {
 	// Two jobs sit far below the streaming threshold, so -solver
 	// streaming must produce the identical schedule.
 	var buf bytes.Buffer
-	if err := run(strings.NewReader(input), &buf, 0, "streaming"); err != nil {
+	if err := run(strings.NewReader(input), &buf, "streaming"); err != nil {
 		t.Fatal(err)
 	}
 	var stream service.ScheduleSpec
@@ -150,12 +150,12 @@ func TestRunSolverFlag(t *testing.T) {
 		t.Fatalf("-solver streaming diverged below threshold:\n exact:  %s\n stream: %s", a, b)
 	}
 	buf.Reset()
-	if err := run(strings.NewReader(input), &buf, 0, "quantum"); err == nil {
+	if err := run(strings.NewReader(input), &buf, "quantum"); err == nil {
 		t.Fatal("unknown -solver accepted")
 	}
 	prize := `{"procs":1,"horizon":2,"cost":{},"jobs":[{"value":1,"allowed":[{"proc":0,"time":0}]}],"mode":"prize","z":1}`
 	buf.Reset()
-	if err := run(strings.NewReader(prize), &buf, 0, "streaming"); err == nil {
+	if err := run(strings.NewReader(prize), &buf, "streaming"); err == nil {
 		t.Fatal("-solver streaming accepted for prize mode")
 	}
 }

@@ -1,6 +1,6 @@
 // Package detrand enforces the determinism contract: inside the
 // packages whose tested contract is a byte-identical pick sequence
-// across worker counts, restarts, and replays, randomness must flow
+// across solve paths, restarts, and replays, randomness must flow
 // through an injected, seeded *rand.Rand, and wall-clock time must not
 // influence decisions.
 //

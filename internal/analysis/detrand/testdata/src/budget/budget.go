@@ -9,7 +9,7 @@ import (
 )
 
 // bad consumes the process-global generator and the wall clock — the
-// exact nondeterminism the differential worker-count tests would miss
+// exact nondeterminism the differential solve-path tests would miss
 // intermittently.
 func bad() int {
 	rand.Seed(42)                      // want `global math/rand\.Seed`

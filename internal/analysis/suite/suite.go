@@ -6,21 +6,17 @@ package suite
 
 import (
 	"repro/internal/analysis"
-	"repro/internal/analysis/deltashare"
 	"repro/internal/analysis/detrand"
 	"repro/internal/analysis/errsentinel"
 	"repro/internal/analysis/faultfsonly"
 	"repro/internal/analysis/netfaultonly"
 	"repro/internal/analysis/nopaniccost"
-	"repro/internal/analysis/oracleclone"
 	"repro/internal/analysis/streambound"
 )
 
 // Analyzers returns the full contract-linting suite.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		oracleclone.Analyzer,
-		deltashare.Analyzer,
 		detrand.Analyzer,
 		streambound.Analyzer,
 		nopaniccost.Analyzer,

@@ -362,18 +362,114 @@ func TestWeightedGain(t *testing.T) {
 	}
 }
 
-func TestMatcherClone(t *testing.T) {
-	g := NewGraph(3, 3)
-	g.AddEdge(0, 0)
-	g.AddEdge(1, 1)
-	g.AddEdge(2, 2)
+// TestMatcherProbeDoesNotAllocate pins the undo-journal probe path: once
+// the undo and added buffers are warm, GainOfSet and PrefixGains
+// allocate nothing.
+func TestMatcherProbeDoesNotAllocate(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	g := randomGraph(rng, 16, 12, 0.3)
 	m := NewMatcher(g)
-	m.Enable(0)
-	c := m.Clone()
-	c.Enable(1)
-	if m.Size() != 1 || c.Size() != 2 {
-		t.Fatalf("clone not independent: %d %d", m.Size(), c.Size())
+	m.EnableSet([]int{0, 1, 2, 3})
+	probe := []int{4, 5, 6, 7, 8}
+	m.GainOfSet(probe) // warm the journals
+	if allocs := testing.AllocsPerRun(50, func() { m.GainOfSet(probe) }); allocs != 0 {
+		t.Fatalf("GainOfSet allocates %v times per probe, want 0", allocs)
 	}
+	gains := make([]int, len(probe))
+	m.PrefixGains(probe, gains)
+	if allocs := testing.AllocsPerRun(50, func() { m.PrefixGains(probe, gains) }); allocs != 0 {
+		t.Fatalf("PrefixGains allocates %v times per sweep, want 0", allocs)
+	}
+
+	wy := make([]float64, 12)
+	for y := range wy {
+		wy[y] = float64(12 - y)
+	}
+	wm := NewWeightedMatcher(g, wy, WeightedOrder(wy))
+	wm.EnableSet([]int{0, 1, 2, 3})
+	wm.GainOfSet(probe)
+	if allocs := testing.AllocsPerRun(50, func() { wm.GainOfSet(probe) }); allocs != 0 {
+		t.Fatalf("weighted GainOfSet allocates %v times per probe, want 0", allocs)
+	}
+}
+
+// TestAddEdgesMatchesAddEdge checks the bulk path builds the same graph
+// as the incremental one, including on a graph that already has edges and
+// with later AddEdge appends (the capacity-clipped spans must not let an
+// append clobber a neighbor's list).
+func TestAddEdgesMatchesAddEdge(t *testing.T) {
+	for trial := 0; trial < 100; trial++ {
+		rng := rand.New(rand.NewSource(int64(trial)*911 + 3))
+		nx, ny := 1+rng.Intn(10), 1+rng.Intn(10)
+
+		var edges []Edge
+		for x := 0; x < nx; x++ {
+			for y := 0; y < ny; y++ {
+				if rng.Intn(3) == 0 {
+					edges = append(edges, Edge{X: x, Y: y})
+				}
+			}
+		}
+		split := 0
+		if len(edges) > 0 {
+			split = rng.Intn(len(edges))
+		}
+
+		want := NewGraph(nx, ny)
+		for _, e := range edges {
+			want.AddEdge(e.X, e.Y)
+		}
+
+		got := NewGraph(nx, ny)
+		for _, e := range edges[:split] {
+			got.AddEdge(e.X, e.Y) // pre-existing adjacency
+		}
+		got.AddEdges(edges[split:])
+
+		// Post-bulk single-edge appends must not corrupt arena neighbors.
+		extraX := rng.Intn(nx)
+		for y := 0; y < ny; y++ {
+			want.AddEdge(extraX, y)
+			got.AddEdge(extraX, y)
+		}
+
+		if got.Edges() != want.Edges() {
+			t.Fatalf("trial %d: edge counts %d vs %d", trial, got.Edges(), want.Edges())
+		}
+		for x := 0; x < nx; x++ {
+			if !equalInt32(got.adjX[x], want.adjX[x]) {
+				t.Fatalf("trial %d: adjX[%d] = %v, want %v", trial, x, got.adjX[x], want.adjX[x])
+			}
+		}
+		for y := 0; y < ny; y++ {
+			if !equalInt32(got.adjY[y], want.adjY[y]) {
+				t.Fatalf("trial %d: adjY[%d] = %v, want %v", trial, y, got.adjY[y], want.adjY[y])
+			}
+		}
+	}
+}
+
+func equalInt32(a, b []int32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestAddEdgesOutOfRangePanics mirrors AddEdge's contract.
+func TestAddEdgesOutOfRangePanics(t *testing.T) {
+	g := NewGraph(2, 2)
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("AddEdges accepted an out-of-range edge")
+		}
+	}()
+	g.AddEdges([]Edge{{X: 0, Y: 5}})
 }
 
 func BenchmarkHopcroftKarp(b *testing.B) {

@@ -27,18 +27,6 @@ type Matcher struct {
 	logging bool
 	undo    []rematch
 	added   []int // probe scratch: temporarily enabled vertices
-
-	// journal records committed assignments while EnableSetJournaled is
-	// live, for forward replay on replicas. Separate from undo: a handed-
-	// out journal stays valid while later GainOfSet probes churn undo.
-	journaling bool
-	journal    []MatchAssign
-}
-
-// MatchAssign records one committed matching assignment (matchX[X] = Y,
-// matchY[Y] = X) for forward replay on a same-lineage matcher.
-type MatchAssign struct {
-	X, Y int32
 }
 
 // rematch records one matchX/matchY write pair for rollback.
@@ -99,37 +87,6 @@ func (m *Matcher) EnableSet(xs []int) int {
 		gain += m.Enable(x)
 	}
 	return gain
-}
-
-// EnableSetJournaled enables every vertex in xs like EnableSet and
-// additionally records each matching assignment the augmenting searches
-// performed, in order. Replaying the journal with ApplyJournal reproduces
-// this matcher's exact post-commit state on a same-lineage replica —
-// augmentation only ever writes match cells through these assignments, so
-// the forward journal covers every changed cell. The returned slice is
-// matcher-owned and valid until the next EnableSetJournaled; probes
-// (GainOfSet) do not touch it.
-func (m *Matcher) EnableSetJournaled(xs []int) (gain int, journal []MatchAssign) {
-	m.journaling = true
-	m.journal = m.journal[:0]
-	gain = m.EnableSet(xs)
-	m.journaling = false
-	return gain, m.journal
-}
-
-// ApplyJournal replays a journal produced by a same-lineage matcher's
-// EnableSetJournaled(xs): it enables xs and writes the recorded
-// assignments in order, leaving this matcher bit-identical to the
-// journaling matcher without re-running any augmenting search.
-func (m *Matcher) ApplyJournal(xs []int, journal []MatchAssign, gain int) {
-	for _, x := range xs {
-		m.enabled.Add(x)
-	}
-	for _, a := range journal {
-		m.matchX[a.X] = a.Y
-		m.matchY[a.Y] = a.X
-	}
-	m.size += gain
 }
 
 // GainOfSet returns the matching-size gain that enabling xs would produce,
@@ -199,19 +156,6 @@ func (m *Matcher) endProbe() {
 	m.logging = false
 }
 
-// Clone returns an independent copy of the matcher (shares the graph).
-func (m *Matcher) Clone() *Matcher {
-	c := &Matcher{
-		g:       m.g,
-		enabled: m.enabled.Clone(),
-		matchX:  append([]int32(nil), m.matchX...),
-		matchY:  append([]int32(nil), m.matchY...),
-		size:    m.size,
-		visited: make([]int32, m.g.ny),
-	}
-	return c
-}
-
 // augment searches for an augmenting path starting at enabled X vertex x
 // (Kuhn's algorithm). Recursion only passes through already-matched X
 // vertices, which are enabled by construction.
@@ -229,9 +173,6 @@ func (m *Matcher) try(x int32) bool {
 		if m.matchY[y] == -1 || m.try(m.matchY[y]) {
 			if m.logging {
 				m.undo = append(m.undo, rematch{x: x, y: y, prevX: m.matchX[x], prevY: m.matchY[y]})
-			}
-			if m.journaling {
-				m.journal = append(m.journal, MatchAssign{X: x, Y: y})
 			}
 			m.matchY[y] = x
 			m.matchX[x] = y

@@ -35,11 +35,6 @@ type WeightedMatcher struct {
 	logging bool
 	undo    []rematch
 	added   []int // probe scratch: temporarily enabled vertices
-
-	// journal records committed assignments while EnableSetJournaled is
-	// live, for forward replay on replicas (see Matcher.EnableSetJournaled).
-	journaling bool
-	journal    []MatchAssign
 }
 
 // NewWeightedMatcher returns a WeightedMatcher over g with no X vertices
@@ -103,32 +98,6 @@ func (m *WeightedMatcher) EnableSet(xs []int) float64 {
 	return gain
 }
 
-// EnableSetJournaled enables every vertex in xs like EnableSet and records
-// each matching assignment for forward replay via ApplyJournal. The
-// returned slice is matcher-owned and valid until the next
-// EnableSetJournaled; probes (GainOfSet) do not touch it.
-func (m *WeightedMatcher) EnableSetJournaled(xs []int) (gain float64, journal []MatchAssign) {
-	m.journaling = true
-	m.journal = m.journal[:0]
-	gain = m.EnableSet(xs)
-	m.journaling = false
-	return gain, m.journal
-}
-
-// ApplyJournal replays a journal produced by a same-lineage matcher's
-// EnableSetJournaled(xs), leaving this matcher bit-identical to the
-// journaling matcher without re-running any augmenting search.
-func (m *WeightedMatcher) ApplyJournal(xs []int, journal []MatchAssign, gain float64) {
-	for _, x := range xs {
-		m.enabled.Add(x)
-	}
-	for _, a := range journal {
-		m.matchX[a.X] = a.Y
-		m.matchY[a.Y] = a.X
-	}
-	m.value += gain
-}
-
 // GainOfSet returns the value gain that enabling xs would produce, without
 // committing the change: augment with an undo journal, then roll back.
 func (m *WeightedMatcher) GainOfSet(xs []int) float64 {
@@ -156,21 +125,6 @@ func (m *WeightedMatcher) GainOfSet(xs []int) float64 {
 	}
 	m.logging = false
 	return gain
-}
-
-// Clone returns an independent copy of the matcher (shares the graph,
-// weights, and order, which are immutable after construction).
-func (m *WeightedMatcher) Clone() *WeightedMatcher {
-	return &WeightedMatcher{
-		g:       m.g,
-		wy:      m.wy,
-		order:   m.order,
-		enabled: m.enabled.Clone(),
-		matchX:  append([]int32(nil), m.matchX...),
-		matchY:  append([]int32(nil), m.matchY...),
-		value:   m.value,
-		visited: make([]int32, m.g.nx),
-	}
 }
 
 // augmentUnsaturated retries every unsaturated positive-value job in
@@ -203,9 +157,6 @@ func (m *WeightedMatcher) try(y int32) bool {
 		if m.matchX[x] == -1 || m.try(m.matchX[x]) {
 			if m.logging {
 				m.undo = append(m.undo, rematch{x: x, y: y, prevX: m.matchX[x], prevY: m.matchY[y]})
-			}
-			if m.journaling {
-				m.journal = append(m.journal, MatchAssign{X: x, Y: y})
 			}
 			m.matchX[x] = y
 			m.matchY[y] = x

@@ -114,50 +114,3 @@ func abs(v float64) float64 {
 	}
 	return v
 }
-
-// TestWeightedMatcherClone checks the replica contract: a clone answers
-// probes identically, then evolves independently of the original.
-func TestWeightedMatcherClone(t *testing.T) {
-	const eps = 1e-9
-	for trial := 0; trial < 200; trial++ {
-		rng := rand.New(rand.NewSource(int64(trial)*104729 + 17))
-		g, wy, order := randomWeightedInstance(rng)
-		m := NewWeightedMatcher(g, wy, order)
-		var warm []int
-		for x := 0; x < g.NX(); x++ {
-			if rng.Intn(2) == 0 {
-				warm = append(warm, x)
-			}
-		}
-		m.EnableSet(warm)
-
-		c := m.Clone()
-		if c.Value() != m.Value() || !c.Enabled().Equal(m.Enabled()) {
-			t.Fatalf("trial %d: clone state differs: value %g vs %g", trial, c.Value(), m.Value())
-		}
-		var batch []int
-		for x := 0; x < g.NX(); x++ {
-			if rng.Intn(3) == 0 {
-				batch = append(batch, x)
-			}
-		}
-		if gm, gc := m.GainOfSet(batch), c.GainOfSet(batch); gm != gc {
-			t.Fatalf("trial %d: probe disagreement: %g vs %g", trial, gm, gc)
-		}
-		// Diverge: enable on the original only; the clone must not move,
-		// and both must still agree with the from-scratch oracle.
-		valBefore := c.Value()
-		m.EnableSet(batch)
-		if c.Value() != valBefore {
-			t.Fatalf("trial %d: enabling on the original moved the clone", trial)
-		}
-		want, _, _ := WeightedValue(g, wy, order, m.Enabled())
-		if diff := m.Value() - want; diff > eps || diff < -eps {
-			t.Fatalf("trial %d: original value %g, want %g", trial, m.Value(), want)
-		}
-		wantC, _, _ := WeightedValue(g, wy, order, c.Enabled())
-		if diff := c.Value() - wantC; diff > eps || diff < -eps {
-			t.Fatalf("trial %d: clone value %g, want %g", trial, c.Value(), wantC)
-		}
-	}
-}

@@ -26,27 +26,17 @@
 // utility, real-valued job values) lazy and eager disagreed 10 times, in
 // pick order or assignment, which is why sched's prize modes stay eager.
 //
-// Both greedies scale across CPUs without giving up the incremental-oracle
-// fast path: Options.Workers shards the candidate scan over goroutines
-// that each own an oracle replica. Replicas stay bit-identical to the
-// primary after every pick, so a probe answers the same on any of them —
-// pick sequences are therefore invariant in the worker count, which the
-// differential tests in parallel_test.go assert oracle by oracle. How a
-// replica keeps up depends on the oracle: when it implements
-// submodular.DeltaOracle the primary commits each pick once (CommitDelta)
-// and ships the resulting per-round delta to every replica (ApplyDelta) —
-// for copy-on-write replicas (submodular.ReplicaProvider) even that
-// degenerates to an epoch check on shared state — otherwise each replica
-// is a deep Clone replaying the pick's Commit itself (the PR 3 scheme,
-// still available via Options.NoDeltaReplay as the ablation baseline).
+// Both greedies are serial: each pick depends on the one before it, so
+// the only work a second goroutine could take is one round's probes, and
+// on the measured hosts sharding those across oracle replicas never paid
+// for the replica bookkeeping (see the README's "Why the greedy is
+// serial").
 package budget
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"repro/internal/bitset"
 	"repro/internal/submodular"
@@ -91,41 +81,10 @@ type Options struct {
 	// Eps is the bicriteria slack ε: stop at utility (1−ε)·Threshold.
 	// Must be in (0, 1].
 	Eps float64
-	// Workers is the number of concurrent probe goroutines: Greedy shards
-	// each round's candidate scan across them, LazyGreedy additionally
-	// revalidates stale heap entries in concurrent batches. Each worker
-	// owns a cloned incremental-oracle replica, so the fast path and
-	// multicore compose. 0 and 1 both mean serial. Picked subsets are
-	// identical for every worker count.
-	Workers int
-	// Parallel is deprecated: when set and Workers is 0 it acts as
-	// Workers = runtime.GOMAXPROCS(0). Unlike its historical behavior it
-	// no longer forces from-scratch Eval oracles — use PlainEval for that.
-	Parallel bool
 	// PlainEval disables the incremental-oracle fast path even when F
 	// provides one (submodular.AsIncremental), recomputing every probe
 	// from scratch — the ablation A1/A3 baseline.
 	PlainEval bool
-	// NoDeltaReplay disables per-round delta replay and copy-on-write
-	// probe replicas even when the oracle provides them
-	// (submodular.DeltaOracle / ReplicaProvider), falling back to deep
-	// clones that replay every pick's Commit — the PR 3 replication
-	// scheme, kept as the conformance/ablation baseline. Pick sequences
-	// are identical either way.
-	NoDeltaReplay bool
-}
-
-// workerCount resolves the effective worker count.
-func (o Options) workerCount() int {
-	w := o.Workers
-	if w <= 0 {
-		if o.Parallel {
-			w = runtime.GOMAXPROCS(0)
-		} else {
-			w = 1
-		}
-	}
-	return w
 }
 
 // Step records one greedy pick, forming the trace used by the phase
@@ -193,141 +152,54 @@ func boundSlack(bound, curU float64) float64 {
 	return 1e-9 * math.Max(1, math.Max(math.Abs(bound), math.Abs(curU)))
 }
 
-// scanCand is one worker's reduction slot: its shard's best candidate.
-type scanCand struct {
-	idx   int
-	gain  float64
-	ratio float64
-}
-
-// workspace is the per-run state shared by Greedy and LazyGreedy (the
-// secretary package's OfflineGreedyCardinalityWorkers mirrors the same
-// replica/replay/reduction scheme for singleton probes — keep them in
-// sync): the
-// resolved worker count, the per-worker oracle replicas (or plain-Eval
-// probe buffers), the candidates' materialized item lists, and the
-// reduction slots. Everything is allocated once per run — the probe loops
-// and parallel phases allocate nothing per round.
+// workspace is the per-run state shared by Greedy and LazyGreedy: the
+// incremental oracle (or the plain-Eval probe buffer) and the
+// candidates' materialized item lists. Everything is allocated once per
+// run — the probe loops allocate nothing per round.
 type workspace struct {
-	f       submodular.Function
-	workers int
-	x       float64 // utility cap (Problem.Threshold)
+	f submodular.Function
+	x float64 // utility cap (Problem.Threshold)
 
-	// Incremental fast path: replicas[0] is the primary oracle; the rest
-	// keep up either by applying the primary's per-round deltas (delta
-	// mode: copy-on-write views or deep clones, see newWorkspace) or by
-	// replaying every commit themselves. nil on the plain-Eval path.
-	replicas []submodular.Incremental
-	subsets  []Subset
-	itemsOf  [][]int // materialized Items, only when some subset lacks Elems
+	subsets []Subset
 
-	// Delta mode (workers > 1, oracle implements DeltaOracle, and
-	// NoDeltaReplay unset): the per-worker delta surfaces, and the pick's
-	// delta awaiting application on workers 1..W-1. wdelta[0] belongs to
-	// the primary, which commits in markPicked on the coordinating
-	// goroutine — before the worker goroutines launch, so the commit
-	// happens-before every ApplyDelta.
-	wdelta       []submodular.DeltaOracle
-	pendingDelta submodular.Delta
+	// Incremental fast path: the oracle every probe and pick goes
+	// through. nil on the plain-Eval path.
+	inc     submodular.Incremental
+	itemsOf [][]int // materialized Items, only when some subset lacks Elems
 
-	// inline pins the workspace to sequential shard execution. It is set
-	// when the worker slots alias the primary oracle (single-CPU delta
-	// mode, see newWorkspace): aliased slots must never probe
-	// concurrently — matcher probes mutate and roll back shared state —
-	// and GOMAXPROCS can change mid-run, so the aliasing decision is
-	// remembered here rather than re-derived per phase.
-	inline bool
-
-	// Plain-Eval path: the current union plus one probe buffer per
-	// worker. cur is maintained on both paths (it is Result.Union).
+	// cur is the current union, maintained on both paths (it is
+	// Result.Union); scratch is the plain-Eval probe buffer.
 	cur     *bitset.Set
-	scratch []*bitset.Set
-
-	// pending holds the last pick's items until every replica has
-	// replayed the commit: parallel phases replay it per worker, serial
-	// paths and exits flush it explicitly.
-	pending []int
-
-	best []scanCand // per-worker reduction slots (Greedy's scans only)
-
-	// Lazy revalidation result buffers, one slot per batch entry.
-	batchGain  []float64
-	batchRatio []float64
-	batchOK    []bool
+	scratch *bitset.Set
 }
 
 // newWorkspace resolves options against the problem and allocates all
 // per-run scratch. f must be the counting wrapper the run bills probes to.
 func newWorkspace(f submodular.Function, p Problem, opts Options) *workspace {
-	workers := opts.workerCount()
-	if workers > len(p.Subsets) {
-		workers = len(p.Subsets)
-	}
-	if workers < 1 {
-		workers = 1
-	}
 	ws := &workspace{
 		f:       f,
-		workers: workers,
 		x:       p.Threshold,
+		subsets: p.Subsets,
 		cur:     bitset.New(p.F.Universe()),
 	}
 	if !opts.PlainEval {
-		if inc, ok := submodular.AsIncremental(f); ok {
-			ws.replicas = make([]submodular.Incremental, workers)
-			ws.replicas[0] = inc
-			primaryDelta, hasDelta := submodular.AsDeltaOracle(inc)
-			useDelta := hasDelta && workers > 1 && !opts.NoDeltaReplay
-			if useDelta {
-				ws.wdelta = make([]submodular.DeltaOracle, workers)
-				ws.wdelta[0] = primaryDelta
-				// On a single schedulable CPU the shards run inline
-				// (runWorkers), so the worker slots alias the primary
-				// oracle outright instead of cloning it: probes are pure,
-				// and syncReplica's ApplyDelta of the just-committed delta
-				// is a current-epoch no-op under the epoch contract. This
-				// is what keeps Workers > 1 allocation-flat on single-core
-				// hosts. Clone-and-replay mode (NoDeltaReplay) cannot
-				// alias — its sync re-Commits the pick per replica, which
-				// would double-apply on a shared oracle.
-				ws.inline = runtime.GOMAXPROCS(0) == 1
-			}
-			for w := 1; w < workers; w++ {
-				switch {
-				case useDelta && ws.inline:
-					ws.replicas[w] = inc
-					ws.wdelta[w] = primaryDelta
-				case useDelta:
-					ws.replicas[w] = submodular.NewProbeReplica(inc)
-					d, ok := submodular.AsDeltaOracle(ws.replicas[w])
-					if !ok {
-						panic("budget: probe replica lost the delta surface")
-					}
-					ws.wdelta[w] = d
-				default:
-					ws.replicas[w] = inc.Clone()
-				}
-			}
-			ws.subsets = p.Subsets
-			for i := range p.Subsets {
-				if p.Subsets[i].Elems == nil {
-					ws.itemsOf = make([][]int, len(p.Subsets))
-					for j := range p.Subsets {
-						if p.Subsets[j].Elems != nil {
-							ws.itemsOf[j] = p.Subsets[j].Elems
-						} else {
-							ws.itemsOf[j] = p.Subsets[j].Items.Elements()
-						}
-					}
-					break
-				}
-			}
-		}
+		ws.inc, _ = submodular.AsIncremental(f)
 	}
-	if ws.replicas == nil {
-		ws.scratch = make([]*bitset.Set, workers)
-		for w := range ws.scratch {
-			ws.scratch[w] = bitset.New(p.F.Universe())
+	if ws.inc == nil {
+		ws.scratch = bitset.New(p.F.Universe())
+		return ws
+	}
+	for i := range p.Subsets {
+		if p.Subsets[i].Elems == nil {
+			ws.itemsOf = make([][]int, len(p.Subsets))
+			for j := range p.Subsets {
+				if p.Subsets[j].Elems != nil {
+					ws.itemsOf[j] = p.Subsets[j].Elems
+				} else {
+					ws.itemsOf[j] = p.Subsets[j].Items.Elements()
+				}
+			}
+			break
 		}
 	}
 	return ws
@@ -341,183 +213,68 @@ func (ws *workspace) items(i int) []int {
 	return ws.subsets[i].Elems
 }
 
-// markPicked commits the chosen subset. The caller updates cur itself
-// (both paths need the union).
-//
-// In delta mode the primary commits here, on the coordinating goroutine
-// between probe phases, and the resulting delta is parked for workers
-// 1..W-1 to apply at the start of the next parallel phase. Otherwise the
-// pick's items are parked for deferred Commit replay: the parallel phases
-// replay them per worker, serial paths flush them explicitly.
+// markPicked commits the chosen subset to the incremental oracle. The
+// caller updates cur itself (both paths need the union).
 func (ws *workspace) markPicked(i int) {
-	if ws.replicas == nil {
-		return
+	if ws.inc != nil {
+		ws.inc.Commit(ws.items(i))
 	}
-	if ws.wdelta != nil {
-		ws.pendingDelta, _ = ws.wdelta[0].CommitDelta(ws.items(i))
-		return
-	}
-	ws.pending = ws.items(i)
-}
-
-// syncReplica brings worker w's replica up to date with the primary
-// inside a parallel phase: apply the parked delta (an epoch-check no-op
-// for copy-on-write replicas) or replay the parked commit. The
-// coordinating goroutine clears the parked state after the phase.
-func (ws *workspace) syncReplica(w int, pending []int, pendingDelta submodular.Delta) {
-	if ws.replicas == nil {
-		return
-	}
-	if pendingDelta != nil {
-		if w == 0 {
-			return // the primary committed in markPicked
-		}
-		if err := ws.wdelta[w].ApplyDelta(pendingDelta); err != nil {
-			panic("budget: replica rejected same-lineage delta: " + err.Error())
-		}
-		return
-	}
-	if len(pending) > 0 {
-		ws.replicas[w].Commit(pending)
-	}
-}
-
-// flushPending applies the deferred commit to the primary replica on the
-// calling goroutine — the serial paths' commit (replicas[0] is the only
-// replica then), and the final commit before reading Value at exit. The
-// parallel phases replay pending on every replica themselves; after the
-// last pick only the primary's Value is ever read, so the clones are
-// left one commit behind on purpose.
-func (ws *workspace) flushPending() {
-	if len(ws.pending) == 0 {
-		return
-	}
-	if ws.replicas != nil {
-		ws.replicas[0].Commit(ws.pending)
-	}
-	ws.pending = nil
 }
 
 // utility returns the uncapped F of the current union: the committed value
 // when running incrementally (cur mirrors the oracle's base set by
 // construction), a fresh Eval otherwise.
 func (ws *workspace) utility() float64 {
-	ws.flushPending()
-	if ws.replicas != nil {
-		return ws.replicas[0].Value()
+	if ws.inc != nil {
+		return ws.inc.Value()
 	}
 	return ws.f.Eval(ws.cur)
 }
 
-// probe evaluates candidate i on worker w's replica (or probe buffer) and
-// returns its capped gain and ratio against curU. base must be worker w's
-// committed Value() on the incremental path. Probes are pure with respect
-// to worker identity: replicas hold bit-identical state, so any worker
-// computes the same answer for the same candidate.
-func (ws *workspace) probe(w, i int, base, curU float64, subsets []Subset) (gain, ratio float64, ok bool) {
+// probe evaluates candidate i and returns its capped gain and ratio
+// against curU. base must be the oracle's committed Value() on the
+// incremental path.
+func (ws *workspace) probe(i int, base, curU float64) (gain, ratio float64, ok bool) {
 	var v float64
-	if ws.replicas != nil {
-		v = math.Min(ws.x, base+ws.replicas[w].Gain(ws.items(i)))
+	if ws.inc != nil {
+		v = math.Min(ws.x, base+ws.inc.Gain(ws.items(i)))
 	} else {
-		v = math.Min(ws.x, evalUnion(ws.f, ws.scratch[w], ws.cur, &subsets[i]))
+		v = math.Min(ws.x, evalUnion(ws.f, ws.scratch, ws.cur, &ws.subsets[i]))
 	}
 	gain = v - curU
 	if gain <= tol {
 		return 0, 0, false
 	}
 	ratio = math.Inf(1)
-	if subsets[i].Cost > tol {
-		ratio = gain / subsets[i].Cost
+	if c := ws.subsets[i].Cost; c > tol {
+		ratio = gain / c
 	}
 	return gain, ratio, true
 }
 
-// base returns worker w's committed oracle value (0 on the plain path,
-// where probes evaluate the union directly).
-func (ws *workspace) base(w int) float64 {
-	if ws.replicas != nil {
-		return ws.replicas[w].Value()
+// base returns the committed oracle value (0 on the plain path, where
+// probes evaluate the union directly).
+func (ws *workspace) base() float64 {
+	if ws.inc != nil {
+		return ws.inc.Value()
 	}
 	return 0
 }
 
-// runWorkers invokes fn(w) for w = 0..ws.workers-1 concurrently, running
-// shard 0 on the calling goroutine, and waits for all of them. Inline
-// workspaces (aliased worker slots — their probes MUST NOT overlap) and
-// runs that find only one schedulable CPU (goroutines could never
-// overlap anyway) run the shards sequentially in worker order instead —
-// the partitioning, replica assignment, and results are identical either
-// way (that is the worker-count determinism contract), and skipping the
-// per-round spawns is what keeps Workers > 1 near-free on single-core
-// hosts.
-func (ws *workspace) runWorkers(fn func(w int)) {
-	if ws.inline || runtime.GOMAXPROCS(0) == 1 {
-		for w := 0; w < ws.workers; w++ {
-			fn(w)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(ws.workers - 1)
-	for w := 1; w < ws.workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			fn(w)
-		}(w)
-	}
-	fn(0)
-	wg.Wait()
-}
-
 // scanBest finds the best unpicked candidate: max ratio, ties to the
-// lowest index. With multiple workers the candidate range is sharded into
-// contiguous chunks; each worker first replays the pending commit on its
-// replica, then scans its chunk. The in-order reduction with a strict >
-// keeps the lowest-index tie-break identical to the serial scan.
-func (ws *workspace) scanBest(subsets []Subset, picked []bool, curU float64) (int, float64, float64) {
-	n := len(subsets)
-	if ws.workers == 1 {
-		ws.flushPending()
-		local := scanCand{idx: -1, ratio: math.Inf(-1)}
-		base := ws.base(0)
-		for i := 0; i < n; i++ {
-			if picked[i] {
-				continue
-			}
-			if gain, ratio, ok := ws.probe(0, i, base, curU, subsets); ok && ratio > local.ratio {
-				local = scanCand{idx: i, gain: gain, ratio: ratio}
-			}
+// lowest index.
+func (ws *workspace) scanBest(picked []bool, curU float64) (best int, bestGain, bestRatio float64) {
+	best, bestRatio = -1, math.Inf(-1)
+	base := ws.base()
+	for i := range ws.subsets {
+		if picked[i] {
+			continue
 		}
-		return local.idx, local.gain, local.ratio
-	}
-	pending, pendingDelta := ws.pending, ws.pendingDelta
-	chunk := (n + ws.workers - 1) / ws.workers
-	ws.runWorkers(func(w int) {
-		ws.syncReplica(w, pending, pendingDelta)
-		local := scanCand{idx: -1, ratio: math.Inf(-1)}
-		base := ws.base(w)
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		for i := lo; i < hi; i++ {
-			if picked[i] {
-				continue
-			}
-			if gain, ratio, ok := ws.probe(w, i, base, curU, subsets); ok && ratio > local.ratio {
-				local = scanCand{idx: i, gain: gain, ratio: ratio}
-			}
-		}
-		ws.best[w] = local
-	})
-	ws.pending, ws.pendingDelta = nil, nil
-	best := scanCand{idx: -1, ratio: math.Inf(-1)}
-	for _, c := range ws.best {
-		if c.idx != -1 && c.ratio > best.ratio {
-			best = c
+		if gain, ratio, ok := ws.probe(i, base, curU); ok && ratio > bestRatio {
+			best, bestGain, bestRatio = i, gain, ratio
 		}
 	}
-	return best.idx, best.gain, best.ratio
+	return best, bestGain, bestRatio
 }
 
 // Greedy runs the algorithm of Lemma 2.1.2. On success the result has
@@ -525,9 +282,7 @@ func (ws *workspace) scanBest(subsets []Subset, picked []bool, curU float64) (in
 //
 // When F provides an incremental oracle (submodular.AsIncremental) and
 // PlainEval is not set, every probe F(S ∪ Sᵢ) is answered by a stateful
-// oracle's Gain instead of a from-scratch Eval — with Workers > 1, by one
-// of the per-worker replicas, all holding identical committed state, so
-// pick sequences do not depend on the worker count. For integer-valued
+// oracle's Gain instead of a from-scratch Eval. For integer-valued
 // oracles (coverage with unit weights, the matching utilities) the pick
 // sequence is also bit-identical to the plain path; for float-valued
 // oracles the incremental and plain paths sum the same terms in different
@@ -542,14 +297,13 @@ func Greedy(p Problem, opts Options) (*Result, error) {
 	target := (1 - opts.Eps) * x
 
 	ws := newWorkspace(f, p, opts)
-	ws.best = make([]scanCand, ws.workers)
 	cur := ws.cur
 	curU := math.Min(x, ws.utility())
 	res := &Result{Union: cur}
 	picked := make([]bool, len(p.Subsets))
 
 	for curU < target-tol {
-		best, bestGain, bestRatio := ws.scanBest(p.Subsets, picked, curU)
+		best, bestGain, bestRatio := ws.scanBest(picked, curU)
 		if best == -1 {
 			res.Utility = ws.utility()
 			res.Evals = f.Calls()
@@ -587,21 +341,30 @@ func validate(p Problem, opts Options) error {
 	}
 	n := p.F.Universe()
 	for i, s := range p.Subsets {
-		if s.Items == nil && s.Elems == nil {
-			return fmt.Errorf("budget: subset %d has neither Items nor Elems", i)
-		}
-		if s.Items != nil && s.Items.Universe() != n {
-			return fmt.Errorf("budget: subset %d universe %d, want %d", i, s.Items.Universe(), n)
-		}
-		if s.Items == nil {
-			for _, e := range s.Elems {
-				if e < 0 || e >= n {
-					return fmt.Errorf("budget: subset %d element %d outside universe %d", i, e, n)
-				}
-			}
+		if err := s.checkItems(i, n); err != nil {
+			return err
 		}
 		if s.Cost < 0 {
 			return fmt.Errorf("budget: subset %d has negative cost %g", i, s.Cost)
+		}
+	}
+	return nil
+}
+
+// checkItems validates subset i's representation against a universe of
+// n elements.
+func (s *Subset) checkItems(i, n int) error {
+	if s.Items == nil && s.Elems == nil {
+		return fmt.Errorf("budget: subset %d has neither Items nor Elems", i)
+	}
+	if s.Items != nil && s.Items.Universe() != n {
+		return fmt.Errorf("budget: subset %d universe %d, want %d", i, s.Items.Universe(), n)
+	}
+	if s.Items == nil {
+		for _, e := range s.Elems {
+			if e < 0 || e >= n {
+				return fmt.Errorf("budget: subset %d element %d outside universe %d", i, e, n)
+			}
 		}
 	}
 	return nil
@@ -679,88 +442,28 @@ func (h lazyHeap) siftDown(i int) {
 }
 
 // initHeap probes every candidate and returns the initialized lazy heap.
-// With multiple workers the probes are sharded across the replicas; the
-// heap is then built from the index-ordered results, so its contents are
-// identical to a serial build (and so is the probe count: both paths probe
-// every candidate exactly once).
-func (ws *workspace) initHeap(subsets []Subset, curU float64) lazyHeap {
-	n := len(subsets)
-	h := make(lazyHeap, 0, n)
-	if ws.workers == 1 {
-		base := ws.base(0)
-		for i := 0; i < n; i++ {
-			if gain, ratio, ok := ws.probe(0, i, base, curU, subsets); ok {
-				h = append(h, lazyEntry{idx: i, ratio: ratio, gain: gain})
-			}
-		}
-		h.init()
-		return h
-	}
-	gains := make([]float64, n)
-	ratios := make([]float64, n)
-	oks := make([]bool, n)
-	chunk := (n + ws.workers - 1) / ws.workers
-	ws.runWorkers(func(w int) {
-		base := ws.base(w)
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		for i := lo; i < hi; i++ {
-			gains[i], ratios[i], oks[i] = ws.probe(w, i, base, curU, subsets)
-		}
-	})
-	for i := 0; i < n; i++ {
-		if oks[i] {
-			h = append(h, lazyEntry{idx: i, ratio: ratios[i], gain: gains[i]})
+func (ws *workspace) initHeap(curU float64) lazyHeap {
+	h := make(lazyHeap, 0, len(ws.subsets))
+	base := ws.base()
+	for i := range ws.subsets {
+		if gain, ratio, ok := ws.probe(i, base, curU); ok {
+			h = append(h, lazyEntry{idx: i, ratio: ratio, gain: gain})
 		}
 	}
 	h.init()
 	return h
 }
 
-// revalidate re-probes a batch of stale heap entries against the current
-// solution and reinserts the still-useful ones stamped with the current
-// round. Workers first replay the pending commit on their replica, then
-// split the batch; pushes happen on the calling goroutine in batch order.
-// Which worker probes which entry cannot matter: replicas are identical.
-// A fresh gain above its entry's stale bound returns ErrBrokenBound.
-func (ws *workspace) revalidate(h *lazyHeap, batch []lazyEntry, subsets []Subset, curU float64, round int) error {
-	if ws.workers == 1 {
-		ws.flushPending()
-		base := ws.base(0)
-		for _, e := range batch {
-			gain, ratio, ok := ws.probe(0, e.idx, base, curU, subsets)
-			if err := checkBound(e, gain, curU, round); err != nil {
-				return err
-			}
-			if ok {
-				h.push(lazyEntry{idx: e.idx, ratio: ratio, gain: gain, round: round})
-			}
-		}
-		return nil
+// revalidate re-probes a stale heap entry against the current solution
+// and reinserts it, stamped with the current round, if it still helps. A
+// fresh gain above the entry's stale bound returns ErrBrokenBound.
+func (ws *workspace) revalidate(h *lazyHeap, e lazyEntry, curU float64, round int) error {
+	gain, ratio, ok := ws.probe(e.idx, ws.base(), curU)
+	if err := checkBound(e, gain, curU, round); err != nil {
+		return err
 	}
-	if len(ws.batchOK) < len(batch) {
-		ws.batchGain = make([]float64, len(batch))
-		ws.batchRatio = make([]float64, len(batch))
-		ws.batchOK = make([]bool, len(batch))
-	}
-	pending, pendingDelta := ws.pending, ws.pendingDelta
-	ws.runWorkers(func(w int) {
-		ws.syncReplica(w, pending, pendingDelta)
-		base := ws.base(w)
-		for bi := w; bi < len(batch); bi += ws.workers {
-			ws.batchGain[bi], ws.batchRatio[bi], ws.batchOK[bi] = ws.probe(w, batch[bi].idx, base, curU, subsets)
-		}
-	})
-	ws.pending, ws.pendingDelta = nil, nil
-	for bi, e := range batch {
-		if err := checkBound(e, ws.batchGain[bi], curU, round); err != nil {
-			return err
-		}
-		if ws.batchOK[bi] {
-			h.push(lazyEntry{idx: e.idx, ratio: ws.batchRatio[bi], gain: ws.batchGain[bi], round: round})
-		}
+	if ok {
+		h.push(lazyEntry{idx: e.idx, ratio: ratio, gain: gain, round: round})
 	}
 	return nil
 }
@@ -780,14 +483,8 @@ func checkBound(e lazyEntry, fresh, curU float64, round int) error {
 // for integral utilities; float-valued ones may break exact ties
 // differently (see the package doc). Like Greedy it
 // takes the incremental fast path when F provides one, compounding the
-// two savings: fewer probes, and each probe cheaper. With Workers > 1 the
-// stale entries at the top of the heap are revalidated in concurrent
-// batches of up to Workers entries across the oracle replicas — the picks
-// are still exactly Greedy's (the heap order is total and probes answer
-// identically on every replica); a batch may merely re-probe up to
-// Workers−1 entries that serial evaluation would have skipped, so Evals
-// can exceed the serial count slightly. A re-probe above its stale bound
-// stops the run with ErrBrokenBound.
+// two savings: fewer probes, and each probe cheaper. A re-probe above its
+// stale bound stops the run with ErrBrokenBound.
 func LazyGreedy(p Problem, opts Options) (*Result, error) {
 	s, err := NewStepwise(p, opts)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/bitset"
@@ -176,40 +177,6 @@ func TestLazyMatchesPlain(t *testing.T) {
 	}
 }
 
-func TestParallelMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 10; trial++ {
-		m := 24
-		var sets [][]int
-		var costs []float64
-		for i := 0; i < 30; i++ {
-			var s []int
-			for e := 0; e < m; e++ {
-				if rng.Intn(3) == 0 {
-					s = append(s, e)
-				}
-			}
-			sets = append(sets, s)
-			costs = append(costs, 0.5+rng.Float64()*2)
-		}
-		p := setCoverProblem(m, sets, costs)
-		p.Threshold = 20
-		serial, errS := Greedy(p, Options{Eps: 0.1})
-		par, errP := Greedy(p, Options{Eps: 0.1, Parallel: true})
-		if (errS == nil) != (errP == nil) {
-			t.Fatalf("feasibility disagreement")
-		}
-		if errS != nil {
-			continue
-		}
-		for i := range serial.Chosen {
-			if serial.Chosen[i] != par.Chosen[i] {
-				t.Fatalf("parallel pick sequence differs: %v vs %v", serial.Chosen, par.Chosen)
-			}
-		}
-	}
-}
-
 func TestPhasesLedger(t *testing.T) {
 	p := setCoverProblem(8,
 		[][]int{{0, 1, 2, 3}, {4, 5}, {6}, {7}},
@@ -273,6 +240,220 @@ func TestLemma211(t *testing.T) {
 		if lhs < rhs-1e-9 {
 			t.Fatalf("Lemma 2.1.1 violated: lhs=%v rhs=%v", lhs, rhs)
 		}
+	}
+}
+
+// oracleProblem builds a random budgeted problem over one of the
+// incremental oracles: multi-item subsets with random costs and a partial
+// threshold, so runs take several rounds and leave stale heap entries.
+func oracleProblems(rng *rand.Rand) map[string]Problem {
+	nItems := 24 + rng.Intn(16)
+	ground := 40 + rng.Intn(20)
+
+	sets := make([]*bitset.Set, nItems)
+	for i := range sets {
+		sets[i] = bitset.New(ground)
+		for e := 0; e < ground; e++ {
+			if rng.Intn(4) == 0 {
+				sets[i].Add(e)
+			}
+		}
+	}
+	weights := make([]float64, ground)
+	for i := range weights {
+		weights[i] = 0.5 + rng.Float64()*4
+	}
+	benefit := make([][]float64, 12)
+	for c := range benefit {
+		benefit[c] = make([]float64, nItems)
+		for i := range benefit[c] {
+			benefit[c][i] = rng.Float64() * 10
+		}
+	}
+	modWeights := make([]float64, nItems)
+	for i := range modWeights {
+		modWeights[i] = rng.Float64() * 10
+	}
+
+	subsets := make([]Subset, 30+rng.Intn(20))
+	for i := range subsets {
+		items := bitset.New(nItems)
+		for it := 0; it < nItems; it++ {
+			if rng.Intn(5) == 0 {
+				items.Add(it)
+			}
+		}
+		if items.Empty() {
+			items.Add(rng.Intn(nItems))
+		}
+		subsets[i] = Subset{Items: items, Cost: 0.5 + rng.Float64()*3}
+	}
+
+	problems := map[string]Problem{}
+	for name, f := range map[string]submodular.Function{
+		"coverage-unit":       submodular.NewCoverage(ground, sets, nil),
+		"coverage-weighted":   submodular.NewCoverage(ground, sets, weights),
+		"facility-location":   submodular.NewFacilityLocation(benefit),
+		"modular":             &submodular.Modular{Weights: modWeights},
+		"concave-cardinality": submodular.NewSqrtCardinality(nItems),
+	} {
+		full := f.Eval(bitset.Full(nItems))
+		problems[name] = Problem{F: f, Subsets: subsets, Threshold: 0.85 * full}
+	}
+	return problems
+}
+
+// TestGreedyMatchesLazy pins Greedy and LazyGreedy to each other on
+// every incremental oracle — the Lemma 2.1.2 identical-picks guarantee
+// of lazy evaluation.
+func TestGreedyMatchesLazy(t *testing.T) {
+	rng := rand.New(rand.NewSource(99))
+	for trial := 0; trial < 4; trial++ {
+		for oracle, p := range oracleProblems(rng) {
+			g, errG := Greedy(p, Options{Eps: 0.1})
+			l, errL := LazyGreedy(p, Options{Eps: 0.1})
+			if (errG == nil) != (errL == nil) {
+				t.Fatalf("%s: feasibility disagreement: %v vs %v", oracle, errG, errL)
+			}
+			if errG != nil {
+				continue
+			}
+			if !slices.Equal(g.Chosen, l.Chosen) {
+				t.Fatalf("%s: greedy %v != lazy %v", oracle, g.Chosen, l.Chosen)
+			}
+		}
+	}
+}
+
+// TestSerialLazyEvalsUnchanged guards the lazy path's probe accounting:
+// the classical pop-one/re-probe loop never uses more oracle calls than
+// plain Greedy.
+func TestSerialLazyEvalsUnchanged(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for oracle, p := range oracleProblems(rng) {
+		plain, errP := Greedy(p, Options{Eps: 0.1})
+		lazy, errL := LazyGreedy(p, Options{Eps: 0.1})
+		if errP != nil || errL != nil {
+			continue
+		}
+		if lazy.Evals > plain.Evals {
+			t.Fatalf("%s: serial lazy used more oracle calls (%d) than plain greedy (%d)",
+				oracle, lazy.Evals, plain.Evals)
+		}
+	}
+}
+
+// TestLazyHeapPushDoesNotAllocate asserts the satellite win over
+// container/heap: pushing into a pre-grown lazyHeap performs zero
+// allocations (the old interface{}-boxed Push allocated one box per call).
+func TestLazyHeapPushDoesNotAllocate(t *testing.T) {
+	h := make(lazyHeap, 0, 256)
+	allocs := testing.AllocsPerRun(50, func() {
+		h = h[:0]
+		for i := 0; i < 200; i++ {
+			h.push(lazyEntry{idx: i, ratio: float64((i * 37) % 11)})
+		}
+		for len(h) > 0 {
+			h.pop()
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("lazyHeap push/pop allocated %v times per run, want 0", allocs)
+	}
+}
+
+// TestLazyHeapOrdersLikeSort cross-checks the manual heap's pop order
+// against the documented total order (ratio desc, idx asc).
+func TestLazyHeapOrdersLikeSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 50; trial++ {
+		n := 1 + rng.Intn(60)
+		entries := make([]lazyEntry, n)
+		for i := range entries {
+			entries[i] = lazyEntry{idx: i, ratio: float64(rng.Intn(8))}
+		}
+		rng.Shuffle(n, func(i, j int) { entries[i], entries[j] = entries[j], entries[i] })
+
+		h := make(lazyHeap, 0, n)
+		for _, e := range entries {
+			h.push(e)
+		}
+		want := append([]lazyEntry(nil), entries...)
+		slices.SortFunc(want, func(a, b lazyEntry) int {
+			if a.ratio != b.ratio {
+				if a.ratio > b.ratio {
+					return -1
+				}
+				return 1
+			}
+			return a.idx - b.idx
+		})
+		for i, w := range want {
+			got := h.pop()
+			if got.idx != w.idx {
+				t.Fatalf("trial %d pop %d: got idx %d, want %d", trial, i, got.idx, w.idx)
+			}
+		}
+	}
+}
+
+// TestElemsSubsetsEquivalent checks the element-list subset
+// representation end to end: a problem whose subsets carry only Elems
+// solves identically — picks, cost, utility, union — to the same problem
+// with bitset Items, on the incremental and plain-Eval paths.
+func TestElemsSubsetsEquivalent(t *testing.T) {
+	for trial := 0; trial < 6; trial++ {
+		rng := rand.New(rand.NewSource(int64(trial)*6151 + 29))
+		for oracle, p := range oracleProblems(rng) {
+			elemsP := p
+			elemsP.Subsets = make([]Subset, len(p.Subsets))
+			for i, s := range p.Subsets {
+				elemsP.Subsets[i] = Subset{Elems: s.Items.Elements(), Cost: s.Cost, Label: s.Label}
+			}
+			for _, opts := range []Options{
+				{Eps: 0.05},
+				{Eps: 0.05, PlainEval: true},
+			} {
+				ref, refErr := LazyGreedy(p, opts)
+				got, gotErr := LazyGreedy(elemsP, opts)
+				if (refErr == nil) != (gotErr == nil) {
+					t.Fatalf("%s plain=%t: feasibility disagreement: %v vs %v",
+						oracle, opts.PlainEval, refErr, gotErr)
+				}
+				if refErr != nil {
+					continue
+				}
+				if !slices.Equal(ref.Chosen, got.Chosen) {
+					t.Fatalf("%s plain=%t: picks diverged:\nitems %v\nelems %v",
+						oracle, opts.PlainEval, ref.Chosen, got.Chosen)
+				}
+				if ref.Utility != got.Utility || !ref.Union.Equal(got.Union) {
+					t.Fatalf("%s plain=%t: result diverged", oracle, opts.PlainEval)
+				}
+			}
+		}
+	}
+}
+
+// TestValidateRejectsBadElems pins the Elems validation added alongside
+// the representation: missing both representations and out-of-universe
+// elements are errors.
+func TestValidateRejectsBadElems(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	p := oracleProblems(rng)["modular"]
+
+	missing := p
+	missing.Subsets = append([]Subset(nil), p.Subsets...)
+	missing.Subsets[0] = Subset{Cost: 1}
+	if _, err := Greedy(missing, Options{Eps: 0.1}); err == nil {
+		t.Fatalf("accepted a subset with neither Items nor Elems")
+	}
+
+	oob := p
+	oob.Subsets = append([]Subset(nil), p.Subsets...)
+	oob.Subsets[0] = Subset{Elems: []int{p.F.Universe()}, Cost: 1}
+	if _, err := Greedy(oob, Options{Eps: 0.1}); err == nil {
+		t.Fatalf("accepted an out-of-universe element")
 	}
 }
 

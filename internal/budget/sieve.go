@@ -37,8 +37,6 @@ package budget
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"repro/internal/bitset"
 	"repro/internal/submodular"
@@ -58,14 +56,6 @@ type SieveOptions struct {
 	// above F(∅)), exactly like Problem.Threshold caps the greedy: gains
 	// are min(Cap, ·)-clipped and no level accepts past it. 0 = uncapped.
 	Cap float64
-	// Workers shards the ladder levels across goroutines for RunSieve:
-	// worker w owns the levels with j ≡ w (mod Workers) and replays the
-	// whole candidate stream against them. Levels evolve independently of
-	// the sharding, so Chosen/Utility/Cost are identical for every worker
-	// count (Evals are not: each worker re-derives the per-candidate
-	// singleton gains). 0 and 1 both mean serial. Ignored by NewSieve —
-	// a streaming Offer sequence is inherently one goroutine.
-	Workers int
 }
 
 // SieveResult is the outcome of a sieve pass.
@@ -109,7 +99,7 @@ type sieveLevel struct {
 
 // Sieve runs one streaming pass: NewSieve, Offer each candidate once in
 // stream order, Finish. A Sieve must not be shared between goroutines;
-// RunSieve is the batch form that parallelizes over ladder shards.
+// RunSieve is the batch form over an explicit candidate slice.
 type Sieve struct {
 	opts   SieveOptions
 	count  *submodular.Counting
@@ -117,12 +107,6 @@ type Sieve struct {
 	base0  float64                // F(∅): all utilities are measured above it
 	capEff float64
 	lnEps  float64
-
-	// Level sharding (RunSieve): this instance materializes only the
-	// levels with floorMod(j, mod) == res. The ladder bookkeeping (m, U,
-	// uniformity, best singleton) is replicated identically in every
-	// shard — it depends only on the stream.
-	mod, res int
 
 	n       int     // stream position
 	m       float64 // best feasible singleton capped gain
@@ -154,10 +138,6 @@ type Sieve struct {
 // sieve's whole point is bounded per-candidate work, so there is no
 // plain-Eval fallback.
 func NewSieve(f submodular.Function, opts SieveOptions) (*Sieve, error) {
-	return newSieveShard(submodular.NewCounting(f), opts, 1, 0)
-}
-
-func newSieveShard(count *submodular.Counting, opts SieveOptions, mod, res int) (*Sieve, error) {
 	if opts.Eps <= 0 || opts.Eps >= 1 {
 		return nil, fmt.Errorf("budget: sieve Eps must be in (0,1), got %g", opts.Eps)
 	}
@@ -167,6 +147,7 @@ func newSieveShard(count *submodular.Counting, opts SieveOptions, mod, res int) 
 	if opts.Cap < 0 || math.IsNaN(opts.Cap) {
 		return nil, fmt.Errorf("budget: sieve Cap must be >= 0, got %g", opts.Cap)
 	}
+	count := submodular.NewCounting(f)
 	zero, ok := submodular.AsIncremental(count)
 	if !ok {
 		return nil, fmt.Errorf("budget: sieve requires an incremental oracle (submodular.AsIncremental); plain-Eval streaming would rescan the ground set per candidate")
@@ -182,19 +163,9 @@ func newSieveShard(count *submodular.Counting, opts SieveOptions, mod, res int) 
 		base0:      zero.Value(),
 		capEff:     capEff,
 		lnEps:      math.Log1p(opts.Eps),
-		mod:        mod,
-		res:        res,
 		uniform:    true,
 		bestSingle: -1,
 	}, nil
-}
-
-func floorMod(a, m int) int {
-	r := a % m
-	if r < 0 {
-		r += m
-	}
-	return r
 }
 
 // Offer feeds the next candidate of the stream. Candidates are
@@ -314,8 +285,7 @@ func (sv *Sieve) retarget() {
 		return
 	}
 	// The 1e-9 slack keeps the j bounds stable when m or 2U lands
-	// exactly on a ladder value; every shard computes the same floats,
-	// so the window is identical across worker counts.
+	// exactly on a ladder value.
 	jLo := int(math.Ceil(math.Log(sv.m)/sv.lnEps - 1e-9))
 	jHi := int(math.Floor(math.Log(2*sv.uBound)/sv.lnEps + 1e-9))
 	if jHi < jLo {
@@ -343,9 +313,6 @@ func (sv *Sieve) retarget() {
 	}
 	sv.levels = keep
 	for j := start; j <= jHi; j++ {
-		if floorMod(j, sv.mod) != sv.res {
-			continue
-		}
 		oracle, _ := submodular.AsIncremental(sv.count)
 		sv.levels = append(sv.levels, &sieveLevel{
 			j: j, v: math.Exp(float64(j) * sv.lnEps), oracle: oracle,
@@ -358,7 +325,7 @@ func (sv *Sieve) retarget() {
 	}
 }
 
-// bestLevel returns this shard's best level by (utility desc, j asc), or
+// bestLevel returns the best level by (utility desc, j asc), or
 // nil when no level holds positive utility.
 func (sv *Sieve) bestLevel() *sieveLevel {
 	var best *sieveLevel
@@ -382,26 +349,14 @@ func (sv *Sieve) Finish() (*SieveResult, error) {
 		return nil, sv.err
 	}
 	sv.finished = true
-	return sieveReduce([]*Sieve{sv}, nil), nil
-}
-
-// sieveReduce merges shard states into the final result. The shards own
-// disjoint level sets but replicate the stream-global bookkeeping, so
-// the singleton fallback and Uniform verdict are read from shard 0.
-func sieveReduce(shards []*Sieve, subsets []Subset) *SieveResult {
-	res := &SieveResult{Uniform: shards[0].uniform, Evals: shards[0].count.Calls()}
-	var best *sieveLevel
-	for _, sh := range shards {
-		res.Levels += len(sh.levels)
-		res.LevelsPeak += sh.levelsPeak
-		res.MaxLive += sh.maxLive
-		if lvl := sh.bestLevel(); lvl != nil {
-			if best == nil || lvl.util > best.util || (lvl.util == best.util && lvl.j < best.j) {
-				best = lvl
-			}
-		}
+	res := &SieveResult{
+		Uniform:    sv.uniform,
+		Evals:      sv.count.Calls(),
+		Levels:     len(sv.levels),
+		LevelsPeak: sv.levelsPeak,
+		MaxLive:    sv.maxLive,
 	}
-	sv := shards[0]
+	best := sv.bestLevel()
 	switch {
 	case best != nil && best.util >= sv.bestSingleGain:
 		res.Chosen = append([]int(nil), best.chosen...)
@@ -412,85 +367,37 @@ func sieveReduce(shards []*Sieve, subsets []Subset) *SieveResult {
 		res.Utility = sv.bestSingleGain
 		res.Cost = sv.bestSingleCost
 	}
-	if subsets != nil && res.Chosen != nil {
-		res.Union = bitset.New(sv.count.Universe())
+	return res, nil
+}
+
+// RunSieve runs one sieve pass over an explicit candidate slice — the
+// batch twin of NewSieve/Offer/Finish that also returns the winning
+// union.
+func RunSieve(f submodular.Function, subsets []Subset, opts SieveOptions) (*SieveResult, error) {
+	n := f.Universe()
+	for i := range subsets {
+		if err := subsets[i].checkItems(i, n); err != nil {
+			return nil, err
+		}
+	}
+	sv, err := NewSieve(f, opts)
+	if err != nil {
+		return nil, err
+	}
+	for i := range subsets {
+		if err := sv.Offer(subsets[i]); err != nil {
+			return nil, err
+		}
+	}
+	res, err := sv.Finish()
+	if err != nil {
+		return nil, err
+	}
+	if res.Chosen != nil {
+		res.Union = bitset.New(n)
 		for _, i := range res.Chosen {
 			subsets[i].unionInto(res.Union)
 		}
 	}
-	return res
-}
-
-// RunSieve runs one sieve pass over an explicit candidate slice —
-// the batch twin of NewSieve/Offer/Finish, and the only form that
-// parallelizes: with Workers > 1 each worker owns the ladder levels
-// with j ≡ w (mod W) and replays the whole stream against them. Levels
-// evolve independently of the sharding, so Chosen, Utility, and Cost
-// are identical for every worker count; Evals and the memory peaks are
-// not (each worker re-derives the singleton gains for its shard). On a
-// single schedulable CPU the shards run inline in worker order.
-func RunSieve(f submodular.Function, subsets []Subset, opts SieveOptions) (*SieveResult, error) {
-	count := submodular.NewCounting(f)
-	n := count.Universe()
-	for i, s := range subsets {
-		if s.Items == nil && s.Elems == nil {
-			return nil, fmt.Errorf("budget: subset %d has neither Items nor Elems", i)
-		}
-		if s.Items != nil && s.Items.Universe() != n {
-			return nil, fmt.Errorf("budget: subset %d universe %d, want %d", i, s.Items.Universe(), n)
-		}
-		if s.Items == nil {
-			for _, e := range s.Elems {
-				if e < 0 || e >= n {
-					return nil, fmt.Errorf("budget: subset %d element %d outside universe %d", i, e, n)
-				}
-			}
-		}
-	}
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	shards := make([]*Sieve, workers)
-	for w := range shards {
-		sh, err := newSieveShard(count, opts, workers, w)
-		if err != nil {
-			return nil, err
-		}
-		shards[w] = sh
-	}
-	feed := func(sh *Sieve) error {
-		for i := range subsets {
-			if err := sh.Offer(subsets[i]); err != nil {
-				return err
-			}
-		}
-		sh.finished = true
-		return nil
-	}
-	if workers == 1 || runtime.GOMAXPROCS(0) == 1 {
-		for _, sh := range shards {
-			if err := feed(sh); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		errs := make([]error, workers)
-		var wg sync.WaitGroup
-		wg.Add(workers - 1)
-		for w := 1; w < workers; w++ {
-			go func(w int) {
-				defer wg.Done()
-				errs[w] = feed(shards[w])
-			}(w)
-		}
-		errs[0] = feed(shards[0])
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
-	return sieveReduce(shards, subsets), nil
+	return res, nil
 }

@@ -131,30 +131,6 @@ func TestSieveNonUniformFeasibleAndCompetitive(t *testing.T) {
 	}
 }
 
-func TestSieveWorkerCountInvariance(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 10; trial++ {
-		f, subs := randomCoverInstance(rng, 40, 60, func(i int) float64 { return 1 + float64(i%3) })
-		opts := SieveOptions{Eps: 0.08, Budget: 7}
-		ref, err := RunSieve(f, subs, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, w := range []int{2, 4, 8} {
-			o := opts
-			o.Workers = w
-			got, err := RunSieve(f, subs, o)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got.Chosen, ref.Chosen) || got.Utility != ref.Utility || got.Cost != ref.Cost {
-				t.Fatalf("trial %d W=%d: chosen %v utility %g cost %g, serial %v %g %g",
-					trial, w, got.Chosen, got.Utility, got.Cost, ref.Chosen, ref.Utility, ref.Cost)
-			}
-		}
-	}
-}
-
 func TestSieveStreamingMatchesBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	f, subs := randomCoverInstance(rng, 30, 40, func(i int) float64 { return 1 + float64(i%2) })

@@ -3,7 +3,6 @@ package budget
 import (
 	"fmt"
 	"math"
-	"runtime"
 
 	"repro/internal/submodular"
 )
@@ -16,16 +15,13 @@ import (
 // initial heap exactly through NewStepwiseExact and skip the initial
 // probe sweep.
 //
-// A Stepwise must not be shared between goroutines; Options.Workers
-// parallelism happens inside each Step call, as in LazyGreedy.
+// A Stepwise must not be shared between goroutines.
 type Stepwise struct {
-	p    Problem
-	opts Options
-	f    *submodular.Counting
-	ws   *workspace
+	p  Problem
+	f  *submodular.Counting
+	ws *workspace
 
 	h     lazyHeap
-	batch []lazyEntry
 	round int
 
 	curU   float64
@@ -43,7 +39,7 @@ func NewStepwise(p Problem, opts Options) (*Stepwise, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.h = s.ws.initHeap(p.Subsets, s.curU)
+	s.h = s.ws.initHeap(s.curU)
 	return s, nil
 }
 
@@ -96,7 +92,6 @@ func newStepwise(p Problem, opts Options) (*Stepwise, error) {
 	ws := newWorkspace(f, p, opts)
 	return &Stepwise{
 		p:      p,
-		opts:   opts,
 		f:      f,
 		ws:     ws,
 		curU:   math.Min(p.Threshold, ws.utility()),
@@ -106,27 +101,12 @@ func newStepwise(p Problem, opts Options) (*Stepwise, error) {
 }
 
 // probeFresh probes the listed subsets like initHeap's sweep and appends
-// the useful ones to the heap: sharded across the worker replicas (no
-// pick has happened, so there is nothing to replay), results appended in
-// index order for a deterministic heap.
+// the useful ones to the heap in index order.
 func (s *Stepwise) probeFresh(idx []int) {
-	n := len(idx)
-	if n == 0 {
-		return
-	}
-	ws := s.ws
-	gains := make([]float64, n)
-	ratios := make([]float64, n)
-	oks := make([]bool, n)
-	ws.runWorkers(func(w int) {
-		base := ws.base(w)
-		for u := w; u < n; u += ws.workers {
-			gains[u], ratios[u], oks[u] = ws.probe(w, idx[u], base, s.curU, s.p.Subsets)
-		}
-	})
-	for u, i := range idx {
-		if oks[u] {
-			s.h = append(s.h, lazyEntry{idx: i, ratio: ratios[u], gain: gains[u]})
+	base := s.ws.base()
+	for _, i := range idx {
+		if gain, ratio, ok := s.ws.probe(i, base, s.curU); ok {
+			s.h = append(s.h, lazyEntry{idx: i, ratio: ratio, gain: gain})
 		}
 	}
 }
@@ -156,38 +136,21 @@ func (s *Stepwise) Step() (Step, bool, error) {
 		s.done = true
 		return Step{}, false, nil
 	}
+	// The classical lazy loop: pop the top entry; if it was probed this
+	// round it is the pick, otherwise re-probe it and push it back.
 	var pick lazyEntry
 	found := false
-	// Batch size ramps from the available parallelism to 8× within one
-	// cascade, as in LazyGreedy: serial runs keep the classical
-	// pop-one/re-probe loop with identical probe counts. Parallelism is
-	// capped at GOMAXPROCS, not just Workers: batches wider than the CPU
-	// budget can't overlap, so on a single-core host a Workers=4 run
-	// re-probes exactly what the serial run would — speculative probes
-	// only pay for themselves when they actually run concurrently. Picks
-	// are identical regardless (batching never changes the heap order).
-	par := s.ws.workers
-	if g := runtime.GOMAXPROCS(0); g < par {
-		par = g
-	}
-	batchCap := par
 	for len(s.h) > 0 {
-		if s.h[0].round == s.round {
-			pick = s.h.pop()
+		e := s.h.pop()
+		if e.round == s.round {
+			pick = e
 			found = true
 			break
 		}
-		s.batch = s.batch[:0]
-		for len(s.h) > 0 && s.h[0].round != s.round && len(s.batch) < batchCap {
-			s.batch = append(s.batch, s.h.pop())
-		}
-		if err := s.ws.revalidate(&s.h, s.batch, s.p.Subsets, s.curU, s.round); err != nil {
+		if err := s.ws.revalidate(&s.h, e, s.curU, s.round); err != nil {
 			s.err = err
 			s.Result()
 			return Step{}, false, err
-		}
-		if par > 1 && batchCap < 8*par {
-			batchCap *= 2
 		}
 	}
 	if !found {

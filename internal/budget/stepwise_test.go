@@ -13,32 +13,30 @@ import (
 
 // TestStepwiseMatchesLazyGreedy: a Stepwise run is LazyGreedy — identical
 // picks, trace, cost, and oracle-call count — for every incremental-oracle
-// problem family and worker count.
+// problem family.
 func TestStepwiseMatchesLazyGreedy(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 8; trial++ {
 		for name, p := range oracleProblems(rng) {
-			for _, workers := range []int{1, 4} {
-				opts := Options{Eps: 0.1, Workers: workers}
-				want, errW := LazyGreedy(p, opts)
-				s, err := NewStepwise(p, opts)
-				if err != nil {
-					t.Fatalf("%s: NewStepwise: %v", name, err)
-				}
-				got, errG := s.Solve()
-				if (errW == nil) != (errG == nil) {
-					t.Fatalf("%s: feasibility disagreement: %v vs %v", name, errW, errG)
-				}
-				if errW != nil {
-					continue
-				}
-				if !slices.Equal(want.Chosen, got.Chosen) {
-					t.Fatalf("%s W%d: picks differ: %v vs %v", name, workers, want.Chosen, got.Chosen)
-				}
-				if math.Abs(want.Cost-got.Cost) > 1e-12 || want.Evals != got.Evals {
-					t.Fatalf("%s W%d: cost/evals differ: %g/%d vs %g/%d",
-						name, workers, want.Cost, want.Evals, got.Cost, got.Evals)
-				}
+			opts := Options{Eps: 0.1}
+			want, errW := LazyGreedy(p, opts)
+			s, err := NewStepwise(p, opts)
+			if err != nil {
+				t.Fatalf("%s: NewStepwise: %v", name, err)
+			}
+			got, errG := s.Solve()
+			if (errW == nil) != (errG == nil) {
+				t.Fatalf("%s: feasibility disagreement: %v vs %v", name, errW, errG)
+			}
+			if errW != nil {
+				continue
+			}
+			if !slices.Equal(want.Chosen, got.Chosen) {
+				t.Fatalf("%s: picks differ: %v vs %v", name, want.Chosen, got.Chosen)
+			}
+			if math.Abs(want.Cost-got.Cost) > 1e-12 || want.Evals != got.Evals {
+				t.Fatalf("%s: cost/evals differ: %g/%d vs %g/%d",
+					name, want.Cost, want.Evals, got.Cost, got.Evals)
 			}
 		}
 	}
@@ -104,35 +102,33 @@ func TestStepwiseInfeasible(t *testing.T) {
 // TestStepwiseExactGainsMatchLazyGreedy: seeding subsets with their exact
 // initial gains (NewStepwiseExact) reproduces the self-probing run
 // exactly — picks, cost, and Evals (each exact gain billed as the probe
-// it replaces) — at every worker count, also when some gains are left
-// NaN for the run to probe itself.
+// it replaces) — also when some gains are left NaN for the run to probe
+// itself.
 func TestStepwiseExactGainsMatchLazyGreedy(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	for trial := 0; trial < 6; trial++ {
 		for name, p := range oracleProblems(rng) {
-			for _, workers := range []int{1, 4} {
-				opts := Options{Eps: 0.1, Workers: workers}
-				cold, err := NewStepwise(p, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, errW := cold.Solve()
-				gains := initialGains(p)
-				for i := trial % 3; trial%2 == 1 && i < len(gains); i += 3 {
-					gains[i] = math.NaN()
-				}
-				s, err := NewStepwiseExact(p, opts, gains)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, errG := s.Solve()
-				if (errW == nil) != (errG == nil) {
-					t.Fatalf("%s W%d: feasibility disagreement: %v vs %v", name, workers, errW, errG)
-				}
-				if !slices.Equal(want.Chosen, got.Chosen) || want.Cost != got.Cost || want.Evals != got.Evals {
-					t.Fatalf("%s W%d: exact-seeded run %v (cost %g, %d evals), probing run %v (cost %g, %d evals)",
-						name, workers, got.Chosen, got.Cost, got.Evals, want.Chosen, want.Cost, want.Evals)
-				}
+			opts := Options{Eps: 0.1}
+			cold, err := NewStepwise(p, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, errW := cold.Solve()
+			gains := initialGains(p)
+			for i := trial % 3; trial%2 == 1 && i < len(gains); i += 3 {
+				gains[i] = math.NaN()
+			}
+			s, err := NewStepwiseExact(p, opts, gains)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, errG := s.Solve()
+			if (errW == nil) != (errG == nil) {
+				t.Fatalf("%s: feasibility disagreement: %v vs %v", name, errW, errG)
+			}
+			if !slices.Equal(want.Chosen, got.Chosen) || want.Cost != got.Cost || want.Evals != got.Evals {
+				t.Fatalf("%s: exact-seeded run %v (cost %g, %d evals), probing run %v (cost %g, %d evals)",
+					name, got.Chosen, got.Cost, got.Evals, want.Chosen, want.Cost, want.Evals)
 			}
 		}
 	}

@@ -15,10 +15,10 @@
 //     CheckConcurrent).
 //   - Solver contract: schedules are feasible (Schedule.Validate), every
 //     ScheduleAll path picks exactly what the textbook eager greedy
-//     (EagerScheduleAll) picks, the parallel greedy is invariant in
-//     Workers, and a session's re-solve after any mutation script is
-//     byte-identical to a cold from-scratch solve of the equivalent
-//     instance, evals included (CheckSolve, CheckSession).
+//     (EagerScheduleAll) picks, and a session's re-solve after any
+//     mutation script is byte-identical to a cold from-scratch solve of
+//     the equivalent instance, evals included (CheckSolve,
+//     CheckSession).
 //
 // Checkers return errors instead of taking a *testing.T so that fuzz
 // targets and non-test callers can drive them; the matrix test wraps them
@@ -163,9 +163,8 @@ func CheckConcurrent(m power.CostModel, procs, horizon int) error {
 // opts.Extra priced by the instance's cost model, infinite-cost and
 // slotless intervals pruned as ScheduleAll prunes them, and the schedule
 // read off a final maximum matching over the awake slots. opts.PlainOracle
-// selects from-scratch probes, opts.Workers the probe parallelism;
-// opts.Policy, opts.Eps and opts.Extra mean what they mean to
-// ScheduleAll, and the remaining options are ignored. Its output is what
+// selects from-scratch probes; opts.Policy, opts.Eps and opts.Extra mean
+// what they mean to ScheduleAll, and the remaining options are ignored. Its output is what
 // ScheduleAll must reproduce byte for byte (Schedule.SameAs); Evals is
 // the eager greedy's probe count. An instance whose jobs cannot all be
 // scheduled returns an error wrapping sched.ErrUnschedulable.
@@ -215,7 +214,7 @@ func EagerScheduleAll(ins *sched.Instance, opts sched.Options) (*sched.Schedule,
 	}
 	res, err := budget.Greedy(budget.Problem{
 		F: model.MatchingUtility(), Subsets: subsets, Threshold: float64(n),
-	}, budget.Options{Eps: eps, Workers: opts.Workers, PlainEval: opts.PlainOracle})
+	}, budget.Options{Eps: eps, PlainEval: opts.PlainOracle})
 	if errors.Is(err, budget.ErrInfeasible) {
 		return nil, fmt.Errorf("%w: %v", sched.ErrUnschedulable, err)
 	}
@@ -249,23 +248,20 @@ func EagerScheduleAll(ins *sched.Instance, opts sched.Options) (*sched.Schedule,
 }
 
 // CheckSolve exercises the solver contract on one instance. The baseline
-// is EagerScheduleAll with from-scratch probes, serial; every ScheduleAll
-// arm — the default sweep-seeded lazy path and the plain-oracle lazy
-// path, each at Workers ∈ {1,2,4,8}, and (for parallel incremental runs)
-// per-round delta replay versus clone-and-replay replicas — must produce
-// a schedule byte-identical to it (Schedule.SameAs) that
-// Schedule.Validate accepts. If ScheduleAll rejects the instance (e.g.
-// the model's blocked slots make it unschedulable), the baseline must
-// reject it too and every arm must fail the same way as the first. The
-// streaming tier is its own arm (checkStreaming): it picks different
-// schedules by design, so instead of byte-equality with the baseline it
-// must be feasible, complete, worker-count invariant over W ∈ {1,2,4,8},
-// and — in budgeted form at the baseline's cost — within the sieve's
+// is EagerScheduleAll with from-scratch probes; both ScheduleAll arms —
+// the default sweep-seeded lazy path over the incremental matcher and
+// the plain-oracle lazy path — must produce a schedule byte-identical to
+// it (Schedule.SameAs) that Schedule.Validate accepts. If ScheduleAll
+// rejects the instance (e.g. the model's blocked slots make it
+// unschedulable), the baseline must reject it too and both arms must
+// fail the same way as the first. The streaming tier is its own arm
+// (checkStreaming): it picks different schedules by design, so instead
+// of byte-equality with the baseline it must be feasible, complete, and
+// — in budgeted form at the baseline's cost — within the sieve's
 // (1/2−ε) utility guarantee of the baseline's scheduled count.
 func CheckSolve(ins *sched.Instance, opts sched.Options) error {
 	baseOpts := opts
 	baseOpts.PlainOracle = true
-	baseOpts.Workers = 1
 	base, baseErr := EagerScheduleAll(ins, baseOpts)
 	if baseErr == nil {
 		if err := base.Validate(ins); err != nil {
@@ -278,41 +274,30 @@ func CheckSolve(ins *sched.Instance, opts sched.Options) error {
 		return fmt.Errorf("conformance: ScheduleAll error %v, eager baseline error %v", firstErr, baseErr)
 	}
 	for _, plain := range []bool{false, true} {
-		for _, workers := range []int{1, 2, 4, 8} {
-			for _, noDelta := range []bool{false, true} {
-				if noDelta && (plain || workers == 1) {
-					// Delta replay only engages on parallel incremental
-					// runs; elsewhere the knob selects identical code.
-					continue
-				}
-				o := opts
-				o.PlainOracle = plain
-				o.Workers = workers
-				o.NoDeltaReplay = noDelta
-				got, err := sched.ScheduleAll(ins, o)
-				label := fmt.Sprintf("plain=%t workers=%d nodelta=%t", plain, workers, noDelta)
-				if firstErr != nil {
-					if err == nil {
-						return fmt.Errorf("conformance: %s solved an instance the default path rejects (%v)", label, firstErr)
-					}
-					if !errors.Is(err, sched.ErrUnschedulable) ||
-						!errors.Is(firstErr, sched.ErrUnschedulable) {
-						if err.Error() != firstErr.Error() {
-							return fmt.Errorf("conformance: %s error %q, default path %q", label, err, firstErr)
-						}
-					}
-					continue
-				}
-				if err != nil {
-					return fmt.Errorf("conformance: %s: %w", label, err)
-				}
-				if err := got.SameAs(base); err != nil {
-					return fmt.Errorf("conformance: %s diverges from the eager baseline: %w", label, err)
-				}
-				if err := got.Validate(ins); err != nil {
-					return fmt.Errorf("conformance: %s schedule infeasible: %w", label, err)
+		o := opts
+		o.PlainOracle = plain
+		got, err := sched.ScheduleAll(ins, o)
+		label := fmt.Sprintf("plain=%t", plain)
+		if firstErr != nil {
+			if err == nil {
+				return fmt.Errorf("conformance: %s solved an instance the default path rejects (%v)", label, firstErr)
+			}
+			if !errors.Is(err, sched.ErrUnschedulable) ||
+				!errors.Is(firstErr, sched.ErrUnschedulable) {
+				if err.Error() != firstErr.Error() {
+					return fmt.Errorf("conformance: %s error %q, default path %q", label, err, firstErr)
 				}
 			}
+			continue
+		}
+		if err != nil {
+			return fmt.Errorf("conformance: %s: %w", label, err)
+		}
+		if err := got.SameAs(base); err != nil {
+			return fmt.Errorf("conformance: %s diverges from the eager baseline: %w", label, err)
+		}
+		if err := got.Validate(ins); err != nil {
+			return fmt.Errorf("conformance: %s schedule infeasible: %w", label, err)
 		}
 	}
 	return checkStreaming(ins, opts, base, baseErr)
@@ -340,47 +325,31 @@ func checkStreaming(ins *sched.Instance, opts sched.Options, base *sched.Schedul
 	if eps <= 0 {
 		eps = sched.DefaultStreamEps
 	}
-	var refAll, refBudget *sched.Schedule
-	for _, workers := range []int{1, 2, 4, 8} {
-		o := streamO
-		o.Workers = workers
-		label := fmt.Sprintf("streaming workers=%d", workers)
-		got, err := sched.ScheduleAll(ins, o)
-		if err != nil {
-			return fmt.Errorf("conformance: %s: %w", label, err)
-		}
-		if got.Scheduled != len(ins.Jobs) {
-			return fmt.Errorf("conformance: %s scheduled %d of %d", label, got.Scheduled, len(ins.Jobs))
-		}
-		if err := got.Validate(ins); err != nil {
-			return fmt.Errorf("conformance: %s schedule infeasible: %w", label, err)
-		}
-		if refAll == nil {
-			refAll = got
-		} else if err := got.SameAs(refAll); err != nil {
-			return fmt.Errorf("conformance: %s diverges from streaming workers=1: %w", label, err)
-		}
-		// Budgeted form at the baseline's cost: feasible, within budget,
-		// and within the sieve guarantee of the baseline's coverage.
-		bud, err := sched.ScheduleBudget(ins, base.Cost, o)
-		if err != nil {
-			return fmt.Errorf("conformance: %s budgeted: %w", label, err)
-		}
-		if err := bud.Validate(ins); err != nil {
-			return fmt.Errorf("conformance: %s budgeted schedule infeasible: %w", label, err)
-		}
-		if bud.Cost > base.Cost+1e-9 {
-			return fmt.Errorf("conformance: %s budgeted cost %g exceeds budget %g", label, bud.Cost, base.Cost)
-		}
-		if float64(bud.Scheduled) < (0.5-eps)*float64(base.Scheduled)-1e-9 {
-			return fmt.Errorf("conformance: %s budgeted scheduled %d, below (1/2-%g)·%d",
-				label, bud.Scheduled, eps, base.Scheduled)
-		}
-		if refBudget == nil {
-			refBudget = bud
-		} else if err := bud.SameAs(refBudget); err != nil {
-			return fmt.Errorf("conformance: %s budgeted diverges from streaming workers=1: %w", label, err)
-		}
+	got, err := sched.ScheduleAll(ins, streamO)
+	if err != nil {
+		return fmt.Errorf("conformance: streaming: %w", err)
+	}
+	if got.Scheduled != len(ins.Jobs) {
+		return fmt.Errorf("conformance: streaming scheduled %d of %d", got.Scheduled, len(ins.Jobs))
+	}
+	if err := got.Validate(ins); err != nil {
+		return fmt.Errorf("conformance: streaming schedule infeasible: %w", err)
+	}
+	// Budgeted form at the baseline's cost: feasible, within budget, and
+	// within the sieve guarantee of the baseline's coverage.
+	bud, err := sched.ScheduleBudget(ins, base.Cost, streamO)
+	if err != nil {
+		return fmt.Errorf("conformance: streaming budgeted: %w", err)
+	}
+	if err := bud.Validate(ins); err != nil {
+		return fmt.Errorf("conformance: streaming budgeted schedule infeasible: %w", err)
+	}
+	if bud.Cost > base.Cost+1e-9 {
+		return fmt.Errorf("conformance: streaming budgeted cost %g exceeds budget %g", bud.Cost, base.Cost)
+	}
+	if float64(bud.Scheduled) < (0.5-eps)*float64(base.Scheduled)-1e-9 {
+		return fmt.Errorf("conformance: streaming budgeted scheduled %d, below (1/2-%g)·%d",
+			bud.Scheduled, eps, base.Scheduled)
 	}
 	return nil
 }

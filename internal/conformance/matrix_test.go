@@ -109,8 +109,8 @@ func sessionScript() []Mutation {
 // TestMatrix runs every cost model — existing and new — through the full
 // conformance suite from one table. This is the acceptance gate the
 // scenario matrix hangs off: contract checks, incremental==plain picks,
-// Workers ∈ {1,2,4,8} invariance, and session solves byte-identical to
-// cold, evals included, across the mutation script.
+// and session solves byte-identical to cold, evals included, across the
+// mutation script.
 func TestMatrix(t *testing.T) {
 	for _, row := range matrix() {
 		t.Run(row.name, func(t *testing.T) {

@@ -24,7 +24,6 @@ import (
 type Report struct {
 	Greedy    *sched.Schedule // ScheduleAll with from-scratch oracles (PlainOracle)
 	Fast      *sched.Schedule // the default path: sweep-seeded lazy greedy, incremental matcher
-	Parallel  *sched.Schedule // Workers>1 sharded-replica greedy
 	Session   *sched.Schedule // session replay: jobs arrive one by one, re-solved on an extended model
 	AlwaysOn  *sched.Schedule
 	PerJob    *sched.Schedule
@@ -45,11 +44,6 @@ func SolveAll(ins *sched.Instance, exactLimit int) (*Report, error) {
 	}
 	if r.Fast, err = sched.ScheduleAll(ins, sched.Options{}); err != nil {
 		return nil, fmt.Errorf("core: fast: %w", err)
-	}
-	// Workers > 1: the parallel sharded-replica greedy must land on the
-	// same schedule end to end, not only in the package tests.
-	if r.Parallel, err = sched.ScheduleAll(ins, sched.Options{Workers: 4}); err != nil {
-		return nil, fmt.Errorf("core: parallel: %w", err)
 	}
 	if r.Session, err = sessionReplay(ins); err != nil {
 		return nil, fmt.Errorf("core: session replay: %w", err)
@@ -107,8 +101,7 @@ func (r *Report) check(ins *sched.Instance) error {
 		name string
 		s    *sched.Schedule
 	}{
-		{"greedy", r.Greedy}, {"fast", r.Fast},
-		{"parallel", r.Parallel}, {"session", r.Session},
+		{"greedy", r.Greedy}, {"fast", r.Fast}, {"session", r.Session},
 		{"always-on", r.AlwaysOn}, {"per-job", r.PerJob},
 		{"merge-gaps", r.MergeGaps}, {"exact", r.Exact},
 	}
@@ -124,9 +117,8 @@ func (r *Report) check(ins *sched.Instance) error {
 		}
 	}
 	// All greedy strategies pick identical interval sequences.
-	if math.Abs(r.Greedy.Cost-r.Fast.Cost) > 1e-9 || math.Abs(r.Greedy.Cost-r.Parallel.Cost) > 1e-9 {
-		return fmt.Errorf("core: greedy variants disagree: plain %g fast %g parallel %g",
-			r.Greedy.Cost, r.Fast.Cost, r.Parallel.Cost)
+	if math.Abs(r.Greedy.Cost-r.Fast.Cost) > 1e-9 {
+		return fmt.Errorf("core: greedy variants disagree: plain %g fast %g", r.Greedy.Cost, r.Fast.Cost)
 	}
 	// The session replay — jobs revealed one at a time, then re-solved —
 	// must end byte-identical to the from-scratch solve of the final

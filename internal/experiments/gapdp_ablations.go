@@ -167,9 +167,9 @@ func A3(cfg Config) *stats.Table {
 		parTrials(trials, cfg.Seed+int64(n), func(trial int, rng *rand.Rand) {
 			ins, _ := e2Instance(rng, n)
 			t0 := time.Now()
-			f, err1 := sched.ScheduleAll(ins, sched.Options{Workers: cfg.Workers})
+			f, err1 := sched.ScheduleAll(ins, sched.Options{})
 			t1 := time.Now()
-			h, err2 := sched.ScheduleAll(ins, sched.Options{PlainOracle: true, Workers: cfg.Workers})
+			h, err2 := sched.ScheduleAll(ins, sched.Options{PlainOracle: true})
 			t2 := time.Now()
 			if err1 != nil || err2 != nil {
 				return

@@ -84,10 +84,10 @@ func E2(cfg Config) *stats.Table {
 		}
 		parTrials(trials, cfg.Seed+int64(n), func(trial int, rng *rand.Rand) {
 			ins, b := e2Instance(rng, n)
-			if s, err := conformance.EagerScheduleAll(ins, sched.Options{Workers: cfg.Workers}); err == nil {
+			if s, err := conformance.EagerScheduleAll(ins, sched.Options{}); err == nil {
 				ratios["greedy"][trial] = s.Cost / b
 			}
-			if s, err := sched.ScheduleAll(ins, sched.Options{Workers: cfg.Workers}); err == nil {
+			if s, err := sched.ScheduleAll(ins, sched.Options{}); err == nil {
 				ratios["lazy"][trial] = s.Cost / b
 			}
 			if s, err := schedexact.AlwaysOn(ins); err == nil {
@@ -127,7 +127,7 @@ func E3(cfg Config) *stats.Table {
 				total += j.Value
 			}
 			z := 0.8 * total
-			s, err := sched.PrizeCollecting(ins, z, sched.Options{Eps: eps, Workers: cfg.Workers})
+			s, err := sched.PrizeCollecting(ins, z, sched.Options{Eps: eps})
 			if err != nil {
 				return
 			}
@@ -161,7 +161,7 @@ func E4(cfg Config) *stats.Table {
 				total += j.Value
 			}
 			z := 0.7 * total
-			s, err := sched.PrizeCollectingExact(ins, z, sched.Options{Workers: cfg.Workers})
+			s, err := sched.PrizeCollectingExact(ins, z, sched.Options{})
 			if err != nil {
 				return
 			}

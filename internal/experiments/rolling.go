@@ -41,7 +41,7 @@ func E16(cfg Config) *stats.Table {
 		missed := make([]float64, trials)
 		parTrials(trials, cfg.Seed, func(trial int, rng *rand.Rand) {
 			tr := g.gen(rng, params)
-			rep, err := online.RunTrace(tr, sched.Options{Workers: cfg.Workers})
+			rep, err := online.RunTrace(tr, sched.Options{})
 			if err != nil {
 				return // leaves zeros; planted traces are always feasible
 			}

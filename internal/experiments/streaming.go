@@ -43,7 +43,7 @@ func E18(cfg Config) *stats.Table {
 	parTrials(len(sizes), cfg.Seed, func(trial int, rng *rand.Rand) {
 		n := sizes[trial]
 		ins := workload.MassiveInstance(rng, 4, n, 2)
-		base := sched.Options{Policy: sched.SingleSlots, Workers: cfg.Workers}
+		base := sched.Options{Policy: sched.SingleSlots}
 		step, err := conformance.EagerScheduleAll(ins, base)
 		if err != nil {
 			return // leaves zeros; planted instances are always feasible

@@ -34,6 +34,9 @@ func TestScheduleAllSweepAllocs(t *testing.T) {
 	if err := swept.SameAs(probed); err != nil || swept.Evals != probed.Evals {
 		t.Fatalf("sweep path diverges from the probing path (evals %d vs %d): %v", swept.Evals, probed.Evals, err)
 	}
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool entries at random, adding allocations")
+	}
 	sweptAllocs := testing.AllocsPerRun(20, func() { _, _ = sched.ScheduleAll(ins, sched.Options{}) })
 	probedAllocs := testing.AllocsPerRun(20, func() { _, _ = sched.ScheduleAllProbed(ins, sched.Options{}) })
 	if sweptAllocs > probedAllocs+1 {

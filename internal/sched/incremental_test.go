@@ -144,3 +144,29 @@ func TestPlainOracleMatchesIncremental(t *testing.T) {
 		}
 	}
 }
+
+// TestCandidateRepricingAllocs pins the steady-state allocation cost of
+// re-pricing candidates on a live model — the hot path of session
+// re-solves. After the first solve grows the interval scratch buffer, each
+// re-pricing may allocate only the fresh candidate slice (the greedy
+// workspace must not be able to observe a recycled one).
+func TestCandidateRepricingAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	ins := randomOracleInstance(rng)
+	m, err := NewModel(ins)
+	if err != nil {
+		t.Fatalf("NewModel: %v", err)
+	}
+	if _, err := m.buildCandidates(EventPoints, nil); err != nil { // warm the scratch
+		t.Fatalf("buildCandidates: %v", err)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		cands, err := m.buildCandidates(EventPoints, nil)
+		if err != nil || len(cands) == 0 {
+			t.Fatalf("buildCandidates: %d cands, %v", len(cands), err)
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("candidate re-pricing allocates %.1f objects/run, want <= 1 (the candidate slice)", allocs)
+	}
+}

@@ -351,10 +351,8 @@ func (f matchFn) NewIncremental() submodular.Incremental {
 // sweptMatchFn is matchFn for the greedy that follows a prefix sweep:
 // its incremental oracle adopts the sweep's matcher (m.sweepMat) instead
 // of allocating one — rolled back to empty it is indistinguishable from
-// a fresh matcher, and its probe journals are already grown. Only the
-// run's primary oracle is made through NewIncremental (replicas are
-// clones), and once the matcher is taken later calls allocate as matchFn
-// does.
+// a fresh matcher, and its probe journals are already grown. Once the
+// matcher is taken, later calls allocate as matchFn does.
 type sweptMatchFn struct{ matchFn }
 
 // NewIncremental implements submodular.IncrementalProvider.
@@ -367,33 +365,11 @@ func (f sweptMatchFn) NewIncremental() submodular.Incremental {
 	return &matchOracle{fn: f.matchFn, mat: mat}
 }
 
-// matchOracle adapts bipartite.Matcher to submodular.Incremental and
-// submodular.DeltaOracle. The delta for one committed batch is the
-// matcher's forward journal — the (x, y) assignments its augmenting
-// searches performed — so a replica reproduces the exact matching by
-// replaying writes instead of re-running the searches. Matchers cannot be
-// copy-on-write (probes mutate the match arrays before rolling back), so
-// there is no Replica method; replicas are deep clones synced by journal.
+// matchOracle adapts bipartite.Matcher to submodular.Incremental.
 type matchOracle struct {
-	fn    matchFn
-	mat   *bipartite.Matcher
-	epoch uint64
-	delta *matchDelta // reusable CommitDelta buffer, created on first use
+	fn  matchFn
+	mat *bipartite.Matcher
 }
-
-// matchDelta is matchOracle's submodular.Delta: the committed slot
-// vertices, the matcher's assignment journal, and the realized gain. The
-// journal slice is owned by the committing matcher and valid until its
-// next journaled commit — the same cadence that invalidates the delta.
-type matchDelta struct {
-	epoch   uint64
-	xs      []int
-	journal []bipartite.MatchAssign
-	gain    int
-}
-
-// DeltaEpoch implements submodular.Delta.
-func (d *matchDelta) DeltaEpoch() uint64 { return d.epoch }
 
 // Universe implements submodular.Function.
 func (o *matchOracle) Universe() int { return o.fn.Universe() }
@@ -411,61 +387,11 @@ func (o *matchOracle) Value() float64 { return float64(o.mat.Size()) }
 func (o *matchOracle) Gain(items []int) float64 { return float64(o.mat.GainOfSet(items)) }
 
 // Commit implements submodular.Incremental.
-func (o *matchOracle) Commit(items []int) float64 {
-	o.epoch++
-	return float64(o.mat.EnableSet(items))
-}
-
-// Epoch implements submodular.DeltaOracle.
-func (o *matchOracle) Epoch() uint64 { return o.epoch }
-
-// CommitDelta implements submodular.DeltaOracle.
-func (o *matchOracle) CommitDelta(items []int) (submodular.Delta, float64) {
-	if o.delta == nil {
-		o.delta = &matchDelta{}
-	}
-	d := o.delta
-	d.xs = append(d.xs[:0], items...)
-	gain, journal := o.mat.EnableSetJournaled(items)
-	o.epoch++
-	d.epoch = o.epoch
-	d.journal = journal
-	d.gain = gain
-	return d, float64(gain)
-}
-
-// ApplyDelta implements submodular.DeltaOracle.
-func (o *matchOracle) ApplyDelta(d submodular.Delta) error {
-	md, ok := d.(*matchDelta)
-	if !ok {
-		return fmt.Errorf("sched: matchOracle cannot apply foreign delta %T", d)
-	}
-	switch md.epoch {
-	case o.epoch:
-		return nil
-	case o.epoch + 1:
-	default:
-		return fmt.Errorf("sched: matchOracle delta for epoch %d applied at epoch %d", md.epoch, o.epoch)
-	}
-	o.mat.ApplyJournal(md.xs, md.journal, md.gain)
-	o.epoch++
-	return nil
-}
+func (o *matchOracle) Commit(items []int) float64 { return float64(o.mat.EnableSet(items)) }
 
 // Reset implements submodular.Incremental.
 func (o *matchOracle) Reset() {
 	o.mat = bipartite.NewMatcher(o.fn.m.G)
-	o.epoch = 0
-}
-
-// Clone implements submodular.Incremental: an independent matcher replica
-// over the shared graph, for the parallel greedy's per-worker shards. The
-// reusable delta buffer stays with the original —
-//
-//	a clone's CommitDelta must not invalidate a delta the original
-//	handed out.
-func (o *matchOracle) Clone() submodular.Incremental {
-	return &matchOracle{fn: o.fn, mat: o.mat.Clone(), epoch: o.epoch}
 }
 
 // weightedMatchFn is Lemma 2.3.2's utility: F(S) = maximum total job value
@@ -488,27 +414,12 @@ func (f weightedMatchFn) NewIncremental() submodular.Incremental {
 	return &weightedOracle{fn: f, mat: bipartite.NewWeightedMatcher(f.m.G, f.m.Values, f.m.Order)}
 }
 
-// weightedOracle adapts bipartite.WeightedMatcher to submodular.Incremental
-// and submodular.DeltaOracle, with the same journal-replay delta scheme as
-// matchOracle (see there for the ownership and no-COW rationale).
+// weightedOracle adapts bipartite.WeightedMatcher to
+// submodular.Incremental.
 type weightedOracle struct {
-	fn    weightedMatchFn
-	mat   *bipartite.WeightedMatcher
-	epoch uint64
-	delta *weightedDelta
+	fn  weightedMatchFn
+	mat *bipartite.WeightedMatcher
 }
-
-// weightedDelta is weightedOracle's submodular.Delta; ownership matches
-// matchDelta.
-type weightedDelta struct {
-	epoch   uint64
-	xs      []int
-	journal []bipartite.MatchAssign
-	gain    float64
-}
-
-// DeltaEpoch implements submodular.Delta.
-func (d *weightedDelta) DeltaEpoch() uint64 { return d.epoch }
 
 // Universe implements submodular.Function.
 func (o *weightedOracle) Universe() int { return o.fn.Universe() }
@@ -526,56 +437,11 @@ func (o *weightedOracle) Value() float64 { return o.mat.Value() }
 func (o *weightedOracle) Gain(items []int) float64 { return o.mat.GainOfSet(items) }
 
 // Commit implements submodular.Incremental.
-func (o *weightedOracle) Commit(items []int) float64 {
-	o.epoch++
-	return o.mat.EnableSet(items)
-}
-
-// Epoch implements submodular.DeltaOracle.
-func (o *weightedOracle) Epoch() uint64 { return o.epoch }
-
-// CommitDelta implements submodular.DeltaOracle.
-func (o *weightedOracle) CommitDelta(items []int) (submodular.Delta, float64) {
-	if o.delta == nil {
-		o.delta = &weightedDelta{}
-	}
-	d := o.delta
-	d.xs = append(d.xs[:0], items...)
-	gain, journal := o.mat.EnableSetJournaled(items)
-	o.epoch++
-	d.epoch = o.epoch
-	d.journal = journal
-	d.gain = gain
-	return d, gain
-}
-
-// ApplyDelta implements submodular.DeltaOracle.
-func (o *weightedOracle) ApplyDelta(d submodular.Delta) error {
-	wd, ok := d.(*weightedDelta)
-	if !ok {
-		return fmt.Errorf("sched: weightedOracle cannot apply foreign delta %T", d)
-	}
-	switch wd.epoch {
-	case o.epoch:
-		return nil
-	case o.epoch + 1:
-	default:
-		return fmt.Errorf("sched: weightedOracle delta for epoch %d applied at epoch %d", wd.epoch, o.epoch)
-	}
-	o.mat.ApplyJournal(wd.xs, wd.journal, wd.gain)
-	o.epoch++
-	return nil
-}
+func (o *weightedOracle) Commit(items []int) float64 { return o.mat.EnableSet(items) }
 
 // Reset implements submodular.Incremental.
 func (o *weightedOracle) Reset() {
 	o.mat = bipartite.NewWeightedMatcher(o.fn.m.G, o.fn.m.Values, o.fn.m.Order)
-	o.epoch = 0
-}
-
-// Clone implements submodular.Incremental.
-func (o *weightedOracle) Clone() submodular.Incremental {
-	return &weightedOracle{fn: o.fn, mat: o.mat.Clone(), epoch: o.epoch}
 }
 
 // Functions exposed for property tests.
@@ -584,8 +450,8 @@ var (
 	_ submodular.Function            = weightedMatchFn{}
 	_ submodular.IncrementalProvider = matchFn{}
 	_ submodular.IncrementalProvider = weightedMatchFn{}
-	_ submodular.DeltaOracle         = (*matchOracle)(nil)
-	_ submodular.DeltaOracle         = (*weightedOracle)(nil)
+	_ submodular.Incremental         = (*matchOracle)(nil)
+	_ submodular.Incremental         = (*weightedOracle)(nil)
 )
 
 // MatchingUtility returns Lemma 2.2.2's F for external property tests.

@@ -59,10 +59,7 @@ func prizeCollecting(model *Model, z float64, opts Options) (*Schedule, error) {
 	// float-valued, and the lazy heap can resolve exact floating-point
 	// ties differently (see the budget package doc): switching would
 	// change prize answers on the wire at equal cost and value.
-	res, err := budget.Greedy(prob, budget.Options{
-		Eps: eps, Workers: opts.Workers, Parallel: opts.Parallel,
-		PlainEval: opts.PlainOracle, NoDeltaReplay: opts.NoDeltaReplay,
-	})
+	res, err := budget.Greedy(prob, budget.Options{Eps: eps, PlainEval: opts.PlainOracle})
 	if err != nil {
 		return nil, fmt.Errorf("sched: greedy failed: %w", err)
 	}

@@ -117,25 +117,10 @@ func (p CandidatePolicy) String() string {
 type Options struct {
 	Policy CandidatePolicy
 	Eps    float64 // bicriteria slack for PrizeCollecting; ScheduleAll defaults to 1/(n+1)
-	// Workers is the number of concurrent candidate-probe goroutines
-	// inside the greedy. Each worker owns a cloned incremental-matcher
-	// replica, so multicore and the incremental fast path compose; the
-	// computed schedule is identical for every worker count (only latency
-	// changes). 0 and 1 both mean serial.
-	Workers int
-	// Parallel is deprecated: when set and Workers is 0 it acts as
-	// Workers = GOMAXPROCS. It no longer forces from-scratch oracles.
-	Parallel bool
 	// PlainOracle forces from-scratch matching oracles (a fresh
 	// Hopcroft–Karp / weighted rebuild per probe) instead of the default
 	// incremental matchers — the ablation A3 baseline.
 	PlainOracle bool
-	// NoDeltaReplay disables the greedy's per-round delta replay across
-	// worker replicas (budget.Options.NoDeltaReplay): replicas fall back
-	// to replaying every pick's Commit themselves. The computed schedule
-	// is identical either way; the knob exists for the conformance matrix
-	// and ablations.
-	NoDeltaReplay bool
 	// Extra adds caller-supplied candidate awake intervals on top of the
 	// policy's enumeration — the thesis's "costs might be explicitly given
 	// in the input" mode, e.g. contract blocks a power provider offers.
@@ -217,8 +202,8 @@ func (e *UnschedulableError) Unwrap() error { return ErrUnschedulable }
 // decision — the interval sequence, the per-job assignment, and the
 // totals all match (Cost and Value to 1e-9, since different solve paths
 // may sum the same terms in different orders). Evals is ignored: solve
-// paths (eager, lazy, plain-oracle, parallel) legitimately spend
-// different probe counts for the same answer. A nil error means identical; otherwise the error names
+// paths (eager, lazy, plain-oracle) legitimately spend different probe
+// counts for the same answer. A nil error means identical; otherwise the error names
 // the first divergence. The differential self-checks (core.SolveAll,
 // the session and engine tests) all compare through this one helper.
 func (s *Schedule) SameAs(other *Schedule) error {

@@ -285,33 +285,3 @@ func TestSessionMutationValidation(t *testing.T) {
 	}
 	checkAgainstFromScratch(t, sess, Options{}, "after rejected mutations")
 }
-
-// TestSessionParallelWorkersIdentical: the session's re-solves are
-// worker-count invariant like every other greedy path.
-func TestSessionParallelWorkersIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	ins := plantedSessionInstance(rng, 4)
-	var ref *Schedule
-	for _, workers := range []int{1, 4} {
-		sess, err := NewSession(ins, Options{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sess.Solve(); err != nil {
-			t.Fatal(err)
-		}
-		donor := ins.Jobs[0]
-		if _, err := sess.AddJob(Job{Value: 1, Allowed: donor.Allowed}); err != nil {
-			t.Fatal(err)
-		}
-		got, err := sess.Solve()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ref == nil {
-			ref = got
-		} else if !equalSchedules(ref, got) {
-			t.Fatalf("workers=%d: schedule differs from serial", workers)
-		}
-	}
-}

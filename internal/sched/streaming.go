@@ -64,7 +64,7 @@ func (m *Model) ScheduleBudget(budgetLimit float64, opts Options) (*Schedule, er
 		return nil, err
 	}
 	res, err := budget.RunSieve(matchFn{m}, budgetSubsets(cands), budget.SieveOptions{
-		Eps: opts.streamEps(), Budget: budgetLimit, Cap: float64(n), Workers: opts.Workers,
+		Eps: opts.streamEps(), Budget: budgetLimit, Cap: float64(n),
 	})
 	if err != nil {
 		return nil, fmt.Errorf("sched: sieve failed: %w", err)
@@ -155,7 +155,7 @@ func (m *Model) scheduleAllStreaming(opts Options) (*Schedule, error) {
 		res, err := budget.RunSieve(
 			residualMatchFn{m: m, base: base.Elements()},
 			in.prob.Subsets,
-			budget.SieveOptions{Eps: eps, Budget: b, Cap: rem, Workers: opts.Workers},
+			budget.SieveOptions{Eps: eps, Budget: b, Cap: rem},
 		)
 		if err != nil {
 			return nil, fmt.Errorf("sched: sieve failed: %w", err)
@@ -191,10 +191,7 @@ func (m *Model) scheduleAllStreaming(opts Options) (*Schedule, error) {
 // runs skip the sweep and probe every candidate through Eval, keeping
 // the from-scratch arm independent of the matcher machinery.
 func (m *Model) scheduleAllExact(opts Options, in *solveInput, priorEvals int64) (*Schedule, error) {
-	bopts := budget.Options{
-		Eps: in.eps, Workers: opts.Workers, Parallel: opts.Parallel,
-		PlainEval: opts.PlainOracle, NoDeltaReplay: opts.NoDeltaReplay,
-	}
+	bopts := budget.Options{Eps: in.eps, PlainEval: opts.PlainOracle}
 	var sw *budget.Stepwise
 	var err error
 	if opts.PlainOracle {

@@ -75,29 +75,6 @@ func TestStreamingScheduleAllInfeasibleMatchesExact(t *testing.T) {
 	}
 }
 
-func TestStreamingWorkerCountInvariance(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 5; trial++ {
-		ins := randomInstance(rng, 2, 24, 10)
-		opts := streamOpts()
-		ref, err := ScheduleAll(ins, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, w := range []int{2, 4, 8} {
-			o := opts
-			o.Workers = w
-			got, err := ScheduleAll(ins, o)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := got.SameAs(ref); err != nil {
-				t.Fatalf("trial %d W=%d: streaming schedule differs from serial: %v", trial, w, err)
-			}
-		}
-	}
-}
-
 func TestStreamingThresholdFallsBackToExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	ins := randomInstance(rng, 2, 20, 6)

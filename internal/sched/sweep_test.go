@@ -101,37 +101,34 @@ func TestSweepGainsMatchGainOfSet(t *testing.T) {
 
 // TestScheduleAllEvalsMatchLazyGreedy: the sweep-seeded ScheduleAll picks
 // what budget.LazyGreedy picks on the same problem and bills the same
-// number of oracle calls, serial and batched.
+// number of oracle calls.
 func TestScheduleAllEvalsMatchLazyGreedy(t *testing.T) {
 	forEachSweepCase(t, 6, func(label string, ins *Instance, opts Options) {
-		for _, workers := range []int{1, 4} {
-			opts.Workers = workers
-			m, err := NewModel(ins)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, errS := m.ScheduleAll(opts)
-			ref, err := NewModel(ins)
-			if err != nil {
-				t.Fatal(err)
-			}
-			in, errI := ref.scheduleAllInput(opts)
-			if (errS == nil) != (errI == nil) {
-				t.Fatalf("%s W%d: ScheduleAll err %v, input err %v", label, workers, errS, errI)
-			}
-			if errI != nil {
-				continue
-			}
-			want, err := budget.LazyGreedy(in.prob, budget.Options{Eps: in.eps, Workers: workers})
-			if err != nil {
-				t.Fatalf("%s W%d: LazyGreedy: %v", label, workers, err)
-			}
-			if !slices.Equal(got.Intervals, chosenIntervals(in.cands, want.Chosen)) {
-				t.Fatalf("%s W%d: picks %v, LazyGreedy %v", label, workers, got.Intervals, chosenIntervals(in.cands, want.Chosen))
-			}
-			if got.Evals != want.Evals {
-				t.Fatalf("%s W%d: ScheduleAll billed %d evals, LazyGreedy %d", label, workers, got.Evals, want.Evals)
-			}
+		m, err := NewModel(ins)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, errS := m.ScheduleAll(opts)
+		ref, err := NewModel(ins)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in, errI := ref.scheduleAllInput(opts)
+		if (errS == nil) != (errI == nil) {
+			t.Fatalf("%s: ScheduleAll err %v, input err %v", label, errS, errI)
+		}
+		if errI != nil {
+			return
+		}
+		want, err := budget.LazyGreedy(in.prob, budget.Options{Eps: in.eps})
+		if err != nil {
+			t.Fatalf("%s: LazyGreedy: %v", label, err)
+		}
+		if !slices.Equal(got.Intervals, chosenIntervals(in.cands, want.Chosen)) {
+			t.Fatalf("%s: picks %v, LazyGreedy %v", label, got.Intervals, chosenIntervals(in.cands, want.Chosen))
+		}
+		if got.Evals != want.Evals {
+			t.Fatalf("%s: ScheduleAll billed %d evals, LazyGreedy %d", label, got.Evals, want.Evals)
 		}
 	})
 }

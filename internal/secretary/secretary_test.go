@@ -483,3 +483,52 @@ func BenchmarkKnapsackSecretary(b *testing.B) {
 		Knapsack(f, weights, caps, order, rng)
 	}
 }
+
+// plainOnly hides a Function's incremental oracle, forcing the offline
+// greedies onto their from-scratch Eval branch.
+type plainOnly struct{ submodular.Function }
+
+// TestOfflineGreedyPlainMatchesIncremental pins the offline comparators'
+// two branches to each other: on unit-weight coverage (integral, so no
+// floating-point tie can split them) the incremental-oracle greedy and
+// the plain-Eval greedy pick identical sets, under a cardinality budget
+// and under a matroid intersection.
+func TestOfflineGreedyPlainMatchesIncremental(t *testing.T) {
+	for trial := 0; trial < 30; trial++ {
+		rng := rand.New(rand.NewSource(int64(trial)*48611 + 19))
+		n := 10 + rng.Intn(30)
+		m := 20 + rng.Intn(40)
+		sets := make([]*bitset.Set, n)
+		for i := range sets {
+			sets[i] = bitset.New(m)
+			for e := 0; e < m; e++ {
+				if rng.Intn(3) == 0 {
+					sets[i].Add(e)
+				}
+			}
+		}
+		f := submodular.NewCoverage(m, sets, nil)
+		if _, ok := submodular.AsIncremental(plainOnly{f}); ok {
+			t.Fatal("plainOnly still exposes the incremental oracle")
+		}
+
+		k := 1 + rng.Intn(n)
+		inc, plain := OfflineGreedyCardinality(f, k), OfflineGreedyCardinality(plainOnly{f}, k)
+		if !inc.Equal(plain) {
+			t.Fatalf("trial %d k=%d: cardinality picks diverged: incremental %v, plain %v", trial, k, inc, plain)
+		}
+
+		class := make([]int, n)
+		for i := range class {
+			class[i] = rng.Intn(4)
+		}
+		constraints := matroid.NewIntersection(
+			matroid.NewPartition(class, []int{1, 2, 1, 2}),
+			matroid.Uniform{N: n, K: 1 + rng.Intn(5)},
+		)
+		inc, plain = OfflineGreedyMatroid(f, constraints), OfflineGreedyMatroid(plainOnly{f}, constraints)
+		if !inc.Equal(plain) {
+			t.Fatalf("trial %d: matroid picks diverged: incremental %v, plain %v", trial, inc, plain)
+		}
+	}
+}

@@ -86,11 +86,6 @@ type InstanceSpec struct {
 	// memory sieve (sched.Options.Streaming) and is rejected for the
 	// prize modes, which have no streaming tier.
 	Solver string `json:"solver,omitempty"`
-	// Workers is the per-request greedy parallelism (sched.Options
-	// .Workers): concurrent candidate probes over sharded incremental-
-	// oracle replicas. The schedule is identical at any worker count, so
-	// this is a latency knob only; 0 defers to the server's default.
-	Workers int `json:"workers,omitempty"`
 }
 
 // ScheduleSpec is a solved schedule on the wire.
@@ -264,7 +259,7 @@ func BuildRequest(spec InstanceSpec) (Request, error) {
 	default:
 		return Request{}, fmt.Errorf("unknown mode %q", spec.Mode)
 	}
-	opts := sched.Options{Eps: spec.Eps, Workers: spec.Workers}
+	opts := sched.Options{Eps: spec.Eps}
 	switch spec.Solver {
 	case "", "exact":
 	case "streaming":

@@ -300,3 +300,64 @@ func TestHTTPSolveTimeout(t *testing.T) {
 		t.Fatal("abandoned solve did not prime the digest cache")
 	}
 }
+
+// TestHTTPLegacyWorkersFieldIgnored: clients written against the old
+// wire format may still send the removed per-request "workers" field. A
+// /v1/schedule request and a session create carrying "workers": 4 must
+// decode, digest and solve byte-identically to the same request without
+// the field.
+func TestHTTPLegacyWorkersFieldIgnored(t *testing.T) {
+	legacyBody := strings.Replace(scheduleBody, `"procs": 1,`, `"workers": 4, "procs": 1,`, 1)
+	if legacyBody == scheduleBody {
+		t.Fatal("failed to add the legacy field")
+	}
+	plain, err := DecodeRequest([]byte(scheduleBody))
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy, err := DecodeRequest([]byte(legacyBody))
+	if err != nil {
+		t.Fatalf("legacy request rejected: %v", err)
+	}
+	if legacy.InstanceKey != plain.InstanceKey {
+		t.Fatalf("legacy digest %s, want %s", legacy.InstanceKey, plain.InstanceKey)
+	}
+
+	// One fresh uncached service per body, so both answers are computed.
+	serve := func(body string) (schedule, sessionSolve []byte, digest string) {
+		svc := New(Config{Workers: 1, CacheSize: -1})
+		srv := httptest.NewServer(NewHTTPHandler(svc))
+		defer func() {
+			srv.Close()
+			svc.Close(context.Background())
+		}()
+		status, schedule := postJSON(t, srv.URL+"/v1/schedule", body)
+		if status != http.StatusOK {
+			t.Fatalf("schedule status %d: %s", status, schedule)
+		}
+		status, created := postJSON(t, srv.URL+"/v1/session", body)
+		if status != http.StatusOK {
+			t.Fatalf("session create status %d: %s", status, created)
+		}
+		var sr SessionResponse
+		if err := json.Unmarshal(created, &sr); err != nil {
+			t.Fatal(err)
+		}
+		status, sessionSolve = postJSON(t, srv.URL+"/v1/session/"+sr.ID+"/solve", "")
+		if status != http.StatusOK {
+			t.Fatalf("session solve status %d: %s", status, sessionSolve)
+		}
+		return schedule, sessionSolve, sr.Digest
+	}
+	wantSchedule, wantSession, wantDigest := serve(scheduleBody)
+	gotSchedule, gotSession, gotDigest := serve(legacyBody)
+	if !bytes.Equal(gotSchedule, wantSchedule) {
+		t.Fatalf("legacy /v1/schedule answer differs:\n%s\nwant\n%s", gotSchedule, wantSchedule)
+	}
+	if gotDigest != wantDigest || gotDigest != plain.InstanceKey {
+		t.Fatalf("legacy session digest %s, want %s", gotDigest, wantDigest)
+	}
+	if !bytes.Equal(gotSession, wantSession) {
+		t.Fatalf("legacy session solve differs:\n%s\nwant\n%s", gotSession, wantSession)
+	}
+}

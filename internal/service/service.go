@@ -79,13 +79,6 @@ type Config struct {
 	// ModelsPerWorker bounds each worker's instance-model cache
 	// (default 8; negative disables model reuse).
 	ModelsPerWorker int
-	// ProbeWorkers is the default per-request greedy parallelism
-	// (sched.Options.Workers) applied to requests that leave Workers
-	// unset. 0 keeps such requests serial — with a saturated pool,
-	// request-level parallelism is usually the better use of the cores;
-	// raise it to trade throughput for per-request latency. Worker counts
-	// never change the computed schedule.
-	ProbeWorkers int
 	// MaxSessions bounds the live solver sessions (default 1024;
 	// negative disables sessions entirely). Each session holds a full
 	// instance, model and cached schedule, so an unbounded registry
@@ -499,9 +492,6 @@ func Solve(req Request) (*sched.Schedule, error) {
 
 // solve runs the request's algorithm, optionally reusing a cached model.
 func (s *Service) solve(models *modelCache, req Request) Result {
-	if req.Opts.Workers == 0 && s.cfg.ProbeWorkers > 0 {
-		req.Opts.Workers = s.cfg.ProbeWorkers
-	}
 	model, reused, err := models.get(req)
 	if err != nil {
 		return Result{Err: err}
@@ -531,11 +521,7 @@ func (s *Service) solve(models *modelCache, req Request) Result {
 
 // cacheKey mixes the instance digest with every request field that
 // changes the answer, including caller-supplied extra candidate
-// intervals. Empty when the request opted out of caching. Workers (and
-// the deprecated Parallel alias) are deliberately excluded: the parallel
-// greedy picks identical subsets at every worker count (asserted by the
-// budget/sched determinism tests), so requests differing only in
-// parallelism share one entry.
+// intervals. Empty when the request opted out of caching.
 func cacheKey(req Request) string {
 	if req.InstanceKey == "" {
 		return ""
@@ -544,8 +530,8 @@ func cacheKey(req Request) string {
 		req.InstanceKey, req.Mode, req.Z, req.Opts.Eps, req.Improve,
 		req.Opts.Policy, req.Opts.PlainOracle)
 	if req.Opts.Streaming {
-		// The sieve tier picks different (still worker-count-invariant)
-		// schedules, so streaming requests get their own entries.
+		// The sieve tier picks different schedules, so streaming
+		// requests get their own entries.
 		key += fmt.Sprintf("|s%g|st%d", req.Opts.StreamEps, req.Opts.StreamThreshold)
 	}
 	if len(req.Opts.Extra) > 0 {

@@ -97,9 +97,6 @@ func (s *Service) newHandle(spec InstanceSpec) (*sessionHandle, error) {
 	if err != nil {
 		return nil, err
 	}
-	if req.Opts.Workers == 0 && s.cfg.ProbeWorkers > 0 {
-		req.Opts.Workers = s.cfg.ProbeWorkers
-	}
 	sess, err := sched.NewSession(req.Instance, req.Opts)
 	if err != nil {
 		return nil, err
@@ -137,7 +134,7 @@ func (s *Service) registerSession(id string, h *sessionHandle) error {
 // CreateSession opens a session from a wire spec and returns its id and
 // the digest of its (initial) instance. Sessions solve with ScheduleAll
 // semantics: specs selecting a prize mode or the Improve pass are
-// rejected. The ProbeWorkers default applies as on the stateless path.
+// rejected.
 // On a durable service the creation is journaled (and fsynced) before
 // it is acknowledged; a storage failure answers ErrDurability and no
 // session exists.

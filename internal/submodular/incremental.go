@@ -14,12 +14,7 @@ import (
 // exactly as it found it; only Commit moves the base set.
 //
 // Implementations are not safe for concurrent use: probes share scratch
-// state. Concurrent algorithms instead give each goroutine its own replica
-// (NewProbeReplica) — either a deep Clone that replays the same commits,
-// or a copy-on-write view sharing the committed state behind an epoch
-// pointer (ReplicaProvider). Both stay bit-identical to the primary, so a
-// probe answers the same on any of them (the invariant behind the parallel
-// greedy's determinism).
+// state.
 type Incremental interface {
 	Function
 
@@ -32,13 +27,8 @@ type Incremental interface {
 	Gain(items []int) float64
 	// Commit adds items to S and returns the realized gain.
 	Commit(items []int) float64
-	// Reset empties the base set (for copy-on-write lineages: the shared
-	// committed state, affecting every replica).
+	// Reset empties the base set.
 	Reset()
-	// Clone returns an independent replica with the same committed base
-	// set and value but its own scratch state, sharing only immutable
-	// problem data with the original. Replicas may probe concurrently.
-	Clone() Incremental
 }
 
 // IncrementalProvider is implemented by stateless Functions that can
@@ -75,7 +65,7 @@ func AsIncremental(f Function) (Incremental, bool) {
 // Counting's call counter.
 type countingIncremental struct {
 	inc Incremental
-	c   *Counting //powersched:clone-shared replicas bill one shared total; the counter is atomic
+	c   *Counting
 }
 
 func (w *countingIncremental) Universe() int     { return w.inc.Universe() }
@@ -92,66 +82,25 @@ func (w *countingIncremental) Gain(items []int) float64 {
 
 func (w *countingIncremental) Commit(items []int) float64 { return w.inc.Commit(items) }
 
-// Clone implements Incremental. The replica keeps charging the same
-// Counting wrapper, whose counter is atomic, so concurrent replicas bill
-// one shared total.
-func (w *countingIncremental) Clone() Incremental {
-	return &countingIncremental{inc: w.inc.Clone(), c: w.c}
-}
-
 // ---- Coverage ----
-
-// covState is the committed state of an IncCoverage lineage. The primary
-// and its copy-on-write replicas share one covState behind an epoch
-// pointer; deep Clones get their own.
-type covState struct {
-	base    *bitset.Set // over the item universe
-	covered *bitset.Set // over the ground universe
-	value   float64
-	epoch   uint64
-}
-
-func (st *covState) clone() *covState {
-	return &covState{
-		base:    st.base.Clone(),
-		covered: st.covered.Clone(),
-		value:   st.value,
-		epoch:   st.epoch,
-	}
-}
-
-// covDelta is IncCoverage's Delta: the committed items, the ground
-// elements they newly covered, and the realized gain. newly is
-// delta-owned storage (copied out of probe scratch — replicas read the
-// delta concurrently with the primary's next probes).
-type covDelta struct {
-	epoch uint64
-	items []int
-	newly *bitset.Set
-	gain  float64
-}
-
-// DeltaEpoch implements Delta.
-func (d *covDelta) DeltaEpoch() uint64 { return d.epoch }
 
 // IncCoverage maintains the union of the base set's coverage as a bitset,
 // so a probe costs O(|items| + ground words) instead of O(|S| × ground
 // words) per Eval.
 type IncCoverage struct {
-	c       *Coverage //powersched:clone-shared immutable problem data, frozen at construction
-	st      *covState
-	scratch *bitset.Set // ground-universe probe scratch, always replica-private
-	delta   *covDelta   // reusable CommitDelta buffer, created on first use
+	c       *Coverage
+	base    *bitset.Set // over the item universe
+	covered *bitset.Set // over the ground universe
+	value   float64
+	scratch *bitset.Set // ground-universe probe scratch
 }
 
 // NewIncremental implements IncrementalProvider.
 func (c *Coverage) NewIncremental() Incremental {
 	return &IncCoverage{
-		c: c,
-		st: &covState{
-			base:    bitset.New(len(c.Sets)),
-			covered: bitset.New(c.m),
-		},
+		c:       c,
+		base:    bitset.New(len(c.Sets)),
+		covered: bitset.New(c.m),
 		scratch: bitset.New(c.m),
 	}
 }
@@ -163,25 +112,22 @@ func (ic *IncCoverage) Universe() int { return ic.c.Universe() }
 func (ic *IncCoverage) Eval(s *bitset.Set) float64 { return ic.c.Eval(s) }
 
 // Base implements Incremental.
-func (ic *IncCoverage) Base() *bitset.Set { return ic.st.base }
+func (ic *IncCoverage) Base() *bitset.Set { return ic.base }
 
 // Value implements Incremental.
-func (ic *IncCoverage) Value() float64 { return ic.st.value }
-
-// Epoch implements DeltaOracle.
-func (ic *IncCoverage) Epoch() uint64 { return ic.st.epoch }
+func (ic *IncCoverage) Value() float64 { return ic.value }
 
 // probe fills scratch with the elements newly covered by items and returns
 // their total weight.
 func (ic *IncCoverage) probe(items []int) float64 {
 	ic.scratch.Clear()
 	for _, it := range items {
-		if ic.st.base.Contains(it) {
+		if ic.base.Contains(it) {
 			continue
 		}
 		ic.scratch.UnionWith(ic.c.Sets[it])
 	}
-	ic.scratch.SubtractWith(ic.st.covered)
+	ic.scratch.SubtractWith(ic.covered)
 	if ic.c.Weights == nil {
 		return float64(ic.scratch.Count())
 	}
@@ -196,143 +142,42 @@ func (ic *IncCoverage) probe(items []int) float64 {
 // Gain implements Incremental.
 func (ic *IncCoverage) Gain(items []int) float64 { return ic.probe(items) }
 
-// commitScratch folds the probe result sitting in scratch into the
-// committed state (shared by Commit and CommitDelta).
-func (ic *IncCoverage) commitScratch(items []int, gain float64) {
-	ic.st.covered.UnionWith(ic.scratch)
-	for _, it := range items {
-		ic.st.base.Add(it)
-	}
-	ic.st.value += gain
-	ic.st.epoch++
-}
-
 // Commit implements Incremental.
 func (ic *IncCoverage) Commit(items []int) float64 {
 	gain := ic.probe(items)
-	ic.commitScratch(items, gain)
+	ic.covered.UnionWith(ic.scratch)
+	for _, it := range items {
+		ic.base.Add(it)
+	}
+	ic.value += gain
 	return gain
-}
-
-// CommitDelta implements DeltaOracle. The returned delta is valid until
-// the next CommitDelta on this oracle.
-func (ic *IncCoverage) CommitDelta(items []int) (Delta, float64) {
-	if ic.delta == nil {
-		ic.delta = &covDelta{newly: bitset.New(ic.c.m)}
-	}
-	gain := ic.probe(items)
-	d := ic.delta
-	d.items = append(d.items[:0], items...)
-	d.newly.CopyFrom(ic.scratch)
-	d.gain = gain
-	ic.commitScratch(items, gain)
-	d.epoch = ic.st.epoch
-	return d, gain
-}
-
-// ApplyDelta implements DeltaOracle.
-func (ic *IncCoverage) ApplyDelta(d Delta) error {
-	cd, ok := d.(*covDelta)
-	if !ok {
-		return errWrongDelta("IncCoverage", d)
-	}
-	apply, err := epochCheck("IncCoverage", ic.st.epoch, cd.epoch)
-	if err != nil || !apply {
-		return err
-	}
-	ic.st.covered.UnionWith(cd.newly)
-	for _, it := range cd.items {
-		ic.st.base.Add(it)
-	}
-	ic.st.value += cd.gain
-	ic.st.epoch++
-	return nil
 }
 
 // Reset implements Incremental.
 func (ic *IncCoverage) Reset() {
-	ic.st.base.Clear()
-	ic.st.covered.Clear()
-	ic.st.value = 0
-	ic.st.epoch = 0
-}
-
-// Clone implements Incremental (shares the Coverage's immutable sets; the
-// committed state is deep-copied into a private covState).
-func (ic *IncCoverage) Clone() Incremental {
-	return &IncCoverage{
-		c:       ic.c,
-		st:      ic.st.clone(),
-		scratch: bitset.New(ic.c.m),
-	}
-}
-
-// Replica implements ReplicaProvider: the view shares the committed state
-// behind the epoch pointer (copy-on-write — the large covered set is
-// never duplicated) and owns only its probe scratch.
-func (ic *IncCoverage) Replica() Incremental {
-	return &IncCoverage{
-		c:       ic.c,
-		st:      ic.st,
-		scratch: bitset.New(ic.c.m),
-	}
+	ic.base.Clear()
+	ic.covered.Clear()
+	ic.value = 0
 }
 
 // ---- FacilityLocation ----
 
-// flState is the committed state of an IncFacilityLocation lineage,
-// shared copy-on-write across probe replicas.
-type flState struct {
-	base  *bitset.Set
-	best  []float64 // per-client running best over the base set
-	value float64
-	epoch uint64
-}
-
-func (st *flState) clone() *flState {
-	return &flState{
-		base:  st.base.Clone(),
-		best:  append([]float64(nil), st.best...),
-		value: st.value,
-		epoch: st.epoch,
-	}
-}
-
-// flChange records one client whose running best changed in a commit.
-type flChange struct {
-	client int32
-	best   float64
-}
-
-// flDelta is IncFacilityLocation's Delta: the committed items, the
-// per-client best updates they caused, and the realized gain.
-type flDelta struct {
-	epoch   uint64
-	items   []int
-	changed []flChange
-	gain    float64
-}
-
-// DeltaEpoch implements Delta.
-func (d *flDelta) DeltaEpoch() uint64 { return d.epoch }
-
 // IncFacilityLocation keeps each client's best committed benefit, so a
 // probe costs O(clients × |new items|) instead of O(clients × |S|).
 type IncFacilityLocation struct {
-	f     *FacilityLocation //powersched:clone-shared immutable benefit matrix, frozen at construction
-	st    *flState
-	fresh []int    // probe scratch: items not yet in the base
-	delta *flDelta // reusable CommitDelta buffer, created on first use
+	f     *FacilityLocation
+	base  *bitset.Set
+	best  []float64 // per-client running best over the base set
+	value float64
+	fresh []int // probe scratch: items not yet in the base
 }
 
 // NewIncremental implements IncrementalProvider.
 func (f *FacilityLocation) NewIncremental() Incremental {
 	return &IncFacilityLocation{
-		f: f,
-		st: &flState{
-			base: bitset.New(f.n),
-			best: make([]float64, len(f.Benefit)),
-		},
+		f:    f,
+		base: bitset.New(f.n),
+		best: make([]float64, len(f.Benefit)),
 	}
 }
 
@@ -343,19 +188,16 @@ func (ifl *IncFacilityLocation) Universe() int { return ifl.f.Universe() }
 func (ifl *IncFacilityLocation) Eval(s *bitset.Set) float64 { return ifl.f.Eval(s) }
 
 // Base implements Incremental.
-func (ifl *IncFacilityLocation) Base() *bitset.Set { return ifl.st.base }
+func (ifl *IncFacilityLocation) Base() *bitset.Set { return ifl.base }
 
 // Value implements Incremental.
-func (ifl *IncFacilityLocation) Value() float64 { return ifl.st.value }
-
-// Epoch implements DeltaOracle.
-func (ifl *IncFacilityLocation) Epoch() uint64 { return ifl.st.epoch }
+func (ifl *IncFacilityLocation) Value() float64 { return ifl.value }
 
 // newItems filters items down to those outside the base set.
 func (ifl *IncFacilityLocation) newItems(items []int) []int {
 	ifl.fresh = ifl.fresh[:0]
 	for _, it := range items {
-		if !ifl.st.base.Contains(it) {
+		if !ifl.base.Contains(it) {
 			ifl.fresh = append(ifl.fresh, it)
 		}
 	}
@@ -363,24 +205,19 @@ func (ifl *IncFacilityLocation) newItems(items []int) []int {
 }
 
 // sweep computes the total per-client best improvement from fresh items,
-// writing the new bests back when commit is set. The delta, when non-nil,
-// collects the clients whose best changed — the same write set a replica
-// must apply.
-func (ifl *IncFacilityLocation) sweep(fresh []int, commit bool, d *flDelta) float64 {
+// writing the new bests back when commit is set.
+func (ifl *IncFacilityLocation) sweep(fresh []int, commit bool) float64 {
 	gain := 0.0
 	for ci, row := range ifl.f.Benefit {
-		m := ifl.st.best[ci]
+		m := ifl.best[ci]
 		for _, it := range fresh {
 			if row[it] > m {
 				m = row[it]
 			}
 		}
-		gain += m - ifl.st.best[ci]
-		if d != nil && m != ifl.st.best[ci] {
-			d.changed = append(d.changed, flChange{client: int32(ci), best: m})
-		}
+		gain += m - ifl.best[ci]
 		if commit {
-			ifl.st.best[ci] = m
+			ifl.best[ci] = m
 		}
 	}
 	return gain
@@ -392,115 +229,39 @@ func (ifl *IncFacilityLocation) Gain(items []int) float64 {
 	if len(fresh) == 0 {
 		return 0
 	}
-	return ifl.sweep(fresh, false, nil)
+	return ifl.sweep(fresh, false)
 }
 
 // Commit implements Incremental.
 func (ifl *IncFacilityLocation) Commit(items []int) float64 {
 	fresh := ifl.newItems(items)
-	gain := ifl.sweep(fresh, true, nil)
+	gain := ifl.sweep(fresh, true)
 	for _, it := range fresh {
-		ifl.st.base.Add(it)
+		ifl.base.Add(it)
 	}
-	ifl.st.value += gain
-	ifl.st.epoch++
+	ifl.value += gain
 	return gain
-}
-
-// CommitDelta implements DeltaOracle. The returned delta is valid until
-// the next CommitDelta on this oracle.
-func (ifl *IncFacilityLocation) CommitDelta(items []int) (Delta, float64) {
-	if ifl.delta == nil {
-		ifl.delta = &flDelta{}
-	}
-	d := ifl.delta
-	d.items = append(d.items[:0], items...)
-	d.changed = d.changed[:0]
-	fresh := ifl.newItems(items)
-	gain := ifl.sweep(fresh, true, d)
-	for _, it := range fresh {
-		ifl.st.base.Add(it)
-	}
-	ifl.st.value += gain
-	ifl.st.epoch++
-	d.gain = gain
-	d.epoch = ifl.st.epoch
-	return d, gain
-}
-
-// ApplyDelta implements DeltaOracle.
-func (ifl *IncFacilityLocation) ApplyDelta(d Delta) error {
-	fd, ok := d.(*flDelta)
-	if !ok {
-		return errWrongDelta("IncFacilityLocation", d)
-	}
-	apply, err := epochCheck("IncFacilityLocation", ifl.st.epoch, fd.epoch)
-	if err != nil || !apply {
-		return err
-	}
-	for _, ch := range fd.changed {
-		ifl.st.best[ch.client] = ch.best
-	}
-	for _, it := range fd.items {
-		ifl.st.base.Add(it)
-	}
-	ifl.st.value += fd.gain
-	ifl.st.epoch++
-	return nil
-}
-
-// Clone implements Incremental (shares the immutable benefit matrix; the
-// committed state is deep-copied).
-func (ifl *IncFacilityLocation) Clone() Incremental {
-	return &IncFacilityLocation{
-		f:  ifl.f,
-		st: ifl.st.clone(),
-	}
-}
-
-// Replica implements ReplicaProvider: shares the committed per-client
-// bests behind the epoch pointer instead of copying them per worker.
-func (ifl *IncFacilityLocation) Replica() Incremental {
-	return &IncFacilityLocation{
-		f:  ifl.f,
-		st: ifl.st,
-	}
 }
 
 // Reset implements Incremental.
 func (ifl *IncFacilityLocation) Reset() {
-	ifl.st.base.Clear()
-	for i := range ifl.st.best {
-		ifl.st.best[i] = 0
+	ifl.base.Clear()
+	for i := range ifl.best {
+		ifl.best[i] = 0
 	}
-	ifl.st.value = 0
-	ifl.st.epoch = 0
+	ifl.value = 0
 }
 
 // ---- Modular ----
 
-// modDelta is the Delta for the additive oracles (IncModular, IncConcave):
-// committed items plus precomputed gain/count change.
-type modDelta struct {
-	epoch uint64
-	items []int
-	added int
-	gain  float64
-}
-
-// DeltaEpoch implements Delta.
-func (d *modDelta) DeltaEpoch() uint64 { return d.epoch }
-
 // IncModular answers probes in O(|items|): the marginal of an additive
 // function is the weight sum of genuinely new items.
 type IncModular struct {
-	m     *Modular //powersched:clone-shared immutable weight vector, frozen at construction
+	m     *Modular
 	base  *bitset.Set
 	value float64
-	epoch uint64
 	seen  []int32 // probe-local dedup stamps
 	stamp int32
-	delta *modDelta // reusable CommitDelta buffer, created on first use
 }
 
 // NewIncremental implements IncrementalProvider.
@@ -519,9 +280,6 @@ func (im *IncModular) Base() *bitset.Set { return im.base }
 
 // Value implements Incremental.
 func (im *IncModular) Value() float64 { return im.value }
-
-// Epoch implements DeltaOracle.
-func (im *IncModular) Epoch() uint64 { return im.epoch }
 
 // Gain implements Incremental.
 func (im *IncModular) Gain(items []int) float64 {
@@ -544,69 +302,24 @@ func (im *IncModular) Commit(items []int) float64 {
 		im.base.Add(it)
 	}
 	im.value += gain
-	im.epoch++
 	return gain
-}
-
-// CommitDelta implements DeltaOracle.
-func (im *IncModular) CommitDelta(items []int) (Delta, float64) {
-	if im.delta == nil {
-		im.delta = &modDelta{}
-	}
-	d := im.delta
-	d.items = append(d.items[:0], items...)
-	d.gain = im.Commit(items)
-	d.epoch = im.epoch
-	return d, d.gain
-}
-
-// ApplyDelta implements DeltaOracle.
-func (im *IncModular) ApplyDelta(d Delta) error {
-	md, ok := d.(*modDelta)
-	if !ok {
-		return errWrongDelta("IncModular", d)
-	}
-	apply, err := epochCheck("IncModular", im.epoch, md.epoch)
-	if err != nil || !apply {
-		return err
-	}
-	for _, it := range md.items {
-		im.base.Add(it)
-	}
-	im.value += md.gain
-	im.epoch++
-	return nil
 }
 
 // Reset implements Incremental.
 func (im *IncModular) Reset() {
 	im.base.Clear()
 	im.value = 0
-	im.epoch = 0
-}
-
-// Clone implements Incremental (fresh dedup stamps; shares the weights).
-func (im *IncModular) Clone() Incremental {
-	return &IncModular{
-		m:     im.m,
-		base:  im.base.Clone(),
-		value: im.value,
-		epoch: im.epoch,
-		seen:  make([]int32, len(im.m.Weights)),
-	}
 }
 
 // ---- ConcaveCardinality ----
 
 // IncConcave tracks |S| so a probe costs O(|items|) plus one φ evaluation.
 type IncConcave struct {
-	c     *ConcaveCardinality //powersched:clone-shared immutable concave curve φ, frozen at construction
+	c     *ConcaveCardinality
 	base  *bitset.Set
 	count int
-	epoch uint64
 	seen  []int32
 	stamp int32
-	delta *modDelta // reusable CommitDelta buffer, created on first use
 }
 
 // NewIncremental implements IncrementalProvider.
@@ -625,9 +338,6 @@ func (icc *IncConcave) Base() *bitset.Set { return icc.base }
 
 // Value implements Incremental.
 func (icc *IncConcave) Value() float64 { return icc.c.Phi(icc.count) }
-
-// Epoch implements DeltaOracle.
-func (icc *IncConcave) Epoch() uint64 { return icc.epoch }
 
 // added counts the genuinely new items in a probe.
 func (icc *IncConcave) added(items []int) int {
@@ -663,58 +373,13 @@ func (icc *IncConcave) Commit(items []int) float64 {
 		icc.base.Add(it)
 	}
 	icc.count += added
-	icc.epoch++
 	return gain
-}
-
-// CommitDelta implements DeltaOracle.
-func (icc *IncConcave) CommitDelta(items []int) (Delta, float64) {
-	if icc.delta == nil {
-		icc.delta = &modDelta{}
-	}
-	d := icc.delta
-	d.items = append(d.items[:0], items...)
-	before := icc.count
-	d.gain = icc.Commit(items)
-	d.added = icc.count - before
-	d.epoch = icc.epoch
-	return d, d.gain
-}
-
-// ApplyDelta implements DeltaOracle.
-func (icc *IncConcave) ApplyDelta(d Delta) error {
-	md, ok := d.(*modDelta)
-	if !ok {
-		return errWrongDelta("IncConcave", d)
-	}
-	apply, err := epochCheck("IncConcave", icc.epoch, md.epoch)
-	if err != nil || !apply {
-		return err
-	}
-	for _, it := range md.items {
-		icc.base.Add(it)
-	}
-	icc.count += md.added
-	icc.epoch++
-	return nil
 }
 
 // Reset implements Incremental.
 func (icc *IncConcave) Reset() {
 	icc.base.Clear()
 	icc.count = 0
-	icc.epoch = 0
-}
-
-// Clone implements Incremental (fresh dedup stamps; shares φ).
-func (icc *IncConcave) Clone() Incremental {
-	return &IncConcave{
-		c:     icc.c,
-		base:  icc.base.Clone(),
-		count: icc.count,
-		epoch: icc.epoch,
-		seen:  make([]int32, icc.c.n),
-	}
 }
 
 // Interface conformance.
@@ -727,10 +392,4 @@ var (
 	_ Incremental         = (*IncFacilityLocation)(nil)
 	_ Incremental         = (*IncModular)(nil)
 	_ Incremental         = (*IncConcave)(nil)
-	_ DeltaOracle         = (*IncCoverage)(nil)
-	_ DeltaOracle         = (*IncFacilityLocation)(nil)
-	_ DeltaOracle         = (*IncModular)(nil)
-	_ DeltaOracle         = (*IncConcave)(nil)
-	_ ReplicaProvider     = (*IncCoverage)(nil)
-	_ ReplicaProvider     = (*IncFacilityLocation)(nil)
 )

@@ -128,70 +128,6 @@ func TestIncrementalMatchesEval(t *testing.T) {
 	}
 }
 
-// TestCloneIndependence checks the replica contract behind the parallel
-// greedy: a clone starts with the same base and value, then evolves
-// independently — committing to one side never moves the other.
-func TestCloneIndependence(t *testing.T) {
-	for trial := 0; trial < 40; trial++ {
-		rng := rand.New(rand.NewSource(int64(trial)*31337 + 7))
-		for _, tc := range randomCases(rng) {
-			inc, _ := AsIncremental(tc.f)
-			n := tc.f.Universe()
-			// Commit a random prefix so clones copy non-trivial state.
-			inc.Commit(randomItems(rng, n))
-
-			clone := inc.Clone()
-			if !clone.Base().Equal(inc.Base()) {
-				t.Fatalf("%s: clone base differs", tc.name)
-			}
-			if abs(clone.Value()-inc.Value()) > diffEps {
-				t.Fatalf("%s: clone value %g, want %g", tc.name, clone.Value(), inc.Value())
-			}
-			probe := randomItems(rng, n)
-			if g1, g2 := inc.Gain(probe), clone.Gain(probe); abs(g1-g2) > diffEps {
-				t.Fatalf("%s: replicas disagree on a probe: %g vs %g", tc.name, g1, g2)
-			}
-
-			// Diverge: commit to the original only.
-			before := clone.Base().Clone()
-			beforeVal := clone.Value()
-			inc.Commit(randomItems(rng, n))
-			if !clone.Base().Equal(before) || abs(clone.Value()-beforeVal) > diffEps {
-				t.Fatalf("%s: committing to the original moved the clone", tc.name)
-			}
-			// And the other way around.
-			baseSnap := inc.Base().Clone()
-			valSnap := inc.Value()
-			clone.Commit(randomItems(rng, n))
-			if !inc.Base().Equal(baseSnap) || abs(inc.Value()-valSnap) > diffEps {
-				t.Fatalf("%s: committing to the clone moved the original", tc.name)
-			}
-			// Both must still agree with plain Eval on their own bases.
-			if got, want := clone.Value(), tc.f.Eval(clone.Base()); abs(got-want) > diffEps {
-				t.Fatalf("%s: diverged clone Value = %g, want Eval = %g", tc.name, got, want)
-			}
-		}
-	}
-}
-
-// TestCloneSharesCallCounter checks that replicas of a counting oracle
-// bill the one shared counter — parallel scans report total probes.
-func TestCloneSharesCallCounter(t *testing.T) {
-	cov := NewCoverage(4, []*bitset.Set{
-		bitset.FromSlice(4, []int{0, 1}),
-		bitset.FromSlice(4, []int{2}),
-	}, nil)
-	c := NewCounting(cov)
-	inc, _ := AsIncremental(c)
-	clone := inc.Clone()
-	inc.Gain([]int{0})
-	clone.Gain([]int{1})
-	clone.Clone().Gain([]int{0})
-	if got := c.Calls(); got != 3 {
-		t.Fatalf("Calls = %d, want 3 (replica probes share the counter)", got)
-	}
-}
-
 // TestAsIncrementalCounting checks that a Counting wrapper yields a
 // counting incremental oracle: Gain and Eval are billed, Commit is not.
 func TestAsIncrementalCounting(t *testing.T) {

@@ -432,9 +432,8 @@ func NewSieve(f SubmodularFunction, opts SieveOptions) (*Sieve, error) {
 	return budget.NewSieve(f, opts)
 }
 
-// RunSieve streams all subsets through the sieve in one call, sharding
-// the threshold ladder across opts.Workers (identical results at any
-// worker count).
+// RunSieve streams all subsets through one sieve in a single call and
+// also returns the winning union.
 func RunSieve(f SubmodularFunction, subsets []BudgetSubset, opts SieveOptions) (*SieveResult, error) {
 	return budget.RunSieve(f, subsets, opts)
 }

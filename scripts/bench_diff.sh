@@ -7,7 +7,10 @@
 # Timing comparisons are one-sided: a benchmark is flagged (REGRESS) only
 # when it got slower by more than the tolerance; improvements and
 # in-tolerance wobble pass silently. Allocation counts are deterministic,
-# so any allocs/op growth at all is flagged.
+# so any allocs/op growth at all is flagged. Benchmarks only in the
+# current snapshot print as "new"; benchmarks only in the baseline print
+# as "removed" rows after the rest, so a deleted benchmark shows up in
+# the drift report instead of silently vanishing.
 #
 # Snapshots carry the environment they were captured in. When the two
 # environments differ (CPU count, GOMAXPROCS, go version, architecture),
@@ -58,6 +61,7 @@ FNR == 1 { file++ }
     if (file == 1) {
         baseNs[name] = num($0, "ns_per_op")
         baseAllocs[name] = num($0, "allocs_per_op")
+        baseOrder[++nBase] = name
     } else {
         curNs[name] = num($0, "ns_per_op")
         curAllocs[name] = num($0, "allocs_per_op")
@@ -85,6 +89,11 @@ END {
         } else {
             printf "%-42s %14s %14.0f %9s %9s %9s\n", name, "-", curNs[name], "new", "-", ""
         }
+    }
+    for (i = 1; i <= nBase; i++) {
+        name = baseOrder[i]
+        if (!(name in curNs))
+            printf "%-42s %14.0f %14s %9s %9s %9s\n", name, baseNs[name], "-", "removed", "-", ""
     }
 }
 ' "$base" "$cur"

@@ -1,21 +1,20 @@
 #!/bin/sh
 # Captures the top-level benchmark suite (one benchmark per experiment,
-# E1-E18 / A1-A4, plus the worker sweeps) as a compact JSON snapshot so
-# future PRs can track the perf trajectory.
+# E1-E18 / A1-A4, plus the single-solve and session benchmarks) as a
+# compact JSON snapshot so future PRs can track the perf trajectory.
 #
 # Usage: scripts/bench_snapshot.sh [out.json | label] [benchtime] [bench-regex]
 #
 # The first argument is either a full output path (anything ending in
 # .json) or a bare label: `scripts/bench_snapshot.sh pr3` writes
 # BENCH_pr3.json. The optional third argument restricts which benchmarks
-# run (default all), e.g. 'E2|E3|E4|A3' for the multicore worker sweep.
+# run (default all), e.g. 'E2|E3|E4|A3' for the greedy-bound experiments.
 # Compare two snapshots with scripts/bench_diff.sh.
 #
 # Each snapshot records the environment it was captured in (GOMAXPROCS,
 # CPU count, go version, host label) because numbers from different
-# machines or core counts are not comparable — the worker-sweep
-# benchmarks in particular are meaningless to diff across CPU budgets,
-# and bench_diff.sh warns loudly on a mismatch. Benchmark names are
+# machines or core counts are not comparable, and bench_diff.sh warns
+# loudly on a mismatch. Benchmark names are
 # normalized by stripping go's -GOMAXPROCS suffix (Benchmark...-8) so
 # the same benchmark lines up across environments.
 set -eu
