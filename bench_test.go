@@ -52,7 +52,6 @@ func BenchmarkE14OnlinePowerDown(b *testing.B)    { benchExperiment(b, "E14") }
 func BenchmarkE15GammaOblivious(b *testing.B)     { benchExperiment(b, "E15") }
 func BenchmarkE16RollingHorizon(b *testing.B)     { benchExperiment(b, "E16") }
 func BenchmarkE17ScenarioMatrix(b *testing.B)     { benchExperiment(b, "E17") }
-func BenchmarkE18StreamingCrossover(b *testing.B) { benchExperiment(b, "E18") }
 func BenchmarkA1LazyGreedy(b *testing.B)          { benchExperiment(b, "A1") }
 func BenchmarkA2CandidatePolicy(b *testing.B)     { benchExperiment(b, "A2") }
 func BenchmarkA3IncrementalMatching(b *testing.B) { benchExperiment(b, "A3") }

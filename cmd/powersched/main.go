@@ -14,8 +14,7 @@
 //	  "cost": {"model": "affine", "alpha": 2, "rate": 1},
 //	  "jobs": [{"value": 1, "allowed": [{"proc": 0, "time": 3}, ...]}, ...],
 //	  "mode": "all" | "prize" | "prize-exact",
-//	  "z": 10.0, "eps": 0.1, "improve": false,
-//	  "solver": "exact" | "streaming"
+//	  "z": 10.0, "eps": 0.1, "improve": false
 //	}
 //
 // Cost models: "affine" {alpha, rate}; "perproc" {alphas, rates};
@@ -23,11 +22,6 @@
 // exp}; "speedscaled" {wakes, speeds, exp}; "sleepstate" {wake, rate,
 // idle}; "composite" {wakes, speeds, exp, price, blocked};
 // "unavailable" {base: <model>, blocked: [{proc, time}, ...]}.
-//
-// Solve flags: -solver exact|streaming picks the mode-"all" greedy tier
-// — "streaming" routes instances at or above the streaming threshold
-// through the bounded-memory sieve instead of the exact stepwise greedy
-// (below it the flag is a no-op).
 //
 // Serve flags: -addr (default :8080), -workers (solver goroutines),
 // -queue, -cache. The server drains gracefully on SIGINT/SIGTERM:
@@ -57,9 +51,7 @@
 // Simulate flags: -trace poisson|diurnal|frontloaded, -cost
 // affine|speedscaled|sleepstate|composite, -procs, -horizon, -jobs,
 // -window, -seed, -alpha (wake cost, all models), -rate (per-slot cost;
-// read by affine and sleepstate only), -solver exact|streaming
-// (streaming re-solves arrivals through the sieve tier once the
-// accumulated instance crosses the streaming threshold). The run is
+// read by affine and sleepstate only). The run is
 // deterministic per seed; the JSON report compares the committed online
 // schedule against the clairvoyant offline solve of the same trace, and
 // for sleep-state models also reports the gap-aware hardware cost of the
@@ -88,7 +80,7 @@ import (
 	"repro/internal/workload"
 )
 
-func run(in io.Reader, out io.Writer, solver string) error {
+func run(in io.Reader, out io.Writer) error {
 	data, err := io.ReadAll(in)
 	if err != nil {
 		return err
@@ -96,16 +88,6 @@ func run(in io.Reader, out io.Writer, solver string) error {
 	req, err := service.DecodeRequest(data)
 	if err != nil {
 		return err
-	}
-	switch solver {
-	case "", "exact":
-	case "streaming":
-		if req.Mode != service.ModeAll {
-			return fmt.Errorf("-solver streaming requires mode \"all\", got %q", req.Mode)
-		}
-		req.Opts.Streaming = true
-	default:
-		return fmt.Errorf("unknown -solver %q (want exact or streaming)", solver)
 	}
 	s, err := service.Solve(req)
 	if err != nil {
@@ -118,7 +100,6 @@ func run(in io.Reader, out io.Writer, solver string) error {
 
 func solveMain(args []string) error {
 	fs := flag.NewFlagSet("solve", flag.ContinueOnError)
-	solver := fs.String("solver", "", "greedy tier for mode \"all\": exact (default) | streaming (bounded-memory sieve above the streaming threshold)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -131,7 +112,7 @@ func solveMain(args []string) error {
 		defer f.Close()
 		in = f
 	}
-	return run(in, os.Stdout, *solver)
+	return run(in, os.Stdout)
 }
 
 func serveMain(args []string) error {
@@ -281,17 +262,8 @@ func simulateMain(args []string, out io.Writer) error {
 	window := fs.Int("window", 2, "half-window of each job around its planted slot")
 	alpha := fs.Float64("alpha", 4, "wake cost (all cost models)")
 	rate := fs.Float64("rate", 1, "per-slot cost (affine and sleepstate; speedscaled/composite derive slot costs from the speed ramp)")
-	solver := fs.String("solver", "", "re-solve tier: exact (default) | streaming (sieve re-solves once the instance crosses the streaming threshold)")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	var opts sched.Options
-	switch *solver {
-	case "", "exact":
-	case "streaming":
-		opts.Streaming = true
-	default:
-		return fmt.Errorf("unknown -solver %q (want exact or streaming)", *solver)
 	}
 	gens := map[string]func(*rand.Rand, workload.TraceParams) *workload.ArrivalTrace{
 		"poisson":     workload.PoissonBurstTrace,
@@ -314,7 +286,7 @@ func simulateMain(args []string, out io.Writer) error {
 		return err
 	}
 	tr := gen(rand.New(rand.NewSource(*seed)), params)
-	rep, err := online.RunTrace(tr, opts)
+	rep, err := online.RunTrace(tr, sched.Options{})
 	if err != nil {
 		return err
 	}

@@ -15,7 +15,7 @@ import (
 func solve(t *testing.T, input string) service.ScheduleSpec {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := run(strings.NewReader(input), &buf, ""); err != nil {
+	if err := run(strings.NewReader(input), &buf); err != nil {
 		t.Fatal(err)
 	}
 	var out service.ScheduleSpec
@@ -118,63 +118,9 @@ func TestRunErrors(t *testing.T) {
 	}
 	for name, input := range cases {
 		var buf bytes.Buffer
-		if err := run(strings.NewReader(input), &buf, ""); err == nil {
+		if err := run(strings.NewReader(input), &buf); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
-	}
-}
-
-func TestRunSolverFlag(t *testing.T) {
-	input := `{
-		"procs": 1, "horizon": 6,
-		"cost": {"model": "affine", "alpha": 2, "rate": 1},
-		"jobs": [
-			{"allowed": [{"proc": 0, "time": 1}, {"proc": 0, "time": 2}]},
-			{"allowed": [{"proc": 0, "time": 2}, {"proc": 0, "time": 3}]}
-		]
-	}`
-	exact := solve(t, input)
-	// Two jobs sit far below the streaming threshold, so -solver
-	// streaming must produce the identical schedule.
-	var buf bytes.Buffer
-	if err := run(strings.NewReader(input), &buf, "streaming"); err != nil {
-		t.Fatal(err)
-	}
-	var stream service.ScheduleSpec
-	if err := json.Unmarshal(buf.Bytes(), &stream); err != nil {
-		t.Fatal(err)
-	}
-	a, _ := json.Marshal(exact)
-	b, _ := json.Marshal(stream)
-	if !bytes.Equal(a, b) {
-		t.Fatalf("-solver streaming diverged below threshold:\n exact:  %s\n stream: %s", a, b)
-	}
-	buf.Reset()
-	if err := run(strings.NewReader(input), &buf, "quantum"); err == nil {
-		t.Fatal("unknown -solver accepted")
-	}
-	prize := `{"procs":1,"horizon":2,"cost":{},"jobs":[{"value":1,"allowed":[{"proc":0,"time":0}]}],"mode":"prize","z":1}`
-	buf.Reset()
-	if err := run(strings.NewReader(prize), &buf, "streaming"); err == nil {
-		t.Fatal("-solver streaming accepted for prize mode")
-	}
-}
-
-func TestSimulateSolverFlag(t *testing.T) {
-	var buf bytes.Buffer
-	if err := simulateMain([]string{"-trace", "diurnal", "-jobs", "10", "-horizon", "32", "-seed", "7", "-solver", "streaming"}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	var rep simulateReport
-	if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
-		t.Fatalf("simulate output not valid JSON: %v\n%s", err, buf.String())
-	}
-	if rep.Served+rep.Missed != rep.Jobs {
-		t.Fatalf("served %d + missed %d != %d", rep.Served, rep.Missed, rep.Jobs)
-	}
-	buf.Reset()
-	if err := simulateMain([]string{"-solver", "quantum"}, &buf); err == nil {
-		t.Fatal("unknown -solver accepted")
 	}
 }
 

@@ -1,5 +1,7 @@
 // Command powerschedlint runs the powersched contract-linting suite
-// (internal/analysis/suite) over Go packages. It runs two ways:
+// (internal/analysis/suite) over Go packages: five analyzers, detrand,
+// nopaniccost, faultfsonly, netfaultonly and errsentinel (README
+// "Static analysis" says what each enforces). It runs two ways:
 //
 // Standalone, against package patterns, type-checking from source:
 //
@@ -31,7 +33,7 @@ import (
 	"repro/internal/analysis/suite"
 )
 
-const version = "powerschedlint version v0.7.0"
+const version = "powerschedlint version v0.8.0"
 
 func main() {
 	args := os.Args[1:]

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
+	"repro/internal/analysis/suite"
 )
 
 // writePkg materializes a tiny single-file package and returns its dir.
@@ -132,5 +133,35 @@ func TestAnnotationOnStatement(t *testing.T) {
 	}
 	if !found {
 		t.Error("CommentHasMarker never matched the fixture marker")
+	}
+}
+
+// TestSuiteCleanOnRealPackages runs the standalone path of
+// cmd/powerschedlint (go list, source loading, the full suite) over two
+// packages the analyzers police: budget is determinism-critical for
+// detrand, power is the nopaniccost scope. Both must load, type-check
+// and come out clean, as scripts/lint.sh requires of the whole tree.
+func TestSuiteCleanOnRealPackages(t *testing.T) {
+	pkgs, err := analysis.NewLoader().LoadPatterns(".", "repro/internal/budget", "repro/internal/power")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkgs) != 2 {
+		t.Fatalf("loaded %d packages, want 2", len(pkgs))
+	}
+	for _, pkg := range pkgs {
+		if pkg.Types == nil || len(pkg.Files) == 0 {
+			t.Fatalf("%s: not type-checked", pkg.ImportPath)
+		}
+		diags, err := analysis.Run(pkg, suite.Analyzers())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range diags {
+			t.Errorf("%s: unexpected finding: %s", pkg.ImportPath, d)
+		}
+	}
+	if _, err := analysis.NewLoader().LoadPatterns(".", "repro/internal/no-such-package"); err == nil {
+		t.Fatal("a pattern matching no package loaded without error")
 	}
 }

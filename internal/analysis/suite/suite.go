@@ -11,14 +11,12 @@ import (
 	"repro/internal/analysis/faultfsonly"
 	"repro/internal/analysis/netfaultonly"
 	"repro/internal/analysis/nopaniccost"
-	"repro/internal/analysis/streambound"
 )
 
 // Analyzers returns the full contract-linting suite.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		detrand.Analyzer,
-		streambound.Analyzer,
 		nopaniccost.Analyzer,
 		faultfsonly.Analyzer,
 		netfaultonly.Analyzer,

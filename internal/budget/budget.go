@@ -341,30 +341,21 @@ func validate(p Problem, opts Options) error {
 	}
 	n := p.F.Universe()
 	for i, s := range p.Subsets {
-		if err := s.checkItems(i, n); err != nil {
-			return err
+		if s.Items == nil && s.Elems == nil {
+			return fmt.Errorf("budget: subset %d has neither Items nor Elems", i)
+		}
+		if s.Items != nil && s.Items.Universe() != n {
+			return fmt.Errorf("budget: subset %d universe %d, want %d", i, s.Items.Universe(), n)
+		}
+		if s.Items == nil {
+			for _, e := range s.Elems {
+				if e < 0 || e >= n {
+					return fmt.Errorf("budget: subset %d element %d outside universe %d", i, e, n)
+				}
+			}
 		}
 		if s.Cost < 0 {
 			return fmt.Errorf("budget: subset %d has negative cost %g", i, s.Cost)
-		}
-	}
-	return nil
-}
-
-// checkItems validates subset i's representation against a universe of
-// n elements.
-func (s *Subset) checkItems(i, n int) error {
-	if s.Items == nil && s.Elems == nil {
-		return fmt.Errorf("budget: subset %d has neither Items nor Elems", i)
-	}
-	if s.Items != nil && s.Items.Universe() != n {
-		return fmt.Errorf("budget: subset %d universe %d, want %d", i, s.Items.Universe(), n)
-	}
-	if s.Items == nil {
-		for _, e := range s.Elems {
-			if e < 0 || e >= n {
-				return fmt.Errorf("budget: subset %d element %d outside universe %d", i, e, n)
-			}
 		}
 	}
 	return nil

@@ -18,7 +18,10 @@
 //     (EagerScheduleAll) picks, and a session's re-solve after any
 //     mutation script is byte-identical to a cold from-scratch solve of
 //     the equivalent instance, evals included (CheckSolve,
-//     CheckSession).
+//     CheckSession). The schedexact baselines place every job feasibly,
+//     none of them (nor ScheduleAll) beats the exact optimum, and
+//     ScheduleAll stays inside Theorem 2.2.1's O(log n) envelope of it
+//     (CheckBaselines).
 //
 // Checkers return errors instead of taking a *testing.T so that fuzz
 // targets and non-test callers can drive them; the matrix test wraps them
@@ -36,6 +39,7 @@ import (
 	"repro/internal/budget"
 	"repro/internal/power"
 	"repro/internal/sched"
+	"repro/internal/schedexact"
 )
 
 // Horizoned is implemented by cost models that price a bounded horizon
@@ -254,11 +258,7 @@ func EagerScheduleAll(ins *sched.Instance, opts sched.Options) (*sched.Schedule,
 // it (Schedule.SameAs) that Schedule.Validate accepts. If ScheduleAll
 // rejects the instance (e.g. the model's blocked slots make it
 // unschedulable), the baseline must reject it too and both arms must
-// fail the same way as the first. The streaming tier is its own arm
-// (checkStreaming): it picks different schedules by design, so instead
-// of byte-equality with the baseline it must be feasible, complete, and
-// — in budgeted form at the baseline's cost — within the sieve's
-// (1/2−ε) utility guarantee of the baseline's scheduled count.
+// fail the same way as the first.
 func CheckSolve(ins *sched.Instance, opts sched.Options) error {
 	baseOpts := opts
 	baseOpts.PlainOracle = true
@@ -300,56 +300,67 @@ func CheckSolve(ins *sched.Instance, opts sched.Options) error {
 			return fmt.Errorf("conformance: %s schedule infeasible: %w", label, err)
 		}
 	}
-	return checkStreaming(ins, opts, base, baseErr)
+	return nil
 }
 
-// checkStreaming is CheckSolve's sieve-tier arm. The threshold is forced
-// negative so the streaming path engages at any instance size.
-func checkStreaming(ins *sched.Instance, opts sched.Options, base *sched.Schedule, baseErr error) error {
-	streamO := opts
-	streamO.Streaming = true
-	streamO.StreamThreshold = -1
-	if baseErr != nil {
-		// Infeasibility comes from the shared Hall check: the streaming
-		// path must reject exactly what the baseline rejects.
-		_, err := sched.ScheduleAll(ins, streamO)
-		if err == nil {
-			return fmt.Errorf("conformance: streaming solved an instance the baseline rejects (%v)", baseErr)
+// CheckBaselines is the solver contract's reference arm: it runs the
+// schedexact baselines (AlwaysOn, PerJob, MergeGaps with gap 2) next to
+// ScheduleAll's default path. Every baseline must produce a feasible
+// schedule (Schedule.Validate) that places every job. The baselines match
+// over every slot, ignoring costs, so an instance they reject must be
+// one ScheduleAll rejects too. When exactLimit > 0 and ScheduleAll
+// succeeds, schedexact.Optimal (exploring at most exactLimit leaves)
+// prices the optimum: no arm may cost less than it, and ScheduleAll must
+// stay inside Theorem 2.2.1's envelope 4·OPT·(log₂(n+1)+1). Optimal
+// running out of its leaf budget is an error, so callers pass a limit
+// sized to their instances.
+func CheckBaselines(ins *sched.Instance, exactLimit int) error {
+	greedy, greedyErr := sched.ScheduleAll(ins, sched.Options{})
+	if greedyErr != nil && !errors.Is(greedyErr, sched.ErrUnschedulable) {
+		return fmt.Errorf("conformance: ScheduleAll: %w", greedyErr)
+	}
+	n := len(ins.Jobs)
+	arms := []struct {
+		name  string
+		solve func(*sched.Instance) (*sched.Schedule, error)
+	}{
+		{"always-on", schedexact.AlwaysOn},
+		{"per-job", schedexact.PerJob},
+		{"merge-gaps", func(ins *sched.Instance) (*sched.Schedule, error) { return schedexact.MergeGaps(ins, 2) }},
+	}
+	solved := map[string]*sched.Schedule{}
+	for _, arm := range arms {
+		s, err := arm.solve(ins)
+		if err != nil {
+			if errors.Is(err, sched.ErrUnschedulable) && greedyErr != nil {
+				continue
+			}
+			return fmt.Errorf("conformance: %s baseline: %v (ScheduleAll error %v)", arm.name, err, greedyErr)
 		}
-		if errors.Is(baseErr, sched.ErrUnschedulable) && !errors.Is(err, sched.ErrUnschedulable) {
-			return fmt.Errorf("conformance: streaming error %q, baseline %q", err, baseErr)
+		if err := s.Validate(ins); err != nil {
+			return fmt.Errorf("conformance: %s baseline infeasible: %w", arm.name, err)
 		}
+		if s.Scheduled != n {
+			return fmt.Errorf("conformance: %s baseline scheduled %d of %d", arm.name, s.Scheduled, n)
+		}
+		solved[arm.name] = s
+	}
+	if greedyErr != nil || exactLimit <= 0 {
 		return nil
 	}
-	eps := streamO.StreamEps
-	if eps <= 0 {
-		eps = sched.DefaultStreamEps
-	}
-	got, err := sched.ScheduleAll(ins, streamO)
+	opt, err := schedexact.Optimal(ins, exactLimit)
 	if err != nil {
-		return fmt.Errorf("conformance: streaming: %w", err)
+		return fmt.Errorf("conformance: exact optimum: %w", err)
 	}
-	if got.Scheduled != len(ins.Jobs) {
-		return fmt.Errorf("conformance: streaming scheduled %d of %d", got.Scheduled, len(ins.Jobs))
+	solved["ScheduleAll"] = greedy
+	for name, s := range solved {
+		if s.Cost < opt.Cost-1e-9 {
+			return fmt.Errorf("conformance: %s cost %g beats the exact optimum %g", name, s.Cost, opt.Cost)
+		}
 	}
-	if err := got.Validate(ins); err != nil {
-		return fmt.Errorf("conformance: streaming schedule infeasible: %w", err)
-	}
-	// Budgeted form at the baseline's cost: feasible, within budget, and
-	// within the sieve guarantee of the baseline's coverage.
-	bud, err := sched.ScheduleBudget(ins, base.Cost, streamO)
-	if err != nil {
-		return fmt.Errorf("conformance: streaming budgeted: %w", err)
-	}
-	if err := bud.Validate(ins); err != nil {
-		return fmt.Errorf("conformance: streaming budgeted schedule infeasible: %w", err)
-	}
-	if bud.Cost > base.Cost+1e-9 {
-		return fmt.Errorf("conformance: streaming budgeted cost %g exceeds budget %g", bud.Cost, base.Cost)
-	}
-	if float64(bud.Scheduled) < (0.5-eps)*float64(base.Scheduled)-1e-9 {
-		return fmt.Errorf("conformance: streaming budgeted scheduled %d, below (1/2-%g)·%d",
-			bud.Scheduled, eps, base.Scheduled)
+	if envelope := 4 * opt.Cost * (math.Log2(float64(n)+1) + 1); greedy.Cost > envelope {
+		return fmt.Errorf("conformance: ScheduleAll cost %g outside the O(log n) envelope %g of optimum %g",
+			greedy.Cost, envelope, opt.Cost)
 	}
 	return nil
 }

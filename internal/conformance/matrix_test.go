@@ -109,7 +109,7 @@ func sessionScript() []Mutation {
 // TestMatrix runs every cost model — existing and new — through the full
 // conformance suite from one table. This is the acceptance gate the
 // scenario matrix hangs off: contract checks, incremental==plain picks,
-// and session solves byte-identical to cold, evals included, across the
+// feasible baselines, and session solves byte-identical to cold, evals included, across the
 // mutation script.
 func TestMatrix(t *testing.T) {
 	for _, row := range matrix() {
@@ -129,6 +129,9 @@ func TestMatrix(t *testing.T) {
 			}
 			ins := matrixInstance(rng, model)
 			if err := CheckSolve(ins, sched.Options{}); err != nil {
+				t.Fatal(err)
+			}
+			if err := CheckBaselines(ins, 0); err != nil {
 				t.Fatal(err)
 			}
 			if err := CheckSession(ins, sched.Options{}, sessionScript()); err != nil {

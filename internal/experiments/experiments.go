@@ -50,7 +50,6 @@ func All() []Experiment {
 		{"E15", "§3.6 — γ-oblivious multiple-choice secretary", E15},
 		{"E16", "Rolling-horizon online engine vs clairvoyant offline", E16},
 		{"E17", "Scenario matrix — greedy vs exact optimum per cost model", E17},
-		{"E18", "Streaming sieve vs exact greedy tiers on massive instances", E18},
 		{"A1", "Ablation — lazy vs plain greedy oracle calls", A1},
 		{"A2", "Ablation — candidate interval policies", A2},
 		{"A3", "Ablation — incremental matcher vs Hopcroft-Karp", A3},

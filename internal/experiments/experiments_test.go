@@ -321,45 +321,3 @@ func TestE17Shape(t *testing.T) {
 		t.Fatal("sleepstate row shows no hardware-cost credit — the hook is dead")
 	}
 }
-
-func TestE18Shape(t *testing.T) {
-	rows := tableFor(t, "E18")
-	if len(rows) != 2 {
-		t.Fatalf("E18 quick run has %d rows, want one per instance size", len(rows))
-	}
-	prevStep, prevStream := 0.0, 0.0
-	for r, row := range rows {
-		n := cell(t, rows, r, 0)
-		step := cell(t, rows, r, 1)
-		lazy := cell(t, rows, r, 2)
-		stream := cell(t, rows, r, 3)
-		ratio := cell(t, rows, r, 4)
-		costRatio := cell(t, rows, r, 5)
-		if n <= 0 || step <= 0 || lazy <= 0 || stream <= 0 {
-			t.Fatalf("row %v: missing measurements", row)
-		}
-		// The crossover claim: streaming beats the stepwise greedy's eval
-		// count at every tabulated size, and the lazy tier beats both.
-		if ratio >= 1 {
-			t.Fatalf("n=%g: stream/stepwise evals = %g, want < 1", n, ratio)
-		}
-		if lazy >= stream {
-			t.Fatalf("n=%g: lazy evals %g not below stream evals %g", n, lazy, stream)
-		}
-		// Streaming trades bounded memory for a bounded cost penalty, not
-		// an unbounded one.
-		if costRatio <= 0 || costRatio > 8 {
-			t.Fatalf("n=%g: stream/exact cost = %g", n, costRatio)
-		}
-		if r > 0 {
-			// Evals grow with n for both tiers, stepwise faster.
-			if step <= prevStep || stream <= prevStream {
-				t.Fatalf("evals not growing with n: step %g→%g stream %g→%g", prevStep, step, prevStream, stream)
-			}
-			if step/prevStep <= stream/prevStream {
-				t.Fatalf("stepwise growth %g not steeper than streaming growth %g", step/prevStep, stream/prevStream)
-			}
-		}
-		prevStep, prevStream = step, stream
-	}
-}

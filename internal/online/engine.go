@@ -78,23 +78,6 @@ func (e *Engine) Session() *sched.Session { return e.sess }
 // executes in [now, at) — then adds the jobs and re-solves. Events must
 // be non-decreasing in time; jobs must not demand slots before at.
 func (e *Engine) Arrive(at int, jobs []sched.Job) error {
-	return e.arrive(at, jobs, (*sched.Session).Solve)
-}
-
-// ArriveStreaming is Arrive with the re-solve routed through the
-// session's sieve tier (Session.SolveStreaming): once the accumulated
-// instance crosses Options.StreamThreshold jobs, each arrival batch is
-// absorbed by bounded-memory streaming passes over the candidate set
-// instead of the exact greedy. Below the threshold it
-// behaves exactly like Arrive, so an engine can use it for a whole trace
-// and pay the streaming trade-off only at scale. Mixing Arrive and
-// ArriveStreaming calls on one engine is allowed — the commit-prefix
-// model never revokes past decisions either way.
-func (e *Engine) ArriveStreaming(at int, jobs []sched.Job) error {
-	return e.arrive(at, jobs, (*sched.Session).SolveStreaming)
-}
-
-func (e *Engine) arrive(at int, jobs []sched.Job, solve func(*sched.Session) (*sched.Schedule, error)) error {
 	if at < e.now || at >= e.horizon {
 		return fmt.Errorf("online: event at %d outside [now=%d, horizon=%d)", at, e.now, e.horizon)
 	}
@@ -112,7 +95,7 @@ func (e *Engine) arrive(at int, jobs []sched.Job, solve func(*sched.Session) (*s
 		}
 		e.committed = append(e.committed, sched.Unassigned)
 	}
-	plan, err := solve(e.sess)
+	plan, err := e.sess.Solve()
 	if err != nil {
 		return fmt.Errorf("online: re-solve at %d failed: %w", at, err)
 	}
@@ -196,20 +179,14 @@ func (e *Engine) Finish() *RunReport {
 	return r
 }
 
-// RunTrace drives a whole arrival trace through a fresh engine. With
-// opts.Streaming set, arrivals go through ArriveStreaming — the
-// batched-arrival sieve mode — instead of the exact re-solve path.
+// RunTrace drives a whole arrival trace through a fresh engine.
 func RunTrace(tr *workload.ArrivalTrace, opts sched.Options) (*RunReport, error) {
 	e, err := NewEngine(tr.Procs, tr.Horizon, tr.Cost, opts)
 	if err != nil {
 		return nil, err
 	}
-	arrive := e.Arrive
-	if opts.Streaming {
-		arrive = e.ArriveStreaming
-	}
 	for _, ev := range tr.Events {
-		if err := arrive(ev.At, ev.Jobs); err != nil {
+		if err := e.Arrive(ev.At, ev.Jobs); err != nil {
 			return nil, err
 		}
 	}

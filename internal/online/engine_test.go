@@ -109,61 +109,6 @@ func TestEngineCommittedScheduleSound(t *testing.T) {
 	}
 }
 
-// TestEngineStreamingServesTrace: ArriveStreaming (via RunTrace with
-// Options.Streaming and the threshold forced to zero) absorbs every
-// trace the exact path handles, produces a sound report, and its final
-// plan schedules every job.
-func TestEngineStreamingServesTrace(t *testing.T) {
-	params := workload.TraceParams{Procs: 2, Horizon: 32, Jobs: 12, Window: 2}
-	opts := sched.Options{Streaming: true, StreamThreshold: -1}
-	for name, gen := range engineGenerators() {
-		for seed := int64(0); seed < 3; seed++ {
-			tr := gen(rand.New(rand.NewSource(seed)), params)
-			rep, err := RunTrace(tr, opts)
-			if err != nil {
-				t.Fatalf("%s seed %d: %v", name, seed, err)
-			}
-			ins := tr.FinalInstance()
-			if got := rep.Served + rep.Missed; got != len(ins.Jobs) {
-				t.Fatalf("%s seed %d: served %d + missed %d != %d jobs", name, seed, rep.Served, rep.Missed, len(ins.Jobs))
-			}
-			if rep.Plan.Scheduled != len(ins.Jobs) {
-				t.Fatalf("%s seed %d: final streaming plan scheduled %d of %d", name, seed, rep.Plan.Scheduled, len(ins.Jobs))
-			}
-			if err := rep.Plan.Validate(ins); err != nil {
-				t.Fatalf("%s seed %d: invalid streaming plan: %v", name, seed, err)
-			}
-			if rep.Solves != len(tr.Events) {
-				t.Fatalf("%s seed %d: %d solves for %d events", name, seed, rep.Solves, len(tr.Events))
-			}
-		}
-	}
-}
-
-// TestEngineStreamingBelowThresholdMatchesExact: with the default
-// threshold these traces stay under the streaming cutoff, so the
-// Streaming flag must be a run-level no-op — same plan, same committed
-// schedule, same eval spend.
-func TestEngineStreamingBelowThresholdMatchesExact(t *testing.T) {
-	params := workload.TraceParams{Procs: 2, Horizon: 32, Jobs: 12, Window: 2}
-	tr := workload.PoissonBurstTrace(rand.New(rand.NewSource(7)), params)
-	exact, err := RunTrace(tr, sched.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stream, err := RunTrace(tr, sched.Options{Streaming: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !schedulesEqual(exact.Plan, stream.Plan) {
-		t.Fatal("below-threshold streaming run produced a different plan")
-	}
-	if exact.CommittedCost != stream.CommittedCost || exact.Evals != stream.Evals {
-		t.Fatalf("below-threshold streaming run diverged: cost %g vs %g, evals %d vs %d",
-			exact.CommittedCost, stream.CommittedCost, exact.Evals, stream.Evals)
-	}
-}
-
 // TestEngineEventOrderingEnforced: time travel, out-of-horizon events,
 // and past-slot demands are rejected.
 func TestEngineEventOrderingEnforced(t *testing.T) {

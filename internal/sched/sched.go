@@ -125,49 +125,6 @@ type Options struct {
 	// policy's enumeration — the thesis's "costs might be explicitly given
 	// in the input" mode, e.g. contract blocks a power provider offers.
 	Extra []Interval
-	// Streaming routes ScheduleAll (and Session/Engine solves) through
-	// the bounded-memory sieve tier (budget.RunSieve) once the instance
-	// has at least StreamThreshold jobs: budget-doubled single passes
-	// over the candidate stream instead of full per-round re-enumeration.
-	// Below the threshold — or if the doubled budget ladder cannot cover
-	// every job — the exact greedy runs as before, so ScheduleAll's
-	// contract (all jobs scheduled or ErrUnschedulable) is unchanged;
-	// only the interval choice and cost may differ from the exact path.
-	Streaming bool
-	// StreamEps is the sieve ladder resolution and guarantee slack ε in
-	// (0,1); 0 means DefaultStreamEps.
-	StreamEps float64
-	// StreamThreshold is the minimum job count before Streaming leaves
-	// the exact path; 0 means DefaultStreamThreshold, negative forces
-	// streaming at any size (the conformance matrix uses that).
-	StreamThreshold int
-}
-
-// Streaming-tier defaults: ε = 0.1 keeps the ladder ~7 levels per
-// utility octave, and the exact greedy comfortably wins below a few
-// thousand jobs (experiment E18 records the measured crossover).
-const (
-	DefaultStreamEps       = 0.1
-	DefaultStreamThreshold = 2048
-)
-
-// streamEps resolves the effective sieve ε.
-func (o Options) streamEps() float64 {
-	if o.StreamEps > 0 {
-		return o.StreamEps
-	}
-	return DefaultStreamEps
-}
-
-// streamThreshold resolves the minimum streaming job count.
-func (o Options) streamThreshold() int {
-	switch {
-	case o.StreamThreshold > 0:
-		return o.StreamThreshold
-	case o.StreamThreshold < 0:
-		return 0
-	}
-	return DefaultStreamThreshold
 }
 
 // Errors returned by the algorithms.
@@ -204,7 +161,7 @@ func (e *UnschedulableError) Unwrap() error { return ErrUnschedulable }
 // may sum the same terms in different orders). Evals is ignored: solve
 // paths (eager, lazy, plain-oracle) legitimately spend different probe
 // counts for the same answer. A nil error means identical; otherwise the error names
-// the first divergence. The differential self-checks (core.SolveAll,
+// the first divergence. The differential self-checks (conformance.CheckSolve,
 // the session and engine tests) all compare through this one helper.
 func (s *Schedule) SameAs(other *Schedule) error {
 	if len(s.Intervals) != len(other.Intervals) {

@@ -31,14 +31,11 @@ func (m *Model) ScheduleAll(opts Options) (*Schedule, error) {
 	if n == 0 {
 		return &Schedule{Assignment: []SlotKey{}}, nil
 	}
-	if opts.Streaming && n >= opts.streamThreshold() {
-		return m.scheduleAllStreaming(opts)
-	}
 	in, err := m.scheduleAllInput(opts)
 	if err != nil {
 		return nil, err
 	}
-	return m.scheduleAllExact(opts, in, 0)
+	return m.scheduleAllExact(opts, in)
 }
 
 // solveInput is the prepared greedy problem for one schedule-all run: the
@@ -84,6 +81,33 @@ func (m *Model) scheduleAllInput(opts Options) (*solveInput, error) {
 		},
 		eps: eps,
 	}, nil
+}
+
+// scheduleAllExact runs the exact greedy — the stepwise lazy greedy, its
+// initial heap priced by the prefix sweep — over an already-built solve
+// input. PlainOracle runs skip the sweep and probe every candidate
+// through Eval, keeping the from-scratch arm independent of the matcher
+// machinery.
+func (m *Model) scheduleAllExact(opts Options, in *solveInput) (*Schedule, error) {
+	bopts := budget.Options{Eps: in.eps, PlainEval: opts.PlainOracle}
+	var sw *budget.Stepwise
+	var err error
+	if opts.PlainOracle {
+		sw, err = budget.NewStepwise(in.prob, bopts)
+	} else {
+		gains := m.sweepGains(in.cands)
+		prob := in.prob
+		prob.F = sweptMatchFn{matchFn{m}}
+		sw, err = budget.NewStepwiseExact(prob, bopts, gains)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("sched: greedy failed: %w", err)
+	}
+	res, err := sw.Solve()
+	if err != nil {
+		return nil, fmt.Errorf("sched: greedy failed: %w", err)
+	}
+	return m.finishScheduleAll(opts, in, res)
 }
 
 // finishScheduleAll extracts the schedule from a completed greedy run.

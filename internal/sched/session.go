@@ -39,15 +39,13 @@ type Session struct {
 	baseCost power.CostModel // cost model at creation, before any masking
 	blocked  []SlotKey       // accumulated SetUnavailable slots
 
-	model        *Model
-	cached       *Schedule // last solve, valid until the next mutation
-	cachedStream *Schedule // last SolveStreaming, same lifecycle
+	model  *Model
+	cached *Schedule // last solve, valid until the next mutation
 
-	lastEvals    int64
-	totalEvals   int64
-	solves       int
-	streamSolves int
-	cacheHits    int
+	lastEvals  int64
+	totalEvals int64
+	solves     int
+	cacheHits  int
 }
 
 // NewSession validates the instance and opens a session over a private
@@ -130,7 +128,7 @@ func (s *Session) AddJob(job Job) (int, error) {
 	if s.model != nil {
 		s.model.addJob(s.ins.Jobs[idx])
 	}
-	s.cached, s.cachedStream = nil, nil
+	s.cached = nil
 	return idx, nil
 }
 
@@ -143,7 +141,7 @@ func (s *Session) RemoveJob(j int) error {
 	}
 	s.ins.Jobs = append(s.ins.Jobs[:j], s.ins.Jobs[j+1:]...)
 	s.model = nil
-	s.cached, s.cachedStream = nil, nil
+	s.cached = nil
 	return nil
 }
 
@@ -161,7 +159,7 @@ func (s *Session) SetUnavailable(proc, t int) error {
 		u.Block(b.Proc, b.Time)
 	}
 	s.ins.Cost = u.Freeze()
-	s.cached, s.cachedStream = nil, nil
+	s.cached = nil
 	return nil
 }
 
@@ -179,7 +177,7 @@ func (s *Session) AdvanceHorizon(h int) error {
 	}
 	s.ins.Horizon = h
 	if s.opts.Policy == AllPairs {
-		s.cached, s.cachedStream = nil, nil
+		s.cached = nil
 	}
 	return nil
 }
@@ -212,7 +210,7 @@ func (s *Session) Solve() (*Schedule, error) {
 	if err != nil {
 		return nil, err
 	}
-	sched, err := s.model.scheduleAllExact(s.opts, in, 0)
+	sched, err := s.model.scheduleAllExact(s.opts, in)
 	if err != nil {
 		return nil, err
 	}
@@ -222,46 +220,6 @@ func (s *Session) Solve() (*Schedule, error) {
 	s.cached = copySchedule(sched)
 	return sched, nil
 }
-
-// SolveStreaming is Solve through the bounded-memory sieve tier:
-// instances with at least Options.StreamThreshold jobs are solved by
-// residual sieve passes over the candidate stream (the streaming path of
-// ScheduleAll) instead of the exact greedy; smaller instances delegate
-// to Solve, so callers like the online engine's batched-arrival mode can
-// call it unconditionally. Streaming solves share the session's mutation
-// lifecycle and cache independently of Solve, since the two paths
-// legitimately return different schedules.
-func (s *Session) SolveStreaming() (*Schedule, error) {
-	n := len(s.ins.Jobs)
-	if n == 0 || n < s.opts.streamThreshold() {
-		return s.Solve()
-	}
-	if s.cachedStream != nil {
-		s.lastEvals = 0
-		s.cacheHits++
-		return copySchedule(s.cachedStream), nil
-	}
-	if s.model == nil {
-		m, err := NewModel(s.ins)
-		if err != nil {
-			return nil, err
-		}
-		s.model = m
-	}
-	sched, err := s.model.scheduleAllStreaming(s.opts)
-	if err != nil {
-		return nil, err
-	}
-	s.lastEvals = sched.Evals
-	s.totalEvals += sched.Evals
-	s.solves++
-	s.streamSolves++
-	s.cachedStream = copySchedule(sched)
-	return sched, nil
-}
-
-// StreamSolves reports how many Solves went through the sieve tier.
-func (s *Session) StreamSolves() int { return s.streamSolves }
 
 // copySchedule deep-copies a schedule so cached results stay immutable.
 func copySchedule(sc *Schedule) *Schedule {

@@ -80,12 +80,6 @@ type InstanceSpec struct {
 	Z       float64 `json:"z,omitempty"`
 	Eps     float64 `json:"eps,omitempty"`
 	Improve bool    `json:"improve,omitempty"`
-	// Solver picks the greedy tier for mode "all": "exact" (default) is
-	// the sweep-priced lazy greedy; "streaming" routes instances at
-	// or above sched.DefaultStreamThreshold jobs through the bounded-
-	// memory sieve (sched.Options.Streaming) and is rejected for the
-	// prize modes, which have no streaming tier.
-	Solver string `json:"solver,omitempty"`
 }
 
 // ScheduleSpec is a solved schedule on the wire.
@@ -259,22 +253,11 @@ func BuildRequest(spec InstanceSpec) (Request, error) {
 	default:
 		return Request{}, fmt.Errorf("unknown mode %q", spec.Mode)
 	}
-	opts := sched.Options{Eps: spec.Eps}
-	switch spec.Solver {
-	case "", "exact":
-	case "streaming":
-		if mode != ModeAll {
-			return Request{}, fmt.Errorf("solver %q requires mode \"all\", got %q", spec.Solver, spec.Mode)
-		}
-		opts.Streaming = true
-	default:
-		return Request{}, fmt.Errorf("unknown solver %q", spec.Solver)
-	}
 	return Request{
 		Instance:    ins,
 		Mode:        mode,
 		Z:           spec.Z,
-		Opts:        opts,
+		Opts:        sched.Options{Eps: spec.Eps},
 		Improve:     spec.Improve,
 		InstanceKey: InstanceDigest(spec),
 	}, nil

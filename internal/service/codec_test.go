@@ -112,45 +112,29 @@ func TestDecodeRequestDefaultsAndErrors(t *testing.T) {
 	}
 }
 
+// TestDecodeRequestSolverField: "solver" is a removed wire field. Any
+// value — including ones the decoder used to reject, and alongside the
+// prize modes — must decode to the same request as the body without it:
+// same options, digest and cache key.
 func TestDecodeRequestSolverField(t *testing.T) {
 	base := `{"procs":1,"horizon":3,"cost":{"alpha":1,"rate":1},
 		"jobs":[{"allowed":[{"proc":0,"time":0}]}]`
-	req, err := DecodeRequest([]byte(base + `,"solver":"streaming"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !req.Opts.Streaming {
-		t.Fatal(`"solver":"streaming" did not set Opts.Streaming`)
-	}
-	for _, solver := range []string{"", "exact"} {
-		req, err = DecodeRequest([]byte(base + `,"solver":"` + solver + `"}`))
+	for _, mode := range []string{``, `,"mode":"prize","z":1`} {
+		want, err := DecodeRequest([]byte(base + mode + `}`))
 		if err != nil {
-			t.Fatalf("solver %q: %v", solver, err)
+			t.Fatal(err)
 		}
-		if req.Opts.Streaming {
-			t.Fatalf("solver %q set Opts.Streaming", solver)
+		for _, solver := range []string{"", "exact", "quantum"} {
+			got, err := DecodeRequest([]byte(base + mode + `,"solver":"` + solver + `"}`))
+			if err != nil {
+				t.Fatalf("mode %q solver %q: %v", mode, solver, err)
+			}
+			if got.Mode != want.Mode || got.Opts.Eps != want.Opts.Eps ||
+				got.InstanceKey != want.InstanceKey || cacheKey(got) != cacheKey(want) {
+				t.Fatalf("mode %q solver %q: decoded to %+v (key %s), want %+v (key %s)",
+					mode, solver, got, cacheKey(got), want, cacheKey(want))
+			}
 		}
-	}
-	if _, err := DecodeRequest([]byte(base + `,"solver":"quantum"}`)); err == nil ||
-		!strings.Contains(err.Error(), "unknown solver") {
-		t.Fatalf("bad solver err = %v", err)
-	}
-	// Streaming has no prize tier.
-	if _, err := DecodeRequest([]byte(base + `,"mode":"prize","z":1,"solver":"streaming"}`)); err == nil ||
-		!strings.Contains(err.Error(), `requires mode "all"`) {
-		t.Fatalf("prize+streaming err = %v", err)
-	}
-	// Streaming requests must not share cache entries with exact ones.
-	exactReq, err := DecodeRequest([]byte(base + `}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	streamReq, err := DecodeRequest([]byte(base + `,"solver":"streaming"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cacheKey(exactReq) == cacheKey(streamReq) {
-		t.Fatal("exact and streaming requests share a cache key")
 	}
 }
 

@@ -302,27 +302,16 @@ func TestHTTPSolveTimeout(t *testing.T) {
 }
 
 // TestHTTPLegacyWorkersFieldIgnored: clients written against the old
-// wire format may still send the removed per-request "workers" field. A
-// /v1/schedule request and a session create carrying "workers": 4 must
-// decode, digest and solve byte-identically to the same request without
-// the field.
+// wire format may still send the removed per-request fields "workers"
+// (intra-solve parallelism) and "solver" (the retired solver-tier
+// selector, whose values were "exact" and the bounded-memory tier). A
+// /v1/schedule request and a session create carrying either must decode,
+// digest and solve byte-identically to the same request without it.
 func TestHTTPLegacyWorkersFieldIgnored(t *testing.T) {
-	legacyBody := strings.Replace(scheduleBody, `"procs": 1,`, `"workers": 4, "procs": 1,`, 1)
-	if legacyBody == scheduleBody {
-		t.Fatal("failed to add the legacy field")
-	}
 	plain, err := DecodeRequest([]byte(scheduleBody))
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := DecodeRequest([]byte(legacyBody))
-	if err != nil {
-		t.Fatalf("legacy request rejected: %v", err)
-	}
-	if legacy.InstanceKey != plain.InstanceKey {
-		t.Fatalf("legacy digest %s, want %s", legacy.InstanceKey, plain.InstanceKey)
-	}
-
 	// One fresh uncached service per body, so both answers are computed.
 	serve := func(body string) (schedule, sessionSolve []byte, digest string) {
 		svc := New(Config{Workers: 1, CacheSize: -1})
@@ -350,14 +339,28 @@ func TestHTTPLegacyWorkersFieldIgnored(t *testing.T) {
 		return schedule, sessionSolve, sr.Digest
 	}
 	wantSchedule, wantSession, wantDigest := serve(scheduleBody)
-	gotSchedule, gotSession, gotDigest := serve(legacyBody)
-	if !bytes.Equal(gotSchedule, wantSchedule) {
-		t.Fatalf("legacy /v1/schedule answer differs:\n%s\nwant\n%s", gotSchedule, wantSchedule)
-	}
-	if gotDigest != wantDigest || gotDigest != plain.InstanceKey {
-		t.Fatalf("legacy session digest %s, want %s", gotDigest, wantDigest)
-	}
-	if !bytes.Equal(gotSession, wantSession) {
-		t.Fatalf("legacy session solve differs:\n%s\nwant\n%s", gotSession, wantSession)
+	for _, field := range []string{`"workers": 4`, `"solver": "streaming"`, `"solver": "exact"`} {
+		legacyBody := strings.Replace(scheduleBody, `"procs": 1,`, field+`, "procs": 1,`, 1)
+		if legacyBody == scheduleBody {
+			t.Fatal("failed to add the legacy field")
+		}
+		legacy, err := DecodeRequest([]byte(legacyBody))
+		if err != nil {
+			t.Fatalf("%s: legacy request rejected: %v", field, err)
+		}
+		if legacy.InstanceKey != plain.InstanceKey || cacheKey(legacy) != cacheKey(plain) {
+			t.Fatalf("%s: legacy digest %s / cache key %s, want %s / %s",
+				field, legacy.InstanceKey, cacheKey(legacy), plain.InstanceKey, cacheKey(plain))
+		}
+		gotSchedule, gotSession, gotDigest := serve(legacyBody)
+		if !bytes.Equal(gotSchedule, wantSchedule) {
+			t.Fatalf("%s: legacy /v1/schedule answer differs:\n%s\nwant\n%s", field, gotSchedule, wantSchedule)
+		}
+		if gotDigest != wantDigest || gotDigest != plain.InstanceKey {
+			t.Fatalf("%s: legacy session digest %s, want %s", field, gotDigest, wantDigest)
+		}
+		if !bytes.Equal(gotSession, wantSession) {
+			t.Fatalf("%s: legacy session solve differs:\n%s\nwant\n%s", field, gotSession, wantSession)
+		}
 	}
 }

@@ -255,57 +255,66 @@ func TestLegacyHintJournalRestores(t *testing.T) {
 }
 
 // TestLegacyWorkersJournalRestores: journals written while the wire
-// format still had a per-request "workers" field carry it inside their
-// snapshot spec. The committed FuzzJournalReplay seed
-// seed_legacy_workers is such a journal (a session created with
-// "workers": 4, then one add_job mutation). It must replay and restore
-// with its acked seq and digest, and the restored session must answer
-// like a cold ScheduleAll.
+// format still had the per-request "workers" and "solver" fields carry
+// them inside their snapshot spec. The committed FuzzJournalReplay seeds
+// seed_legacy_workers ("workers": 4) and seed_legacy_solver (a "solver"
+// field naming the retired bounded-memory tier) are such journals, each
+// a session creation plus one add_job mutation written by a build that
+// still had the field. Each must replay and restore with its acked seq
+// and digest, and the restored session must answer like a cold
+// ScheduleAll.
 func TestLegacyWorkersJournalRestores(t *testing.T) {
-	seed, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzJournalReplay", "seed_legacy_workers"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	quoted := strings.TrimSuffix(strings.TrimSpace(strings.TrimPrefix(string(seed), "go test fuzz v1\n[]byte(")), ")")
-	data, err := strconv.Unquote(quoted)
-	if err != nil {
-		t.Fatalf("unquoting the seed: %v", err)
-	}
-	if !strings.Contains(data, `"workers":4`) {
-		t.Fatal("seed_legacy_workers carries no legacy workers field")
-	}
-	rj, err := ReplayJournal([]byte(data))
-	if err != nil {
-		t.Fatalf("legacy journal does not replay: %v", err)
-	}
-	if rj.Truncated || len(rj.Muts) != 1 {
-		t.Fatalf("legacy journal replayed to %+v, want a snapshot plus one mutation", rj)
-	}
+	for _, tc := range []struct{ seed, field string }{
+		{"seed_legacy_workers", `"workers":4`},
+		{"seed_legacy_solver", `"solver":`},
+	} {
+		t.Run(tc.seed, func(t *testing.T) {
+			seed, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzJournalReplay", tc.seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			quoted := strings.TrimSuffix(strings.TrimSpace(strings.TrimPrefix(string(seed), "go test fuzz v1\n[]byte(")), ")")
+			data, err := strconv.Unquote(quoted)
+			if err != nil {
+				t.Fatalf("unquoting the seed: %v", err)
+			}
+			if !strings.Contains(data, tc.field) {
+				t.Fatalf("%s carries no legacy %s field", tc.seed, tc.field)
+			}
+			rj, err := ReplayJournal([]byte(data))
+			if err != nil {
+				t.Fatalf("legacy journal does not replay: %v", err)
+			}
+			if rj.Truncated || len(rj.Muts) != 1 {
+				t.Fatalf("legacy journal replayed to %+v, want a snapshot plus one mutation", rj)
+			}
 
-	dir := t.TempDir()
-	if err := os.MkdirAll(filepath.Join(dir, "sessions"), 0o755); err != nil {
-		t.Fatal(err)
+			dir := t.TempDir()
+			if err := os.MkdirAll(filepath.Join(dir, "sessions"), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			id := rj.Snap.ID
+			if err := os.WriteFile(filepath.Join(dir, "sessions", id+journalExt), []byte(data), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			svc, err := Open(durableConfig(dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer svc.Close(context.Background())
+			if got := svc.Stats().SessionsRestored; got != 1 {
+				t.Fatalf("restored %d sessions from the legacy journal, want 1", got)
+			}
+			info, err := svc.SessionInfo(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info.Seq != rj.Snap.Seq+1 || info.Digest != rj.Digests[0] {
+				t.Fatalf("restored info %+v, want seq %d and digest %s", info, rj.Snap.Seq+1, rj.Digests[0])
+			}
+			solveSameAsCold(t, svc, id)
+		})
 	}
-	id := rj.Snap.ID
-	if err := os.WriteFile(filepath.Join(dir, "sessions", id+journalExt), []byte(data), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	svc, err := Open(durableConfig(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close(context.Background())
-	if got := svc.Stats().SessionsRestored; got != 1 {
-		t.Fatalf("restored %d sessions from the legacy journal, want 1", got)
-	}
-	info, err := svc.SessionInfo(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Seq != rj.Snap.Seq+1 || info.Digest != rj.Digests[0] {
-		t.Fatalf("restored info %+v, want seq %d and digest %s", info, rj.Snap.Seq+1, rj.Digests[0])
-	}
-	solveSameAsCold(t, svc, id)
 }
 
 // TestDurableTruncationMatrix cuts a multi-record journal at record

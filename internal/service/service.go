@@ -529,11 +529,6 @@ func cacheKey(req Request) string {
 	key := fmt.Sprintf("%s|m%d|z%g|e%g|i%t|p%d|po%t",
 		req.InstanceKey, req.Mode, req.Z, req.Opts.Eps, req.Improve,
 		req.Opts.Policy, req.Opts.PlainOracle)
-	if req.Opts.Streaming {
-		// The sieve tier picks different schedules, so streaming
-		// requests get their own entries.
-		key += fmt.Sprintf("|s%g|st%d", req.Opts.StreamEps, req.Opts.StreamThreshold)
-	}
 	if len(req.Opts.Extra) > 0 {
 		key += fmt.Sprintf("|x%v", req.Opts.Extra)
 	}

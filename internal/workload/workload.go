@@ -149,55 +149,6 @@ func BurstySleep(rng *rand.Rand, procs, horizon, bursts, jobsPerBurst int, wake 
 	})
 }
 
-// MassiveInstance builds a guaranteed-feasible instance sized for the
-// streaming tier: jobs jobs over procs processors, each planted on its
-// own slot (job j on processor j mod procs at time j / procs) and
-// allowed a ±window slice around it plus one random decoy slot. Total
-// Allowed entries stay O(jobs·window), and the planted slots form a
-// perfect matching, so ScheduleAll succeeds at any size. The shape is
-// deliberately SingleSlots-friendly: at n = 10⁵ the EventPoints policy's
-// quadratic candidate enumeration is the bottleneck, not the solver, so
-// streaming benchmarks over these instances should pass
-// sched.Options{Policy: sched.SingleSlots}.
-func MassiveInstance(rng *rand.Rand, procs, jobs, window int) *sched.Instance {
-	switch {
-	case procs <= 0:
-		panic(fmt.Sprintf("workload: MassiveInstance procs = %d, want > 0", procs))
-	case jobs < 0:
-		panic(fmt.Sprintf("workload: MassiveInstance jobs = %d, want >= 0", jobs))
-	case window < 0:
-		panic(fmt.Sprintf("workload: MassiveInstance window = %d, want >= 0", window))
-	}
-	horizon := (jobs+procs-1)/procs + window
-	if horizon == 0 {
-		horizon = 1
-	}
-	ins := &sched.Instance{
-		Procs: procs, Horizon: horizon,
-		Cost: power.Affine{Alpha: 2, Rate: 1},
-	}
-	for j := 0; j < jobs; j++ {
-		proc := j % procs
-		t := j / procs
-		job := sched.Job{Value: 1 + rng.Float64()*2}
-		lo, hi := t-window, t+window
-		if lo < 0 {
-			lo = 0
-		}
-		if hi >= horizon {
-			hi = horizon - 1
-		}
-		for u := lo; u <= hi; u++ {
-			job.Allowed = append(job.Allowed, sched.SlotKey{Proc: proc, Time: u})
-		}
-		job.Allowed = append(job.Allowed, sched.SlotKey{
-			Proc: rng.Intn(procs), Time: rng.Intn(horizon),
-		})
-		ins.Jobs = append(ins.Jobs, job)
-	}
-	return ins
-}
-
 // MarketTrace synthesizes a day-ahead electricity price curve over the
 // horizon: a base load with morning and evening peaks plus seeded noise,
 // strictly positive (DESIGN.md substitution 1).

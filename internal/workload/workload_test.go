@@ -262,47 +262,3 @@ func TestDeterminism(t *testing.T) {
 		}
 	}
 }
-
-func TestMassiveInstanceShapeAndFeasibility(t *testing.T) {
-	for _, n := range []int{0, 7, 1000, 10000, 100000} {
-		rng := rand.New(rand.NewSource(13))
-		ins := MassiveInstance(rng, 4, n, 2)
-		if len(ins.Jobs) != n {
-			t.Fatalf("n=%d: got %d jobs", n, len(ins.Jobs))
-		}
-		for j, job := range ins.Jobs {
-			planted := sched.SlotKey{Proc: j % 4, Time: j / 4}
-			found := false
-			for _, s := range job.Allowed {
-				if s.Proc < 0 || s.Proc >= ins.Procs || s.Time < 0 || s.Time >= ins.Horizon {
-					t.Fatalf("n=%d job %d: slot %+v outside %d×%d", n, j, s, ins.Procs, ins.Horizon)
-				}
-				if s == planted {
-					found = true
-				}
-			}
-			if !found {
-				t.Fatalf("n=%d job %d: planted slot %+v missing", n, j, planted)
-			}
-			// O(window) allowed entries per job, never O(horizon).
-			if len(job.Allowed) > 2*2+2 {
-				t.Fatalf("n=%d job %d: %d allowed slots", n, j, len(job.Allowed))
-			}
-		}
-	}
-	// A small one solves to full coverage through the streaming tier with
-	// the SingleSlots policy the generator is shaped for.
-	ins := MassiveInstance(rand.New(rand.NewSource(13)), 2, 120, 2)
-	got, err := sched.ScheduleAll(ins, sched.Options{
-		Streaming: true, StreamThreshold: -1, Policy: sched.SingleSlots,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Scheduled != 120 {
-		t.Fatalf("scheduled %d of 120", got.Scheduled)
-	}
-	if err := got.Validate(ins); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -99,25 +99,6 @@ func Improve(ins *Instance, s *Schedule) *Schedule {
 	return sched.Improve(ins, s)
 }
 
-// ScheduleBudget wakes intervals costing at most budget and schedules as
-// many jobs as they can host, via one bounded-memory sieve-streaming
-// pass over the candidate intervals. Under uniform candidate pricing the
-// scheduled count is at least (1/2−ε)·OPT for that budget (ε =
-// Options.StreamEps). Unlike ScheduleAll it never fails on infeasible
-// instances — unreachable jobs stay Unassigned.
-func ScheduleBudget(ins *Instance, budgetLimit float64, opts Options) (*Schedule, error) {
-	return sched.ScheduleBudget(ins, budgetLimit, opts)
-}
-
-// Streaming-tier defaults: Options.Streaming routes ScheduleAll (and
-// Session/Engine re-solves) through the sieve once an instance has at
-// least DefaultStreamThreshold jobs; Options.StreamEps defaults to
-// DefaultStreamEps.
-const (
-	DefaultStreamEps       = sched.DefaultStreamEps
-	DefaultStreamThreshold = sched.DefaultStreamThreshold
-)
-
 // ---- Solver sessions (instance → model → session lifecycle) ----
 
 // Session is the mutable solver-session stage of the lifecycle: it owns
@@ -384,13 +365,6 @@ type (
 	BudgetOptions = budget.Options
 	// BudgetResult reports the greedy's picks, cost, and trace.
 	BudgetResult = budget.Result
-	// SieveOptions tunes the bounded-memory streaming maximizer.
-	SieveOptions = budget.SieveOptions
-	// SieveResult reports a sieve run's picks, utility, and memory trace.
-	SieveResult = budget.SieveResult
-	// Sieve is the one-pass streaming maximizer itself, for callers that
-	// feed candidates incrementally via Offer/Finish.
-	Sieve = budget.Sieve
 )
 
 // NewSet returns an empty set over {0..n-1}.
@@ -422,20 +396,6 @@ func BudgetedGreedy(p BudgetProblem, opts BudgetOptions) (*BudgetResult, error) 
 // BudgetedLazyGreedy computes the same picks with fewer oracle calls.
 func BudgetedLazyGreedy(p BudgetProblem, opts BudgetOptions) (*BudgetResult, error) {
 	return budget.LazyGreedy(p, opts)
-}
-
-// NewSieve opens a streaming budgeted maximizer over f: Offer candidates
-// one at a time, Finish to read the best (1/2−ε)-competitive level
-// (uniform costs; heuristic otherwise). Memory stays bounded by the
-// geometric threshold ladder, never the stream length.
-func NewSieve(f SubmodularFunction, opts SieveOptions) (*Sieve, error) {
-	return budget.NewSieve(f, opts)
-}
-
-// RunSieve streams all subsets through one sieve in a single call and
-// also returns the winning union.
-func RunSieve(f SubmodularFunction, subsets []BudgetSubset, opts SieveOptions) (*SieveResult, error) {
-	return budget.RunSieve(f, subsets, opts)
 }
 
 // ---- Secretary algorithms (thesis Chapter 3) ----

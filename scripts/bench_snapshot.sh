@@ -1,6 +1,6 @@
 #!/bin/sh
 # Captures the top-level benchmark suite (one benchmark per experiment,
-# E1-E18 / A1-A4, plus the single-solve and session benchmarks) as a
+# E1-E17 / A1-A4, plus the single-solve and session benchmarks) as a
 # compact JSON snapshot so future PRs can track the perf trajectory.
 #
 # Usage: scripts/bench_snapshot.sh [out.json | label] [benchtime] [bench-regex]
