@@ -1,6 +1,9 @@
-// Top-level benchmark harness: one benchmark per experiment in DESIGN.md's
-// index (E1–E15, A1–A4). Each iteration regenerates the experiment's table
-// at quick scale, so `go test -bench=.` re-derives every reproduced result.
+// Top-level benchmarks, in two groups. The experiment benchmarks (E1–E17,
+// A1–A4 in DESIGN.md's index) each regenerate one experiment's table at
+// quick scale, so `go test -bench=.` re-derives every reproduced result.
+// The solve benchmarks below them time single solves, session re-solves
+// and engine runs in serving shapes; BenchmarkScheduleAllSolveCold and
+// BenchmarkSessionSlide are rungs of scripts/bench_snapshot.sh's ladder.
 // Per-module micro-benchmarks live next to their packages.
 package powersched_test
 

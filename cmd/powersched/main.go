@@ -4,7 +4,6 @@
 //	powersched [solve] [flags] [file]   solve one instance (stdin or file) to stdout
 //	powersched serve [flags]            long-lived JSON-over-HTTP scheduling service
 //	powersched route [flags]            shard-router front end over N serve backends
-//	powersched loadgen [flags]          replay an arrival trace at a target QPS
 //	powersched simulate [flags]         rolling-horizon engine over a generated arrival trace
 //
 // Instance schema (shared by solve, /v1/schedule, and /v1/batch entries):
@@ -43,10 +42,6 @@
 // circuit), -retry-after (advertised on 429/503). The router exposes
 // the same /v1 surface as serve plus /admin/ring (GET topology,
 // POST resize) and its own /stats and /metrics.
-//
-// Loadgen flags: -target, -qps, -requests, -concurrency, -timeout,
-// plus the trace shape (-trace, -seed, -procs, -horizon, -jobs,
-// -window). Prints a JSON latency-percentile report.
 //
 // Simulate flags: -trace poisson|diurnal|frontloaded, -cost
 // affine|speedscaled|sleepstate|composite, -procs, -horizon, -jobs,
@@ -328,8 +323,6 @@ func main() {
 		err = serveMain(args[1:])
 	case len(args) > 0 && args[0] == "route":
 		err = routeMain(args[1:])
-	case len(args) > 0 && args[0] == "loadgen":
-		err = loadgenMain(args[1:], os.Stdout)
 	case len(args) > 0 && args[0] == "simulate":
 		err = simulateMain(args[1:], os.Stdout)
 	case len(args) > 0 && args[0] == "solve":

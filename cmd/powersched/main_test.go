@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -228,5 +230,75 @@ func TestSimulateRejectsUnknownTrace(t *testing.T) {
 	var buf bytes.Buffer
 	if err := simulateMain([]string{"-trace", "nope"}, &buf); err == nil {
 		t.Fatal("unknown trace accepted")
+	}
+}
+
+func TestRouteMainRejectsBadInput(t *testing.T) {
+	if err := routeMain([]string{"-definitely-not-a-flag"}); err == nil {
+		t.Fatal("accepted unknown flag")
+	}
+	if err := routeMain([]string{"-addr", "127.0.0.1:0"}); err == nil {
+		t.Fatal("accepted an empty -backends list")
+	}
+	if err := routeMain([]string{"-addr", "127.0.0.1:0", "-backends", " , ,"}); err == nil {
+		t.Fatal("accepted a whitespace -backends list")
+	}
+}
+
+func TestSolveMainReadsFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "instance.json")
+	input := `{
+		"procs": 1, "horizon": 6,
+		"cost": {"model": "affine", "alpha": 2, "rate": 1},
+		"jobs": [{"allowed": [{"proc": 0, "time": 1}, {"proc": 0, "time": 2}]}]
+	}`
+	if err := os.WriteFile(path, []byte(input), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// solveMain writes the schedule to stdout; swap it for a pipe so the
+	// test can assert on the JSON.
+	old := os.Stdout
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	os.Stdout = w
+	solveErr := solveMain([]string{path})
+	w.Close()
+	os.Stdout = old
+	if solveErr != nil {
+		t.Fatal(solveErr)
+	}
+	var out service.ScheduleSpec
+	if err := json.NewDecoder(r).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	if out.Scheduled != 1 {
+		t.Fatalf("scheduled %d, want 1", out.Scheduled)
+	}
+
+	if err := solveMain([]string{filepath.Join(t.TempDir(), "missing.json")}); err == nil {
+		t.Fatal("accepted a missing input file")
+	}
+	if err := solveMain([]string{"-definitely-not-a-flag"}); err == nil {
+		t.Fatal("accepted unknown flag")
+	}
+}
+
+func TestSimulateCostKinds(t *testing.T) {
+	for _, kind := range []string{"affine", "speedscaled", "sleepstate", "composite"} {
+		cost, err := simulateCost(kind, 2, 16, 4, 1, 7)
+		if err != nil || cost == nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		if c := cost.Cost(0, 0, 2); c <= 0 {
+			t.Fatalf("%s prices [0,2) at %v", kind, c)
+		}
+	}
+	if _, err := simulateCost("quantum", 2, 16, 4, 1, 7); err == nil {
+		t.Fatal("unknown cost kind accepted")
+	}
+	if _, err := simulateCost("affine", 2, 16, -1, 1, 7); err == nil {
+		t.Fatal("negative wake cost accepted")
 	}
 }

@@ -496,6 +496,25 @@ func BenchmarkIncrementalEnable(b *testing.B) {
 	}
 }
 
+// BenchmarkPrefixGains times one prefix sweep — the gains of enabling
+// each prefix of a 32-vertex run against a half-enabled matcher, as the
+// scheduler prices a group of candidate intervals — on
+// BenchmarkIncrementalEnable's graph.
+func BenchmarkPrefixGains(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	g := randomGraph(rng, 500, 400, 0.02)
+	order := rng.Perm(500)
+	m := NewMatcher(g)
+	m.EnableSet(order[:250])
+	run := order[250:282]
+	gains := make([]int, len(run))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.PrefixGains(run, gains)
+	}
+}
+
 func BenchmarkWeightedValue(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	g := randomGraph(rng, 300, 200, 0.03)

@@ -457,7 +457,10 @@ func TestValidateRejectsBadElems(t *testing.T) {
 	}
 }
 
-func BenchmarkGreedyCover(b *testing.B) {
+// benchCoverProblem is the benchmarks' shared instance: 80 random sets
+// over 100 elements, each element in a set with probability 1/5, to be
+// covered up to 90 elements.
+func benchCoverProblem() Problem {
 	rng := rand.New(rand.NewSource(1))
 	m := 100
 	var sets [][]int
@@ -474,6 +477,11 @@ func BenchmarkGreedyCover(b *testing.B) {
 	}
 	p := setCoverProblem(m, sets, costs)
 	p.Threshold = 90
+	return p
+}
+
+func BenchmarkGreedyCover(b *testing.B) {
+	p := benchCoverProblem()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -484,22 +492,7 @@ func BenchmarkGreedyCover(b *testing.B) {
 }
 
 func BenchmarkLazyGreedyCover(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	m := 100
-	var sets [][]int
-	var costs []float64
-	for i := 0; i < 80; i++ {
-		var s []int
-		for e := 0; e < m; e++ {
-			if rng.Intn(5) == 0 {
-				s = append(s, e)
-			}
-		}
-		sets = append(sets, s)
-		costs = append(costs, 0.5+rng.Float64()*2)
-	}
-	p := setCoverProblem(m, sets, costs)
-	p.Threshold = 90
+	p := benchCoverProblem()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

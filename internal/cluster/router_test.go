@@ -49,7 +49,7 @@ func clusterJob() service.JobSpec {
 
 // tc is one router over n real backends sharing a StateDir.
 type tc struct {
-	t       *testing.T
+	t       testing.TB
 	dir     string
 	servers []*httptest.Server
 	svcs    []*service.Service
@@ -58,7 +58,7 @@ type tc struct {
 	front   *httptest.Server
 }
 
-func startBackend(t *testing.T, dir string) (*service.Service, *httptest.Server) {
+func startBackend(t testing.TB, dir string) (*service.Service, *httptest.Server) {
 	t.Helper()
 	svc, err := service.Open(service.Config{
 		Workers: 1, StateDir: dir, LazyRestore: true, CompactEvery: 4, Logf: discardLogf,
@@ -74,7 +74,7 @@ func startBackend(t *testing.T, dir string) (*service.Service, *httptest.Server)
 	return svc, ts
 }
 
-func newTestCluster(t *testing.T, n int, mut func(*Config)) *tc {
+func newTestCluster(t testing.TB, n int, mut func(*Config)) *tc {
 	t.Helper()
 	c := &tc{t: t, dir: t.TempDir(), tr: netfault.NewTransport(nil, netfault.Plan{})}
 	urls := make([]string, 0, n)

@@ -257,10 +257,16 @@ func writeMetrics(w io.Writer, st Stats) {
 	}
 }
 
+// decodeBody decodes exactly one JSON value from the request body:
+// anything but whitespace after it is an error, as it is for the CLI's
+// DecodeRequest.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes))
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("decoding request: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("decoding request: unexpected data after the top-level JSON value")
 	}
 	return nil
 }

@@ -152,6 +152,8 @@ func TestHTTPErrors(t *testing.T) {
 		{"batch bad entry", "/v1/batch",
 			`{"requests":[{"procs":1,"horizon":2,"cost":{"model":"quantum"},"jobs":[]}]}`,
 			http.StatusBadRequest},
+		{"trailing garbage", "/v1/schedule", scheduleBody + ` garbage`, http.StatusBadRequest},
+		{"trailing second value", "/v1/schedule", scheduleBody + `{"procs":-1}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		status, body := postJSON(t, srv.URL+tc.path, tc.body)

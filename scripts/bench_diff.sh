@@ -1,34 +1,27 @@
 #!/bin/sh
-# Prints per-benchmark ns/op and allocs/op deltas between two
-# bench_snapshot.sh JSONs. Informational only — always exits 0, so the CI
-# step that runs it can surface drift without letting benchmark noise
-# (-benchtime 3x wobbles ±20%) fail the build.
+# Compares two bench_snapshot.sh ladders rung by rung: median ns/op,
+# each side's q1–q3 band, and allocs/op. Informational only — it always
+# exits 0.
 #
-# Timing comparisons are one-sided: a benchmark is flagged (REGRESS) only
-# when it got slower by more than the tolerance; improvements and
-# in-tolerance wobble pass silently. Allocation counts are deterministic,
-# so any allocs/op growth at all is flagged. Benchmarks only in the
-# current snapshot print as "new"; benchmarks only in the baseline print
-# as "removed" rows after the rest, so a deleted benchmark shows up in
-# the drift report instead of silently vanishing.
+# A rung is flagged REGRESS only when the bands do not overlap on the
+# slow side: the current q1 is above the baseline q3, so even the
+# current run's faster half is slower than the baseline's slower half.
+# Wobble inside the measured spread passes silently, and so do
+# improvements. Allocation counts hardly move with noise, so any
+# allocs/op growth is flagged ALLOCS+. Rungs only in the current
+# snapshot print as "new"; rungs only in the baseline print as
+# "removed" after the rest.
 #
-# Snapshots carry the environment they were captured in. When the two
-# environments differ (CPU count, GOMAXPROCS, go version, architecture),
-# ns/op deltas are noise, not signal: the diff still prints, but under a
-# loud warning banner and with regression flagging suppressed. Set
-# BENCH_DIFF_STRICT=1 to refuse mismatched environments outright
-# (exit 2) — the CI perf job does.
+# Each snapshot records its capture environment. When the two differ,
+# ns/op deltas are noise, not signal: the diff still prints, under a
+# warning, and REGRESS is not flagged.
 #
-# Usage: [BENCH_DIFF_STRICT=1] [BENCH_DIFF_TOLERANCE=25] \
-#        scripts/bench_diff.sh BENCH_baseline.json BENCH_current.json
+# Usage: scripts/bench_diff.sh base.json cur.json
 set -u
-base="${1:?usage: bench_diff.sh baseline.json current.json}"
-cur="${2:?usage: bench_diff.sh baseline.json current.json}"
-tolerance="${BENCH_DIFF_TOLERANCE:-25}"
-strict="${BENCH_DIFF_STRICT:-0}"
+base="${1:?usage: bench_diff.sh base.json cur.json}"
+cur="${2:?usage: bench_diff.sh base.json cur.json}"
 
 env_of() {
-    # The env line is absent from pre-PR9 snapshots; report "unrecorded".
     grep -o '"env": *{[^}]*}' "$1" 2>/dev/null || echo "unrecorded"
 }
 base_env="$(env_of "$base")"
@@ -39,13 +32,9 @@ if [ "$base_env" != "$cur_env" ]; then
     echo "WARNING: benchmark environments differ — ns/op deltas below are NOISE, not signal." >&2
     echo "  baseline: $base_env" >&2
     echo "  current:  $cur_env" >&2
-    if [ "$strict" = "1" ]; then
-        echo "BENCH_DIFF_STRICT=1: refusing to compare across environments." >&2
-        exit 2
-    fi
 fi
 
-awk -v tolerance="$tolerance" -v env_match="$env_match" '
+awk -v env_match="$env_match" '
 function num(line, key,    s) {
     if (match(line, "\"" key "\": *[0-9.]+")) {
         s = substr(line, RSTART, RLENGTH)
@@ -54,46 +43,50 @@ function num(line, key,    s) {
     }
     return 0
 }
+function band(q1, q3) { return sprintf("[%.0f, %.0f]", q1, q3) }
 FNR == 1 { file++ }
 /"name":/ {
     split($0, parts, "\"")
     name = parts[4]
     if (file == 1) {
         baseNs[name] = num($0, "ns_per_op")
+        baseQ1[name] = num($0, "ns_q1")
+        baseQ3[name] = num($0, "ns_q3")
         baseAllocs[name] = num($0, "allocs_per_op")
         baseOrder[++nBase] = name
     } else {
         curNs[name] = num($0, "ns_per_op")
+        curQ1[name] = num($0, "ns_q1")
+        curQ3[name] = num($0, "ns_q3")
         curAllocs[name] = num($0, "allocs_per_op")
         order[++n] = name
     }
 }
 END {
-    printf "%-42s %14s %14s %9s %9s %9s\n", "benchmark", "base ns/op", "cur ns/op", "ns delta", "allocs", "flag"
+    fmt = "%-34s %12s %12s %8s %22s %22s %7s %s\n"
+    printf fmt, "rung", "base ns/op", "cur ns/op", "delta", "base q1-q3", "cur q1-q3", "allocs", "flag"
     for (i = 1; i <= n; i++) {
         name = order[i]
-        if (name in baseNs && baseNs[name] > 0) {
-            flag = ""
-            dNs = (curNs[name] - baseNs[name]) * 100 / baseNs[name]
-            dAllocs = "="
-            if (baseAllocs[name] > 0) {
-                dAllocs = sprintf("%+.0f%%", (curAllocs[name] - baseAllocs[name]) * 100 / baseAllocs[name])
-                if (curAllocs[name] > baseAllocs[name])
-                    flag = "ALLOCS+"
-            }
-            # One-sided: only slowdowns beyond tolerance are flagged, and
-            # only when the environments are comparable.
-            if (env_match && dNs > tolerance)
-                flag = flag (flag == "" ? "" : ",") "REGRESS"
-            printf "%-42s %14.0f %14.0f %+8.1f%% %9s %9s\n", name, baseNs[name], curNs[name], dNs, dAllocs, flag
-        } else {
-            printf "%-42s %14s %14.0f %9s %9s %9s\n", name, "-", curNs[name], "new", "-", ""
+        if (!(name in baseNs) || baseNs[name] <= 0) {
+            printf fmt, name, "-", sprintf("%.0f", curNs[name]), "new", "-", band(curQ1[name], curQ3[name]), "-", ""
+            continue
         }
+        flag = ""
+        if (curAllocs[name] > baseAllocs[name])
+            flag = "ALLOCS+"
+        # Only when the environments match and the baseline has a band.
+        if (env_match && baseQ3[name] > 0 && curQ1[name] > baseQ3[name])
+            flag = flag (flag == "" ? "" : ",") "REGRESS"
+        dAllocs = curAllocs[name] - baseAllocs[name]
+        printf fmt, name, sprintf("%.0f", baseNs[name]), sprintf("%.0f", curNs[name]),
+            sprintf("%+.1f%%", (curNs[name] - baseNs[name]) * 100 / baseNs[name]),
+            band(baseQ1[name], baseQ3[name]), band(curQ1[name], curQ3[name]),
+            (dAllocs == 0 ? "=" : sprintf("%+d", dAllocs)), flag
     }
     for (i = 1; i <= nBase; i++) {
         name = baseOrder[i]
         if (!(name in curNs))
-            printf "%-42s %14.0f %14s %9s %9s %9s\n", name, baseNs[name], "-", "removed", "-", ""
+            printf fmt, name, sprintf("%.0f", baseNs[name]), "-", "removed", band(baseQ1[name], baseQ3[name]), "-", "-", ""
     }
 }
 ' "$base" "$cur"
