@@ -28,11 +28,13 @@
 // 503. Session endpoints (/v1/session …) expose the
 // mutable solver-session lifecycle. With -state-dir every session is
 // journaled to disk (write-ahead, -fsync always|never, compacted every
-// -compact-every mutations) and restored on restart — kill -9 included;
-// -solve-timeout bounds each solve (503 + Retry-After past it, tuned by
-// -retry-after), and GET /metrics exposes Prometheus-text counters.
-// -lazy-sessions defers journal replay to first touch per session, so a
-// backend with a large shared state dir starts serving immediately.
+// -compact-every mutations) and survives a restart — kill -9 included.
+// No journal is read at startup: each session is restored on its first
+// touch, so a backend with a large shared state dir serves at once, and
+// a corrupt journal is quarantined (journals_dropped_corrupt) when its
+// session is touched. -solve-timeout bounds each solve (503 +
+// Retry-After past it, tuned by -retry-after), and GET /metrics exposes
+// Prometheus-text counters.
 //
 // Route flags: -backends (required, comma-separated serve base URLs),
 // -addr, plus the robustness knobs — -request-timeout, -max-attempts,
@@ -121,7 +123,6 @@ func serveMain(args []string) error {
 	stateDir := fs.String("state-dir", "", "durable session state directory (empty = in-memory sessions only)")
 	fsync := fs.String("fsync", "", "journal fsync policy: always | never (default always)")
 	compactEvery := fs.Int("compact-every", 0, "fold a session journal to a snapshot after this many mutations (0 = 64, negative disables)")
-	lazySessions := fs.Bool("lazy-sessions", false, "defer journal replay to first touch per session (needs -state-dir)")
 	solveTimeout := fs.Duration("solve-timeout", 60*time.Second, "per-request solve budget; past it the client gets 503 + Retry-After (0 = unbounded)")
 	retryAfter := fs.Duration("retry-after", 0, "Retry-After advertised on 429/503 (0 = 1s)")
 	if err := fs.Parse(args); err != nil {
@@ -131,16 +132,11 @@ func serveMain(args []string) error {
 	svc, err := service.Open(service.Config{
 		Workers: *workers, QueueDepth: *queue, CacheSize: *cache,
 		MaxSessions: *maxSessions,
-		StateDir:    *stateDir, Fsync: *fsync, CompactEvery: *compactEvery, LazyRestore: *lazySessions,
+		StateDir:    *stateDir, Fsync: *fsync, CompactEvery: *compactEvery,
 		SolveTimeout: *solveTimeout, RetryAfter: *retryAfter,
 	})
 	if err != nil {
 		return err
-	}
-	if *stateDir != "" {
-		st := svc.Stats()
-		log.Printf("powersched: state dir %s: restored %d sessions, dropped %d corrupt journals",
-			*stateDir, st.SessionsRestored, st.JournalsDropped)
 	}
 	// WriteTimeout must outlast the solve budget, or the server kills
 	// responses the service would still have answered within its SLA.

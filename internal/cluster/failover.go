@@ -47,7 +47,7 @@ type resizeRequest struct {
 
 // resizeResponse summarizes a resize: how many sessions stayed put, how
 // many migrated, and which migrations failed (those sessions keep their
-// old owner recorded and fail over lazily on next touch).
+// old owner recorded and fail over on next touch).
 type resizeResponse struct {
 	Backends []string `json:"backends"`
 	Retained int      `json:"retained"`

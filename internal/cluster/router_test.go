@@ -1,7 +1,7 @@
 package cluster
 
 // Router tests run real service backends (httptest servers over one
-// shared StateDir, lazy restore) behind a Router whose transport is a
+// shared StateDir, first-touch restore) behind a Router whose transport is a
 // netfault seam, so every failure mode here is the injected kind the
 // chaos matrix sweeps: dropped replies, dead backends, torn responses.
 //
@@ -61,7 +61,7 @@ type tc struct {
 func startBackend(t testing.TB, dir string) (*service.Service, *httptest.Server) {
 	t.Helper()
 	svc, err := service.Open(service.Config{
-		Workers: 1, StateDir: dir, LazyRestore: true, CompactEvery: 4, Logf: discardLogf,
+		Workers: 1, StateDir: dir, CompactEvery: 4, Logf: discardLogf,
 	})
 	if err != nil {
 		t.Fatal(err)

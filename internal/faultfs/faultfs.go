@@ -23,7 +23,6 @@ type FS interface {
 	OpenFile(name string, flag int, perm fs.FileMode) (File, error)
 	Rename(oldpath, newpath string) error
 	Remove(name string) error
-	ReadDir(name string) ([]fs.DirEntry, error)
 	ReadFile(name string) ([]byte, error)
 }
 
@@ -47,10 +46,9 @@ func (OS) OpenFile(name string, flag int, perm fs.FileMode) (File, error) {
 	return f, nil
 }
 
-func (OS) Rename(oldpath, newpath string) error       { return os.Rename(oldpath, newpath) }
-func (OS) Remove(name string) error                   { return os.Remove(name) }
-func (OS) ReadDir(name string) ([]fs.DirEntry, error) { return os.ReadDir(name) }
-func (OS) ReadFile(name string) ([]byte, error)       { return os.ReadFile(name) }
+func (OS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, newpath) }
+func (OS) Remove(name string) error             { return os.Remove(name) }
+func (OS) ReadFile(name string) ([]byte, error) { return os.ReadFile(name) }
 
 // Plan selects which operation fails. Counts are 1-based and global
 // across the wrapped FS (all files); zero means "never fail". Err is
@@ -159,9 +157,8 @@ func (f *Fault) Rename(oldpath, newpath string) error {
 	return f.inner.Rename(oldpath, newpath)
 }
 
-func (f *Fault) Remove(name string) error                   { return f.inner.Remove(name) }
-func (f *Fault) ReadDir(name string) ([]fs.DirEntry, error) { return f.inner.ReadDir(name) }
-func (f *Fault) ReadFile(name string) ([]byte, error)       { return f.inner.ReadFile(name) }
+func (f *Fault) Remove(name string) error             { return f.inner.Remove(name) }
+func (f *Fault) ReadFile(name string) ([]byte, error) { return f.inner.ReadFile(name) }
 
 type faultFile struct {
 	fault *Fault

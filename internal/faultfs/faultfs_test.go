@@ -2,6 +2,7 @@ package faultfs
 
 import (
 	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"syscall"
@@ -35,9 +36,9 @@ func TestOSPassthrough(t *testing.T) {
 	if err != nil || string(data) != "hello" {
 		t.Fatalf("ReadFile = %q, %v", data, err)
 	}
-	ents, err := fsys.ReadDir(filepath.Join(dir, "a/b"))
-	if err != nil || len(ents) != 1 {
-		t.Fatalf("ReadDir = %v, %v", ents, err)
+	// O_EXCL passes through: the journal's create relies on it.
+	if _, err := fsys.OpenFile(name+".2", os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644); !errors.Is(err, fs.ErrExist) {
+		t.Fatalf("exclusive create over an existing file: err = %v, want fs.ErrExist", err)
 	}
 	if err := fsys.Remove(name + ".2"); err != nil {
 		t.Fatal(err)

@@ -246,8 +246,8 @@ func writeMetrics(w io.Writer, st Stats) {
 		{"powersched_journal_records_total", "counter", "Journal records written (snapshots included).", float64(st.JournalRecords)},
 		{"powersched_journal_fsyncs_total", "counter", "Journal fsyncs issued.", float64(st.JournalFsyncs)},
 		{"powersched_journal_compactions_total", "counter", "Journals folded to a snapshot record.", float64(st.JournalCompactions)},
-		{"powersched_sessions_restored_total", "counter", "Sessions replayed from journals at startup.", float64(st.SessionsRestored)},
-		{"powersched_journals_dropped_corrupt_total", "counter", "Journals quarantined as corrupt at startup.", float64(st.JournalsDropped)},
+		{"powersched_sessions_restored_total", "counter", "Sessions loaded from a journal on first touch.", float64(st.SessionsRestored)},
+		{"powersched_journals_dropped_corrupt_total", "counter", "Journals quarantined as corrupt on first touch.", float64(st.JournalsDropped)},
 		{"powersched_journal_errors_total", "counter", "Live-path journal failures (each drops its session).", float64(st.JournalErrors)},
 	}
 	for _, m := range metrics {

@@ -19,8 +19,9 @@ package service
 // Periodic compaction (Config.CompactEvery accepted mutations) folds
 // the journal back to a single snapshot record via write-temp, fsync,
 // rename, so a crash during compaction leaves either the old journal or
-// the new one, both complete. Recovery re-compacts every restored
-// journal, which also normalizes away any tolerated torn tail.
+// the new one, both complete. A session comes back from disk only on
+// first touch (openByID in takeover.go), which re-compacts the one
+// journal it loads and so also normalizes away any tolerated torn tail.
 //
 // All filesystem access goes through faultfs.FS, so the crash-matrix
 // tests can fail any individual write, fsync, rename, or open and
@@ -35,7 +36,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"repro/internal/faultfs"
 )
@@ -240,15 +240,15 @@ func (j *sessionJournal) appendRecord(rec journalRecord) error {
 	return nil
 }
 
-// createJournal starts a fresh journal whose first record is snap.
-// Creation always fsyncs regardless of policy: acking a session create
-// that a power cut could erase would be lying.
+// createJournal starts a fresh journal whose first record is snap. It is
+// the only code that creates <id>.journal, and it never overwrites one:
+// when the file exists (acked state this process has not loaded, or a
+// peer's session on a shared StateDir) the open fails with an error
+// matching fs.ErrExist. Creation always fsyncs regardless of policy:
+// acking a session create that a power cut could erase would be lying.
 func (s *Service) createJournal(snap *SessionSnapshot) (*sessionJournal, error) {
-	if err := s.cfg.FS.MkdirAll(s.sessionsDir(), 0o755); err != nil {
-		return nil, err
-	}
 	path := s.journalPath(snap.ID)
-	f, err := s.cfg.FS.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	f, err := s.cfg.FS.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 	if err != nil {
 		return nil, err
 	}
@@ -344,52 +344,6 @@ func (j *sessionJournal) discard() {
 	j.s.cfg.FS.Remove(j.path)
 }
 
-// recoverSessions replays every journal under the state dir into the
-// registry. Per journal the outcome is binary: the session is fully
-// restored to its last acked state (torn tail records dropped), or it
-// is dropped cleanly — quarantined as <id>.journal.corrupt with a
-// logged error and counted in journals_dropped_corrupt — and the
-// service keeps serving. A dropped journal is never half-restored.
-func (s *Service) recoverSessions() error {
-	dir := s.sessionsDir()
-	if err := s.cfg.FS.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("service: state dir: %w", err)
-	}
-	entries, err := s.cfg.FS.ReadDir(dir)
-	if err != nil {
-		return fmt.Errorf("service: state dir: %w", err)
-	}
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, journalExt) {
-			continue // .tmp leftovers and .corrupt quarantines stay ignored
-		}
-		id := strings.TrimSuffix(name, journalExt)
-		path := filepath.Join(dir, name)
-		h, err := s.recoverOne(id, path)
-		if err != nil {
-			s.journalsDroppedCorrupt.Add(1)
-			s.logf("powersched: dropping session %s: %v", id, err)
-			if rerr := s.cfg.FS.Rename(path, path+".corrupt"); rerr != nil {
-				s.cfg.FS.Remove(path)
-			}
-			continue
-		}
-		if h == nil {
-			// Torn create record: no acked state existed; just clean up.
-			s.cfg.FS.Remove(path)
-			continue
-		}
-		s.sessMu.Lock()
-		s.sessions[id] = h
-		s.sessMu.Unlock()
-		s.sessionsRestored.Add(1)
-		// Future ids must not collide with restored ones.
-		s.bumpSessSeq(id)
-	}
-	return nil
-}
-
 // recoverOne restores a single journal: replay, rebuild, verify each
 // acked digest, then re-compact so the on-disk file is normalized (and
 // any tolerated torn tail is erased). Returns (nil, nil) for a journal
@@ -442,15 +396,15 @@ func (s *Service) recoverOne(id, path string) (*sessionHandle, error) {
 			return nil, fmt.Errorf("rewriting journal: %w", cerr)
 		}
 		// Old journal is intact and appendable; keep it and move on.
-		s.logf("powersched: session %s: startup compaction failed (%v); keeping journal", id, cerr)
+		s.logf("powersched: session %s: restore compaction failed (%v); keeping journal", id, cerr)
 	}
 	h.journal = j
 	return h, nil
 }
 
 // flushJournals folds every live session into a compacted snapshot —
-// the next Open then replays no mutation records — and closes the
-// journals. Called on the drain path of Close.
+// the next first touch then replays no mutation records — and closes
+// the journals. Called on the drain path of Close.
 func (s *Service) flushJournals() {
 	s.sessMu.Lock()
 	handles := make(map[string]*sessionHandle, len(s.sessions))

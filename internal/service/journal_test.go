@@ -23,6 +23,26 @@ func durableConfig(dir string) Config {
 	return Config{Workers: 1, StateDir: dir, CompactEvery: 4, Logf: func(string, ...any) {}}
 }
 
+// touchJournals touches the session of every *.journal file under dir
+// — the acked ids and any file the client never heard of alike — so
+// that restore counters read afterwards cover everything on disk:
+// sessions come back from disk only on first touch. It returns each
+// id's SessionInfo error.
+func touchJournals(t *testing.T, svc *Service, dir string) map[string]error {
+	t.Helper()
+	entries, err := os.ReadDir(filepath.Join(dir, "sessions"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	errs := map[string]error{}
+	for _, e := range entries {
+		if id, ok := strings.CutSuffix(e.Name(), journalExt); ok {
+			_, errs[id] = svc.SessionInfo(id)
+		}
+	}
+	return errs
+}
+
 // solveBytes solves a session and returns the schedule's canonical JSON.
 func solveBytes(t *testing.T, svc *Service, id string) []byte {
 	t.Helper()
@@ -78,12 +98,12 @@ func TestDurableKill9Differential(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc2.Close(context.Background())
-	if got := svc2.Stats().SessionsRestored; got != 1 {
-		t.Fatalf("sessions_restored = %d, want 1", got)
-	}
 	info2, err := svc2.SessionInfo(id)
 	if err != nil {
 		t.Fatalf("restored session missing: %v", err)
+	}
+	if got := svc2.Stats().SessionsRestored; got != 1 {
+		t.Fatalf("sessions_restored = %d, want 1", got)
 	}
 	if info2.Digest != digest1 || info2.Jobs != info1.Jobs || info2.Horizon != info1.Horizon {
 		t.Fatalf("restored info %+v, want digest=%s jobs=%d horizon=%d",
@@ -135,11 +155,14 @@ func solveSameAsCold(t *testing.T, svc *Service, id string) {
 	if res.Err != nil {
 		t.Fatalf("solve %s: %v", id, res.Err)
 	}
-	snap, err := svc.SnapshotSession(id)
+	h, err := svc.session(id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	req, err := BuildRequest(snap.Spec)
+	h.mu.Lock()
+	spec := cloneInstanceSpec(h.spec)
+	h.mu.Unlock()
+	req, err := BuildRequest(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,12 +264,12 @@ func TestLegacyHintJournalRestores(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc.Close(context.Background())
-	if got := svc.Stats().SessionsRestored; got != 1 {
-		t.Fatalf("restored %d sessions from the legacy journal, want 1", got)
-	}
 	info, err := svc.SessionInfo(id)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := svc.Stats().SessionsRestored; got != 1 {
+		t.Fatalf("restored %d sessions from the legacy journal, want 1", got)
 	}
 	if info.Seq != rj.Snap.Seq+1 || info.Digest != rj.Digests[0] {
 		t.Fatalf("restored info %+v, want seq %d and digest %s", info, rj.Snap.Seq+1, rj.Digests[0])
@@ -302,12 +325,12 @@ func TestLegacyWorkersJournalRestores(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer svc.Close(context.Background())
-			if got := svc.Stats().SessionsRestored; got != 1 {
-				t.Fatalf("restored %d sessions from the legacy journal, want 1", got)
-			}
 			info, err := svc.SessionInfo(id)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if got := svc.Stats().SessionsRestored; got != 1 {
+				t.Fatalf("restored %d sessions from the legacy journal, want 1", got)
 			}
 			if info.Seq != rj.Snap.Seq+1 || info.Digest != rj.Digests[0] {
 				t.Fatalf("restored info %+v, want seq %d and digest %s", info, rj.Snap.Seq+1, rj.Digests[0])
@@ -396,6 +419,7 @@ func TestDurableTruncationMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cut %d: Open: %v", cut, err)
 		}
+		touchJournals(t, rec, sub)
 		st := rec.Stats()
 		if complete == 0 {
 			// Torn or missing creation record: nothing was acked, nothing
@@ -423,8 +447,10 @@ func TestDurableTruncationMatrix(t *testing.T) {
 }
 
 // TestDurableCorruptQuarantine: a bad record anywhere before the tail is
-// corruption, not a crash artifact. The journal must be quarantined —
-// counted, logged, renamed .corrupt — and the service must come up
+// corruption, not a crash artifact, and so is a snapshot record that
+// verifies as a record but not as a session. The journal must be
+// quarantined when its session is first touched — counted, logged,
+// renamed .corrupt, answered ErrNoSession — and the service must keep
 // serving, with the session gone rather than half-restored.
 func TestDurableCorruptQuarantine(t *testing.T) {
 	flip := func(t *testing.T, corrupt func(lines [][]byte) [][]byte) (st Stats, logged []string, dir string, svc *Service) {
@@ -466,7 +492,30 @@ func TestDurableCorruptQuarantine(t *testing.T) {
 		if err != nil {
 			t.Fatalf("corruption must not fail Open: %v", err)
 		}
+		for id, err := range touchJournals(t, svc, dir) {
+			if !errors.Is(err, ErrNoSession) {
+				t.Fatalf("touching corrupt session %s: want ErrNoSession, got %v", id, err)
+			}
+		}
 		return svc.Stats(), logged, dir, svc
+	}
+	// resnap rewrites the creation record with edit applied to its
+	// snapshot under a valid checksum: the record verifies, the session
+	// it describes does not.
+	resnap := func(edit func(snap *SessionSnapshot)) func(lines [][]byte) [][]byte {
+		return func(lines [][]byte) [][]byte {
+			var rec journalRecord
+			if err := json.Unmarshal(bytes.TrimSpace(lines[0]), &rec); err != nil {
+				panic(err)
+			}
+			edit(rec.Snap)
+			line, err := encodeRecord(journalRecord{T: "snapshot", Snap: rec.Snap})
+			if err != nil {
+				panic(err)
+			}
+			lines[0] = line
+			return lines
+		}
 	}
 
 	cases := []struct {
@@ -484,19 +533,13 @@ func TestDurableCorruptQuarantine(t *testing.T) {
 			// cannot land on its acked digest.
 			return append(lines[:1], lines[2:]...)
 		}},
-		{"snapshot for a different id", func(lines [][]byte) [][]byte {
-			var rec journalRecord
-			if err := json.Unmarshal(bytes.TrimSpace(lines[0]), &rec); err != nil {
-				panic(err)
-			}
-			rec.Snap.ID = "s999999"
-			line, err := encodeRecord(journalRecord{T: "snapshot", Snap: rec.Snap})
-			if err != nil {
-				panic(err)
-			}
-			lines[0] = line
-			return lines
-		}},
+		{"snapshot for a different id", resnap(func(snap *SessionSnapshot) { snap.ID = "s999999" })},
+		{"snapshot with no id", resnap(func(snap *SessionSnapshot) { snap.ID = "" })},
+		{"spec does not match digest", resnap(func(snap *SessionSnapshot) { snap.Spec.Horizon++ })},
+		{"spec that cannot be built", resnap(func(snap *SessionSnapshot) {
+			snap.Spec.Procs = -1
+			snap.Digest = InstanceDigest(snap.Spec) // consistent digest, unbuildable spec
+		})},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -651,6 +694,9 @@ func TestDurableCrashMatrix(t *testing.T) {
 				t.Fatalf("recovery Open: %v", err)
 			}
 			defer rec.Close(context.Background())
+			// Touch every journal on disk, not only the acked ids, so the
+			// counters below cover every file the live run left behind.
+			touchJournals(t, rec, dir)
 			st := rec.Stats()
 			if st.JournalsDropped != 0 {
 				// Every live-path failure is handled by dropping the session
@@ -795,5 +841,94 @@ func TestDurableCompaction(t *testing.T) {
 	}
 	if rec.Stats().JournalsDropped != 0 {
 		t.Fatal(".tmp leftover counted as a corrupt journal")
+	}
+}
+
+// TestRestartCreateKeepsUnloadedSession: a restarted service has no
+// session in memory and mints ids from the start again. A create must
+// step over the journal still on disk, never overwrite it: the untouched
+// session keeps solving byte-identically and the new one gets a fresh
+// id.
+func TestRestartCreateKeepsUnloadedSession(t *testing.T) {
+	dir := t.TempDir()
+	svc1, err := Open(durableConfig(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, _, err := svc1.CreateSession(sessionSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest, err := svc1.MutateSession(id, []MutationSpec{{Op: "add_job", Job: ptr(extraJob())}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := solveBytes(t, svc1, id)
+	// kill -9: abandon svc1 without Close.
+
+	svc2, err := Open(durableConfig(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc2.Close(context.Background())
+	id2, _, err := svc2.CreateSession(sessionSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id2 == id {
+		t.Fatalf("create after restart reused the on-disk id %s", id)
+	}
+	info, err := svc2.SessionInfo(id)
+	if err != nil {
+		t.Fatalf("on-disk session lost to a create: %v", err)
+	}
+	if info.Digest != digest {
+		t.Fatalf("on-disk session restored at digest %s, acked %s", info.Digest, digest)
+	}
+	if got := solveBytes(t, svc2, id); !bytes.Equal(got, want) {
+		t.Fatalf("on-disk session solve differs after a create:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestSharedStateDirCreatesDoNotCollide: two services on one StateDir
+// (a cluster's backends) mint ids independently. Each create must get
+// its own id and its own journal; neither may overwrite the other's.
+func TestSharedStateDirCreatesDoNotCollide(t *testing.T) {
+	dir := t.TempDir()
+	a, err := Open(durableConfig(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close(context.Background())
+	b, err := Open(durableConfig(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close(context.Background())
+	idA, digestA, err := a.CreateSession(sessionSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	specB := sessionSpec()
+	specB.Jobs = append(specB.Jobs, extraJob())
+	idB, digestB, err := b.CreateSession(specB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if idA == idB {
+		t.Fatalf("both services minted %s", idA)
+	}
+	for id, want := range map[string]string{idA: digestA, idB: digestB} {
+		data, err := os.ReadFile(filepath.Join(dir, "sessions", id+journalExt))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rj, err := ReplayJournal(data)
+		if err != nil || rj.Snap == nil || rj.Snap.ID != id || rj.Snap.Digest != want {
+			t.Fatalf("journal %s no longer holds its acked create (digest %s): %+v, %v", id, want, rj, err)
+		}
+	}
+	for svc, id := range map[*Service]string{a: idA, b: idB} {
+		solveSameAsCold(t, svc, id)
 	}
 }

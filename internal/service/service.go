@@ -84,14 +84,16 @@ type Config struct {
 	// instance, model and cached schedule, so an unbounded registry
 	// would let clients that never DELETE grow the process without limit;
 	// CreateSession refuses past the cap until sessions are dropped.
-	// Recovery restores every intact journal even past the cap — acked
-	// state is never discarded to satisfy a tuning knob.
+	// A first touch restores an intact journal even past the cap —
+	// acked state is never refused to satisfy a tuning knob.
 	MaxSessions int
 
 	// StateDir, when set, makes sessions durable: each session owns an
-	// append-only journal under <StateDir>/sessions, replayed by Open at
-	// startup, so a crashed or redeployed process answers session
-	// solve/info exactly as the uncrashed one would have.
+	// append-only journal under <StateDir>/sessions, replayed on the
+	// session's first touch after a restart, so a crashed or redeployed
+	// process answers session solve/info exactly as the uncrashed one
+	// would have. Several processes may share one StateDir (a cluster);
+	// session creation never overwrites another's journal.
 	StateDir string
 	// Fsync selects the journal fsync policy: FsyncAlways (default)
 	// syncs after every record — survives power loss; FsyncNever leaves
@@ -103,12 +105,6 @@ type Config struct {
 	// this many accepted mutations (default 64; negative disables
 	// periodic compaction).
 	CompactEvery int
-	// LazyRestore, with StateDir set, skips the bulk journal replay at
-	// Open: sessions load from disk on first touch instead (open-by-id).
-	// Cluster backends sharing one StateDir run lazy so each process
-	// materializes only the sessions the router actually routes to it,
-	// rather than every journal every backend ever wrote.
-	LazyRestore bool
 	// FS is the filesystem under StateDir (default the real one,
 	// faultfs.OS). Tests inject faultfs.Fault failpoints through it.
 	FS faultfs.FS
@@ -187,7 +183,7 @@ type Stats struct {
 	JournalRecords     uint64 `json:"journal_records"`          // records appended (incl. snapshots)
 	JournalFsyncs      uint64 `json:"journal_fsyncs"`           // fsyncs issued
 	JournalCompactions uint64 `json:"journal_compactions"`      // journals folded to a snapshot
-	SessionsRestored   uint64 `json:"sessions_restored"`        // sessions replayed at startup
+	SessionsRestored   uint64 `json:"sessions_restored"`        // sessions loaded from a journal on first touch
 	JournalsDropped    uint64 `json:"journals_dropped_corrupt"` // journals quarantined as corrupt
 	JournalErrors      uint64 `json:"journal_errors"`           // live-path journal failures (session dropped)
 }
@@ -236,8 +232,8 @@ type cacheEntry struct {
 
 // New starts a service with cfg's worker pool. The caller owns the
 // returned service and must Close it to release the workers. With
-// Config.StateDir set, startup recovery can fail — use Open to handle
-// that error; New panics on it.
+// Config.StateDir set, startup can fail — use Open to handle that
+// error; New panics on it.
 func New(cfg Config) *Service {
 	s, err := Open(cfg)
 	if err != nil {
@@ -246,13 +242,13 @@ func New(cfg Config) *Service {
 	return s
 }
 
-// Open starts a service and, when Config.StateDir is set, replays every
-// session journal found there: each becomes a live session answering
+// Open starts a service. With Config.StateDir set it only makes sure
+// the sessions directory exists: no journal is read at startup. Each
+// session comes back on its first touch by id (openByID), answering
 // solve/info exactly as before the restart, or is dropped cleanly with
 // a logged error and a journals_dropped_corrupt tick — never served
 // from corrupt state. Open fails only on environment errors (state dir
-// unusable, bad Fsync value); per-journal corruption never fails
-// startup.
+// unusable, bad Fsync value).
 func Open(cfg Config) (*Service, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Fsync != FsyncAlways && cfg.Fsync != FsyncNever {
@@ -266,14 +262,7 @@ func Open(cfg Config) (*Service, error) {
 		lru:      list.New(),
 		sessions: map[string]*sessionHandle{},
 	}
-	if s.durable() && cfg.MaxSessions >= 0 && !cfg.LazyRestore {
-		if err := s.recoverSessions(); err != nil {
-			return nil, err
-		}
-	}
-	if s.durable() && cfg.LazyRestore {
-		// Lazy mode still needs the sessions dir: open-by-id and
-		// create-with-id assume it exists.
+	if s.durable() {
 		if err := s.cfg.FS.MkdirAll(s.sessionsDir(), 0o755); err != nil {
 			return nil, fmt.Errorf("service: state dir: %w", err)
 		}
@@ -387,7 +376,7 @@ func (s *Service) enqueue(ctx context.Context, t *task) error {
 // Close drains the service: new submissions are refused, queued requests
 // are still answered, and Close returns once every worker has exited and
 // — on a durable service — every session journal has been folded to a
-// final snapshot and fsynced, so the next Open restores every session
+// final snapshot and fsynced, so the next process restores each session
 // without replaying mutation records. If ctx expires first, the drain
 // keeps running in the background.
 func (s *Service) Close(ctx context.Context) error {

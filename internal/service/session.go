@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
+	"io/fs"
 	"sync"
 
 	"repro/internal/sched"
@@ -39,8 +39,9 @@ var ErrNoSession = errors.New("service: no such session")
 // ErrTooManySessions is returned by CreateSession at the MaxSessions cap.
 var ErrTooManySessions = errors.New("service: session limit reached")
 
-// ErrSessionsDisabled is returned by CreateSession and RestoreSession
-// when the deployment opted out of sessions (MaxSessions < 0).
+// ErrSessionsDisabled is returned by CreateSession, CreateSessionWithID
+// and TakeoverSession when the deployment opted out of sessions
+// (MaxSessions < 0).
 var ErrSessionsDisabled = errors.New("service: sessions disabled (MaxSessions < 0)")
 
 // ErrSeqConflict is returned by a conditional mutate whose expected
@@ -85,7 +86,7 @@ type sessionHandle struct {
 }
 
 // newHandle validates a wire spec and builds an unregistered session
-// handle — the shared core of CreateSession and snapshot restore.
+// handle — the shared core of session creation and journal restore.
 func (s *Service) newHandle(spec InstanceSpec) (*sessionHandle, error) {
 	if spec.Mode != "" && spec.Mode != "all" {
 		return nil, fmt.Errorf("service: sessions solve mode \"all\", got %q", spec.Mode)
@@ -114,23 +115,6 @@ func (s *Service) newHandle(spec InstanceSpec) (*sessionHandle, error) {
 	}, nil
 }
 
-// registerSession installs a handle under id, enforcing the MaxSessions
-// cap and id uniqueness, and keeps the id sequence ahead of any
-// restored id so future CreateSession calls cannot collide.
-func (s *Service) registerSession(id string, h *sessionHandle) error {
-	s.sessMu.Lock()
-	defer s.sessMu.Unlock()
-	if len(s.sessions) >= s.cfg.MaxSessions {
-		return fmt.Errorf("%w: %d live", ErrTooManySessions, s.cfg.MaxSessions)
-	}
-	if _, ok := s.sessions[id]; ok {
-		return fmt.Errorf("service: session %q already exists", id)
-	}
-	s.sessions[id] = h
-	s.bumpSessSeq(id)
-	return nil
-}
-
 // CreateSession opens a session from a wire spec and returns its id and
 // the digest of its (initial) instance. Sessions solve with ScheduleAll
 // semantics: specs selecting a prize mode or the Improve pass are
@@ -139,77 +123,78 @@ func (s *Service) registerSession(id string, h *sessionHandle) error {
 // it is acknowledged; a storage failure answers ErrDurability and no
 // session exists.
 func (s *Service) CreateSession(spec InstanceSpec) (id, digest string, err error) {
-	if err := s.sessionsOpen(); err != nil {
-		return "", "", err
-	}
-	if s.cfg.MaxSessions < 0 {
-		return "", "", ErrSessionsDisabled
-	}
-	h, err := s.newHandle(spec)
-	if err != nil {
-		return "", "", err
-	}
-	id = fmt.Sprintf("s%06d", s.sessSeq.Add(1))
-	if s.durable() {
-		j, jerr := s.createJournal(h.snapshotLocked(id))
-		if jerr != nil {
-			s.journalErrors.Add(1)
-			return "", "", fmt.Errorf("%w: %v", ErrDurability, jerr)
-		}
-		h.journal = j
-	}
-	if err := s.registerSession(id, h); err != nil {
-		if h.journal != nil {
-			h.journal.discard()
-		}
-		return "", "", err
-	}
-	return id, h.digest, nil
+	return s.installSession("", spec)
 }
 
 // CreateSessionWithID is CreateSession under a caller-chosen id — the
 // cluster router uses it so ids minted at the routing tier never
 // collide with backend-assigned "s%06d" ones. The id must be non-empty,
 // at most 128 bytes, start with a letter or digit, and contain only
-// letters, digits, '.', '_', and '-' (it names a journal file). On a
-// durable service an id whose journal already exists on disk is
-// refused even when the session is not in memory, so a lazily-restoring
-// backend cannot truncate acked state it has not loaded yet.
+// letters, digits, '.', '_', and '-' (it names a journal file). An id
+// that is live, or whose journal exists on disk, is refused ("already
+// exists"): the create never overwrites acked state this process has
+// not loaded yet.
 func (s *Service) CreateSessionWithID(id string, spec InstanceSpec) (digest string, err error) {
-	if err := s.sessionsOpen(); err != nil {
-		return "", err
-	}
-	if s.cfg.MaxSessions < 0 {
-		return "", ErrSessionsDisabled
-	}
 	if err := validSessionID(id); err != nil {
 		return "", err
 	}
-	if s.durable() {
-		if f, err := s.cfg.FS.OpenFile(s.journalPath(id), os.O_RDONLY, 0); err == nil {
-			f.Close()
-			return "", fmt.Errorf("service: session %q already exists on disk", id)
-		}
+	_, digest, err = s.installSession(id, spec)
+	return digest, err
+}
+
+// installSession is the one way a session is created. An empty id mints
+// the next "s%06d". On a durable service the journal is created
+// exclusively (createJournal): a minted id whose journal already exists
+// moves on to the next number, and a caller-chosen one is refused.
+func (s *Service) installSession(id string, spec InstanceSpec) (string, string, error) {
+	if err := s.sessionsEnabled(); err != nil {
+		return "", "", err
 	}
 	h, err := s.newHandle(spec)
 	if err != nil {
-		return "", err
+		return "", "", err
 	}
-	if s.durable() {
-		j, jerr := s.createJournal(h.snapshotLocked(id))
-		if jerr != nil {
-			s.journalErrors.Add(1)
-			return "", fmt.Errorf("%w: %v", ErrDurability, jerr)
+	mint := id == ""
+	for {
+		if mint {
+			id = fmt.Sprintf("s%06d", s.sessSeq.Add(1))
 		}
-		h.journal = j
+		if !s.durable() {
+			break
+		}
+		j, err := s.createJournal(h.snapshotLocked(id))
+		if err == nil {
+			h.journal = j
+			break
+		}
+		if !errors.Is(err, fs.ErrExist) {
+			s.journalErrors.Add(1)
+			return "", "", fmt.Errorf("%w: %v", ErrDurability, err)
+		}
+		if !mint {
+			return "", "", fmt.Errorf("service: session %q already exists", id)
+		}
 	}
-	if err := s.registerSession(id, h); err != nil {
+	// Register under the MaxSessions cap. bumpSessSeq keeps minting ahead
+	// of a caller-chosen "s%06d" id.
+	s.sessMu.Lock()
+	switch {
+	case len(s.sessions) >= s.cfg.MaxSessions:
+		err = fmt.Errorf("%w: %d live", ErrTooManySessions, s.cfg.MaxSessions)
+	case s.sessions[id] != nil:
+		err = fmt.Errorf("service: session %q already exists", id)
+	default:
+		s.sessions[id] = h
+		s.bumpSessSeq(id)
+	}
+	s.sessMu.Unlock()
+	if err != nil {
 		if h.journal != nil {
 			h.journal.discard()
 		}
-		return "", err
+		return "", "", err
 	}
-	return h.digest, nil
+	return id, h.digest, nil
 }
 
 // validSessionID enforces the filesystem-safe id shape CreateSessionWithID
@@ -226,6 +211,19 @@ func validSessionID(id string) error {
 		default:
 			return fmt.Errorf("service: session id %q: byte %d not in [A-Za-z0-9._-] (leading [A-Za-z0-9])", id, i)
 		}
+	}
+	return nil
+}
+
+// sessionsEnabled reports whether the service may start a session:
+// it is not draining (ErrClosed) and sessions are not disabled
+// (ErrSessionsDisabled).
+func (s *Service) sessionsEnabled() error {
+	if err := s.sessionsOpen(); err != nil {
+		return err
+	}
+	if s.cfg.MaxSessions < 0 {
+		return ErrSessionsDisabled
 	}
 	return nil
 }
@@ -254,9 +252,9 @@ func cloneCostSpec(c CostSpec) CostSpec {
 }
 
 // session resolves an id to its live handle. On a durable service a
-// miss falls through to the shared StateDir (takeover.go): in a cluster
-// the journal a dead backend left behind IS the session, and the
-// rehashed owner serves it by replaying snapshot + tail on first touch.
+// miss falls through to the StateDir (openByID in takeover.go): this is
+// how every session comes back from disk, after a restart or, in a
+// cluster, from the journal a dead backend left behind.
 func (s *Service) session(id string) (*sessionHandle, error) {
 	s.sessMu.Lock()
 	h, ok := s.sessions[id]
@@ -492,9 +490,9 @@ func (s *Service) SessionInfo(id string) (SessionInfo, error) {
 
 // DropSession discards a session and its journal. Cached results
 // survive: they are keyed by content digest, not by session. On a
-// durable service a session living only on disk (not yet lazily
-// loaded) is dropped by removing its journal, so a DELETE is final
-// whether or not the session was ever touched by this process.
+// durable service a session living only on disk (not yet loaded) is
+// dropped by removing its journal, so a DELETE is final whether or not
+// the session was ever touched by this process.
 func (s *Service) DropSession(id string) error {
 	s.sessMu.Lock()
 	h, ok := s.sessions[id]

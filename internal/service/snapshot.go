@@ -4,9 +4,10 @@ package service
 // serializes to a SessionSnapshot — its current InstanceSpec (accepted
 // mutations folded in) and the digest that keys its cached results — and
 // restores to a session whose next Solve is byte-identical to the live
-// one. The snapshot is the unit the write-ahead journal (journal.go)
-// compacts to, the shape a create record carries, and the foundation the
-// ROADMAP's shard-migration work moves between processes.
+// one. The snapshot is the journal's record format (journal.go): the
+// record a create writes and the one compaction folds a journal back
+// to. Sessions move between processes as journals, never as bare
+// snapshots.
 //
 // The codec leans on two proven fixed points: InstanceSpec re-encodes
 // canonically (FuzzWireCodec pins decode∘marshal as digest-preserving),
@@ -67,24 +68,10 @@ func (h *sessionHandle) snapshotLocked(id string) *SessionSnapshot {
 	}
 }
 
-// SnapshotSession serializes a live session's current state.
-func (s *Service) SnapshotSession(id string) (*SessionSnapshot, error) {
-	h, err := s.session(id)
-	if err != nil {
-		return nil, err
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.snapshotLocked(id), nil
-}
-
 // restoreHandle rebuilds a session handle from a snapshot: digest
 // verification and spec rebuild. A digest mismatch is corruption and
 // fails.
 func (s *Service) restoreHandle(snap *SessionSnapshot) (*sessionHandle, error) {
-	if snap.ID == "" {
-		return nil, fmt.Errorf("%w: snapshot has no session id", ErrSnapshotCorrupt)
-	}
 	if got := InstanceDigest(snap.Spec); snap.Digest != "" && got != snap.Digest {
 		return nil, fmt.Errorf("%w: spec digests to %s, snapshot recorded %s", ErrSnapshotCorrupt, got, snap.Digest)
 	}
@@ -94,36 +81,4 @@ func (s *Service) restoreHandle(snap *SessionSnapshot) (*sessionHandle, error) {
 	}
 	h.seq = snap.Seq
 	return h, nil
-}
-
-// RestoreSession installs a snapshotted session under its recorded id —
-// the restore half of the snapshot codec. The restored session's next
-// Solve is byte-identical to the live session the snapshot was taken
-// from. On a durable service the restored session gets a fresh journal,
-// so it is indistinguishable from one created through CreateSession.
-func (s *Service) RestoreSession(snap *SessionSnapshot) error {
-	if err := s.sessionsOpen(); err != nil {
-		return err
-	}
-	if s.cfg.MaxSessions < 0 {
-		return ErrSessionsDisabled
-	}
-	h, err := s.restoreHandle(snap)
-	if err != nil {
-		return err
-	}
-	if s.durable() {
-		j, err := s.createJournal(h.snapshotLocked(snap.ID))
-		if err != nil {
-			return fmt.Errorf("%w: %v", ErrDurability, err)
-		}
-		h.journal = j
-	}
-	if err := s.registerSession(snap.ID, h); err != nil {
-		if h.journal != nil {
-			h.journal.discard()
-		}
-		return err
-	}
-	return nil
 }

@@ -1,13 +1,16 @@
 package service
 
-// This file is the cross-process handoff surface the cluster router
-// drives. Backends in a cluster share one StateDir; a session's journal
-// is its portable identity. Three operations move ownership:
+// This file is how a session comes back from disk, and the
+// cross-process handoff surface the cluster router drives. Backends in a
+// cluster share one StateDir; a session's journal is its portable
+// identity. Three operations move ownership:
 //
 //   - open-by-id: a session miss on a durable service falls through to
-//     the shared StateDir before answering ErrNoSession, so the rehashed
-//     owner of an ejected backend's session can serve it by replaying
-//     the snapshot + journal tail the dead process left behind.
+//     the StateDir before answering ErrNoSession. It is the only restore
+//     path: a restarted process loads each session on its first touch,
+//     and the rehashed owner of an ejected backend's session serves it
+//     by replaying the snapshot + journal tail the dead process left
+//     behind.
 //   - takeover: an explicit "re-read from disk" that discards any
 //     in-memory copy first — the router issues it when ownership moves
 //     while both processes are alive (ring resize migration), so the
@@ -27,12 +30,15 @@ import (
 	"io/fs"
 )
 
-// openByID restores one session from the shared StateDir on demand.
-// Returns ErrNoSession (wrapped) when no journal exists for the id; a
-// corrupt journal is quarantined exactly as startup recovery would.
-// openMu serializes concurrent opens of the same or different ids —
-// recovery re-compacts the journal, and two goroutines compacting one
-// file would race.
+// openByID restores one session from the StateDir on demand. Per
+// journal the outcome is binary: the session is restored to its last
+// acked state (torn tail records dropped), or the journal is dropped
+// cleanly — quarantined as <id>.journal.corrupt with a logged error and
+// counted in journals_dropped_corrupt — and the caller gets
+// ErrNoSession. A dropped journal is never half-restored. openMu
+// serializes concurrent opens of the same or different ids — restore
+// re-compacts the journal, and two goroutines compacting one file would
+// race.
 func (s *Service) openByID(id string) (*sessionHandle, error) {
 	if err := validSessionID(id); err != nil {
 		return nil, fmt.Errorf("%w: %q", ErrNoSession, id)
@@ -52,7 +58,6 @@ func (s *Service) openByID(id string) (*sessionHandle, error) {
 		if errors.Is(err, fs.ErrNotExist) {
 			return nil, fmt.Errorf("%w: %q", ErrNoSession, id)
 		}
-		// Same contract as startup: quarantine, count, keep serving.
 		s.journalsDroppedCorrupt.Add(1)
 		s.logf("powersched: dropping session %s: %v", id, err)
 		if rerr := s.cfg.FS.Rename(path, path+".corrupt"); rerr != nil {
@@ -80,7 +85,7 @@ func (s *Service) openByID(id string) (*sessionHandle, error) {
 // Returns the recovered digest and mutation sequence — the values the
 // router verifies migration against.
 func (s *Service) TakeoverSession(id string) (digest string, seq uint64, err error) {
-	if err := s.sessionsOpen(); err != nil {
+	if err := s.sessionsEnabled(); err != nil {
 		return "", 0, err
 	}
 	if !s.durable() {
@@ -145,8 +150,8 @@ func (s *Service) ReleaseSession(id string) error {
 	return nil
 }
 
-// bumpSessSeq keeps the id sequence ahead of a restored "s%06d" id so
-// future CreateSession calls cannot collide with it.
+// bumpSessSeq keeps the id sequence ahead of a live "s%06d" id so
+// minting does not hand it out again.
 func (s *Service) bumpSessSeq(id string) {
 	var seq uint64
 	if _, err := fmt.Sscanf(id, "s%d", &seq); err != nil {

@@ -8,8 +8,8 @@ import (
 )
 
 // Tests for the cluster handoff surface: mutation sequence numbers,
-// conditional mutates, caller-chosen ids, lazy restore with open-by-id,
-// and explicit release/takeover — the service half of journal-driven
+// conditional mutates, caller-chosen ids, first-touch restore
+// (open-by-id), and explicit release/takeover — the service half of journal-driven
 // failover.
 
 func TestSeqTracksAcceptedMutations(t *testing.T) {
@@ -159,9 +159,7 @@ func TestCreateWithIDRefusesUnloadedOnDiskSession(t *testing.T) {
 	if err := svc1.Close(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	cfg := durableConfig(dir)
-	cfg.LazyRestore = true
-	svc2, err := Open(cfg)
+	svc2, err := Open(durableConfig(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +171,7 @@ func TestCreateWithIDRefusesUnloadedOnDiskSession(t *testing.T) {
 	}
 }
 
-func TestLazyRestoreOpensOnFirstTouch(t *testing.T) {
+func TestRestoreOpensOnFirstTouch(t *testing.T) {
 	dir := t.TempDir()
 	svc1, err := Open(durableConfig(dir))
 	if err != nil {
@@ -190,38 +188,33 @@ func TestLazyRestoreOpensOnFirstTouch(t *testing.T) {
 	if err := svc1.Close(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	cfg := durableConfig(dir)
-	cfg.LazyRestore = true
-	svc2, err := Open(cfg)
+	svc2, err := Open(durableConfig(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer svc2.Close(context.Background())
 	if st := svc2.Stats(); st.Sessions != 0 || st.SessionsRestored != 0 {
-		t.Fatalf("lazy open restored eagerly: %d live, %d restored", st.Sessions, st.SessionsRestored)
+		t.Fatalf("Open restored eagerly: %d live, %d restored", st.Sessions, st.SessionsRestored)
 	}
 	if got := solveBytes(t, svc2, id); !bytes.Equal(got, want) {
-		t.Fatalf("lazily restored solve differs:\n%s\nwant:\n%s", got, want)
+		t.Fatalf("restored solve differs:\n%s\nwant:\n%s", got, want)
 	}
 	if st := svc2.Stats(); st.Sessions != 1 || st.SessionsRestored != 1 {
 		t.Fatalf("first touch should restore exactly one session: %d live, %d restored", st.Sessions, st.SessionsRestored)
 	}
 	if _, err := svc2.SessionInfo("s999999"); !errors.Is(err, ErrNoSession) {
-		t.Fatalf("unknown id on a lazy service: want ErrNoSession, got %v", err)
+		t.Fatalf("unknown id on a durable service: want ErrNoSession, got %v", err)
 	}
 }
 
 func TestReleaseThenTakeoverMigratesSession(t *testing.T) {
 	dir := t.TempDir()
-	cfgA := durableConfig(dir)
-	a, err := Open(cfgA)
+	a, err := Open(durableConfig(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close(context.Background())
-	cfgB := durableConfig(dir)
-	cfgB.LazyRestore = true
-	b, err := Open(cfgB)
+	b, err := Open(durableConfig(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,9 +290,7 @@ func TestDropSessionRemovesUnloadedJournal(t *testing.T) {
 	if err := svc1.Close(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	cfg := durableConfig(dir)
-	cfg.LazyRestore = true
-	svc2, err := Open(cfg)
+	svc2, err := Open(durableConfig(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,6 +301,36 @@ func TestDropSessionRemovesUnloadedJournal(t *testing.T) {
 	}
 	if _, err := svc2.SessionInfo(id); !errors.Is(err, ErrNoSession) {
 		t.Fatalf("dropped session resurrected: %v", err)
+	}
+}
+
+// TestTakeoverRefusedWhenSessionsDisabled: a service that disabled
+// sessions must not install one from a journal it finds on disk.
+func TestTakeoverRefusedWhenSessionsDisabled(t *testing.T) {
+	dir := t.TempDir()
+	svc1, err := Open(durableConfig(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, _, err := svc1.CreateSession(sessionSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := svc1.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	cfg := durableConfig(dir)
+	cfg.MaxSessions = -1
+	svc2, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc2.Close(context.Background())
+	if _, _, err := svc2.TakeoverSession(id); !errors.Is(err, ErrSessionsDisabled) {
+		t.Fatalf("takeover with sessions disabled: want ErrSessionsDisabled, got %v", err)
+	}
+	if n := svc2.Stats().Sessions; n != 0 {
+		t.Fatalf("takeover with sessions disabled installed %d sessions", n)
 	}
 }
 

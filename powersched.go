@@ -190,10 +190,6 @@ type (
 	ServiceMutation = service.MutationSpec
 	// ServiceSessionInfo snapshots one live service session.
 	ServiceSessionInfo = service.SessionInfo
-	// SessionSnapshot is a session's durable wire state — the canonical
-	// snapshot/restore codec behind the write-ahead journal and the
-	// roadmap's shard-migration work.
-	SessionSnapshot = service.SessionSnapshot
 )
 
 // Algorithm selectors for ServiceRequest.Mode.
@@ -221,11 +217,12 @@ var ErrSnapshotCorrupt = service.ErrSnapshotCorrupt
 // owns it and must Close it to release the worker pool.
 func NewService(cfg ServiceConfig) *Service { return service.New(cfg) }
 
-// OpenService is NewService with startup recovery: when
-// ServiceConfig.StateDir is set, every session journal found there is
-// replayed — sessions answer solve/info exactly as before the restart,
-// or are dropped cleanly — and the error (unusable state dir, bad fsync
-// policy) is returned instead of panicking.
+// OpenService is NewService that returns its startup error (unusable
+// state dir, bad fsync policy) instead of panicking. With
+// ServiceConfig.StateDir set, sessions are journaled and each is
+// restored from its journal on first touch after a restart — answering
+// solve/info exactly as before, or dropped cleanly if the journal is
+// corrupt.
 func OpenService(cfg ServiceConfig) (*Service, error) { return service.Open(cfg) }
 
 // NewServiceHandler binds a service to its JSON-over-HTTP surface

@@ -36,7 +36,7 @@ wait_healthy() {
 "$bin" serve -addr "127.0.0.1:$refport" -workers 1 &
 pids="$pids $!"
 for port in $p1 $p2 $p3; do
-    "$bin" serve -addr "127.0.0.1:$port" -workers 1 -state-dir "$state" -lazy-sessions &
+    "$bin" serve -addr "127.0.0.1:$port" -workers 1 -state-dir "$state" &
     pids="$pids $!"
     eval "pid_$port=\$!"
 done

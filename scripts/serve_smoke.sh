@@ -4,8 +4,9 @@
 # response schedules the jobs and that the second request registered as a
 # digest-cache hit in /stats. Then the durability phase: restart with
 # -state-dir, create and mutate a session, kill -9 the server, restart on
-# the same state dir, and check the restored session answers with the
-# same digest and a byte-identical schedule. Usage: scripts/serve_smoke.sh [port]
+# the same state dir, and check that no session is loaded before traffic
+# and that the first touch restores the session with the same digest
+# and a byte-identical schedule. Usage: scripts/serve_smoke.sh [port]
 set -eu
 port="${1:-8931}"
 base="http://127.0.0.1:$port"
@@ -87,11 +88,11 @@ pid=$!
 wait_healthy
 
 # The restarted process must re-export its counters on /metrics before
-# any traffic arrives: the restored session is visible as a gauge, the
-# restore itself as a counter, and nothing was quarantined.
+# any traffic arrives. No journal is read at startup: no session is
+# live, none restored, none quarantined.
 metrics="$(curl -fsS "$base/metrics")"
-for want in '^powersched_sessions 1$' \
-            '^powersched_sessions_restored_total 1$' \
+for want in '^powersched_sessions 0$' \
+            '^powersched_sessions_restored_total 0$' \
             '^powersched_journals_dropped_corrupt_total 0$' \
             '^powersched_journal_records_total [0-9]' \
             '^powersched_submitted_total 0$'; do
@@ -99,9 +100,16 @@ for want in '^powersched_sessions 1$' \
         || { echo "post-restart /metrics missing $want" >&2; echo "$metrics" >&2; exit 1; }
 done
 
+# The first touch restores the session from its journal.
 post_digest="$(curl -fsS "$base/v1/session/$sid" | jq -r .digest)"
 [ "$post_digest" = "$pre_digest" ] \
     || { echo "restored digest $post_digest != pre-crash $pre_digest" >&2; exit 1; }
+metrics="$(curl -fsS "$base/metrics")"
+for want in '^powersched_sessions 1$' \
+            '^powersched_sessions_restored_total 1$'; do
+    echo "$metrics" | grep -q "$want" \
+        || { echo "/metrics after the first touch missing $want" >&2; echo "$metrics" >&2; exit 1; }
+done
 post_solve="$(curl -fsS -X POST "$base/v1/session/$sid/solve" | jq -c .schedule)"
 [ "$post_solve" = "$pre_solve" ] \
     || { echo "restored solve differs: $post_solve vs $pre_solve" >&2; exit 1; }
