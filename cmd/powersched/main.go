@@ -37,13 +37,13 @@
 // Prometheus-text counters.
 //
 // Route flags: -backends (required, comma-separated serve base URLs),
-// -addr, plus the robustness knobs — -request-timeout, -max-attempts,
-// -backoff-base/-backoff-cap, -retry-rate/-retry-burst (global retry
-// budget), -probe-interval/-eject-after/-readmit-after (health
-// hysteresis), -breaker-threshold/-breaker-cooldown (per-backend
-// circuit), -retry-after (advertised on 429/503). The router exposes
-// the same /v1 surface as serve plus /admin/ring (GET topology,
-// POST resize) and its own /stats and /metrics.
+// -addr, and -drain (graceful-shutdown budget). Nothing else is a
+// flag: deadlines, retries, backoff, the retry budget and health
+// probing are constants of internal/cluster, and a backend is ejected
+// after 2 consecutive failed probes or requests and readmitted after 3
+// good probes. The router exposes the same /v1 surface as serve plus
+// /admin/ring (GET topology, POST resize) and its own /stats and
+// /metrics.
 //
 // Simulate flags: -trace poisson|diurnal|frontloaded, -cost
 // affine|speedscaled|sleepstate|composite, -procs, -horizon, -jobs,

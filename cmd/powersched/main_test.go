@@ -243,6 +243,13 @@ func TestRouteMainRejectsBadInput(t *testing.T) {
 	if err := routeMain([]string{"-addr", "127.0.0.1:0", "-backends", " , ,"}); err == nil {
 		t.Fatal("accepted a whitespace -backends list")
 	}
+	// The router's timing is constant: the former tuning flags are unknown.
+	for _, flag := range []string{"-breaker-threshold", "-probe-interval", "-max-attempts", "-retry-after"} {
+		err := routeMain([]string{"-addr", "127.0.0.1:0", "-backends", "http://127.0.0.1:1", flag, "5"})
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Fatalf("%s 5: want an unknown-flag error, got %v", flag, err)
+		}
+	}
 }
 
 func TestSolveMainReadsFile(t *testing.T) {

@@ -2,12 +2,14 @@ package main
 
 // The route subcommand: the shard-router front end over N `powersched
 // serve` backends (internal/cluster). It consistent-hashes session ids
-// and instance digests across the -backends ring, health-probes each
-// backend with eject/readmit hysteresis, retries idempotent requests
-// under per-request deadlines with capped exponential backoff and a
-// global retry budget, breaks the circuit on failing backends, and
-// sheds 429/503 + Retry-After when the cluster degrades. Failover and
-// resize migration ride the backends' shared -state-dir journals.
+// and instance digests across the -backends ring, ejects a backend
+// after consecutive failed probes or requests and readmits it after
+// consecutive good probes, retries idempotent requests under
+// per-request deadlines with capped exponential backoff and a global
+// retry budget, and sheds 429/503 + Retry-After when the cluster
+// degrades. Failover and resize migration ride the backends' shared
+// -state-dir journals. Timing is fixed in internal/cluster: the only
+// flags are -addr, -backends and -drain.
 
 import (
 	"context"
@@ -29,18 +31,6 @@ func routeMain(args []string) error {
 	fs := flag.NewFlagSet("route", flag.ContinueOnError)
 	addr := fs.String("addr", ":8090", "listen address")
 	backends := fs.String("backends", "", "comma-separated powersched serve base URLs forming the ring (required)")
-	requestTimeout := fs.Duration("request-timeout", 5*time.Second, "per-attempt proxy and health-probe deadline")
-	maxAttempts := fs.Int("max-attempts", 3, "tries per request, first attempt included")
-	backoffBase := fs.Duration("backoff-base", 25*time.Millisecond, "first retry backoff (doubles per attempt)")
-	backoffCap := fs.Duration("backoff-cap", time.Second, "backoff ceiling")
-	retryRate := fs.Float64("retry-rate", 10, "global retry budget refill, retries/second (first attempts are free)")
-	retryBurst := fs.Float64("retry-burst", 0, "retry budget bucket cap (0 = 2×rate)")
-	probeInterval := fs.Duration("probe-interval", 500*time.Millisecond, "health-probe period")
-	ejectAfter := fs.Int("eject-after", 2, "consecutive probe failures that eject a backend")
-	readmitAfter := fs.Int("readmit-after", 3, "consecutive probe successes that readmit it")
-	breakerThreshold := fs.Int("breaker-threshold", 5, "consecutive request failures that open a backend's circuit")
-	breakerCooldown := fs.Duration("breaker-cooldown", time.Second, "open-circuit cooldown before the half-open trial")
-	retryAfter := fs.Duration("retry-after", time.Second, "Retry-After advertised on 429/503")
 	drain := fs.Duration("drain", 30*time.Second, "graceful-shutdown drain budget")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -56,22 +46,7 @@ func routeMain(args []string) error {
 		return fmt.Errorf("route: -backends is required (comma-separated base URLs)")
 	}
 
-	router, err := cluster.New(cluster.Config{
-		Backends:         cleaned,
-		RequestTimeout:   *requestTimeout,
-		MaxAttempts:      *maxAttempts,
-		BackoffBase:      *backoffBase,
-		BackoffCap:       *backoffCap,
-		RetryRate:        *retryRate,
-		RetryBurst:       *retryBurst,
-		ProbeInterval:    *probeInterval,
-		EjectAfter:       *ejectAfter,
-		ReadmitAfter:     *readmitAfter,
-		BreakerThreshold: *breakerThreshold,
-		BreakerCooldown:  *breakerCooldown,
-		RetryAfter:       *retryAfter,
-		Logf:             log.Printf,
-	})
+	router, err := cluster.New(cluster.Config{Backends: cleaned, Logf: log.Printf})
 	if err != nil {
 		return err
 	}
@@ -82,10 +57,9 @@ func routeMain(args []string) error {
 		Handler:           router.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 		ReadTimeout:       60 * time.Second,
-		// Each proxied attempt is bounded by -request-timeout; the write
-		// timeout must outlast the whole retry ladder (attempts plus
-		// capped backoffs), or the router kills answers mid-failover.
-		WriteTimeout: time.Duration(*maxAttempts)*(*requestTimeout+*backoffCap) + 15*time.Second,
+		// The write timeout must outlast the whole retry ladder (attempts
+		// plus capped backoffs), or the router kills answers mid-failover.
+		WriteTimeout: cluster.RequestBudget + 15*time.Second,
 		IdleTimeout:  120 * time.Second,
 	}
 

@@ -237,9 +237,9 @@ func TestChaosMatrix(t *testing.T) {
 
 	for _, cse := range cases {
 		t.Run(cse.name, func(t *testing.T) {
-			c := newTestCluster(t, 3, func(cfg *Config) {
-				cfg.RequestTimeout = 500 * time.Millisecond
-				cfg.MaxAttempts = 4
+			c := newTestCluster(t, 3, func(tune *tuning) {
+				tune.requestTimeout = 500 * time.Millisecond
+				tune.maxAttempts = 4
 			})
 			for i := 0; i < cse.kill; i++ {
 				c.servers[len(c.servers)-1-i].Close()

@@ -1,10 +1,10 @@
 // Package cluster is the shard-router front end over N powersched
 // serve backends: it consistent-hashes session ids and request bodies
-// across the ring (ring.go), probes backend health and ejects/readmits
-// with hysteresis (health.go), retries idempotent requests under a
-// deadline with capped exponential backoff and a global retry budget
-// (route.go), breaks the circuit on a failing backend, and sheds load
-// with 429/503 + Retry-After when the cluster degrades.
+// across the ring (ring.go), takes a failing backend out of routing and
+// readmits it with hysteresis (health.go), retries idempotent requests
+// under a deadline with capped exponential backoff and a global retry
+// budget (route.go), and sheds load with 429/503 + Retry-After when the
+// cluster degrades.
 //
 // The paper's value-oracle framing is what makes the router safe: a
 // solve is a pure function of the instance digest, so any backend
@@ -12,8 +12,9 @@
 // over freely. The two stateful operations get explicit protocols —
 // mutations retry only behind a journal-sequence check (a retried
 // mutate whose first attempt landed is detected by its 409, never
-// re-applied), and session ownership moves via release/takeover against
-// the shared StateDir, with the moved digest verified (failover.go).
+// re-applied), and session ownership moves by a release on the donor
+// and a read on the new owner against the shared StateDir, with the
+// moved digest verified (failover.go).
 //
 // The degradation contract, from least to most degraded:
 //
@@ -38,8 +39,8 @@ import (
 )
 
 // ErrBackendUnavailable is wrapped by every routing failure caused by
-// backends being dead, ejected, or circuit-broken. It maps to 503 +
-// Retry-After on the router's HTTP surface.
+// backends being dead or ejected. It maps to 503 + Retry-After on the
+// router's HTTP surface.
 var ErrBackendUnavailable = errors.New("cluster: no backend available")
 
 // ErrRetryBudgetExhausted is wrapped when a request still has failing
@@ -55,8 +56,11 @@ var ErrRetryBudgetExhausted = errors.New("cluster: retry budget exhausted")
 // around silently.
 var ErrMigrationCorrupt = errors.New("cluster: migrated session failed digest verification")
 
-// Config tunes a Router. Zero values pick defaults suited to tests and
-// small deployments; production tunes the timeouts up.
+// Config is a Router's deployment. Everything else about the router —
+// deadlines, retries, backoff, the retry budget, health probing — is a
+// package constant: a solve is a pure function of its instance digest,
+// so what keeps the cluster correct is where sessions live, not how its
+// timers are tuned.
 type Config struct {
 	// Backends are the powersched serve base URLs forming the ring.
 	Backends []string
@@ -64,94 +68,59 @@ type Config struct {
 	// through it, so tests wrap it with netfault.Transport failpoints.
 	// Defaults to http.DefaultTransport.
 	Transport http.RoundTripper
-	// RequestTimeout bounds each proxy attempt and health probe
-	// (default 5s).
-	RequestTimeout time.Duration
-	// MaxAttempts bounds tries per request, first attempt included
-	// (default 3). Only idempotent work retries freely; mutations retry
-	// behind the journal-sequence check.
-	MaxAttempts int
-	// BackoffBase and BackoffCap shape the capped exponential backoff
-	// between attempts: base, 2·base, 4·base, ... capped (defaults
-	// 25ms / 1s).
-	BackoffBase time.Duration
-	BackoffCap  time.Duration
-	// RetryRate refills the global retry budget in retries/second
-	// (default 10); RetryBurst caps the bucket (default 2·RetryRate).
-	// First attempts are free — the budget prices only retries, so a
-	// degraded cluster sheds amplification, not traffic.
-	RetryRate  float64
-	RetryBurst float64
-	// ProbeInterval is the health-probe period (default 500ms).
-	// EjectAfter consecutive probe failures eject a backend from
-	// routing; ReadmitAfter consecutive successes readmit it (defaults
-	// 2 and 3 — readmission is the slower edge, so a flapping backend
-	// stays out).
-	ProbeInterval time.Duration
-	EjectAfter    int
-	ReadmitAfter  int
-	// BreakerThreshold consecutive request failures open a backend's
-	// circuit for BreakerCooldown; one trial request half-opens it
-	// (defaults 5 and 1s). The breaker reacts on the request path,
-	// faster than the prober's eject cycle.
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-	// RetryAfter is advertised on 429/503 responses (default 1s).
-	RetryAfter time.Duration
 	// Logf sinks routing diagnostics (default: discard).
 	Logf func(format string, args ...any)
+
+	// tune replaces the production timing; only in-package tests set it.
+	tune *tuning
 }
 
-func (c Config) withDefaults() Config {
-	if c.Transport == nil {
-		c.Transport = http.DefaultTransport //powersched:direct-net — the injectable default, like faultfs.OS
-	}
-	if c.RequestTimeout <= 0 {
-		c.RequestTimeout = 5 * time.Second
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 3
-	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = 25 * time.Millisecond
-	}
-	if c.BackoffCap <= 0 {
-		c.BackoffCap = time.Second
-	}
-	if c.RetryRate <= 0 {
-		c.RetryRate = 10
-	}
-	if c.RetryBurst <= 0 {
-		c.RetryBurst = 2 * c.RetryRate
-	}
-	if c.ProbeInterval <= 0 {
-		c.ProbeInterval = 500 * time.Millisecond
-	}
-	if c.EjectAfter <= 0 {
-		c.EjectAfter = 2
-	}
-	if c.ReadmitAfter <= 0 {
-		c.ReadmitAfter = 3
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 5
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = time.Second
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
-	if c.Logf == nil {
-		c.Logf = func(string, ...any) {}
-	}
-	return c
+// The router's constants. A backend is ejected after ejectAfter
+// consecutive failures, probe or request alike, and readmitted only by
+// the prober after readmitAfter consecutive /healthz successes: the
+// slower edge, so a flapping backend stays out.
+const (
+	requestTimeout = 5 * time.Second        // each proxy attempt and health probe
+	maxAttempts    = 3                      // tries per request, first attempt included
+	backoffBase    = 25 * time.Millisecond  // first retry delay, doubling per retry
+	backoffCap     = time.Second            // backoff ceiling
+	retryRate      = 10                     // retry-budget refill, retries/second
+	probeInterval  = 500 * time.Millisecond // health-probe period
+	ejectAfter     = 2
+	readmitAfter   = 3
+	retryAfter     = time.Second // advertised on 429/503
+)
+
+// RequestBudget bounds the router's work on one request: every attempt
+// at its deadline plus the capped backoffs between them. A front-end
+// server's write timeout must outlast it, or answers die mid-failover.
+const RequestBudget = maxAttempts * (requestTimeout + backoffCap)
+
+// tuning is the router's timing and retry policy. Production runs the
+// constants above; tests shorten them through Config.tune.
+type tuning struct {
+	requestTimeout          time.Duration
+	maxAttempts             int
+	backoffBase, backoffCap time.Duration
+	retryRate, retryBurst   float64 // first attempts are free: the budget prices only retries
+	probeInterval           time.Duration
+}
+
+var production = tuning{
+	requestTimeout: requestTimeout,
+	maxAttempts:    maxAttempts,
+	backoffBase:    backoffBase,
+	backoffCap:     backoffCap,
+	retryRate:      retryRate,
+	retryBurst:     2 * retryRate,
+	probeInterval:  probeInterval,
 }
 
 // Router is the shard-routing front end. Create with New, serve its
 // Handler, stop with Close.
 type Router struct {
 	cfg    Config
+	tune   tuning
 	client *http.Client
 
 	mu       sync.Mutex
@@ -164,30 +133,40 @@ type Router struct {
 	budget retryBudget
 
 	// resizeMu serializes ring resizes: interleaved migrations of one
-	// session would race release against takeover.
+	// session would race one release against another's read.
 	resizeMu sync.Mutex
 
 	stop chan struct{}
 	done chan struct{}
 
-	proxied, retries, failovers   atomic.Uint64
-	ejections, readmissions       atomic.Uint64
-	sheds, budgetExhausted        atomic.Uint64
-	breakerOpens, migrations      atomic.Uint64
-	mutationConflictsDetected     atomic.Uint64
-	sessionsRecovered             atomic.Uint64
+	proxied, retries, failovers atomic.Uint64
+	ejections, readmissions     atomic.Uint64
+	sheds, budgetExhausted      atomic.Uint64
+	migrations                  atomic.Uint64
+	mutationConflictsDetected   atomic.Uint64
+	sessionsRecovered           atomic.Uint64
 }
 
 // New builds a router over cfg.Backends and starts the health prober.
 // The caller must Close it.
 func New(cfg Config) (*Router, error) {
-	cfg = cfg.withDefaults()
+	if cfg.Transport == nil {
+		cfg.Transport = http.DefaultTransport //powersched:direct-net — the injectable default, like faultfs.OS
+	}
+	if cfg.Logf == nil {
+		cfg.Logf = func(string, ...any) {}
+	}
+	tune := production
+	if cfg.tune != nil {
+		tune = *cfg.tune
+	}
 	ring, err := NewRing(cfg.Backends)
 	if err != nil {
 		return nil, err
 	}
 	r := &Router{
 		cfg:      cfg,
+		tune:     tune,
 		client:   &http.Client{Transport: cfg.Transport},
 		ring:     ring,
 		backends: make(map[string]*backendState, ring.N()),
@@ -196,9 +175,9 @@ func New(cfg Config) (*Router, error) {
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
-	r.budget.max = cfg.RetryBurst
-	r.budget.rate = cfg.RetryRate
-	r.budget.tokens = cfg.RetryBurst
+	r.budget.max = tune.retryBurst
+	r.budget.rate = tune.retryRate
+	r.budget.tokens = tune.retryBurst
 	r.budget.last = time.Now()
 	for _, b := range ring.Backends() {
 		r.backends[b] = newBackendState(b)
@@ -220,10 +199,9 @@ func (r *Router) Close() {
 
 // BackendStatus is one backend's health as the router sees it.
 type BackendStatus struct {
-	Name        string `json:"name"`
-	Alive       bool   `json:"alive"`
-	BreakerOpen bool   `json:"breaker_open"`
-	Sessions    int    `json:"sessions"`
+	Name     string `json:"name"`
+	Alive    bool   `json:"alive"`
+	Sessions int    `json:"sessions"`
 }
 
 // Stats is a point-in-time snapshot of router counters.
@@ -234,11 +212,10 @@ type Stats struct {
 	Proxied           uint64 `json:"proxied"`            // requests answered through a backend
 	Retries           uint64 `json:"retries"`            // attempts beyond the first
 	Failovers         uint64 `json:"failovers"`          // answers from a non-preferred backend
-	Ejections         uint64 `json:"ejections"`          // health ejections
-	Readmissions      uint64 `json:"readmissions"`       // health readmissions
+	Ejections         uint64 `json:"ejections"`          // backends taken out of routing
+	Readmissions      uint64 `json:"readmissions"`       // backends readmitted by the prober
 	Sheds             uint64 `json:"sheds"`              // 503s: no backend available
 	BudgetExhausted   uint64 `json:"budget_exhausted"`   // 429s: retry budget empty
-	BreakerOpens      uint64 `json:"breaker_opens"`      // circuit-breaker trips
 	Migrations        uint64 `json:"migrations"`         // sessions moved on ring resize
 	MutationConflicts uint64 `json:"mutation_conflicts"` // retried mutates detected as landed
 	Recovered         uint64 `json:"sessions_recovered"` // sessions failed over to a new owner
@@ -255,10 +232,9 @@ func (r *Router) Stats() Stats {
 	for _, name := range r.ring.Backends() {
 		b := r.backends[name]
 		backends = append(backends, BackendStatus{
-			Name:        name,
-			Alive:       b.isAlive(),
-			BreakerOpen: b.breakerOpen(time.Now()),
-			Sessions:    perOwner[name],
+			Name:     name,
+			Alive:    b.isAlive(),
+			Sessions: perOwner[name],
 		})
 	}
 	liveSessions := len(r.sessions)
@@ -274,7 +250,6 @@ func (r *Router) Stats() Stats {
 		Readmissions:      r.readmissions.Load(),
 		Sheds:             r.sheds.Load(),
 		BudgetExhausted:   r.budgetExhausted.Load(),
-		BreakerOpens:      r.breakerOpens.Load(),
 		Migrations:        r.migrations.Load(),
 		MutationConflicts: r.mutationConflictsDetected.Load(),
 		Recovered:         r.sessionsRecovered.Load(),

@@ -4,13 +4,16 @@ package cluster
 // bookkeeping across ring resizes, and the explicit migration that
 // moves a session between backends sharing one StateDir.
 //
-// A migration is release → takeover → verify: the donor releases the
-// session (closing its journal handle, leaving the journal as the
-// portable identity on disk), the new owner re-reads snapshot plus
-// journal tail, and the recovered digest must equal the digest the
-// donor last acked. A dead donor skips the release — the journal on
-// shared storage is already authoritative, which is exactly why
-// failover needs no donor cooperation. The ring's structural theorem
+// A migration is release → read → verify: the donor releases the
+// session (compacting and closing its journal, leaving the file as the
+// portable identity on disk), a GET on the new owner restores it from
+// snapshot plus journal tail, and the recovered digest and sequence
+// must equal the ones the donor last acked. The new owner never serves
+// a stale in-memory copy: every touch first checks that the journal on
+// disk is still the file its handle last wrote, and reloads it if not.
+// A dead donor skips the release — the journal on shared storage is
+// already authoritative, which is exactly why failover needs no donor
+// cooperation. The ring's structural theorem
 // (ring.go: Rebalance moves at most ⌈K/N⌉ sessions) bounds how much of
 // this work a resize can create.
 
@@ -57,7 +60,7 @@ type resizeResponse struct {
 
 // handleResize implements POST /admin/ring: replace the backend set,
 // rebalance session ownership under the movement bound, and migrate
-// each moved session with the release → takeover → verify protocol.
+// each moved session with the release → read → verify protocol.
 func (r *Router) handleResize(w http.ResponseWriter, ctx context.Context, body []byte,
 	writeJSON func(http.ResponseWriter, int, any)) {
 	var req resizeRequest
@@ -72,7 +75,7 @@ func (r *Router) handleResize(w http.ResponseWriter, ctx context.Context, body [
 	}
 
 	// One resize at a time: interleaved migrations of the same session
-	// would race release against takeover.
+	// would race one release against another's read.
 	r.resizeMu.Lock()
 	defer r.resizeMu.Unlock()
 
@@ -147,21 +150,19 @@ func (r *Router) sessionInfoAt(ctx context.Context, backend, id string) (service
 }
 
 // migrateSession moves one session from one backend to another over the
-// shared StateDir: capture the donor's acked digest, release, take over
-// on the new owner, and verify the recovered digest. A donor that
+// shared StateDir: capture the donor's acked digest and sequence,
+// release, read the session on the new owner, and verify. A donor that
 // cannot be reached is skipped — the journal is the session's identity,
-// and takeover re-reads it from disk regardless.
+// and the new owner restores from it regardless.
 func (r *Router) migrateSession(ctx context.Context, id, from, to string) error {
-	var refDigest string
-	var refSeq uint64
+	var ref service.SessionInfo
 	haveRef := false
 	if from != "" && from != to {
 		if info, err := r.sessionInfoAt(ctx, from, id); err == nil {
-			refDigest, refSeq = info.Digest, info.Seq
-			haveRef = true
+			ref, haveRef = info, true
 			res, rerr := r.attempt(ctx, from, http.MethodPost, "/v1/session/"+id+"/release", nil)
 			if rerr != nil {
-				r.cfg.Logf("powersched-route: release of %s on %s failed (%v); takeover re-reads the journal", id, from, rerr)
+				r.cfg.Logf("powersched-route: release of %s on %s failed (%v); the new owner re-reads the journal", id, from, rerr)
 			} else if res.status != http.StatusOK && res.status != http.StatusNotFound {
 				return fmt.Errorf("%w: release on %s answered %d: %s", ErrBackendUnavailable, from, res.status, res.body)
 			}
@@ -169,30 +170,24 @@ func (r *Router) migrateSession(ctx context.Context, id, from, to string) error 
 			r.cfg.Logf("powersched-route: donor %s unreachable for %s (%v); migrating from the journal alone", from, id, err)
 		}
 	}
-	var last error
+	var got service.SessionInfo
+	var err error
 	for tries := 0; tries < 2; tries++ {
 		if tries > 0 {
 			if berr := r.backoff(ctx, tries); berr != nil {
-				return fmt.Errorf("%w: %v (last: %v)", ErrBackendUnavailable, berr, last)
+				return fmt.Errorf("%w: %v (last: %v)", ErrBackendUnavailable, berr, err)
 			}
 		}
-		res, err := r.attempt(ctx, to, http.MethodPost, "/v1/session/"+id+"/takeover", nil)
-		if err != nil {
-			last = err
-			continue
+		if got, err = r.sessionInfoAt(ctx, to, id); err == nil {
+			break
 		}
-		if res.status != http.StatusOK {
-			return fmt.Errorf("%w: takeover on %s answered %d: %s", ErrBackendUnavailable, to, res.status, res.body)
-		}
-		var sr service.SessionResponse
-		if jerr := json.Unmarshal(res.body, &sr); jerr != nil {
-			return fmt.Errorf("decoding takeover reply from %s: %w", to, jerr)
-		}
-		if haveRef && (sr.Digest != refDigest || sr.Seq != refSeq) {
-			return fmt.Errorf("%w: donor %s acked %s@%d, taker %s recovered %s@%d",
-				ErrMigrationCorrupt, from, refDigest, refSeq, to, sr.Digest, sr.Seq)
-		}
-		return nil
 	}
-	return fmt.Errorf("%w: takeover of %s on %s: %v", ErrBackendUnavailable, id, to, last)
+	if err != nil {
+		return fmt.Errorf("%w: reading %s on %s: %v", ErrBackendUnavailable, id, to, err)
+	}
+	if haveRef && (got.Digest != ref.Digest || got.Seq != ref.Seq) {
+		return fmt.Errorf("%w: donor %s acked %s@%d, new owner %s recovered %s@%d",
+			ErrMigrationCorrupt, from, ref.Digest, ref.Seq, to, got.Digest, got.Seq)
+	}
+	return nil
 }

@@ -12,8 +12,9 @@ import (
 //     rotated input order changes no lookup.
 //  2. Lookup is monotone under resize: growing moves keys only to the
 //     new backend; shrinking moves only the removed backend's keys.
-//  3. Failover equals resize: LookupAlive skipping a dead backend gives
-//     the same owner as Lookup on the ring without it.
+//  3. Failover equals resize: the backend route tries first for a key,
+//     with a dead backend ejected, is the key's owner on the ring
+//     without it.
 //  4. Assign is balanced: no backend owns more than ⌈K/N⌉ keys.
 //  5. Rebalance after a one-backend resize moves at most ⌈K/N⌉
 //     previously-owned keys, N the ring being rebalanced onto.
@@ -107,7 +108,7 @@ func FuzzHashRing(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			alive := func(b string) bool { return b != backends[dead] }
+			router := ejectedRouter(t, backends, backends[dead])
 			for _, k := range keys {
 				// 2. Shrink moves only the removed backend's keys.
 				was := ring.Lookup(k)
@@ -116,8 +117,7 @@ func FuzzHashRing(f *testing.F) {
 					t.Fatalf("shrink moved %q from surviving %q to %q", k, was, now)
 				}
 				// 3. Failover = resize.
-				fo, ok := ring.LookupAlive(k, alive)
-				if !ok || fo != now {
+				if fo := firstAdmitted(router, k); fo != now {
 					t.Fatalf("failover owner %q != shrunk-ring owner %q for %q", fo, now, k)
 				}
 			}

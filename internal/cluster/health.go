@@ -1,18 +1,19 @@
 package cluster
 
 // This file is the router's health machinery: the per-backend state a
-// routing decision reads (alive? breaker open?), the probe loop that
-// ejects and readmits backends with hysteresis, and the global retry
-// budget that keeps a degrading cluster from amplifying its own load.
+// routing decision reads, the probe loop, and the global retry budget
+// that keeps a degrading cluster from amplifying its own load.
 //
-// Two failure detectors run at different speeds on purpose. The probe
-// loop is the slow, authoritative one: it drives /healthz every
-// ProbeInterval and flips the alive bit only after EjectAfter straight
-// failures (and back only after ReadmitAfter straight successes, the
-// slower edge, so a flapping backend stays ejected). The circuit
-// breaker is the fast, request-path one: BreakerThreshold consecutive
-// request failures open it immediately, before the prober has even
-// noticed, and one trial request half-opens it after the cooldown.
+// One state machine answers "may this backend take traffic?". It
+// counts consecutive failures, and both the /healthz prober and the
+// request path feed it: a failed probe and a transient request failure
+// (transport error, torn body, 502/503/504) count alike, and any
+// success resets the count. ejectAfter failures in a row take the
+// backend out of routing, so a dead backend is ejected by the first
+// two requests that hit it, before the prober has even noticed. Only
+// the prober brings it back, after readmitAfter straight /healthz
+// successes: readmission is the slower edge, so a flapping backend
+// stays out.
 
 import (
 	"context"
@@ -26,13 +27,10 @@ import (
 type backendState struct {
 	name string
 
-	mu            sync.Mutex
-	alive         bool
-	probeFails    int
-	probeOKs      int
-	reqFails      int
-	breakerUntil  time.Time // zero = closed
-	breakerTrial  bool      // half-open: one trial in flight
+	mu    sync.Mutex
+	alive bool
+	fails int // consecutive failures, probes and requests alike
+	oks   int // consecutive probe successes while ejected
 }
 
 func newBackendState(name string) *backendState {
@@ -45,100 +43,52 @@ func (b *backendState) isAlive() bool {
 	return b.alive
 }
 
-// breakerOpen reports whether the circuit rejects requests at now.
-func (b *backendState) breakerOpen(now time.Time) bool {
+// report feeds one outcome into the state machine and returns the
+// transition it caused, if any. Only probe successes count toward
+// readmission: a request that was in flight when its backend was
+// ejected says nothing about the backend's health now.
+func (b *backendState) report(ok, probe bool) (ejected, readmitted bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.breakerRejectsLocked(now)
-}
-
-func (b *backendState) breakerRejectsLocked(now time.Time) bool {
-	if b.breakerUntil.IsZero() {
-		return false
-	}
-	if now.Before(b.breakerUntil) {
-		return true
-	}
-	// Cooled down: half-open. One trial request may pass; the rest keep
-	// being rejected until the trial reports.
-	return b.breakerTrial
-}
-
-// admit reports whether the request path may try this backend at now,
-// claiming the half-open trial slot when the breaker just cooled down.
-func (b *backendState) admit(now time.Time) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if !b.alive {
-		return false
-	}
-	if b.breakerUntil.IsZero() {
-		return true
-	}
-	if now.Before(b.breakerUntil) {
-		return false
-	}
-	if b.breakerTrial {
-		return false
-	}
-	b.breakerTrial = true
-	return true
-}
-
-// reportRequest feeds a request outcome into the breaker. Returns true
-// when this report tripped the breaker open.
-func (b *backendState) reportRequest(ok bool, now time.Time, threshold int, cooldown time.Duration) (tripped bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if ok {
-		b.reqFails = 0
-		b.breakerUntil = time.Time{}
-		b.breakerTrial = false
-		return false
-	}
-	b.reqFails++
-	b.breakerTrial = false
-	if b.reqFails >= threshold && b.breakerUntil.IsZero() {
-		b.breakerUntil = now.Add(cooldown)
-		return true
-	}
-	if !b.breakerUntil.IsZero() {
-		// A failed half-open trial re-arms the cooldown.
-		b.breakerUntil = now.Add(cooldown)
-	}
-	return false
-}
-
-// reportProbe feeds a probe outcome into the eject/readmit hysteresis.
-// Returns the alive transition, if any.
-func (b *backendState) reportProbe(ok bool, ejectAfter, readmitAfter int) (ejected, readmitted bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if ok {
-		b.probeOKs++
-		b.probeFails = 0
-		if !b.alive && b.probeOKs >= readmitAfter {
-			b.alive = true
-			b.reqFails = 0
-			b.breakerUntil = time.Time{}
-			b.breakerTrial = false
-			return false, true
+	if !ok {
+		b.fails++
+		b.oks = 0
+		if b.alive && b.fails >= ejectAfter {
+			b.alive = false
+			return true, false
 		}
 		return false, false
 	}
-	b.probeFails++
-	b.probeOKs = 0
-	if b.alive && b.probeFails >= ejectAfter {
-		b.alive = false
-		return true, false
+	b.fails = 0
+	if b.alive || !probe {
+		return false, false
 	}
-	return false, false
+	b.oks++
+	if b.oks < readmitAfter {
+		return false, false
+	}
+	b.alive = true
+	b.oks = 0
+	return false, true
+}
+
+// observe reports one outcome for b and counts and logs the transition.
+func (r *Router) observe(b *backendState, ok, probe bool) {
+	ejected, readmitted := b.report(ok, probe)
+	if ejected {
+		r.ejections.Add(1)
+		r.cfg.Logf("powersched-route: backend %s ejected (%d straight failures)", b.name, ejectAfter)
+	}
+	if readmitted {
+		r.readmissions.Add(1)
+		r.cfg.Logf("powersched-route: backend %s readmitted (%d straight probe successes)", b.name, readmitAfter)
+	}
 }
 
 // probeLoop drives /healthz against every backend until Close.
 func (r *Router) probeLoop() {
 	defer close(r.done)
-	ticker := time.NewTicker(r.cfg.ProbeInterval)
+	ticker := time.NewTicker(r.tune.probeInterval)
 	defer ticker.Stop()
 	for {
 		select {
@@ -153,16 +103,7 @@ func (r *Router) probeLoop() {
 		}
 		r.mu.Unlock()
 		for _, b := range states {
-			ok := r.probe(b.name)
-			ejected, readmitted := b.reportProbe(ok, r.cfg.EjectAfter, r.cfg.ReadmitAfter)
-			if ejected {
-				r.ejections.Add(1)
-				r.cfg.Logf("powersched-route: backend %s ejected (%d straight probe failures)", b.name, r.cfg.EjectAfter)
-			}
-			if readmitted {
-				r.readmissions.Add(1)
-				r.cfg.Logf("powersched-route: backend %s readmitted (%d straight probe successes)", b.name, r.cfg.ReadmitAfter)
-			}
+			r.observe(b, r.probe(b.name), true)
 		}
 	}
 }
@@ -170,7 +111,7 @@ func (r *Router) probeLoop() {
 // probe issues one GET /healthz through the injectable transport — the
 // same seam requests use, so netfault latency and drops hit probes too.
 func (r *Router) probe(backend string) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), r.cfg.RequestTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), r.tune.requestTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, backend+"/healthz", nil)
 	if err != nil {

@@ -149,7 +149,8 @@ func (r *Ring) Lookup(key string) string {
 
 // Sequence returns every backend in the key's clockwise preference
 // order, starting with the owner. The router walks this order when
-// failing over: the first alive entry is the key's effective owner.
+// failing over: the first alive entry is the key's effective owner,
+// which is the owner on the ring without the ejected backends.
 func (r *Ring) Sequence(key string) []string {
 	out := make([]string, 0, len(r.backends))
 	seen := make([]bool, len(r.backends))
@@ -164,18 +165,6 @@ func (r *Ring) Sequence(key string) []string {
 		}
 	}
 	return out
-}
-
-// LookupAlive returns the first backend in the key's preference order
-// for which alive returns true, or false if none is.
-func (r *Ring) LookupAlive(key string, alive func(string) bool) (string, bool) {
-	for i, n := r.start(key), 0; n < len(r.points); n++ {
-		p := r.points[(i+n)%len(r.points)]
-		if alive(r.backends[p.backend]) {
-			return r.backends[p.backend], true
-		}
-	}
-	return "", false
 }
 
 // capFor is the per-backend placement cap for K keys: ⌈K/N⌉.

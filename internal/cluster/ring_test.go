@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 )
 
 func testKeys(n int) []string {
@@ -85,14 +86,39 @@ func TestSequenceCoversAllBackendsOnce(t *testing.T) {
 	}
 }
 
-func TestLookupAliveMatchesShrunkRing(t *testing.T) {
-	// Failover must land exactly where a resize would: skipping a dead
-	// backend is the same function as removing it from the ring.
-	bs := testBackends(5)
-	big, err := NewRing(bs)
+// ejectedRouter builds a probe-less router over backends with the dead
+// ones ejected the way the request path ejects them: ejectAfter
+// straight failed requests each.
+func ejectedRouter(t testing.TB, backends []string, dead ...string) *Router {
+	t.Helper()
+	tune := production
+	tune.probeInterval = time.Hour
+	r, err := New(Config{Backends: backends, tune: &tune})
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(r.Close)
+	for _, d := range dead {
+		for i := 0; i < ejectAfter; i++ {
+			r.observe(r.state(d), false, false)
+		}
+	}
+	return r
+}
+
+// firstAdmitted is the backend route sends key's first attempt to: the
+// first alive entry of the key's ring sequence ("" if none is alive).
+func firstAdmitted(r *Router, key string) string {
+	if b := r.pickBackend(r.candidates(key, ""), 0); b != nil {
+		return b.name
+	}
+	return ""
+}
+
+func TestFailoverMatchesShrunkRing(t *testing.T) {
+	// Failover must land exactly where a resize would: routing around an
+	// ejected backend is the same function as removing it from the ring.
+	bs := testBackends(5)
 	for dead := 0; dead < len(bs); dead++ {
 		var rest []string
 		for i, b := range bs {
@@ -104,10 +130,10 @@ func TestLookupAliveMatchesShrunkRing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		alive := func(b string) bool { return b != bs[dead] }
+		r := ejectedRouter(t, bs, bs[dead])
 		for _, k := range testKeys(100) {
-			got, ok := big.LookupAlive(k, alive)
-			if !ok {
+			got := firstAdmitted(r, k)
+			if got == "" {
 				t.Fatalf("no alive backend for %q", k)
 			}
 			if want := small.Lookup(k); got != want {
@@ -115,8 +141,8 @@ func TestLookupAliveMatchesShrunkRing(t *testing.T) {
 			}
 		}
 	}
-	if _, ok := big.LookupAlive("k", func(string) bool { return false }); ok {
-		t.Fatal("LookupAlive with nothing alive must report false")
+	if got := firstAdmitted(ejectedRouter(t, bs, bs...), "k"); got != "" {
+		t.Fatalf("with every backend ejected, route admitted %q", got)
 	}
 }
 

@@ -8,8 +8,9 @@ package cluster
 //	attempt k → the next admittable backend, after a budgeted, capped
 //	            exponential backoff
 //
-// Transport errors, partial replies, and backend 5xx are transient:
-// they feed the circuit breaker and burn the retry budget. Everything
+// Transport errors, partial replies, and backend 502/503/504 are
+// transient: they count toward ejecting the backend (health.go) and
+// burn the retry budget. Everything
 // else — including 404, 409, 422, 429 — is an authoritative answer and
 // relays as-is. Solves and reads retry freely (a solve is a pure
 // function of the instance digest); the two non-idempotent operations
@@ -38,10 +39,10 @@ import (
 
 // result is one buffered backend reply.
 type result struct {
-	status     int
+	status      int
 	contentType string
-	retryAfter string
-	body       []byte
+	retryAfter  string
+	body        []byte
 }
 
 // candidates returns the key's failover preference order, with the
@@ -71,13 +72,12 @@ func (r *Router) state(name string) *backendState {
 	return r.backends[name]
 }
 
-// pickBackend returns the first admittable candidate, scanning from the
+// pickBackend returns the first alive candidate, scanning from the
 // attempt index so consecutive retries prefer different backends.
 func (r *Router) pickBackend(cands []string, attempt int) *backendState {
-	now := time.Now()
 	for i := 0; i < len(cands); i++ {
 		b := r.state(cands[(attempt+i)%len(cands)])
-		if b != nil && b.admit(now) {
+		if b != nil && b.isAlive() {
 			return b
 		}
 	}
@@ -87,9 +87,9 @@ func (r *Router) pickBackend(cands []string, attempt int) *backendState {
 // backoff sleeps the capped exponential delay before retry number n
 // (n >= 1), honoring ctx.
 func (r *Router) backoff(ctx context.Context, n int) error {
-	d := r.cfg.BackoffBase << (n - 1)
-	if d > r.cfg.BackoffCap || d <= 0 {
-		d = r.cfg.BackoffCap
+	d := r.tune.backoffBase << (n - 1)
+	if d > r.tune.backoffCap || d <= 0 {
+		d = r.tune.backoffCap
 	}
 	timer := time.NewTimer(d)
 	defer timer.Stop()
@@ -106,7 +106,7 @@ func (r *Router) backoff(ctx context.Context, n int) error {
 // transport error, so the caller retries instead of relaying a torn
 // reply.
 func (r *Router) attempt(ctx context.Context, backend, method, path string, body []byte) (*result, error) {
-	actx, cancel := context.WithTimeout(ctx, r.cfg.RequestTimeout)
+	actx, cancel := context.WithTimeout(ctx, r.tune.requestTimeout)
 	defer cancel()
 	var rd io.Reader
 	if len(body) > 0 {
@@ -137,14 +137,14 @@ func (r *Router) attempt(ctx context.Context, backend, method, path string, body
 }
 
 // route drives one request to an authoritative answer: pick a backend,
-// attempt, and — within maxAttempts and the retry budget — retry
+// attempt, and — within the attempt limit and the retry budget — retry
 // transient failures with backoff, failing over along the ring
 // sequence. Errors wrap ErrBackendUnavailable (nothing admits traffic,
 // or every attempt failed transiently) or ErrRetryBudgetExhausted.
-func (r *Router) route(ctx context.Context, method, path string, body []byte, key, preferred string, maxAttempts int) (res *result, backend string, attempts int, err error) {
+func (r *Router) route(ctx context.Context, method, path string, body []byte, key, preferred string) (res *result, backend string, attempts int, err error) {
 	cands := r.candidates(key, preferred)
 	var lastErr error
-	for attempts = 0; attempts < maxAttempts; attempts++ {
+	for attempts = 0; attempts < r.tune.maxAttempts; attempts++ {
 		if attempts > 0 {
 			if !r.budget.take(time.Now()) {
 				r.budgetExhausted.Add(1)
@@ -165,10 +165,7 @@ func (r *Router) route(ctx context.Context, method, path string, body []byte, ke
 			got.status == http.StatusBadGateway ||
 			got.status == http.StatusServiceUnavailable ||
 			got.status == http.StatusGatewayTimeout
-		if b.reportRequest(!transient, time.Now(), r.cfg.BreakerThreshold, r.cfg.BreakerCooldown) {
-			r.breakerOpens.Add(1)
-			r.cfg.Logf("powersched-route: backend %s circuit opened (%d straight failures)", b.name, r.cfg.BreakerThreshold)
-		}
+		r.observe(b, !transient, false)
 		if !transient {
 			r.proxied.Add(1)
 			if b.name != cands[0] {
@@ -224,10 +221,10 @@ func (r *Router) forgetSession(id string) {
 // backends serve (proxied with retries and failover), the router's own
 // /healthz, /stats, and /metrics, and /admin/ring for resize.
 func (r *Router) Handler() http.Handler {
-	retryAfter := strconv.Itoa(int(math.Ceil(r.cfg.RetryAfter.Seconds())))
+	retryAfterSecs := strconv.Itoa(int(math.Ceil(retryAfter.Seconds())))
 	writeJSON := func(w http.ResponseWriter, status int, v any) {
 		if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
-			w.Header().Set("Retry-After", retryAfter)
+			w.Header().Set("Retry-After", retryAfterSecs)
 		}
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(status)
@@ -264,7 +261,7 @@ func (r *Router) Handler() http.Handler {
 			writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 			return
 		}
-		res, _, _, rerr := r.route(req.Context(), req.Method, path, body, bodyKey(body), "", r.cfg.MaxAttempts)
+		res, _, _, rerr := r.route(req.Context(), req.Method, path, body, bodyKey(body), "")
 		if rerr != nil {
 			fail(w, rerr)
 			return
@@ -279,7 +276,7 @@ func (r *Router) Handler() http.Handler {
 			writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 			return
 		}
-		res, backend, _, rerr := r.route(req.Context(), req.Method, path, body, id, r.owner(id), r.cfg.MaxAttempts)
+		res, backend, _, rerr := r.route(req.Context(), req.Method, path, body, id, r.owner(id))
 		if rerr != nil {
 			fail(w, rerr)
 			return
@@ -323,7 +320,7 @@ func (r *Router) Handler() http.Handler {
 	})
 	mux.HandleFunc("DELETE /v1/session/{id}", func(w http.ResponseWriter, req *http.Request) {
 		id := req.PathValue("id")
-		res, _, attempts, rerr := r.route(req.Context(), http.MethodDelete, "/v1/session/"+id, nil, id, r.owner(id), r.cfg.MaxAttempts)
+		res, _, attempts, rerr := r.route(req.Context(), http.MethodDelete, "/v1/session/"+id, nil, id, r.owner(id))
 		if rerr != nil {
 			fail(w, rerr)
 			return
@@ -387,7 +384,7 @@ func (r *Router) handleCreate(w http.ResponseWriter, ctx context.Context, body [
 	writeJSON func(http.ResponseWriter, int, any), relay func(http.ResponseWriter, *result), fail func(http.ResponseWriter, error)) {
 	for tries := 0; tries < 3; tries++ {
 		id := r.mintSessionID()
-		res, backend, attempts, err := r.route(ctx, http.MethodPut, "/v1/session/"+id, body, id, "", r.cfg.MaxAttempts)
+		res, backend, attempts, err := r.route(ctx, http.MethodPut, "/v1/session/"+id, body, id, "")
 		if err != nil {
 			fail(w, err)
 			return
@@ -401,7 +398,7 @@ func (r *Router) handleCreate(w http.ResponseWriter, ctx context.Context, body [
 			if attempts > 1 {
 				// A lost reply on an earlier attempt: the create landed. Read
 				// the session back and answer the success the client missed.
-				ires, ibk, _, ierr := r.route(ctx, http.MethodGet, "/v1/session/"+id, nil, id, backend, r.cfg.MaxAttempts)
+				ires, ibk, _, ierr := r.route(ctx, http.MethodGet, "/v1/session/"+id, nil, id, backend)
 				if ierr == nil && ires.status == http.StatusOK {
 					var info service.SessionInfo
 					if jerr := json.Unmarshal(ires.body, &info); jerr == nil {
@@ -436,7 +433,7 @@ func (r *Router) handleMutate(w http.ResponseWriter, ctx context.Context, id str
 	}
 	injected := false
 	if mreq.ExpectSeq == nil {
-		ires, ibk, _, ierr := r.route(ctx, http.MethodGet, "/v1/session/"+id, nil, id, r.owner(id), r.cfg.MaxAttempts)
+		ires, ibk, _, ierr := r.route(ctx, http.MethodGet, "/v1/session/"+id, nil, id, r.owner(id))
 		if ierr != nil {
 			fail(w, ierr)
 			return
@@ -461,7 +458,7 @@ func (r *Router) handleMutate(w http.ResponseWriter, ctx context.Context, id str
 			return
 		}
 	}
-	res, backend, attempts, err := r.route(ctx, http.MethodPost, "/v1/session/"+id+"/mutate", body, id, r.owner(id), r.cfg.MaxAttempts)
+	res, backend, attempts, err := r.route(ctx, http.MethodPost, "/v1/session/"+id+"/mutate", body, id, r.owner(id))
 	if err != nil {
 		fail(w, err)
 		return
@@ -505,11 +502,10 @@ func writeRouterMetrics(w io.Writer, st Stats) {
 		{"powersched_route_proxied_total", "counter", "Requests answered through a backend.", float64(st.Proxied)},
 		{"powersched_route_retries_total", "counter", "Attempts beyond a request's first.", float64(st.Retries)},
 		{"powersched_route_failovers_total", "counter", "Answers served by a non-preferred backend.", float64(st.Failovers)},
-		{"powersched_route_ejections_total", "counter", "Backends ejected by health probes.", float64(st.Ejections)},
+		{"powersched_route_ejections_total", "counter", "Backends taken out of routing after consecutive failures.", float64(st.Ejections)},
 		{"powersched_route_readmissions_total", "counter", "Backends readmitted by health probes.", float64(st.Readmissions)},
 		{"powersched_route_sheds_total", "counter", "Requests shed with 503 (no backend available).", float64(st.Sheds)},
 		{"powersched_route_budget_exhausted_total", "counter", "Requests shed with 429 (retry budget empty).", float64(st.BudgetExhausted)},
-		{"powersched_route_breaker_opens_total", "counter", "Circuit-breaker trips.", float64(st.BreakerOpens)},
 		{"powersched_route_migrations_total", "counter", "Sessions migrated on ring resize.", float64(st.Migrations)},
 		{"powersched_route_mutation_conflicts_total", "counter", "Retried mutates detected as already landed.", float64(st.MutationConflicts)},
 		{"powersched_route_sessions_recovered_total", "counter", "Sessions failed over to a new owner.", float64(st.Recovered)},

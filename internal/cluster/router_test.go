@@ -74,7 +74,7 @@ func startBackend(t testing.TB, dir string) (*service.Service, *httptest.Server)
 	return svc, ts
 }
 
-func newTestCluster(t testing.TB, n int, mut func(*Config)) *tc {
+func newTestCluster(t testing.TB, n int, mut func(*tuning)) *tc {
 	t.Helper()
 	c := &tc{t: t, dir: t.TempDir(), tr: netfault.NewTransport(nil, netfault.Plan{})}
 	urls := make([]string, 0, n)
@@ -84,22 +84,21 @@ func newTestCluster(t testing.TB, n int, mut func(*Config)) *tc {
 		c.servers = append(c.servers, ts)
 		urls = append(urls, ts.URL)
 	}
-	cfg := Config{
-		Backends:       urls,
-		Transport:      c.tr,
-		RequestTimeout: 2 * time.Second,
-		BackoffBase:    time.Millisecond,
-		BackoffCap:     4 * time.Millisecond,
-		RetryRate:      1000,
-		RetryBurst:     1000,
+	tune := tuning{
+		requestTimeout: 2 * time.Second,
+		maxAttempts:    maxAttempts,
+		backoffBase:    time.Millisecond,
+		backoffCap:     4 * time.Millisecond,
+		retryRate:      1000,
+		retryBurst:     1000,
 		// Probing off by default so Nth-trip failpoints stay deterministic;
 		// probe-driven tests shorten this.
-		ProbeInterval: time.Hour,
-		Logf:          discardLogf,
+		probeInterval: time.Hour,
 	}
 	if mut != nil {
-		mut(&cfg)
+		mut(&tune)
 	}
+	cfg := Config{Backends: urls, Transport: c.tr, Logf: discardLogf, tune: &tune}
 	r, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -359,9 +358,9 @@ func TestRouterSheds503WhenNoBackendAnswers(t *testing.T) {
 }
 
 func TestRouterSheds429WhenRetryBudgetEmpty(t *testing.T) {
-	c := newTestCluster(t, 2, func(cfg *Config) {
-		cfg.RetryRate = 0.0001 // effectively no refill inside the test
-		cfg.RetryBurst = 1
+	c := newTestCluster(t, 2, func(tune *tuning) {
+		tune.retryRate = 0.0001 // effectively no refill inside the test
+		tune.retryBurst = 1
 	})
 	for _, ts := range c.servers {
 		ts.Close()
@@ -448,8 +447,8 @@ func TestRouterResizeMigratesSessions(t *testing.T) {
 }
 
 func TestRouterProbesEjectDeadBackend(t *testing.T) {
-	c := newTestCluster(t, 3, func(cfg *Config) {
-		cfg.ProbeInterval = 20 * time.Millisecond
+	c := newTestCluster(t, 3, func(tune *tuning) {
+		tune.probeInterval = 20 * time.Millisecond
 	})
 	dead := c.servers[2].URL
 	c.servers[2].Close()
@@ -483,66 +482,65 @@ func ptrJob(j service.JobSpec) *service.JobSpec { return &j }
 
 func TestBackendStateProbeHysteresis(t *testing.T) {
 	b := newBackendState("b")
-	if ej, _ := b.reportProbe(false, 2, 3); ej {
-		t.Fatal("one failure must not eject (EjectAfter=2)")
+	probe := func(ok bool) (ejected, readmitted bool) { return b.report(ok, true) }
+	if ej, _ := probe(false); ej {
+		t.Fatal("one failure must not eject (ejectAfter=2)")
 	}
-	if ej, _ := b.reportProbe(false, 2, 3); !ej {
+	if ej, _ := probe(false); !ej {
 		t.Fatal("second straight failure must eject")
 	}
 	// Readmission is the slower edge.
-	if _, re := b.reportProbe(true, 2, 3); re {
-		t.Fatal("one success must not readmit (ReadmitAfter=3)")
+	if _, re := probe(true); re {
+		t.Fatal("one success must not readmit (readmitAfter=3)")
 	}
-	if _, re := b.reportProbe(true, 2, 3); re {
+	if _, re := probe(true); re {
 		t.Fatal("two successes must not readmit")
 	}
-	if _, re := b.reportProbe(true, 2, 3); !re {
+	if _, re := probe(true); !re {
 		t.Fatal("third straight success must readmit")
 	}
 	// A flap resets the success streak.
-	b.reportProbe(false, 2, 3)
-	b.reportProbe(false, 2, 3)
-	b.reportProbe(true, 2, 3)
-	b.reportProbe(false, 2, 3)
-	if _, re := b.reportProbe(true, 2, 3); re {
+	probe(false)
+	probe(false)
+	probe(true)
+	probe(false)
+	if _, re := probe(true); re {
 		t.Fatal("flapping backend readmitted too eagerly")
 	}
 }
 
-func TestBackendStateBreakerHalfOpen(t *testing.T) {
+// TestBackendStateRequestFailuresEject pins the one state machine's
+// request face: request failures count toward ejection exactly as probe
+// failures do, a success of either kind resets the count, and only the
+// prober readmits.
+func TestBackendStateRequestFailuresEject(t *testing.T) {
 	b := newBackendState("b")
-	now := time.Unix(1000, 0)
-	cooldown := time.Second
-	for i := 0; i < 2; i++ {
-		if tripped := b.reportRequest(false, now, 3, cooldown); tripped {
-			t.Fatalf("breaker tripped after %d failures, threshold 3", i+1)
+	if ej, _ := b.report(false, false); ej {
+		t.Fatal("one failed request must not eject")
+	}
+	b.report(true, false)
+	if ej, _ := b.report(false, false); ej {
+		t.Fatal("a successful request must reset the failure count")
+	}
+	if ej, _ := b.report(false, true); !ej {
+		t.Fatal("a failed request then a failed probe must eject: both feed one count")
+	}
+	if b.isAlive() {
+		t.Fatal("ejected backend still alive")
+	}
+	for i := 0; i < 2*readmitAfter; i++ {
+		if _, re := b.report(true, false); re {
+			t.Fatal("a request success readmitted an ejected backend")
 		}
 	}
-	if !b.reportRequest(false, now, 3, cooldown) {
-		t.Fatal("third failure must trip the breaker")
+	for i := 1; i < readmitAfter; i++ {
+		b.report(true, true)
 	}
-	if b.admit(now.Add(cooldown / 2)) {
-		t.Fatal("open breaker admitted a request mid-cooldown")
+	if _, re := b.report(true, true); !re || !b.isAlive() {
+		t.Fatal("readmitAfter straight probe successes must readmit")
 	}
-	after := now.Add(cooldown + time.Millisecond)
-	if !b.admit(after) {
-		t.Fatal("cooled-down breaker must admit one trial")
-	}
-	if b.admit(after) {
-		t.Fatal("half-open breaker admitted a second concurrent trial")
-	}
-	// A failed trial re-arms the cooldown; a later success closes it.
-	b.reportRequest(false, after, 3, cooldown)
-	if b.admit(after.Add(cooldown / 2)) {
-		t.Fatal("failed trial must re-arm the cooldown")
-	}
-	later := after.Add(2 * cooldown)
-	if !b.admit(later) {
-		t.Fatal("re-armed breaker must half-open again")
-	}
-	b.reportRequest(true, later, 3, cooldown)
-	if !b.admit(later) {
-		t.Fatal("a successful trial must close the breaker")
+	if ej, _ := b.report(false, false); ej {
+		t.Fatal("readmission must start the failure count from zero")
 	}
 }
 

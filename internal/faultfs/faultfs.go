@@ -24,6 +24,9 @@ type FS interface {
 	Rename(oldpath, newpath string) error
 	Remove(name string) error
 	ReadFile(name string) ([]byte, error)
+	// Stat reports the file now at name; with File.Stat it lets a
+	// journal tell whether name is still the file it last wrote.
+	Stat(name string) (fs.FileInfo, error)
 }
 
 // File is the writable handle the journal appends to.
@@ -31,6 +34,7 @@ type File interface {
 	io.Writer
 	Sync() error
 	Close() error
+	Stat() (fs.FileInfo, error)
 }
 
 // OS passes every operation straight to the os package.
@@ -46,9 +50,10 @@ func (OS) OpenFile(name string, flag int, perm fs.FileMode) (File, error) {
 	return f, nil
 }
 
-func (OS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, newpath) }
-func (OS) Remove(name string) error             { return os.Remove(name) }
-func (OS) ReadFile(name string) ([]byte, error) { return os.ReadFile(name) }
+func (OS) Rename(oldpath, newpath string) error  { return os.Rename(oldpath, newpath) }
+func (OS) Remove(name string) error              { return os.Remove(name) }
+func (OS) ReadFile(name string) ([]byte, error)  { return os.ReadFile(name) }
+func (OS) Stat(name string) (fs.FileInfo, error) { return os.Stat(name) }
 
 // Plan selects which operation fails. Counts are 1-based and global
 // across the wrapped FS (all files); zero means "never fail". Err is
@@ -160,6 +165,9 @@ func (f *Fault) Rename(oldpath, newpath string) error {
 func (f *Fault) Remove(name string) error             { return f.inner.Remove(name) }
 func (f *Fault) ReadFile(name string) ([]byte, error) { return f.inner.ReadFile(name) }
 
+// Stat is not a failpoint: it writes nothing a crash could tear.
+func (f *Fault) Stat(name string) (fs.FileInfo, error) { return f.inner.Stat(name) }
+
 type faultFile struct {
 	fault *Fault
 	inner File
@@ -189,4 +197,5 @@ func (f *faultFile) Sync() error {
 	return f.inner.Sync()
 }
 
-func (f *faultFile) Close() error { return f.inner.Close() }
+func (f *faultFile) Close() error               { return f.inner.Close() }
+func (f *faultFile) Stat() (fs.FileInfo, error) { return f.inner.Stat() }

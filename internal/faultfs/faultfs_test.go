@@ -26,11 +26,24 @@ func TestOSPassthrough(t *testing.T) {
 	if err := f.Sync(); err != nil {
 		t.Fatal(err)
 	}
+	// Stat by handle and by name agree on identity and size: the
+	// journal's stale-handle check compares the two.
+	byHandle, err := f.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
+	byName, err := New(fsys, Plan{}).Stat(name)
+	if err != nil || !os.SameFile(byHandle, byName) || byName.Size() != 5 {
+		t.Fatalf("Stat(%s) = %v, %v; want the written 5-byte file", name, byName, err)
+	}
 	if err := fsys.Rename(name, name+".2"); err != nil {
 		t.Fatal(err)
+	}
+	if _, err := fsys.Stat(name); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("Stat of a renamed-away path: err = %v, want fs.ErrNotExist", err)
 	}
 	data, err := fsys.ReadFile(name + ".2")
 	if err != nil || string(data) != "hello" {

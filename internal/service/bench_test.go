@@ -97,11 +97,10 @@ func BenchmarkJournalAppend(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			h, err := svc.session(id)
+			h, err := svc.lockSession(id)
 			if err != nil {
 				b.Fatal(err)
 			}
-			h.mu.Lock()
 			defer h.mu.Unlock()
 			mut := MutationSpec{Op: "add_job", Job: ptr(extraJob())}
 			b.ReportAllocs()

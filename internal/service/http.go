@@ -34,7 +34,7 @@ type BatchResponse struct {
 // the decoder buffer unbounded input.
 const MaxRequestBytes = 64 << 20
 
-// SessionResponse is the reply to session create/mutate/takeover calls.
+// SessionResponse is the reply to session create/mutate/release calls.
 // Seq is the session's mutation sequence after the call; on a 409 it is
 // the current sequence the conflicting caller must reconcile against.
 type SessionResponse struct {
@@ -61,7 +61,6 @@ type MutateRequest struct {
 //	PUT    /v1/session/{id}          create under a caller-chosen id (router-minted)
 //	POST   /v1/session/{id}/mutate   MutateRequest in, SessionResponse{digest,seq} out
 //	POST   /v1/session/{id}/solve    ScheduleResponse out (digest-cached)
-//	POST   /v1/session/{id}/takeover re-read the session from shared StateDir
 //	POST   /v1/session/{id}/release  unload it, leaving the journal for the next owner
 //	GET    /v1/session/{id}          SessionInfo out
 //	DELETE /v1/session/{id}          drop the session
@@ -169,15 +168,6 @@ func NewHTTPHandler(svc *Service) http.Handler {
 		digest, seq, err := svc.MutateSessionAt(id, expect, body.Mutations)
 		if err != nil {
 			writeJSON(w, statusFor(err), SessionResponse{ID: id, Digest: digest, Seq: seq, Error: err.Error()})
-			return
-		}
-		writeJSON(w, http.StatusOK, SessionResponse{ID: id, Digest: digest, Seq: seq})
-	})
-	mux.HandleFunc("POST /v1/session/{id}/takeover", func(w http.ResponseWriter, r *http.Request) {
-		id := r.PathValue("id")
-		digest, seq, err := svc.TakeoverSession(id)
-		if err != nil {
-			writeJSON(w, statusFor(err), SessionResponse{ID: id, Error: err.Error()})
 			return
 		}
 		writeJSON(w, http.StatusOK, SessionResponse{ID: id, Digest: digest, Seq: seq})

@@ -282,9 +282,11 @@ func TestHTTPSolveTimeout(t *testing.T) {
 	}
 	// The abandoned solve still completes under the session lock and
 	// populates the digest cache; a patient retry succeeds from there.
-	h, err := svc.session(created.ID)
-	if err != nil {
-		t.Fatal(err)
+	svc.sessMu.Lock()
+	h := svc.sessions[created.ID]
+	svc.sessMu.Unlock()
+	if h == nil {
+		t.Fatalf("session %s is not registered", created.ID)
 	}
 	// The handler can give up before the background solve takes the
 	// session lock; wait until it has (it counts the submission under

@@ -22,6 +22,9 @@ package service
 // the new one, both complete. A session comes back from disk only on
 // first touch (openByID in takeover.go), which re-compacts the one
 // journal it loads and so also normalizes away any tolerated torn tail.
+// A live handle checks before it acts that the file is still the one it
+// last wrote (sessionJournal.current), so a handle made stale by a peer
+// on a shared StateDir never answers or writes.
 //
 // All filesystem access goes through faultfs.FS, so the crash-matrix
 // tests can fail any individual write, fsync, rename, or open and
@@ -34,6 +37,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 
@@ -202,6 +206,39 @@ type sessionJournal struct {
 	path      string
 	file      faultfs.File
 	mutsSince int // mutate records since the leading snapshot
+	// ident is the file this handle last wrote and size its length after
+	// that write. When path names another file, or this one at another
+	// size, another handle has rewritten the journal (takeover.go).
+	ident fs.FileInfo
+	size  int64
+}
+
+// errJournalMoved is current's answer when the journal on disk is no
+// longer the file the handle last wrote.
+var errJournalMoved = errors.New("journal rewritten by another handle")
+
+// track records the file j appends to and its size right now.
+func (j *sessionJournal) track() error {
+	fi, err := j.file.Stat()
+	if err != nil {
+		return err
+	}
+	j.ident, j.size = fi, fi.Size()
+	return nil
+}
+
+// current checks, with one Stat, that path still names the file j last
+// wrote at the size it left it. It answers errJournalMoved if not, and
+// an error matching fs.ErrNotExist if the journal is gone.
+func (j *sessionJournal) current() error {
+	fi, err := j.s.cfg.FS.Stat(j.path)
+	if err != nil {
+		return err
+	}
+	if !os.SameFile(fi, j.ident) || fi.Size() != j.size {
+		return errJournalMoved
+	}
+	return nil
 }
 
 func (s *Service) sessionsDir() string {
@@ -227,7 +264,9 @@ func (j *sessionJournal) appendRecord(rec journalRecord) error {
 	if err != nil {
 		return err
 	}
-	if _, err := j.file.Write(line); err != nil {
+	n, err := j.file.Write(line)
+	j.size += int64(n)
+	if err != nil {
 		return err
 	}
 	j.s.journalRecords.Add(1)
@@ -259,6 +298,9 @@ func (s *Service) createJournal(snap *SessionSnapshot) (*sessionJournal, error) 
 	}
 	if err == nil {
 		err = f.Sync()
+	}
+	if err == nil {
+		err = j.track()
 	}
 	if err != nil {
 		f.Close()
@@ -318,6 +360,9 @@ func (j *sessionJournal) compact(snap *SessionSnapshot) (fatal bool, err error) 
 		return true, err
 	}
 	j.file = nf
+	if err := j.track(); err != nil {
+		return true, err
+	}
 	j.mutsSince = 0
 	s.journalRecords.Add(1)
 	s.journalFsyncs.Add(1)
@@ -396,6 +441,10 @@ func (s *Service) recoverOne(id, path string) (*sessionHandle, error) {
 			return nil, fmt.Errorf("rewriting journal: %w", cerr)
 		}
 		// Old journal is intact and appendable; keep it and move on.
+		if terr := j.track(); terr != nil {
+			j.file.Close()
+			return nil, fmt.Errorf("rewriting journal: %v; reading it back: %w", cerr, terr)
+		}
 		s.logf("powersched: session %s: restore compaction failed (%v); keeping journal", id, cerr)
 	}
 	h.journal = j
@@ -404,7 +453,9 @@ func (s *Service) recoverOne(id, path string) (*sessionHandle, error) {
 
 // flushJournals folds every live session into a compacted snapshot —
 // the next first touch then replays no mutation records — and closes
-// the journals. Called on the drain path of Close.
+// the journals. Called on the drain path of Close. A handle whose
+// journal another handle has rewritten is retired without writing:
+// flushing its older state would roll the session back.
 func (s *Service) flushJournals() {
 	s.sessMu.Lock()
 	handles := make(map[string]*sessionHandle, len(s.sessions))
@@ -415,6 +466,12 @@ func (s *Service) flushJournals() {
 	for id, h := range handles {
 		h.mu.Lock()
 		if h.journal != nil {
+			if err := h.journal.current(); err != nil {
+				s.logf("powersched: session %s: drain flush skipped: %v", id, err)
+				s.retireLocked(id, h)
+				h.mu.Unlock()
+				continue
+			}
 			if _, err := h.journal.compact(h.snapshotLocked(id)); err != nil {
 				s.logf("powersched: session %s: drain flush: %v", id, err)
 			}

@@ -155,11 +155,10 @@ func solveSameAsCold(t *testing.T, svc *Service, id string) {
 	if res.Err != nil {
 		t.Fatalf("solve %s: %v", id, res.Err)
 	}
-	h, err := svc.session(id)
+	h, err := svc.lockSession(id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.mu.Lock()
 	spec := cloneInstanceSpec(h.spec)
 	h.mu.Unlock()
 	req, err := BuildRequest(spec)

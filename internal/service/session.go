@@ -39,8 +39,8 @@ var ErrNoSession = errors.New("service: no such session")
 // ErrTooManySessions is returned by CreateSession at the MaxSessions cap.
 var ErrTooManySessions = errors.New("service: session limit reached")
 
-// ErrSessionsDisabled is returned by CreateSession, CreateSessionWithID
-// and TakeoverSession when the deployment opted out of sessions
+// ErrSessionsDisabled is returned by CreateSession and
+// CreateSessionWithID when the deployment opted out of sessions
 // (MaxSessions < 0).
 var ErrSessionsDisabled = errors.New("service: sessions disabled (MaxSessions < 0)")
 
@@ -80,9 +80,12 @@ type sessionHandle struct {
 	opts   sched.Options
 	// seq counts accepted mutations over the session's lifetime; it is
 	// persisted in snapshots so it stays monotone across restarts and
-	// cross-process takeover (the mutation-retry check depends on that).
+	// moves between processes (the mutation-retry check depends on that).
 	seq     uint64
 	journal *sessionJournal
+	// retired marks a handle taken out of service (released, dropped, or
+	// stale); it is set under mu before the handle leaves the registry.
+	retired bool
 }
 
 // newHandle validates a wire spec and builds an unregistered session
@@ -251,23 +254,6 @@ func cloneCostSpec(c CostSpec) CostSpec {
 	return c
 }
 
-// session resolves an id to its live handle. On a durable service a
-// miss falls through to the StateDir (openByID in takeover.go): this is
-// how every session comes back from disk, after a restart or, in a
-// cluster, from the journal a dead backend left behind.
-func (s *Service) session(id string) (*sessionHandle, error) {
-	s.sessMu.Lock()
-	h, ok := s.sessions[id]
-	s.sessMu.Unlock()
-	if ok {
-		return h, nil
-	}
-	if s.durable() && s.cfg.MaxSessions >= 0 {
-		return s.openByID(id)
-	}
-	return nil, fmt.Errorf("%w: %q", ErrNoSession, id)
-}
-
 // MutateSession applies the mutations in order and returns the digest of
 // the session's new instance. On a rejected mutation the session
 // reflects the successfully applied prefix (and the returned digest
@@ -294,11 +280,10 @@ func (s *Service) MutateSessionAt(id string, expect int64, muts []MutationSpec) 
 	if err := s.sessionsOpen(); err != nil {
 		return "", 0, err
 	}
-	h, err := s.session(id)
+	h, err := s.lockSession(id)
 	if err != nil {
 		return "", 0, err
 	}
-	h.mu.Lock()
 	defer h.mu.Unlock()
 	if expect >= 0 && uint64(expect) != h.seq {
 		return h.digest, h.seq, fmt.Errorf("%w: session at seq %d, caller expected %d", ErrSeqConflict, h.seq, expect)
@@ -341,9 +326,7 @@ func (s *Service) dropPoisonedLocked(id string, h *sessionHandle) {
 		h.journal.discard()
 		h.journal = nil
 	}
-	s.sessMu.Lock()
-	delete(s.sessions, id)
-	s.sessMu.Unlock()
+	s.retireLocked(id, h)
 	s.logf("powersched: session %s dropped: journal cannot record acknowledged state", id)
 }
 
@@ -413,10 +396,6 @@ func (s *Service) SolveSession(ctx context.Context, id string) Result {
 	if err := s.sessionsOpen(); err != nil {
 		return Result{Err: err}
 	}
-	h, err := s.session(id)
-	if err != nil {
-		return Result{Err: err}
-	}
 	if s.cfg.SolveTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.SolveTimeout)
@@ -424,7 +403,11 @@ func (s *Service) SolveSession(ctx context.Context, id string) Result {
 	}
 	done := make(chan Result, 1)
 	go func() {
-		h.mu.Lock()
+		h, err := s.lockSession(id)
+		if err != nil {
+			done <- Result{Err: err}
+			return
+		}
 		defer h.mu.Unlock()
 		done <- s.solveSessionLocked(h)
 	}()
@@ -470,11 +453,10 @@ type SessionInfo struct {
 
 // SessionInfo reports a session's current shape and solve accounting.
 func (s *Service) SessionInfo(id string) (SessionInfo, error) {
-	h, err := s.session(id)
+	h, err := s.lockSession(id)
 	if err != nil {
 		return SessionInfo{}, err
 	}
-	h.mu.Lock()
 	defer h.mu.Unlock()
 	solves, _ := h.sess.Stats()
 	return SessionInfo{
@@ -494,10 +476,11 @@ func (s *Service) SessionInfo(id string) (SessionInfo, error) {
 // dropped by removing its journal, so a DELETE is final whether or not
 // the session was ever touched by this process.
 func (s *Service) DropSession(id string) error {
-	s.sessMu.Lock()
-	h, ok := s.sessions[id]
-	if !ok {
-		s.sessMu.Unlock()
+	h, err := s.lockLoaded(id)
+	if err != nil {
+		return err
+	}
+	if h == nil {
 		if s.durable() && validSessionID(id) == nil {
 			if err := s.cfg.FS.Remove(s.journalPath(id)); err == nil {
 				return nil
@@ -505,13 +488,11 @@ func (s *Service) DropSession(id string) error {
 		}
 		return fmt.Errorf("%w: %q", ErrNoSession, id)
 	}
-	delete(s.sessions, id)
-	s.sessMu.Unlock()
-	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.journal != nil {
 		h.journal.discard()
 		h.journal = nil
 	}
+	s.retireLocked(id, h)
 	return nil
 }

@@ -92,11 +92,10 @@ func TestSnapshotRestoreDifferential(t *testing.T) {
 				}
 			}
 			if step == cut {
-				h, err := svcA.session(id)
+				h, err := svcA.lockSession(id)
 				if err != nil {
 					t.Fatal(err)
 				}
-				h.mu.Lock()
 				_, err = h.journal.compact(h.snapshotLocked(id))
 				h.mu.Unlock()
 				if err != nil {

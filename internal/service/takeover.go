@@ -1,28 +1,41 @@
 package service
 
-// This file is how a session comes back from disk, and the
-// cross-process handoff surface the cluster router drives. Backends in a
-// cluster share one StateDir; a session's journal is its portable
-// identity. Three operations move ownership:
+// This file is how a session comes back from disk, how a process gives
+// one up, and how a handle notices that it has gone stale. Backends in
+// a cluster share one StateDir; a session's journal is its portable
+// identity.
 //
 //   - open-by-id: a session miss on a durable service falls through to
 //     the StateDir before answering ErrNoSession. It is the only restore
 //     path: a restarted process loads each session on its first touch,
-//     and the rehashed owner of an ejected backend's session serves it
-//     by replaying the snapshot + journal tail the dead process left
-//     behind.
-//   - takeover: an explicit "re-read from disk" that discards any
-//     in-memory copy first — the router issues it when ownership moves
-//     while both processes are alive (ring resize migration), so the
-//     new owner never serves a stale in-memory image.
-//   - release: the donor half of migration — drop the in-memory handle
-//     and close the journal, leaving the file for the next owner.
+//     and the backend the router sends a session to next serves it by
+//     replaying the snapshot + journal tail the previous owner left.
+//   - release: the donor half of a ring-resize migration — compact and
+//     close the journal and retire the handle, leaving the file for the
+//     new owner, whose first touch restores it.
 //
-// Ownership discipline is the router's job: it routes each session id
-// to exactly one backend at a time (release before takeover on resize),
-// so two processes never append to one journal concurrently. The
-// journal checksums turn a violation of that discipline into a detected
-// corruption, not a silently wrong answer.
+// Router discipline alone cannot keep a stale copy from answering. The
+// router sends each session id to one backend at a time, but a backend
+// it routed around may still be alive with the session in memory, and
+// the router may route back to it later; a draining backend flushes
+// whatever it holds. So a handle does not trust its own copy: each live
+// journal remembers the identity and size of the file it last wrote,
+// and before a handle serves a touch or appends, compacts, releases or
+// flushes, it checks <id>.journal with one Stat (lockLoaded). If another
+// handle has rewritten the file since — a restore compacts it under a
+// new inode, an append grows it — this handle is retired without
+// writing and the request re-resolves the id from disk. A missing file
+// answers ErrNoSession, any other Stat failure ErrDurability. A handle
+// is marked retired under its own lock before it leaves the registry,
+// so a request that was waiting on that lock re-resolves by id instead
+// of acting on a handle no one else can reach.
+//
+// Out of scope: two processes appending to one journal at the same
+// time, inside one routing transition. The check runs once per locked
+// section, so a peer's write that lands between the Stat and our own
+// write is not prevented. Replay's per-record digest check detects a
+// mutation applied to a state it was not acked on, but that is
+// detection after the fact, not exclusion.
 
 import (
 	"errors"
@@ -78,65 +91,23 @@ func (s *Service) openByID(id string) (*sessionHandle, error) {
 	return h, nil
 }
 
-// TakeoverSession forces a session to be re-read from the shared
-// StateDir, discarding any in-memory copy first (its journal handle is
-// closed, the file kept). The restored state is the last acked one: the
-// snapshot plus every journaled mutation the previous owner recorded.
-// Returns the recovered digest and mutation sequence — the values the
-// router verifies migration against.
-func (s *Service) TakeoverSession(id string) (digest string, seq uint64, err error) {
-	if err := s.sessionsEnabled(); err != nil {
-		return "", 0, err
-	}
-	if !s.durable() {
-		return "", 0, errors.New("service: takeover requires a durable service (StateDir)")
-	}
-	s.sessMu.Lock()
-	h, ok := s.sessions[id]
-	if ok {
-		delete(s.sessions, id)
-	}
-	s.sessMu.Unlock()
-	if ok {
-		h.mu.Lock()
-		if h.journal != nil {
-			if cerr := h.journal.close(); cerr != nil {
-				s.logf("powersched: session %s: takeover close: %v", id, cerr)
-			}
-			h.journal = nil
-		}
-		h.mu.Unlock()
-	}
-	nh, err := s.openByID(id)
-	if err != nil {
-		return "", 0, err
-	}
-	nh.mu.Lock()
-	digest, seq = nh.digest, nh.seq
-	nh.mu.Unlock()
-	return digest, seq, nil
-}
-
-// ReleaseSession drops the in-memory handle and closes the journal,
-// keeping the file on disk for the next owner — the donor half of a
-// ring-resize migration. The final compaction folds the session's
-// mutations into one snapshot record, so the taker restores without
-// replaying them. On a non-durable
-// service releasing is just dropping: there is no file to hand over.
+// ReleaseSession compacts the session's journal, closes it and retires
+// the in-memory handle, keeping the file on disk for the next owner —
+// the donor half of a ring-resize migration. The compaction folds the
+// session's mutations into one snapshot record, so the new owner
+// restores without replaying them. On a non-durable service releasing
+// is just dropping: there is no file to hand over.
 func (s *Service) ReleaseSession(id string) error {
 	if err := s.sessionsOpen(); err != nil {
 		return err
 	}
-	s.sessMu.Lock()
-	h, ok := s.sessions[id]
-	if ok {
-		delete(s.sessions, id)
+	h, err := s.lockLoaded(id)
+	if err != nil {
+		return err
 	}
-	s.sessMu.Unlock()
-	if !ok {
+	if h == nil {
 		return fmt.Errorf("%w: %q", ErrNoSession, id)
 	}
-	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.journal != nil {
 		if _, cerr := h.journal.compact(h.snapshotLocked(id)); cerr != nil {
@@ -147,7 +118,83 @@ func (s *Service) ReleaseSession(id string) error {
 		}
 		h.journal = nil
 	}
+	s.retireLocked(id, h)
 	return nil
+}
+
+// lockSession resolves id to its live handle and returns it locked and
+// verified (lockLoaded). On a durable service a miss falls through to
+// the StateDir (openByID): this is how every session comes back from
+// disk, after a restart, after a stale handle was retired, or, in a
+// cluster, from the journal another backend left behind.
+func (s *Service) lockSession(id string) (*sessionHandle, error) {
+	for reloads := 0; ; reloads++ {
+		h, err := s.lockLoaded(id)
+		if h != nil || err != nil {
+			return h, err
+		}
+		if !s.durable() || s.cfg.MaxSessions < 0 {
+			return nil, fmt.Errorf("%w: %q", ErrNoSession, id)
+		}
+		if reloads == 3 {
+			// Each reload was made stale before it could be used.
+			return nil, fmt.Errorf("%w: session %s: journal keeps changing under reloads", ErrDurability, id)
+		}
+		if _, err := s.openByID(id); err != nil {
+			return nil, err
+		}
+	}
+}
+
+// lockLoaded returns id's registered handle locked, or nil when none is
+// registered. On a durable service it first checks the handle's journal
+// (sessionJournal.current); a stale handle is retired on the way and
+// reported as not registered.
+func (s *Service) lockLoaded(id string) (*sessionHandle, error) {
+	for {
+		s.sessMu.Lock()
+		h := s.sessions[id]
+		s.sessMu.Unlock()
+		if h == nil {
+			return nil, nil
+		}
+		h.mu.Lock()
+		if h.retired {
+			// Already out of the registry: look again.
+			h.mu.Unlock()
+			continue
+		}
+		if h.journal == nil {
+			return h, nil
+		}
+		err := h.journal.current()
+		if err == nil {
+			return h, nil
+		}
+		if !errors.Is(err, errJournalMoved) && !errors.Is(err, fs.ErrNotExist) {
+			h.mu.Unlock()
+			return nil, fmt.Errorf("%w: session %s: checking journal: %v", ErrDurability, id, err)
+		}
+		s.logf("powersched: session %s: %v; retiring the in-memory copy", id, err)
+		s.retireLocked(id, h)
+		h.mu.Unlock()
+	}
+}
+
+// retireLocked takes h out of service (h.mu held): it is marked retired,
+// then leaves the registry, and its journal is closed without a write.
+// A request still holding h sees the mark and re-resolves by id.
+func (s *Service) retireLocked(id string, h *sessionHandle) {
+	h.retired = true
+	if h.journal != nil {
+		h.journal.file.Close()
+		h.journal = nil
+	}
+	s.sessMu.Lock()
+	if s.sessions[id] == h {
+		delete(s.sessions, id)
+	}
+	s.sessMu.Unlock()
 }
 
 // bumpSessSeq keeps the id sequence ahead of a live "s%06d" id so

@@ -4,13 +4,18 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io/fs"
+	"syscall"
 	"testing"
+	"time"
+
+	"repro/internal/faultfs"
 )
 
 // Tests for the cluster handoff surface: mutation sequence numbers,
 // conditional mutates, caller-chosen ids, first-touch restore
-// (open-by-id), and explicit release/takeover — the service half of journal-driven
-// failover.
+// (open-by-id), release, and stale-handle detection — the service half
+// of journal-driven failover.
 
 func TestSeqTracksAcceptedMutations(t *testing.T) {
 	svc := New(Config{Workers: 1})
@@ -207,7 +212,7 @@ func TestRestoreOpensOnFirstTouch(t *testing.T) {
 	}
 }
 
-func TestReleaseThenTakeoverMigratesSession(t *testing.T) {
+func TestReleaseThenTouchMigratesSession(t *testing.T) {
 	dir := t.TempDir()
 	a, err := Open(durableConfig(dir))
 	if err != nil {
@@ -233,17 +238,18 @@ func TestReleaseThenTakeoverMigratesSession(t *testing.T) {
 	}
 	want := solveBytes(t, a, id)
 
-	// Migration: donor releases (journal stays on disk), taker re-reads.
+	// Migration: donor releases (journal stays on disk), the new owner's
+	// first touch — the router's verifying GET — restores it.
 	if err := a.ReleaseSession(id); err != nil {
 		t.Fatal(err)
 	}
-	gotDigest, gotSeq, err := b.TakeoverSession(id)
+	info, err := b.SessionInfo(id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gotDigest != wantDigest || gotSeq != wantSeq {
-		t.Fatalf("takeover recovered digest %s seq %d, donor acked %s seq %d",
-			gotDigest, gotSeq, wantDigest, wantSeq)
+	if info.Digest != wantDigest || info.Seq != wantSeq {
+		t.Fatalf("new owner recovered digest %s seq %d, donor acked %s seq %d",
+			info.Digest, info.Seq, wantDigest, wantSeq)
 	}
 	if got := solveBytes(t, b, id); !bytes.Equal(got, want) {
 		t.Fatalf("migrated solve differs:\n%s\nwant:\n%s", got, want)
@@ -304,9 +310,9 @@ func TestDropSessionRemovesUnloadedJournal(t *testing.T) {
 	}
 }
 
-// TestTakeoverRefusedWhenSessionsDisabled: a service that disabled
+// TestTouchRefusedWhenSessionsDisabled: a service that disabled
 // sessions must not install one from a journal it finds on disk.
-func TestTakeoverRefusedWhenSessionsDisabled(t *testing.T) {
+func TestTouchRefusedWhenSessionsDisabled(t *testing.T) {
 	dir := t.TempDir()
 	svc1, err := Open(durableConfig(dir))
 	if err != nil {
@@ -326,18 +332,217 @@ func TestTakeoverRefusedWhenSessionsDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc2.Close(context.Background())
-	if _, _, err := svc2.TakeoverSession(id); !errors.Is(err, ErrSessionsDisabled) {
-		t.Fatalf("takeover with sessions disabled: want ErrSessionsDisabled, got %v", err)
+	if _, err := svc2.SessionInfo(id); !errors.Is(err, ErrNoSession) {
+		t.Fatalf("touch with sessions disabled: want ErrNoSession, got %v", err)
 	}
 	if n := svc2.Stats().Sessions; n != 0 {
-		t.Fatalf("takeover with sessions disabled installed %d sessions", n)
+		t.Fatalf("touch with sessions disabled installed %d sessions", n)
 	}
 }
 
-func TestTakeoverRequiresDurability(t *testing.T) {
-	svc := New(Config{Workers: 1})
+// openShared opens a durable service on dir that the test closes.
+func openShared(t *testing.T, dir string) *Service {
+	t.Helper()
+	svc, err := Open(durableConfig(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { svc.Close(context.Background()) })
+	return svc
+}
+
+// failoverToPeer is the start the stale-handle tests share: x creates a
+// session and acks seq 1; then the router routes around x, and y, on
+// the same StateDir, restores the session from disk and acks seq 2.
+// x still holds its seq-1 copy in memory.
+func failoverToPeer(t *testing.T, x, y *Service) (id, digest string) {
+	t.Helper()
+	id, _, err := x.CreateSession(sessionSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, seq, err := x.MutateSessionAt(id, -1, []MutationSpec{{Op: "add_job", Job: ptr(extraJob())}}); err != nil || seq != 1 {
+		t.Fatalf("mutate on x: seq %d err %v", seq, err)
+	}
+	digest, seq, err := y.MutateSessionAt(id, -1, []MutationSpec{{Op: "block", Slot: &SlotSpec{Proc: 0, Time: 11}}})
+	if err != nil || seq != 2 {
+		t.Fatalf("mutate on y: seq %d err %v", seq, err)
+	}
+	return id, digest
+}
+
+// TestStaleOwnerRereadsAfterPeerMutates: once y has acked seq 2, the
+// router sending the session back to x must not get x's seq-1 copy,
+// and x's next mutate must build on seq 2 — never a second history
+// acked at the same sequence.
+func TestStaleOwnerRereadsAfterPeerMutates(t *testing.T) {
+	dir := t.TempDir()
+	x, y := openShared(t, dir), openShared(t, dir)
+	id, yDigest := failoverToPeer(t, x, y)
+
+	info, err := x.SessionInfo(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Seq != 2 || info.Digest != yDigest {
+		t.Fatalf("x answers seq %d digest %s after y acked seq 2 digest %s", info.Seq, info.Digest, yDigest)
+	}
+	digest, seq, err := x.MutateSessionAt(id, -1, []MutationSpec{{Op: "advance_horizon", Horizon: 14}})
+	if err != nil || seq != 3 {
+		t.Fatalf("mutate on x after failback: seq %d err %v, want 3", seq, err)
+	}
+	fresh := openShared(t, dir)
+	got, err := fresh.SessionInfo(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Seq != seq || got.Digest != digest {
+		t.Fatalf("journal restores seq %d digest %s, x acked seq %d digest %s", got.Seq, got.Digest, seq, digest)
+	}
+	solveSameAsCold(t, fresh, id)
+}
+
+// TestDrainAfterFailoverDoesNotRollBack: x draining gracefully after y
+// took its session over must not flush x's older copy over y's journal.
+func TestDrainAfterFailoverDoesNotRollBack(t *testing.T) {
+	dir := t.TempDir()
+	x, y := openShared(t, dir), openShared(t, dir)
+	id, yDigest := failoverToPeer(t, x, y)
+	want := solveBytes(t, y, id)
+
+	if err := x.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	fresh := openShared(t, dir)
+	info, err := fresh.SessionInfo(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Seq != 2 || info.Digest != yDigest {
+		t.Fatalf("after x drained, the journal restores seq %d digest %s; y acked seq 2 digest %s", info.Seq, info.Digest, yDigest)
+	}
+	if got := solveBytes(t, fresh, id); !bytes.Equal(got, want) {
+		t.Fatalf("restored solve differs:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestStaleOwnerSeesPeerDelete: a session deleted through y is gone for
+// x too, even though x still holds it in memory.
+func TestStaleOwnerSeesPeerDelete(t *testing.T) {
+	dir := t.TempDir()
+	x, y := openShared(t, dir), openShared(t, dir)
+	id, _, err := x.CreateSession(sessionSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := y.DropSession(id); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := x.SessionInfo(id); !errors.Is(err, ErrNoSession) {
+		t.Fatalf("x after y deleted the session: want ErrNoSession, got %v", err)
+	}
+	if n := x.Stats().Sessions; n != 0 {
+		t.Fatalf("x still holds %d sessions", n)
+	}
+}
+
+// TestReleaseRaceKeepsAckedMutation: a mutate that arrives while a
+// release waits on the session lock must not be acked on a copy the
+// release then overwrites. The service is abandoned, not closed, as a
+// kill -9 would leave it: the journal alone must hold the ack. The
+// sleeps only steer the release to the lock before the mutate; the
+// assertions hold for every interleaving.
+func TestReleaseRaceKeepsAckedMutation(t *testing.T) {
+	dir := t.TempDir()
+	svc, err := Open(durableConfig(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, _, err := svc.CreateSession(sessionSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.sessMu.Lock()
+	h := svc.sessions[id]
+	svc.sessMu.Unlock()
+	h.mu.Lock() // an in-flight request holds the session
+
+	released := make(chan error, 1)
+	go func() { released <- svc.ReleaseSession(id) }()
+	time.Sleep(20 * time.Millisecond) // let the release reach the lock
+	type ack struct {
+		digest string
+		seq    uint64
+		err    error
+	}
+	mutated := make(chan ack, 1)
+	go func() {
+		d, seq, err := svc.MutateSessionAt(id, -1, []MutationSpec{{Op: "add_job", Job: ptr(extraJob())}})
+		mutated <- ack{d, seq, err}
+	}()
+	var got ack
+	early := false
+	select {
+	case got = <-mutated: // the mutate did not wait for the release
+		early = true
+	case <-time.After(50 * time.Millisecond):
+	}
+	h.mu.Unlock()
+	if err := <-released; err != nil {
+		t.Fatal(err)
+	}
+	if !early {
+		got = <-mutated
+	}
+	if got.err != nil || got.seq != 1 {
+		t.Fatalf("mutate during release: seq %d err %v", got.seq, got.err)
+	}
+
+	fresh := openShared(t, dir)
+	info, err := fresh.SessionInfo(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Seq != got.seq || info.Digest != got.digest {
+		t.Fatalf("journal restores seq %d digest %s, the mutate acked seq %d digest %s", info.Seq, info.Digest, got.seq, got.digest)
+	}
+}
+
+// statFailFS fails every Stat with err while err is set.
+type statFailFS struct {
+	faultfs.FS
+	err error
+}
+
+func (f *statFailFS) Stat(name string) (fs.FileInfo, error) {
+	if f.err != nil {
+		return nil, f.err
+	}
+	return f.FS.Stat(name)
+}
+
+// TestJournalCheckErrorAnswersDurability: when the journal cannot be
+// checked, a touch answers ErrDurability and keeps the session, rather
+// than serving a copy it could not verify.
+func TestJournalCheckErrorAnswersDurability(t *testing.T) {
+	cfg := durableConfig(t.TempDir())
+	fsys := &statFailFS{FS: faultfs.OS{}}
+	cfg.FS = fsys
+	svc, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer svc.Close(context.Background())
-	if _, _, err := svc.TakeoverSession("s000001"); err == nil {
-		t.Fatal("takeover on a non-durable service must fail")
+	id, _, err := svc.CreateSession(sessionSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fsys.err = syscall.EIO
+	if _, err := svc.SessionInfo(id); !errors.Is(err, ErrDurability) {
+		t.Fatalf("unverifiable journal: want ErrDurability, got %v", err)
+	}
+	fsys.err = nil
+	if _, err := svc.SessionInfo(id); err != nil {
+		t.Fatalf("session lost to a transient check failure: %v", err)
 	}
 }

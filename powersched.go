@@ -247,24 +247,27 @@ func SolveRequest(req ServiceRequest) (*Schedule, error) { return service.Solve(
 // Re-exported cluster types; see the cluster package for full semantics.
 type (
 	// ClusterRouter is the shard-router front end over N serve backends:
-	// consistent-hash routing, health probing with eject/readmit
-	// hysteresis, deadline/retry/backoff with a global retry budget,
-	// per-backend circuit breaking, load shedding, and journal-driven
-	// session failover over a shared StateDir. Serve its Handler; what
-	// `powersched route` listens with.
+	// consistent-hash routing, one backend-health state machine (eject
+	// after consecutive failed probes or requests, readmit after
+	// consecutive good probes), deadline/retry/backoff with a global
+	// retry budget, load shedding, and journal-driven session failover
+	// over a shared StateDir. Serve its Handler; what `powersched route`
+	// listens with.
 	ClusterRouter = cluster.Router
-	// ClusterConfig tunes the router's backends, timeouts, retry budget,
-	// health hysteresis, and circuit breaker.
+	// ClusterConfig names the router's backends, its transport, and its
+	// log sink. The router's timing is constant and not configurable.
 	ClusterConfig = cluster.Config
 	// ClusterStats snapshots the router's counters and backend health.
 	ClusterStats = cluster.Stats
-	// HashRing is the consistent-hash ring the router shards with; its
-	// Rebalance plans resize migrations under the ⌈K/N⌉ movement bound.
+	// HashRing is the consistent-hash ring the router shards with. A
+	// request goes to the first alive backend of its key's Sequence, the
+	// owner on the ring without the ejected backends; Rebalance plans
+	// resize migrations under the ⌈K/N⌉ movement bound.
 	HashRing = cluster.Ring
 )
 
-// ErrBackendUnavailable is wrapped by routing failures caused by dead,
-// ejected, or circuit-broken backends (503 + Retry-After on the wire).
+// ErrBackendUnavailable is wrapped by routing failures caused by dead
+// or ejected backends (503 + Retry-After on the wire).
 var ErrBackendUnavailable = cluster.ErrBackendUnavailable
 
 // ErrRetryBudgetExhausted is wrapped when the cluster-wide retry budget

@@ -6,7 +6,11 @@
 # then kill -9 the backend owning the most sessions mid-traffic and
 # check every session fails over — same digest, byte-identical re-solve
 # — while the router's /metrics shows the retries, failover, and
-# ejection counters moving. Usage: scripts/cluster_smoke.sh [baseport]
+# ejection counters moving. Then resize the ring to the two survivors,
+# mutate every session, restart one survivor with a graceful drain
+# (SIGTERM), and check every session still answers its last acked
+# digest, seq, and solve. The router runs at its production timing (it
+# has no tuning flags). Usage: scripts/cluster_smoke.sh [baseport]
 set -eu
 baseport="${1:-8940}"
 refport="$baseport"
@@ -41,8 +45,7 @@ for port in $p1 $p2 $p3; do
     eval "pid_$port=\$!"
 done
 "$bin" route -addr "127.0.0.1:$rport" \
-    -backends "http://127.0.0.1:$p1,http://127.0.0.1:$p2,http://127.0.0.1:$p3" \
-    -probe-interval 100ms -backoff-base 5ms -backoff-cap 50ms &
+    -backends "http://127.0.0.1:$p1,http://127.0.0.1:$p2,http://127.0.0.1:$p3" &
 pids="$pids $!"
 for url in "$ref" "http://127.0.0.1:$p1" "http://127.0.0.1:$p2" "http://127.0.0.1:$p3" "$router"; do
     wait_healthy "$url"
@@ -118,4 +121,47 @@ curl -fsS "$router/metrics" | grep -q '^powersched_route_sheds_total ' \
 curl -fsS "$router/stats" | jq -e '.sessions == 6 and ([.backends[] | select(.alive)] | length) == 2' >/dev/null \
     || { echo "router /stats does not show 6 sessions on 2 alive backends" >&2; exit 1; }
 
-echo "cluster smoke OK (byte-identical routing + kill -9 failover)"
+# Resize the ring to the two survivors, then mutate every session and
+# record what was acked: digest, seq, and the solve.
+survivors=""
+for port in $p1 $p2 $p3; do
+    [ "$port" = "$vport" ] || survivors="$survivors${survivors:+,}\"http://127.0.0.1:$port\""
+done
+curl -fsS -X POST -d "{\"backends\": [$survivors]}" "$router/admin/ring" \
+    | jq -e '(.failed | length) == 0 and (.backends | length) == 2' >/dev/null \
+    || { echo "resize to the survivors failed" >&2; exit 1; }
+mut2='{"mutations":[{"op":"block","slot":{"proc":0,"time":2}}]}'
+for sid in $ids; do
+    curl -fsS -X POST -d "$mut2" "$router/v1/session/$sid/mutate" | jq -c '{digest, seq}' > "$work/ack.$sid"
+    jq -e '.seq == 2' "$work/ack.$sid" >/dev/null || { echo "mutate $sid after resize: $(cat "$work/ack.$sid")" >&2; exit 1; }
+    curl -fsS -X POST "$router/v1/session/$sid/solve" | jq -c .schedule > "$work/solve.$sid"
+done
+
+# Graceful drain of one survivor: SIGTERM, wait for it to exit, restart
+# it on the same port and state dir. Its drain flush must not roll any
+# session back.
+for port in $p1 $p2 $p3; do
+    if [ "$port" != "$vport" ]; then dport="$port"; break; fi
+done
+eval "dpid=\$pid_$dport"
+echo "draining backend 127.0.0.1:$dport (pid $dpid)"
+kill -TERM "$dpid"
+wait "$dpid" || { echo "backend 127.0.0.1:$dport did not drain cleanly" >&2; exit 1; }
+"$bin" serve -addr "127.0.0.1:$dport" -workers 1 -state-dir "$state" &
+pids="$pids $!"
+wait_healthy "http://127.0.0.1:$dport"
+for i in $(seq 1 100); do
+    if curl -fsS "$router/stats" | jq -e '[.backends[] | select(.alive)] | length == 2' >/dev/null; then break; fi
+    [ "$i" = 100 ] && { echo "router never readmitted the restarted backend" >&2; exit 1; }
+    sleep 0.1
+done
+for sid in $ids; do
+    got="$(curl -fsS "$router/v1/session/$sid" | jq -c '{digest, seq}')"
+    [ "$got" = "$(cat "$work/ack.$sid")" ] \
+        || { echo "session $sid after drain+restart: $got, acked $(cat "$work/ack.$sid")" >&2; exit 1; }
+    post_solve="$(curl -fsS -X POST "$router/v1/session/$sid/solve" | jq -c .schedule)"
+    [ "$post_solve" = "$(cat "$work/solve.$sid")" ] \
+        || { echo "session $sid re-solve after drain+restart differs" >&2; exit 1; }
+done
+
+echo "cluster smoke OK (byte-identical routing + kill -9 failover + resize + graceful restart)"
