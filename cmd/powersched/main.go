@@ -23,18 +23,21 @@
 // "unavailable" {base: <model>, blocked: [{proc, time}, ...]}.
 //
 // Serve flags: -addr (default :8080), -workers (solver goroutines),
-// -queue, -cache. The server drains gracefully on SIGINT/SIGTERM:
-// in-flight and queued requests are answered, new ones are refused with
-// 503. Session endpoints (/v1/session …) expose the
+// -state-dir and -drain (graceful-shutdown budget). Nothing else is a
+// flag: the queue (4×workers), the result cache (256 entries), the
+// model cache (8 per worker), the session cap (1024), journal
+// compaction (every 64 mutations), the solve deadline (60 s per
+// request, 503 + Retry-After past it) and Retry-After (1 s) are
+// constants of internal/service. The server drains gracefully on
+// SIGINT/SIGTERM: in-flight and queued requests are answered, new ones
+// are refused with 503. Session endpoints (/v1/session …) expose the
 // mutable solver-session lifecycle. With -state-dir every session is
-// journaled to disk (write-ahead, -fsync always|never, compacted every
-// -compact-every mutations) and survives a restart — kill -9 included.
-// No journal is read at startup: each session is restored on its first
-// touch, so a backend with a large shared state dir serves at once, and
-// a corrupt journal is quarantined (journals_dropped_corrupt) when its
-// session is touched. -solve-timeout bounds each solve (503 +
-// Retry-After past it, tuned by -retry-after), and GET /metrics exposes
-// Prometheus-text counters.
+// journaled to disk (write-ahead, fsynced on every record) and survives
+// a restart — kill -9 and power loss included. No journal is read at
+// startup: each session is restored on its first touch, so a backend
+// with a large shared state dir serves at once, and a corrupt journal
+// is quarantined (journals_dropped_corrupt) when its session is
+// touched. GET /metrics exposes Prometheus-text counters.
 //
 // Route flags: -backends (required, comma-separated serve base URLs),
 // -addr, and -drain (graceful-shutdown budget). Nothing else is a
@@ -116,41 +119,25 @@ func serveMain(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	addr := fs.String("addr", ":8080", "listen address")
 	workers := fs.Int("workers", 0, "solver goroutines (0 = GOMAXPROCS)")
-	queue := fs.Int("queue", 0, "request queue depth (0 = 4×workers); a full queue blocks submitters")
-	cache := fs.Int("cache", 0, "result cache entries (0 = 256, negative disables)")
-	maxSessions := fs.Int("max-sessions", 0, "live solver-session cap (0 = 1024, negative disables sessions)")
 	drain := fs.Duration("drain", 30*time.Second, "graceful-shutdown drain budget")
 	stateDir := fs.String("state-dir", "", "durable session state directory (empty = in-memory sessions only)")
-	fsync := fs.String("fsync", "", "journal fsync policy: always | never (default always)")
-	compactEvery := fs.Int("compact-every", 0, "fold a session journal to a snapshot after this many mutations (0 = 64, negative disables)")
-	solveTimeout := fs.Duration("solve-timeout", 60*time.Second, "per-request solve budget; past it the client gets 503 + Retry-After (0 = unbounded)")
-	retryAfter := fs.Duration("retry-after", 0, "Retry-After advertised on 429/503 (0 = 1s)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	svc, err := service.Open(service.Config{
-		Workers: *workers, QueueDepth: *queue, CacheSize: *cache,
-		MaxSessions: *maxSessions,
-		StateDir:    *stateDir, Fsync: *fsync, CompactEvery: *compactEvery,
-		SolveTimeout: *solveTimeout, RetryAfter: *retryAfter,
-	})
+	svc, err := service.Open(service.Config{Workers: *workers, StateDir: *stateDir})
 	if err != nil {
 		return err
-	}
-	// WriteTimeout must outlast the solve budget, or the server kills
-	// responses the service would still have answered within its SLA.
-	writeTimeout := time.Duration(0)
-	if *solveTimeout > 0 {
-		writeTimeout = *solveTimeout + 15*time.Second
 	}
 	server := &http.Server{
 		Addr:              *addr,
 		Handler:           service.NewHTTPHandler(svc),
 		ReadHeaderTimeout: 10 * time.Second,
 		ReadTimeout:       60 * time.Second,
-		WriteTimeout:      writeTimeout,
-		IdleTimeout:       120 * time.Second,
+		// The write timeout must outlast the solve deadline, or the server
+		// kills answers the service would still have given in time.
+		WriteTimeout: service.SolveDeadline + 15*time.Second,
+		IdleTimeout:  120 * time.Second,
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -198,6 +198,22 @@ func TestServeMainRejectsBadFlags(t *testing.T) {
 	}
 }
 
+// TestServeMainRejectsRemovedFlags: the service's limits are constants,
+// so the former tuning flags are unknown. The unlistenable -addr makes a
+// flag that parsed fail fast instead of serving.
+func TestServeMainRejectsRemovedFlags(t *testing.T) {
+	for _, tc := range [][2]string{
+		{"-queue", "32"}, {"-cache", "512"}, {"-max-sessions", "8"},
+		{"-fsync", "never"}, {"-compact-every", "16"},
+		{"-solve-timeout", "5s"}, {"-retry-after", "2s"},
+	} {
+		err := serveMain([]string{"-addr", "127.0.0.1:-1", tc[0], tc[1]})
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Fatalf("%s %s: want an unknown-flag error, got %v", tc[0], tc[1], err)
+		}
+	}
+}
+
 func TestSimulateDeterministicReport(t *testing.T) {
 	runSim := func() simulateReport {
 		t.Helper()

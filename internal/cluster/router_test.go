@@ -60,9 +60,7 @@ type tc struct {
 
 func startBackend(t testing.TB, dir string) (*service.Service, *httptest.Server) {
 	t.Helper()
-	svc, err := service.Open(service.Config{
-		Workers: 1, StateDir: dir, CompactEvery: 4, Logf: discardLogf,
-	})
+	svc, err := service.Open(service.Config{Workers: 1, StateDir: dir, Logf: discardLogf})
 	if err != nil {
 		t.Fatal(err)
 	}

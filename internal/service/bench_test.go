@@ -2,7 +2,7 @@ package service
 
 // Serving-layer rungs of the benchmark ladder (scripts/bench_snapshot.sh):
 // the service's Do on a cache miss and on a hit, the HTTP handler, and one
-// journal append under each fsync policy.
+// fsynced journal append.
 
 import (
 	"context"
@@ -12,15 +12,16 @@ import (
 	"testing"
 )
 
-// BenchmarkServiceDo times Service.Do on one worker. miss cycles 64
-// distinct instances through a 16-entry result cache, so every call
-// queues, builds its model and solves; hit repeats one cached request.
+// BenchmarkServiceDo times Service.Do on one worker. miss cycles more
+// distinct instances than the result cache holds, so every call misses,
+// queues, builds its model, solves and puts; hit repeats one cached
+// request.
 func BenchmarkServiceDo(b *testing.B) {
 	ctx := context.Background()
 	b.Run("miss", func(b *testing.B) {
-		svc := New(Config{Workers: 1, CacheSize: 16})
+		svc := New(Config{Workers: 1})
 		defer svc.Close(ctx)
-		reqs := make([]Request, 64)
+		reqs := make([]Request, cacheEntries+64)
 		for i := range reqs {
 			req, err := BuildRequest(testSpec(2, 16, 10,
 				CostSpec{Model: "affine", Alpha: float64(2 + i), Rate: 1}))
@@ -81,35 +82,29 @@ func BenchmarkHTTPHandler(b *testing.B) {
 	}
 }
 
-// BenchmarkJournalAppend times one session-journal mutate record under
-// each fsync policy: encode, write, and (always) fsync.
+// BenchmarkJournalAppend times one session-journal mutate record:
+// encode, write and fsync.
 func BenchmarkJournalAppend(b *testing.B) {
-	for _, policy := range []string{FsyncNever, FsyncAlways} {
-		b.Run(policy, func(b *testing.B) {
-			cfg := durableConfig(b.TempDir())
-			cfg.Fsync = policy
-			svc, err := Open(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer svc.Close(context.Background())
-			id, _, err := svc.CreateSession(sessionSpec())
-			if err != nil {
-				b.Fatal(err)
-			}
-			h, err := svc.lockSession(id)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer h.mu.Unlock()
-			mut := MutationSpec{Op: "add_job", Job: ptr(extraJob())}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := h.journal.appendMutation(mut, h.digest); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	svc, err := Open(durableConfig(b.TempDir()))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer svc.Close(context.Background())
+	id, _, err := svc.CreateSession(sessionSpec())
+	if err != nil {
+		b.Fatal(err)
+	}
+	h, err := svc.lockSession(id)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer h.mu.Unlock()
+	mut := MutationSpec{Op: "add_job", Job: ptr(extraJob())}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := h.journal.appendMutation(mut, h.digest); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

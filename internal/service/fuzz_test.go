@@ -186,7 +186,7 @@ func TestRegenJournalFuzzCorpus(t *testing.T) {
 		t.Skip("set REGEN_JOURNAL_CORPUS=1 to rewrite testdata/fuzz/FuzzJournalReplay")
 	}
 	dir := t.TempDir()
-	cfg := Config{Workers: 1, StateDir: dir, CompactEvery: -1, Logf: func(string, ...any) {}}
+	cfg := withLimits(Config{Workers: 1, StateDir: dir, Logf: func(string, ...any) {}}, neverCompact)
 	svc, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)

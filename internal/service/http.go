@@ -6,9 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"strconv"
+	"time"
 
 	"repro/internal/sched"
 )
@@ -71,16 +71,20 @@ type MutateRequest struct {
 // the error in the body; malformed requests answer 400; unknown session
 // ids answer 404; a conditional mutate whose expect_seq does not match
 // answers 409 with the current seq; a draining service, a storage
-// failure, or a timed-out solve answers 503; the session cap answers
-// 429. Every 429/503 carries a Retry-After header (Config.RetryAfter)
-// so well-behaved clients back off instead of hammering a draining or
+// failure, or a solve past SolveDeadline answers 503; the session cap
+// answers 429. Every 429/503 carries a Retry-After header (1 s) so
+// well-behaved clients back off instead of hammering a draining or
 // degraded server. GET /metrics exposes the Stats counters in
 // Prometheus text format.
+//
+// The three solving endpoints get one SolveDeadline per HTTP request,
+// a whole batch included, so every answer is written before the
+// server's write timeout.
 func NewHTTPHandler(svc *Service) http.Handler {
-	retryAfter := strconv.Itoa(int(math.Ceil(svc.cfg.RetryAfter.Seconds())))
+	retryAfterSecs := strconv.Itoa(int(retryAfter / time.Second))
 	writeJSON := func(w http.ResponseWriter, status int, v any) {
 		if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
-			w.Header().Set("Retry-After", retryAfter)
+			w.Header().Set("Retry-After", retryAfterSecs)
 		}
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(status)
@@ -100,7 +104,9 @@ func NewHTTPHandler(svc *Service) http.Handler {
 			writeJSON(w, http.StatusBadRequest, ScheduleResponse{Error: err.Error()})
 			return
 		}
-		res := svc.Do(r.Context(), req)
+		ctx, cancel := context.WithTimeout(r.Context(), svc.lim.solveDeadline)
+		defer cancel()
+		res := svc.Do(ctx, req)
 		writeJSON(w, statusFor(res.Err), toResponse(res))
 	})
 	mux.HandleFunc("POST /v1/batch", func(w http.ResponseWriter, r *http.Request) {
@@ -119,7 +125,9 @@ func NewHTTPHandler(svc *Service) http.Handler {
 			}
 			reqs[i] = req
 		}
-		results := svc.SubmitBatch(r.Context(), reqs)
+		ctx, cancel := context.WithTimeout(r.Context(), svc.lim.solveDeadline)
+		defer cancel()
+		results := svc.SubmitBatch(ctx, reqs)
 		out := BatchResponse{Results: make([]ScheduleResponse, len(results))}
 		for i, res := range results {
 			out.Results[i] = toResponse(res)
@@ -181,7 +189,9 @@ func NewHTTPHandler(svc *Service) http.Handler {
 		writeJSON(w, http.StatusOK, SessionResponse{ID: id})
 	})
 	mux.HandleFunc("POST /v1/session/{id}/solve", func(w http.ResponseWriter, r *http.Request) {
-		res := svc.SolveSession(r.Context(), r.PathValue("id"))
+		ctx, cancel := context.WithTimeout(r.Context(), svc.lim.solveDeadline)
+		defer cancel()
+		res := svc.SolveSession(ctx, r.PathValue("id"))
 		writeJSON(w, statusFor(res.Err), toResponse(res))
 	})
 	mux.HandleFunc("GET /v1/session/{id}", func(w http.ResponseWriter, r *http.Request) {

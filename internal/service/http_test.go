@@ -189,11 +189,11 @@ func TestHTTPClosedService(t *testing.T) {
 	}
 }
 
-// TestHTTPRetryAfterAndMetrics: every 429/503 carries the configured
+// TestHTTPRetryAfterAndMetrics: every 429/503 carries the 1 s
 // Retry-After header, and GET /metrics renders the counters in
 // Prometheus text format.
 func TestHTTPRetryAfterAndMetrics(t *testing.T) {
-	svc := New(Config{Workers: 1, MaxSessions: 1, RetryAfter: 7 * time.Second})
+	svc := New(withLimits(Config{Workers: 1}, func(l *limits) { l.maxSessions = 1 }))
 	srv := httptest.NewServer(NewHTTPHandler(svc))
 	defer srv.Close()
 
@@ -209,8 +209,8 @@ func TestHTTPRetryAfterAndMetrics(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("over-cap create: %d, want 429", resp.StatusCode)
 	}
-	if got := resp.Header.Get("Retry-After"); got != "7" {
-		t.Fatalf("429 Retry-After = %q, want \"7\"", got)
+	if got := resp.Header.Get("Retry-After"); got != "1" {
+		t.Fatalf("429 Retry-After = %q, want \"1\"", got)
 	}
 
 	mresp, err := http.Get(srv.URL + "/metrics")
@@ -246,16 +246,16 @@ func TestHTTPRetryAfterAndMetrics(t *testing.T) {
 	if resp2.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("drained schedule: %d, want 503", resp2.StatusCode)
 	}
-	if got := resp2.Header.Get("Retry-After"); got != "7" {
-		t.Fatalf("503 Retry-After = %q, want \"7\"", got)
+	if got := resp2.Header.Get("Retry-After"); got != "1" {
+		t.Fatalf("503 Retry-After = %q, want \"1\"", got)
 	}
 }
 
-// TestHTTPSolveTimeout: a solve past Config.SolveTimeout answers 503 +
+// TestHTTPSolveTimeout: a solve past the solve deadline answers 503 +
 // Retry-After while the underlying solve finishes in the background and
 // primes the cache — the advertised retry actually works.
 func TestHTTPSolveTimeout(t *testing.T) {
-	svc := New(Config{Workers: 1, SolveTimeout: time.Nanosecond})
+	svc := New(withLimits(Config{Workers: 1}, func(l *limits) { l.solveDeadline = time.Nanosecond }))
 	srv := httptest.NewServer(NewHTTPHandler(svc))
 	defer srv.Close()
 	defer svc.Close(context.Background())
@@ -316,19 +316,24 @@ func TestHTTPLegacyWorkersFieldIgnored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One fresh uncached service per body, so both answers are computed.
-	serve := func(body string) (schedule, sessionSolve []byte, digest string) {
-		svc := New(Config{Workers: 1, CacheSize: -1})
+	// A fresh service for the schedule and another for the session, so
+	// neither answer comes from the other's cache entry.
+	fresh := func() string {
+		svc := New(Config{Workers: 1})
 		srv := httptest.NewServer(NewHTTPHandler(svc))
-		defer func() {
+		t.Cleanup(func() {
 			srv.Close()
 			svc.Close(context.Background())
-		}()
-		status, schedule := postJSON(t, srv.URL+"/v1/schedule", body)
+		})
+		return srv.URL
+	}
+	serve := func(body string) (schedule, sessionSolve []byte, digest string) {
+		status, schedule := postJSON(t, fresh()+"/v1/schedule", body)
 		if status != http.StatusOK {
 			t.Fatalf("schedule status %d: %s", status, schedule)
 		}
-		status, created := postJSON(t, srv.URL+"/v1/session", body)
+		url := fresh()
+		status, created := postJSON(t, url+"/v1/session", body)
 		if status != http.StatusOK {
 			t.Fatalf("session create status %d: %s", status, created)
 		}
@@ -336,7 +341,7 @@ func TestHTTPLegacyWorkersFieldIgnored(t *testing.T) {
 		if err := json.Unmarshal(created, &sr); err != nil {
 			t.Fatal(err)
 		}
-		status, sessionSolve = postJSON(t, srv.URL+"/v1/session/"+sr.ID+"/solve", "")
+		status, sessionSolve = postJSON(t, url+"/v1/session/"+sr.ID+"/solve", "")
 		if status != http.StatusOK {
 			t.Fatalf("session solve status %d: %s", status, sessionSolve)
 		}

@@ -16,7 +16,7 @@ package service
 // acked prefix; a bad record anywhere earlier means corruption, and the
 // whole journal is quarantined rather than served.
 //
-// Periodic compaction (Config.CompactEvery accepted mutations) folds
+// Periodic compaction (every compactEvery accepted mutations) folds
 // the journal back to a single snapshot record via write-temp, fsync,
 // rename, so a crash during compaction leaves either the old journal or
 // the new one, both complete. A session comes back from disk only on
@@ -49,9 +49,10 @@ const (
 	journalExt     = ".journal"
 )
 
-// ErrDurability marks journal I/O failures on the live path (create,
-// mutate, flush). It maps to 503 + Retry-After on the HTTP surface: the
-// instance data is fine, the storage under it is not.
+// ErrDurability marks journal I/O failures: on the live path (create,
+// mutate, flush) and on a first-touch restore. It maps to 503 +
+// Retry-After on the HTTP surface: the instance data is fine, the
+// storage under it is not.
 var ErrDurability = errors.New("service: durable storage failure")
 
 // journalRecord is one JSONL line of a session journal.
@@ -150,7 +151,9 @@ type ReplayedJournal struct {
 // torn — a crash mid-append — and is silently dropped (Truncated);
 // any earlier undecodable or checksum-failing record is corruption. An
 // empty or torn-create-only journal replays to no state and no error:
-// it is the artifact of a crash before anything was acked.
+// it is the artifact of a crash before anything was acked (an empty
+// file is the crash window between open and first write), so nothing
+// the client saw succeed was lost.
 func ReplayJournal(data []byte) (*ReplayedJournal, error) {
 	lines := bytes.Split(data, []byte("\n"))
 	// A well-formed journal ends with '\n', leaving one empty trailing
@@ -188,13 +191,6 @@ func ReplayJournal(data []byte) (*ReplayedJournal, error) {
 			out.Muts = append(out.Muts, *rec.Mut)
 			out.Digests = append(out.Digests, rec.Digest)
 		}
-	}
-	if out.Snap == nil && out.Records == 0 {
-		// At most a torn creation record ever hit the disk (an empty file
-		// is the crash window between open and first write): there is no
-		// acked state to restore, and nothing was lost that the client
-		// saw succeed.
-		return out, nil
 	}
 	return out, nil
 }
@@ -258,7 +254,8 @@ func (s *Service) logf(format string, args ...any) {
 	}
 }
 
-// appendRecord writes one record and applies the fsync policy.
+// appendRecord writes one record and fsyncs it: an acked mutation
+// survives a power cut, not only a process crash.
 func (j *sessionJournal) appendRecord(rec journalRecord) error {
 	line, err := encodeRecord(rec)
 	if err != nil {
@@ -270,12 +267,10 @@ func (j *sessionJournal) appendRecord(rec journalRecord) error {
 		return err
 	}
 	j.s.journalRecords.Add(1)
-	if j.s.cfg.Fsync != FsyncNever {
-		if err := j.file.Sync(); err != nil {
-			return err
-		}
-		j.s.journalFsyncs.Add(1)
+	if err := j.file.Sync(); err != nil {
+		return err
 	}
+	j.s.journalFsyncs.Add(1)
 	return nil
 }
 
@@ -283,8 +278,8 @@ func (j *sessionJournal) appendRecord(rec journalRecord) error {
 // the only code that creates <id>.journal, and it never overwrites one:
 // when the file exists (acked state this process has not loaded, or a
 // peer's session on a shared StateDir) the open fails with an error
-// matching fs.ErrExist. Creation always fsyncs regardless of policy:
-// acking a session create that a power cut could erase would be lying.
+// matching fs.ErrExist. Creation fsyncs like every record: acking a
+// session create that a power cut could erase would be lying.
 func (s *Service) createJournal(snap *SessionSnapshot) (*sessionJournal, error) {
 	path := s.journalPath(snap.ID)
 	f, err := s.cfg.FS.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
@@ -340,7 +335,7 @@ func (j *sessionJournal) compact(snap *SessionSnapshot) (fatal bool, err error) 
 		_, err = f.Write(line)
 	}
 	if err == nil {
-		err = f.Sync() // compaction always syncs: the rename must expose complete bytes
+		err = f.Sync() // the rename must expose complete bytes
 	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
@@ -370,7 +365,7 @@ func (j *sessionJournal) compact(snap *SessionSnapshot) (fatal bool, err error) 
 	return false, nil
 }
 
-// close fsyncs (drain flush — always, whatever the policy) and closes.
+// close fsyncs (the drain flush) and closes.
 func (j *sessionJournal) close() error {
 	err := j.file.Sync()
 	if err == nil {

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -20,8 +21,27 @@ import (
 // aggressive compaction so short scripts exercise it, and a quiet log
 // sink (tests that care about diagnostics install a recorder).
 func durableConfig(dir string) Config {
-	return Config{Workers: 1, StateDir: dir, CompactEvery: 4, Logf: func(string, ...any) {}}
+	return withLimits(Config{Workers: 1, StateDir: dir, Logf: func(string, ...any) {}},
+		func(l *limits) { l.compactEvery = 4 })
 }
+
+// withLimits returns cfg with its limits (production unless already
+// overridden) changed by mut — the one way a test shortens them.
+func withLimits(cfg Config, mut func(*limits)) Config {
+	l := production
+	if cfg.limits != nil {
+		l = *cfg.limits
+	}
+	mut(&l)
+	cfg.limits = &l
+	return cfg
+}
+
+// neverCompact keeps every journal record.
+func neverCompact(l *limits) { l.compactEvery = math.MaxInt }
+
+// compactEveryTwo makes a short mutation script cross compactions.
+func compactEveryTwo(l *limits) { l.compactEvery = 2 }
 
 // touchJournals touches the session of every *.journal file under dir
 // — the acked ids and any file the client never heard of alike — so
@@ -348,7 +368,7 @@ func TestLegacyWorkersJournalRestores(t *testing.T) {
 func TestDurableTruncationMatrix(t *testing.T) {
 	dir := t.TempDir()
 	cfg := durableConfig(dir)
-	cfg.CompactEvery = -1 // keep every record; compaction is covered elsewhere
+	cfg = withLimits(cfg, neverCompact) // keep every record; compaction is covered elsewhere
 	svc, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -630,7 +650,7 @@ func TestDurableCrashMatrix(t *testing.T) {
 	refDir := t.TempDir()
 	fault := faultfs.New(faultfs.OS{}, faultfs.Plan{})
 	refCfg := durableConfig(refDir)
-	refCfg.CompactEvery = 2 // the 3-mutation script must cross a compaction
+	refCfg = withLimits(refCfg, compactEveryTwo) // the 3-mutation script must cross a compaction
 	refCfg.FS = fault
 	refSvc, err := Open(refCfg)
 	if err != nil {
@@ -678,7 +698,7 @@ func TestDurableCrashMatrix(t *testing.T) {
 			dir := t.TempDir()
 			f := faultfs.New(faultfs.OS{}, fp.plan)
 			cfg := durableConfig(dir)
-			cfg.CompactEvery = 2
+			cfg = withLimits(cfg, compactEveryTwo)
 			cfg.FS = f
 			svc, err := Open(cfg)
 			if err != nil {
@@ -735,60 +755,14 @@ func TestDurableCrashMatrix(t *testing.T) {
 	}
 }
 
-// TestDurableFsyncPolicies: FsyncNever still journals every record (and
-// survives a process crash — the bytes are in the page cache) but only
-// syncs on create, compaction, and the drain flush; a bad policy name
-// refuses Open.
-func TestDurableFsyncPolicies(t *testing.T) {
-	if _, err := Open(Config{StateDir: t.TempDir(), Fsync: "sometimes"}); err == nil {
-		t.Fatal("bad fsync policy accepted")
-	}
-
-	dir := t.TempDir()
-	cfg := durableConfig(dir)
-	cfg.Fsync = FsyncNever
-	cfg.CompactEvery = -1
-	svc, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	id, _, err := svc.CreateSession(sessionSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	digest, err := svc.MutateSession(id, []MutationSpec{{Op: "add_job", Job: ptr(extraJob())}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := svc.Stats()
-	if st.JournalRecords != 2 {
-		t.Fatalf("journal_records = %d, want 2", st.JournalRecords)
-	}
-	if st.JournalFsyncs != 1 { // creation only
-		t.Fatalf("journal_fsyncs = %d, want 1 under FsyncNever", st.JournalFsyncs)
-	}
-	// Crash without Close; the restart still sees the appended record.
-	rec, err := Open(durableConfig(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rec.Close(context.Background())
-	info, err := rec.SessionInfo(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Digest != digest {
-		t.Fatalf("FsyncNever restore digest %s, want %s", info.Digest, digest)
-	}
-}
-
 // TestDurableCompaction: the journal folds to one snapshot after
-// CompactEvery mutations, the digest chain survives it, and .tmp
-// leftovers from an interrupted compaction are ignored at recovery.
+// compactEvery mutations, every record is fsynced, the digest chain
+// survives it, and .tmp leftovers from an interrupted compaction are
+// ignored at recovery.
 func TestDurableCompaction(t *testing.T) {
 	dir := t.TempDir()
 	cfg := durableConfig(dir)
-	cfg.CompactEvery = 2
+	cfg = withLimits(cfg, compactEveryTwo)
 	svc, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -806,8 +780,13 @@ func TestDurableCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := svc.Stats().JournalCompactions; got != 2 {
-		t.Fatalf("journal_compactions = %d, want 2 after 5 mutations at CompactEvery=2", got)
+	st := svc.Stats()
+	if st.JournalCompactions != 2 {
+		t.Fatalf("journal_compactions = %d, want 2 after 5 mutations at compactEvery=2", st.JournalCompactions)
+	}
+	// One fsync policy: every record, compaction snapshots included.
+	if st.JournalRecords != 8 || st.JournalFsyncs != st.JournalRecords {
+		t.Fatalf("journal_records = %d, journal_fsyncs = %d; want 8 each", st.JournalRecords, st.JournalFsyncs)
 	}
 	path := filepath.Join(dir, "sessions", id+journalExt)
 	data, err := os.ReadFile(path)

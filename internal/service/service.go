@@ -65,98 +65,82 @@ type Result struct {
 	CacheHit bool
 }
 
-// Config tunes a Service. Zero values pick sensible defaults.
+// Config is a Service's deployment: how many solver goroutines to run
+// and where durable sessions live. Everything else — queue depth, cache
+// sizes, the session cap, compaction, the solve deadline, Retry-After —
+// is a package constant: the paper's algorithms carry their one tuning
+// value, the slack ε, in each request, and none of these limits changes
+// an answer.
 type Config struct {
 	// Workers is the number of solver goroutines (default GOMAXPROCS).
 	Workers int
-	// QueueDepth bounds the request queue (default 4×Workers). A full
-	// queue exerts backpressure: Submit blocks until space frees or the
-	// caller's context is done.
-	QueueDepth int
-	// CacheSize bounds the result cache in entries (default 256; negative
-	// disables caching entirely).
-	CacheSize int
-	// ModelsPerWorker bounds each worker's instance-model cache
-	// (default 8; negative disables model reuse).
-	ModelsPerWorker int
-	// MaxSessions bounds the live solver sessions (default 1024;
-	// negative disables sessions entirely). Each session holds a full
-	// instance, model and cached schedule, so an unbounded registry
-	// would let clients that never DELETE grow the process without limit;
-	// CreateSession refuses past the cap until sessions are dropped.
-	// A first touch restores an intact journal even past the cap —
-	// acked state is never refused to satisfy a tuning knob.
-	MaxSessions int
-
 	// StateDir, when set, makes sessions durable: each session owns an
-	// append-only journal under <StateDir>/sessions, replayed on the
-	// session's first touch after a restart, so a crashed or redeployed
-	// process answers session solve/info exactly as the uncrashed one
-	// would have. Several processes may share one StateDir (a cluster);
-	// session creation never overwrites another's journal.
+	// append-only journal under <StateDir>/sessions, fsynced on every
+	// record and replayed on the session's first touch after a restart,
+	// so a crashed or redeployed process answers session solve/info
+	// exactly as the uncrashed one would have. Several processes may
+	// share one StateDir (a cluster); session creation never overwrites
+	// another's journal.
 	StateDir string
-	// Fsync selects the journal fsync policy: FsyncAlways (default)
-	// syncs after every record — survives power loss; FsyncNever leaves
-	// flushing to the OS — survives process crashes (kill -9 included,
-	// the page cache persists) but not machine crashes. Creation,
-	// compaction, and the Close drain flush always sync.
-	Fsync string
-	// CompactEvery folds the journal back to one snapshot record after
-	// this many accepted mutations (default 64; negative disables
-	// periodic compaction).
-	CompactEvery int
 	// FS is the filesystem under StateDir (default the real one,
 	// faultfs.OS). Tests inject faultfs.Fault failpoints through it.
 	FS faultfs.FS
-	// SolveTimeout bounds each stateless submission and each session
-	// solve via context (0 = unbounded). A request past the deadline is
-	// answered 503 + Retry-After; a solve already on a worker runs to
-	// completion and still populates the caches.
-	SolveTimeout time.Duration
-	// RetryAfter is advertised in the Retry-After header on 429/503
-	// responses (default 1s).
-	RetryAfter time.Duration
 	// Logf sinks recovery and journal diagnostics (default log.Printf;
 	// the tests inject a recorder).
 	Logf func(format string, args ...any)
+
+	// limits replaces the production limits; only in-package tests set it.
+	limits *limits
 }
 
-// Fsync policy names for Config.Fsync.
+// The service's fixed limits.
 const (
-	FsyncAlways = "always"
-	FsyncNever  = "never"
+	// queuePerWorker sizes the request queue: a full queue exerts
+	// backpressure, and Do blocks until space frees or ctx is done.
+	queuePerWorker = 4
+	// cacheEntries bounds the digest result cache.
+	cacheEntries = 256
+	// modelsPerWorker bounds each worker's prebuilt-model cache.
+	modelsPerWorker = 8
+	// maxSessions bounds the live sessions. Each holds a full instance,
+	// model and cached schedule, so clients that never DELETE would
+	// otherwise grow the process without limit. A first touch restores
+	// an intact journal even past the cap: acked state is never refused.
+	maxSessions = 1024
+	// compactEvery folds a journal back to one snapshot record after
+	// this many accepted mutations.
+	compactEvery = 64
+	// retryAfter is advertised in the Retry-After header on 429/503.
+	retryAfter = time.Second
 )
+
+// SolveDeadline bounds the work of one HTTP request to /v1/schedule,
+// /v1/batch or /v1/session/{id}/solve, a whole batch included. Past it
+// the client gets 503 + Retry-After; a solve already on a worker runs
+// to completion and still fills the caches. A front-end server's write
+// timeout must outlast it.
+const SolveDeadline = 60 * time.Second
+
+// limits are the values a test must be able to shorten. Production runs
+// the constants above; tests set Config.limits.
+type limits struct {
+	maxSessions   int
+	compactEvery  int
+	solveDeadline time.Duration
+}
+
+var production = limits{
+	maxSessions:   maxSessions,
+	compactEvery:  compactEvery,
+	solveDeadline: SolveDeadline,
+}
 
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
-	if c.QueueDepth == 0 {
-		c.QueueDepth = 4 * c.Workers
-	}
-	if c.QueueDepth < 1 {
-		c.QueueDepth = 1
-	}
-	if c.CacheSize == 0 {
-		c.CacheSize = 256
-	}
-	if c.ModelsPerWorker == 0 {
-		c.ModelsPerWorker = 8
-	}
-	if c.MaxSessions == 0 {
-		c.MaxSessions = 1024
-	}
-	if c.Fsync == "" {
-		c.Fsync = FsyncAlways
-	}
-	if c.CompactEvery == 0 {
-		c.CompactEvery = 64
-	}
 	if c.FS == nil {
 		c.FS = faultfs.OS{}
-	}
-	if c.RetryAfter == 0 {
-		c.RetryAfter = time.Second
 	}
 	if c.Logf == nil {
 		c.Logf = log.Printf
@@ -168,7 +152,7 @@ func (c Config) withDefaults() Config {
 type Stats struct {
 	Workers     int    `json:"workers"`
 	QueueDepth  int    `json:"queue_depth"`  // requests waiting right now
-	QueueCap    int    `json:"queue_cap"`    // configured bound
+	QueueCap    int    `json:"queue_cap"`    // queue bound (4×workers)
 	Submitted   uint64 `json:"submitted"`    // accepted into the service
 	Completed   uint64 `json:"completed"`    // answered (solved or cached)
 	Errors      uint64 `json:"errors"`       // answered with an error
@@ -195,6 +179,7 @@ var ErrClosed = errors.New("service: closed")
 // Submit/SubmitBatch, observe with Stats, stop with Close.
 type Service struct {
 	cfg   Config
+	lim   limits
 	queue chan *task
 
 	closeMu sync.RWMutex // guards closed + the queue-send in enqueue
@@ -247,17 +232,17 @@ func New(cfg Config) *Service {
 // session comes back on its first touch by id (openByID), answering
 // solve/info exactly as before the restart, or is dropped cleanly with
 // a logged error and a journals_dropped_corrupt tick — never served
-// from corrupt state. Open fails only on environment errors (state dir
-// unusable, bad Fsync value).
+// from corrupt state. Open fails only when the state dir is unusable.
 func Open(cfg Config) (*Service, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Fsync != FsyncAlways && cfg.Fsync != FsyncNever {
-		return nil, fmt.Errorf("service: unknown fsync policy %q (want %q or %q)",
-			cfg.Fsync, FsyncAlways, FsyncNever)
+	lim := production
+	if cfg.limits != nil {
+		lim = *cfg.limits
 	}
 	s := &Service{
 		cfg:      cfg,
-		queue:    make(chan *task, cfg.QueueDepth),
+		lim:      lim,
+		queue:    make(chan *task, queuePerWorker*cfg.Workers),
 		cache:    map[string]*list.Element{},
 		lru:      list.New(),
 		sessions: map[string]*sessionHandle{},
@@ -285,15 +270,11 @@ func (s *Service) Submit(ctx context.Context, req Request) (*sched.Schedule, err
 }
 
 // Do is Submit with cache visibility: the Result says whether the answer
-// came from the digest cache.
+// came from the digest cache. Only ctx bounds the wait; the HTTP surface
+// gives each request SolveDeadline.
 func (s *Service) Do(ctx context.Context, req Request) Result {
 	if req.Instance == nil {
 		return Result{Err: errors.New("service: nil instance")}
-	}
-	if s.cfg.SolveTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.SolveTimeout)
-		defer cancel()
 	}
 	s.closeMu.RLock()
 	closed := s.closed
@@ -333,7 +314,7 @@ func (s *Service) Do(ctx context.Context, req Request) Result {
 // the queue's backpressure applies.
 func (s *Service) SubmitBatch(ctx context.Context, reqs []Request) []Result {
 	out := make([]Result, len(reqs))
-	submitters := s.cfg.Workers + s.cfg.QueueDepth
+	submitters := s.cfg.Workers + cap(s.queue)
 	if submitters > len(reqs) {
 		submitters = len(reqs)
 	}
@@ -417,7 +398,7 @@ func (s *Service) Stats() Stats {
 	return Stats{
 		Workers:     s.cfg.Workers,
 		QueueDepth:  len(s.queue),
-		QueueCap:    s.cfg.QueueDepth,
+		QueueCap:    cap(s.queue),
 		Submitted:   s.submitted.Load(),
 		Completed:   s.completed.Load(),
 		Errors:      s.errs.Load(),
@@ -444,7 +425,7 @@ func (s *Service) Stats() Stats {
 // start from a prebuilt graph instead of re-deriving it per request.
 func (s *Service) worker() {
 	defer s.workers.Done()
-	models := newModelCache(s.cfg.ModelsPerWorker)
+	models := newModelCache()
 	for t := range s.queue {
 		if t.ctx.Err() != nil {
 			// Abandoned while queued; the submitter already returned.
@@ -525,7 +506,7 @@ func cacheKey(req Request) string {
 }
 
 func (s *Service) cacheGet(key string) (*sched.Schedule, bool) {
-	if key == "" || s.cfg.CacheSize < 0 {
+	if key == "" {
 		return nil, false
 	}
 	s.cacheMu.Lock()
@@ -540,7 +521,7 @@ func (s *Service) cacheGet(key string) (*sched.Schedule, bool) {
 }
 
 func (s *Service) cachePut(key string, sc *sched.Schedule) {
-	if key == "" || s.cfg.CacheSize < 0 || sc == nil {
+	if key == "" || sc == nil {
 		return
 	}
 	stored := copySchedule(sc)
@@ -552,7 +533,7 @@ func (s *Service) cachePut(key string, sc *sched.Schedule) {
 		return
 	}
 	s.cache[key] = s.lru.PushFront(&cacheEntry{key: key, sched: stored})
-	for s.lru.Len() > s.cfg.CacheSize {
+	for s.lru.Len() > cacheEntries {
 		oldest := s.lru.Back()
 		s.lru.Remove(oldest)
 		delete(s.cache, oldest.Value.(*cacheEntry).key)
@@ -566,23 +547,22 @@ func copySchedule(sc *sched.Schedule) *sched.Schedule {
 	return &out
 }
 
-// modelCache is a worker-local (single-goroutine) LRU of prebuilt
-// scheduling models keyed by InstanceKey.
+// modelCache is a worker-local (single-goroutine) LRU of up to
+// modelsPerWorker prebuilt scheduling models keyed by InstanceKey.
 type modelCache struct {
-	cap   int
 	order []string // front = most recent
 	byKey map[string]*sched.Model
 }
 
-func newModelCache(capacity int) *modelCache {
-	return &modelCache{cap: capacity, byKey: map[string]*sched.Model{}}
+func newModelCache() *modelCache {
+	return &modelCache{byKey: map[string]*sched.Model{}}
 }
 
 // get returns a model for the request, reusing the cached one when the
 // instance key matches. A nil receiver (the sequential Solve path) and
 // keyless requests always build fresh.
 func (c *modelCache) get(req Request) (*sched.Model, bool, error) {
-	if c == nil || c.cap <= 0 || req.InstanceKey == "" {
+	if c == nil || req.InstanceKey == "" {
 		m, err := sched.NewModel(req.Instance)
 		return m, false, err
 	}
@@ -596,7 +576,7 @@ func (c *modelCache) get(req Request) (*sched.Model, bool, error) {
 	}
 	c.byKey[req.InstanceKey] = m
 	c.order = append([]string{req.InstanceKey}, c.order...)
-	if len(c.order) > c.cap {
+	if len(c.order) > modelsPerWorker {
 		evict := c.order[len(c.order)-1]
 		c.order = c.order[:len(c.order)-1]
 		delete(c.byKey, evict)

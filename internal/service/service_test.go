@@ -121,7 +121,7 @@ func TestServiceLoadMatchesSequential(t *testing.T) {
 		want[key] = scheduleBytes(t, ref)
 	}
 
-	svc := New(Config{Workers: 8, QueueDepth: 16, CacheSize: 128})
+	svc := New(Config{Workers: 8})
 	defer svc.Close(context.Background())
 
 	results := svc.SubmitBatch(context.Background(), reqs)
@@ -177,8 +177,9 @@ func TestServiceConcurrentSharedInstance(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantBytes := scheduleBytes(t, ref)
+	req.InstanceKey = "" // no cache: every call solves
 
-	svc := New(Config{Workers: 4, CacheSize: -1}) // no cache: every call solves
+	svc := New(Config{Workers: 4})
 	defer svc.Close(context.Background())
 	var wg sync.WaitGroup
 	errs := make(chan error, 32)
@@ -211,7 +212,7 @@ func TestServiceConcurrentSharedInstance(t *testing.T) {
 // one instance must rebuild the model only once.
 func TestServiceModelReuse(t *testing.T) {
 	spec := testSpecs()[0]
-	svc := New(Config{Workers: 1, CacheSize: -1})
+	svc := New(Config{Workers: 1})
 	defer svc.Close(context.Background())
 	for i := 0; i < 4; i++ {
 		s := spec
@@ -278,31 +279,31 @@ func TestServiceCacheKeySeparatesExtraIntervals(t *testing.T) {
 }
 
 func TestServiceCacheEviction(t *testing.T) {
-	svc := New(Config{Workers: 1, CacheSize: 2})
+	svc := New(Config{Workers: 1})
 	defer svc.Close(context.Background())
-	mk := func(jobs int) Request {
-		req, err := BuildRequest(testSpec(1, 16, jobs, CostSpec{Model: "affine", Alpha: 1, Rate: 1}))
+	mk := func(i int) Request {
+		req, err := BuildRequest(testSpec(1, 16, 1, CostSpec{Model: "affine", Alpha: float64(1 + i), Rate: 1}))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return req
 	}
-	a, b, c := mk(1), mk(2), mk(3)
-	for _, r := range []Request{a, b, c} { // c evicts a
-		if res := svc.Do(context.Background(), r); res.Err != nil {
+	first := mk(0)
+	for i := 0; i <= cacheEntries; i++ { // the last put evicts the first
+		if res := svc.Do(context.Background(), mk(i)); res.Err != nil {
 			t.Fatal(res.Err)
 		}
 	}
-	if res := svc.Do(context.Background(), a); res.Err != nil || res.CacheHit {
+	if res := svc.Do(context.Background(), first); res.Err != nil || res.CacheHit {
 		t.Fatalf("evicted entry served from cache: %+v", res)
 	}
-	if st := svc.Stats(); st.CacheSize != 2 {
-		t.Fatalf("cache size = %d, want 2", st.CacheSize)
+	if st := svc.Stats(); st.CacheSize != cacheEntries {
+		t.Fatalf("cache size = %d, want %d", st.CacheSize, cacheEntries)
 	}
 }
 
 func TestServiceSubmitContextCancellation(t *testing.T) {
-	svc := New(Config{Workers: 1, QueueDepth: 1})
+	svc := New(Config{Workers: 1})
 	defer svc.Close(context.Background())
 	req, err := BuildRequest(testSpec(2, 16, 12, CostSpec{Model: "affine", Alpha: 2, Rate: 1}))
 	if err != nil {
@@ -322,7 +323,7 @@ func TestServiceSubmitContextCancellation(t *testing.T) {
 }
 
 func TestServiceCloseDrainsAndRefuses(t *testing.T) {
-	svc := New(Config{Workers: 2, QueueDepth: 8})
+	svc := New(Config{Workers: 2})
 	req, err := BuildRequest(testSpecs()[1])
 	if err != nil {
 		t.Fatal(err)

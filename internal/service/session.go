@@ -26,23 +26,18 @@ import (
 // the same cache entries — the interplay the session tests pin down.
 //
 // Resource controls mirror the stateless path's: the registry is bounded
-// by Config.MaxSessions (CreateSession answers ErrTooManySessions / 429
-// at the cap), and a draining service refuses session work with
-// ErrClosed / 503 across create, mutate, and solve alike. Session solves
-// run on the caller's goroutine under the per-session lock rather than
-// through the worker pool, so per-session mutate/solve streams serialize
-// naturally instead of queueing.
+// at maxSessions (CreateSession answers ErrTooManySessions / 429 at the
+// cap), and a draining service refuses session work with ErrClosed / 503
+// across create, mutate, solve and drop alike. Session solves run on the
+// caller's goroutine under the per-session lock rather than through the
+// worker pool, so per-session mutate/solve streams serialize naturally
+// instead of queueing.
 
 // ErrNoSession is returned for unknown or dropped session ids.
 var ErrNoSession = errors.New("service: no such session")
 
-// ErrTooManySessions is returned by CreateSession at the MaxSessions cap.
+// ErrTooManySessions is returned by CreateSession at the session cap.
 var ErrTooManySessions = errors.New("service: session limit reached")
-
-// ErrSessionsDisabled is returned by CreateSession and
-// CreateSessionWithID when the deployment opted out of sessions
-// (MaxSessions < 0).
-var ErrSessionsDisabled = errors.New("service: sessions disabled (MaxSessions < 0)")
 
 // ErrSeqConflict is returned by a conditional mutate whose expected
 // sequence number does not match the session's. It maps to 409 over
@@ -150,7 +145,7 @@ func (s *Service) CreateSessionWithID(id string, spec InstanceSpec) (digest stri
 // exclusively (createJournal): a minted id whose journal already exists
 // moves on to the next number, and a caller-chosen one is refused.
 func (s *Service) installSession(id string, spec InstanceSpec) (string, string, error) {
-	if err := s.sessionsEnabled(); err != nil {
+	if err := s.sessionsOpen(); err != nil {
 		return "", "", err
 	}
 	h, err := s.newHandle(spec)
@@ -178,12 +173,12 @@ func (s *Service) installSession(id string, spec InstanceSpec) (string, string, 
 			return "", "", fmt.Errorf("service: session %q already exists", id)
 		}
 	}
-	// Register under the MaxSessions cap. bumpSessSeq keeps minting ahead
+	// Register under the session cap. bumpSessSeq keeps minting ahead
 	// of a caller-chosen "s%06d" id.
 	s.sessMu.Lock()
 	switch {
-	case len(s.sessions) >= s.cfg.MaxSessions:
-		err = fmt.Errorf("%w: %d live", ErrTooManySessions, s.cfg.MaxSessions)
+	case len(s.sessions) >= s.lim.maxSessions:
+		err = fmt.Errorf("%w: %d live", ErrTooManySessions, s.lim.maxSessions)
 	case s.sessions[id] != nil:
 		err = fmt.Errorf("service: session %q already exists", id)
 	default:
@@ -214,19 +209,6 @@ func validSessionID(id string) error {
 		default:
 			return fmt.Errorf("service: session id %q: byte %d not in [A-Za-z0-9._-] (leading [A-Za-z0-9])", id, i)
 		}
-	}
-	return nil
-}
-
-// sessionsEnabled reports whether the service may start a session:
-// it is not draining (ErrClosed) and sessions are not disabled
-// (ErrSessionsDisabled).
-func (s *Service) sessionsEnabled() error {
-	if err := s.sessionsOpen(); err != nil {
-		return err
-	}
-	if s.cfg.MaxSessions < 0 {
-		return ErrSessionsDisabled
 	}
 	return nil
 }
@@ -302,7 +284,7 @@ func (s *Service) MutateSessionAt(id string, expect int64, muts []MutationSpec) 
 			}
 		}
 	}
-	if h.journal != nil && s.cfg.CompactEvery > 0 && h.journal.mutsSince >= s.cfg.CompactEvery {
+	if h.journal != nil && h.journal.mutsSince >= s.lim.compactEvery {
 		fatal, cerr := h.journal.compact(h.snapshotLocked(id))
 		if cerr != nil {
 			if fatal {
@@ -310,7 +292,7 @@ func (s *Service) MutateSessionAt(id string, expect int64, muts []MutationSpec) 
 				return "", h.seq, fmt.Errorf("%w: compaction: %v (session dropped)", ErrDurability, cerr)
 			}
 			// The old journal is intact and appendable; compaction retries
-			// after the next CompactEvery mutations.
+			// after the next compactEvery mutations.
 			s.logf("powersched: session %s: compaction failed (%v); keeping journal", id, cerr)
 		}
 	}
@@ -387,19 +369,14 @@ func (h *sessionHandle) apply(m MutationSpec) error {
 // mutated session always re-solves, because its digest moved with the
 // mutation. Cache misses are solved on the session and cached.
 //
-// The solve is bounded by ctx and Config.SolveTimeout: past the
-// deadline the caller gets ctx's error (503 + Retry-After over HTTP)
-// while the solve itself runs to completion under the session lock and
-// still populates the session and digest caches — a retry after
-// Retry-After is typically a cache hit.
+// The wait is bounded by ctx (over HTTP, SolveDeadline): past it the
+// caller gets ctx's error (503 + Retry-After over HTTP) while the solve
+// itself runs to completion under the session lock and still populates
+// the session and digest caches — a retry after Retry-After is
+// typically a cache hit.
 func (s *Service) SolveSession(ctx context.Context, id string) Result {
 	if err := s.sessionsOpen(); err != nil {
 		return Result{Err: err}
-	}
-	if s.cfg.SolveTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.SolveTimeout)
-		defer cancel()
 	}
 	done := make(chan Result, 1)
 	go func() {
@@ -474,8 +451,13 @@ func (s *Service) SessionInfo(id string) (SessionInfo, error) {
 // survive: they are keyed by content digest, not by session. On a
 // durable service a session living only on disk (not yet loaded) is
 // dropped by removing its journal, so a DELETE is final whether or not
-// the session was ever touched by this process.
+// the session was ever touched by this process. A draining service
+// answers ErrClosed: its journals are flushed, and a drop it acked
+// could not remove the file the next process restores from.
 func (s *Service) DropSession(id string) error {
+	if err := s.sessionsOpen(); err != nil {
+		return err
+	}
 	h, err := s.lockLoaded(id)
 	if err != nil {
 		return err

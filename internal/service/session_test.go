@@ -349,11 +349,11 @@ func TestSessionConcurrentSolves(t *testing.T) {
 	}
 }
 
-// TestSessionResourceControls: the registry is bounded by MaxSessions,
-// and a draining service refuses session create/mutate/solve with
+// TestSessionResourceControls: the registry is bounded by the session
+// cap, and a draining service refuses session create/mutate/solve with
 // ErrClosed — matching the stateless path's 503 contract.
 func TestSessionResourceControls(t *testing.T) {
-	svc := New(Config{Workers: 1, MaxSessions: 2})
+	svc := New(withLimits(Config{Workers: 1}, func(l *limits) { l.maxSessions = 2 }))
 	id1, _, err := svc.CreateSession(sessionSpec())
 	if err != nil {
 		t.Fatal(err)

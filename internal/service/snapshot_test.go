@@ -48,9 +48,7 @@ func TestSnapshotRestoreDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	open := func() (*Service, string) {
 		dir := t.TempDir()
-		cfg := durableConfig(dir)
-		cfg.CacheSize = -1 // no cache: every solve is computed
-		svc, err := Open(cfg)
+		svc, err := Open(durableConfig(dir))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,9 +83,9 @@ func TestSnapshotRestoreDifferential(t *testing.T) {
 				}
 			}
 			if rng.Intn(3) == 0 {
-				resA := svcA.SolveSession(context.Background(), id)
+				resA := solveUncached(svcA, id)
 				if restoredID != "" {
-					resB := svcB.SolveSession(context.Background(), restoredID)
+					resB := solveUncached(svcB, restoredID)
 					assertSameOutcome(t, resA, resB)
 				}
 			}
@@ -127,8 +125,8 @@ func TestSnapshotRestoreDifferential(t *testing.T) {
 					t.Fatalf("script %d: restored digest %s, snapshot %s", script, infoB.Digest, snap.Digest)
 				}
 				// Cold reference: the snapshot's spec solved from scratch.
-				resA := svcA.SolveSession(context.Background(), id)
-				resB := svcB.SolveSession(context.Background(), restoredID)
+				resA := solveUncached(svcA, id)
+				resB := solveUncached(svcB, restoredID)
 				assertSameOutcome(t, resA, resB)
 				if resA.Err == nil {
 					req, err := BuildRequest(snap.Spec)
@@ -150,6 +148,17 @@ func TestSnapshotRestoreDifferential(t *testing.T) {
 			svcB.DropSession(restoredID)
 		}
 	}
+}
+
+// solveUncached solves a session with the service's result cache
+// emptied first, so the answer is computed, not served from an entry an
+// earlier script left.
+func solveUncached(svc *Service, id string) Result {
+	svc.cacheMu.Lock()
+	clear(svc.cache)
+	svc.lru.Init()
+	svc.cacheMu.Unlock()
+	return svc.SolveSession(context.Background(), id)
 }
 
 // assertSameOutcome compares two solve results: same error class, or

@@ -43,12 +43,15 @@ import (
 	"io/fs"
 )
 
-// openByID restores one session from the StateDir on demand. Per
-// journal the outcome is binary: the session is restored to its last
-// acked state (torn tail records dropped), or the journal is dropped
-// cleanly — quarantined as <id>.journal.corrupt with a logged error and
-// counted in journals_dropped_corrupt — and the caller gets
-// ErrNoSession. A dropped journal is never half-restored. openMu
+// openByID restores one session from the StateDir on demand. The
+// session is restored to its last acked state (torn tail records
+// dropped), or, if the journal's content fails verification
+// (ErrSnapshotCorrupt), the journal is dropped cleanly — quarantined as
+// <id>.journal.corrupt with a logged error and counted in
+// journals_dropped_corrupt — and the caller gets ErrNoSession. Any
+// other failure is the storage's, not the bytes': the caller gets
+// ErrDurability and the journal stays where it is for the next touch.
+// A journal is never half-restored. openMu
 // serializes concurrent opens of the same or different ids — restore
 // re-compacts the journal, and two goroutines compacting one file would
 // race.
@@ -67,10 +70,16 @@ func (s *Service) openByID(id string) (*sessionHandle, error) {
 	s.sessMu.Unlock()
 	path := s.journalPath(id)
 	h, err := s.recoverOne(id, path)
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return nil, fmt.Errorf("%w: %q", ErrNoSession, id)
-		}
+	switch {
+	case err == nil:
+	case errors.Is(err, fs.ErrNotExist):
+		return nil, fmt.Errorf("%w: %q", ErrNoSession, id)
+	case !errors.Is(err, ErrSnapshotCorrupt):
+		// The storage failed, not the bytes: keep the journal for the
+		// next touch.
+		s.logf("powersched: session %s: restore: %v", id, err)
+		return nil, fmt.Errorf("%w: restoring session %s: %v", ErrDurability, id, err)
+	default:
 		s.journalsDroppedCorrupt.Add(1)
 		s.logf("powersched: dropping session %s: %v", id, err)
 		if rerr := s.cfg.FS.Rename(path, path+".corrupt"); rerr != nil {
@@ -133,7 +142,7 @@ func (s *Service) lockSession(id string) (*sessionHandle, error) {
 		if h != nil || err != nil {
 			return h, err
 		}
-		if !s.durable() || s.cfg.MaxSessions < 0 {
+		if !s.durable() {
 			return nil, fmt.Errorf("%w: %q", ErrNoSession, id)
 		}
 		if reloads == 3 {

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io/fs"
+	"os"
+	"path/filepath"
 	"syscall"
 	"testing"
 	"time"
@@ -310,33 +313,90 @@ func TestDropSessionRemovesUnloadedJournal(t *testing.T) {
 	}
 }
 
-// TestTouchRefusedWhenSessionsDisabled: a service that disabled
-// sessions must not install one from a journal it finds on disk.
-func TestTouchRefusedWhenSessionsDisabled(t *testing.T) {
+// TestDropAfterCloseRefused: a closed service has flushed and closed
+// every journal, so it cannot remove one. DropSession must refuse with
+// ErrClosed rather than ack a drop that a restart would undo.
+func TestDropAfterCloseRefused(t *testing.T) {
 	dir := t.TempDir()
-	svc1, err := Open(durableConfig(dir))
+	svc, err := Open(durableConfig(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, _, err := svc1.CreateSession(sessionSpec())
+	id, digest, err := svc.CreateSession(sessionSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := svc1.Close(context.Background()); err != nil {
+	if err := svc.Close(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	cfg := durableConfig(dir)
-	cfg.MaxSessions = -1
-	svc2, err := Open(cfg)
+	if err := svc.DropSession(id); !errors.Is(err, ErrClosed) {
+		t.Fatalf("drop on a closed service: want ErrClosed, got %v", err)
+	}
+	// The refused drop left the session intact for the next process.
+	rec := openShared(t, dir)
+	info, err := rec.SessionInfo(id)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("session after a refused drop: %v", err)
 	}
-	defer svc2.Close(context.Background())
-	if _, err := svc2.SessionInfo(id); !errors.Is(err, ErrNoSession) {
-		t.Fatalf("touch with sessions disabled: want ErrNoSession, got %v", err)
+	if info.Digest != digest {
+		t.Fatalf("restored digest %s, want %s", info.Digest, digest)
 	}
-	if n := svc2.Stats().Sessions; n != 0 {
-		t.Fatalf("touch with sessions disabled installed %d sessions", n)
+}
+
+// TestTransientRestoreErrorKeepsJournal: an I/O failure during a
+// first-touch restore says nothing about the journal's bytes. The touch
+// answers ErrDurability and leaves <id>.journal in place, unquarantined,
+// and the next touch restores the acked digest and seq. FailOpen 1 fails
+// the reopen for append; FailOpen 3 fails the reopen after the restore
+// compaction's rename, when the new file is already complete.
+func TestTransientRestoreErrorKeepsJournal(t *testing.T) {
+	for _, n := range []int{1, 3} {
+		t.Run(fmt.Sprintf("open%d", n), func(t *testing.T) {
+			dir := t.TempDir()
+			svc, err := Open(durableConfig(dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			id, _, err := svc.CreateSession(sessionSpec())
+			if err != nil {
+				t.Fatal(err)
+			}
+			digest, seq, err := svc.MutateSessionAt(id, -1, []MutationSpec{{Op: "add_job", Job: ptr(extraJob())}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := svc.Close(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+
+			cfg := durableConfig(dir)
+			cfg.FS = faultfs.New(faultfs.OS{}, faultfs.Plan{FailOpen: n})
+			rec, err := Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rec.Close(context.Background())
+			if _, err := rec.SessionInfo(id); !errors.Is(err, ErrDurability) {
+				t.Fatalf("touch with a failing open: want ErrDurability, got %v", err)
+			}
+			path := filepath.Join(dir, "sessions", id+journalExt)
+			if _, err := os.Stat(path + ".corrupt"); !errors.Is(err, fs.ErrNotExist) {
+				t.Fatalf("intact journal quarantined (stat .corrupt: %v)", err)
+			}
+			if _, err := os.Stat(path); err != nil {
+				t.Fatalf("journal gone after a transient failure: %v", err)
+			}
+			if st := rec.Stats(); st.JournalsDropped != 0 || st.Sessions != 0 {
+				t.Fatalf("journals_dropped_corrupt = %d, sessions = %d; want 0/0", st.JournalsDropped, st.Sessions)
+			}
+			info, err := rec.SessionInfo(id)
+			if err != nil {
+				t.Fatalf("second touch: %v", err)
+			}
+			if info.Digest != digest || info.Seq != seq {
+				t.Fatalf("restored digest %s seq %d, want %s seq %d", info.Digest, info.Seq, digest, seq)
+			}
+		})
 	}
 }
 

@@ -170,7 +170,10 @@ type (
 	// cache. Create with NewService; feed with Submit/SubmitBatch; stop
 	// with Close (graceful drain).
 	Service = service.Service
-	// ServiceConfig tunes workers, queue depth, and cache sizes.
+	// ServiceConfig is a service's deployment: its worker count and
+	// state dir (plus the filesystem and log seams). Queue depth, cache
+	// sizes, the session cap, compaction and the solve deadline are
+	// fixed constants of the service package.
 	ServiceConfig = service.Config
 	// ServiceRequest is one unit of work: an instance plus algorithm
 	// selection (ScheduleMode), threshold, options, and Improve flag.
@@ -205,8 +208,10 @@ var ErrServiceClosed = service.ErrClosed
 // ErrNoSession is returned for unknown or dropped service-session ids.
 var ErrNoSession = service.ErrNoSession
 
-// ErrDurability marks journal I/O failures on a durable service's live
-// path; the affected session is dropped rather than served unjournaled.
+// ErrDurability marks journal I/O failures on a durable service: on the
+// live path the affected session is dropped rather than served
+// unjournaled; on a first-touch restore the journal is kept for the
+// next touch.
 var ErrDurability = service.ErrDurability
 
 // ErrSnapshotCorrupt marks snapshots and journals that fail
@@ -217,8 +222,8 @@ var ErrSnapshotCorrupt = service.ErrSnapshotCorrupt
 // owns it and must Close it to release the worker pool.
 func NewService(cfg ServiceConfig) *Service { return service.New(cfg) }
 
-// OpenService is NewService that returns its startup error (unusable
-// state dir, bad fsync policy) instead of panicking. With
+// OpenService is NewService that returns its startup error (an
+// unusable state dir) instead of panicking. With
 // ServiceConfig.StateDir set, sessions are journaled and each is
 // restored from its journal on first touch after a restart — answering
 // solve/info exactly as before, or dropped cleanly if the journal is
