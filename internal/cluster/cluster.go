@@ -49,6 +49,12 @@ var ErrBackendUnavailable = errors.New("cluster: no backend available")
 // maps to 429 + Retry-After.
 var ErrRetryBudgetExhausted = errors.New("cluster: retry budget exhausted")
 
+// ErrReplyTooLarge is wrapped when a backend's reply exceeds
+// service.MaxRequestBytes, the most the router buffers. It maps to 502
+// and is neither retried (the reply is a pure function of the request)
+// nor counted against the backend's health.
+var ErrReplyTooLarge = errors.New("cluster: backend reply too large")
+
 // ErrMigrationCorrupt is wrapped when a resize migration's digest
 // verification fails: the taker recovered a state the donor never
 // acked. The session keeps its old owner recorded and the mismatch is

@@ -10,7 +10,8 @@ package cluster
 //
 // Transport errors, partial replies, and backend 502/503/504 are
 // transient: they count toward ejecting the backend (health.go) and
-// burn the retry budget. Everything
+// burn the retry budget. A reply too large to buffer answers 502 at
+// once, without a retry or a health mark. Everything
 // else — including 404, 409, 422, 429 — is an authoritative answer and
 // relays as-is. Solves and reads retry freely (a solve is a pure
 // function of the instance digest); the two non-idempotent operations
@@ -104,7 +105,8 @@ func (r *Router) backoff(ctx context.Context, n int) error {
 // attempt performs one buffered exchange with one backend. A reply that
 // cannot be read to completion (the partial-body failpoint) is a
 // transport error, so the caller retries instead of relaying a torn
-// reply.
+// reply. A reply longer than service.MaxRequestBytes is ErrReplyTooLarge,
+// never a truncated success.
 func (r *Router) attempt(ctx context.Context, backend, method, path string, body []byte) (*result, error) {
 	actx, cancel := context.WithTimeout(ctx, r.tune.requestTimeout)
 	defer cancel()
@@ -124,9 +126,12 @@ func (r *Router) attempt(ctx context.Context, backend, method, path string, body
 		return nil, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, service.MaxRequestBytes))
+	data, err := io.ReadAll(io.LimitReader(resp.Body, service.MaxRequestBytes+1))
 	if err != nil {
 		return nil, err
+	}
+	if len(data) > service.MaxRequestBytes {
+		return nil, fmt.Errorf("%w: %s replied more than %d bytes", ErrReplyTooLarge, backend, service.MaxRequestBytes)
 	}
 	return &result{
 		status:      resp.StatusCode,
@@ -161,6 +166,10 @@ func (r *Router) route(ctx context.Context, method, path string, body []byte, ke
 			return nil, "", attempts, fmt.Errorf("%w: %d on ring, none admits traffic (last: %v)", ErrBackendUnavailable, len(cands), lastErr)
 		}
 		got, aerr := r.attempt(ctx, b.name, method, path, body)
+		if errors.Is(aerr, ErrReplyTooLarge) {
+			// The backend answered; every retry would get the same reply.
+			return nil, "", attempts + 1, aerr
+		}
 		transient := aerr != nil ||
 			got.status == http.StatusBadGateway ||
 			got.status == http.StatusServiceUnavailable ||
@@ -244,8 +253,11 @@ func (r *Router) Handler() http.Handler {
 	}
 	fail := func(w http.ResponseWriter, err error) {
 		status := http.StatusServiceUnavailable
-		if errors.Is(err, ErrRetryBudgetExhausted) {
+		switch {
+		case errors.Is(err, ErrRetryBudgetExhausted):
 			status = http.StatusTooManyRequests
+		case errors.Is(err, ErrReplyTooLarge):
+			status = http.StatusBadGateway
 		}
 		r.cfg.Logf("powersched-route: %v", err)
 		writeJSON(w, status, map[string]string{"error": err.Error()})

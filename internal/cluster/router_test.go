@@ -18,6 +18,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sort"
+	"strconv"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -227,6 +229,61 @@ func TestRouterRetriesPartialReply(t *testing.T) {
 	scheduleBytes(t, body)
 	if st := c.r.Stats(); st.Retries == 0 {
 		t.Fatal("a torn reply must be retried, retries counter is 0")
+	}
+}
+
+// TestRouterRejectsOversizedReply: a backend reply longer than the
+// buffer bound answers 502 naming the limit, where a cut-off prefix used
+// to relay as a 200. It is not retried and does not count against the
+// backend's health.
+func TestRouterRejectsOversizedReply(t *testing.T) {
+	var calls atomic.Int64
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		w.Header().Set("Content-Type", "application/json")
+		chunk := bytes.Repeat([]byte(" "), 1<<20)
+		for left := service.MaxRequestBytes + 10; left > 0; left -= len(chunk) {
+			w.Write(chunk[:min(left, len(chunk))])
+		}
+	}))
+	defer backend.Close()
+	tune := tuning{
+		requestTimeout: 10 * time.Second,
+		maxAttempts:    maxAttempts,
+		backoffBase:    time.Millisecond,
+		backoffCap:     4 * time.Millisecond,
+		retryRate:      1000,
+		retryBurst:     1000,
+		probeInterval:  time.Hour,
+	}
+	r, err := New(Config{Backends: []string{backend.URL}, Transport: netfault.NewTransport(nil, netfault.Plan{}),
+		Logf: discardLogf, tune: &tune})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	front := httptest.NewServer(r.Handler())
+	defer front.Close()
+
+	status, _, body := doJSON(t, http.MethodPost, front.URL+"/v1/schedule", clusterSpec())
+	if status != http.StatusBadGateway {
+		t.Fatalf("oversized reply relayed as %d (%d bytes)", status, len(body))
+	}
+	if want := strconv.Itoa(service.MaxRequestBytes); !bytes.Contains(body, []byte(want)) {
+		t.Fatalf("502 body does not name the %s-byte limit: %s", want, body)
+	}
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("backend called %d times, want 1: an oversized reply is not retried", n)
+	}
+	if st := r.Stats(); st.Retries != 0 || st.Ejections != 0 {
+		t.Fatalf("retries %d, ejections %d: want neither", st.Retries, st.Ejections)
+	}
+	b := r.state(backend.URL)
+	b.mu.Lock()
+	fails := b.fails
+	b.mu.Unlock()
+	if fails != 0 {
+		t.Fatalf("oversized reply counted %d health failures", fails)
 	}
 }
 

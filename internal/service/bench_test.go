@@ -1,14 +1,12 @@
 package service
 
 // Serving-layer rungs of the benchmark ladder (scripts/bench_snapshot.sh):
-// the service's Do on a cache miss and on a hit, the HTTP handler, and one
-// fsynced journal append.
+// the service's Do on a cache miss and on a hit, the HTTP handler on a
+// stored-reply hit and on a digest hit, and one fsynced journal append.
 
 import (
 	"context"
 	"net/http"
-	"net/http/httptest"
-	"strings"
 	"testing"
 )
 
@@ -58,28 +56,35 @@ func BenchmarkServiceDo(b *testing.B) {
 	})
 }
 
-// BenchmarkHTTPHandler times one POST /v1/schedule through the handler
-// in process (httptest.NewRecorder, no socket): body decode, request
-// build and digest, a result-cache hit, and the response encode.
+// BenchmarkHTTPHandler times one POST /v1/schedule result-cache hit
+// through the handler in process (httptest.NewRecorder, no socket).
+// hit repeats a byte-identical body, answered from the entry's stored
+// reply: body read and hash, the lookup, one write. digest-hit
+// alternates two re-indented bodies of one instance; each fill replaces
+// the other's stored reply, so every call pays body decode, request
+// build and digest, the cache hit and the response encode.
 func BenchmarkHTTPHandler(b *testing.B) {
-	svc := New(Config{Workers: 1})
-	defer svc.Close(context.Background())
-	h := NewHTTPHandler(svc)
-	serve := func() int {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/schedule", strings.NewReader(scheduleBody)))
-		return rec.Code
-	}
-	if code := serve(); code != http.StatusOK {
-		b.Fatalf("status %d", code)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if code := serve(); code != http.StatusOK {
-			b.Fatalf("op %d: status %d", i, code)
+	run := func(b *testing.B, bodies ...string) {
+		svc := New(Config{Workers: 1})
+		defer svc.Close(context.Background())
+		h := NewHTTPHandler(svc)
+		for _, body := range append(bodies, bodies...) {
+			if code := serveRecorded(h, body).Code; code != http.StatusOK {
+				b.Fatalf("status %d", code)
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if code := serveRecorded(h, bodies[i%len(bodies)]).Code; code != http.StatusOK {
+				b.Fatalf("op %d: status %d", i, code)
+			}
 		}
 	}
+	b.Run("hit", func(b *testing.B) { run(b, scheduleBody) })
+	b.Run("digest-hit", func(b *testing.B) {
+		run(b, reindent(b, scheduleBody, ""), reindent(b, scheduleBody, "\t"))
+	})
 }
 
 // BenchmarkJournalAppend times one session-journal mutate record:

@@ -1,7 +1,9 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -80,6 +82,12 @@ type MutateRequest struct {
 // The three solving endpoints get one SolveDeadline per HTTP request,
 // a whole batch included, so every answer is written before the
 // server's write timeout.
+//
+// A /v1/schedule digest hit stores its encoded reply in the cache entry,
+// indexed by the sha256 of the request body; a byte-identical body is
+// then answered from those bytes without decoding, digesting or
+// encoding. Any other body (whitespace or field order changed, trailing
+// data, errors) takes the full path.
 func NewHTTPHandler(svc *Service) http.Handler {
 	retryAfterSecs := strconv.Itoa(int(retryAfter / time.Second))
 	writeJSON := func(w http.ResponseWriter, status int, v any) {
@@ -88,14 +96,26 @@ func NewHTTPHandler(svc *Service) http.Handler {
 		}
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(status)
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(v) //nolint:errcheck // the response is already committed
+		w.Write(encodeJSON(v)) //nolint:errcheck // the response is already committed
+	}
+	writeReply := func(w http.ResponseWriter, reply []byte) {
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(reply) //nolint:errcheck // the response is already committed
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/schedule", func(w http.ResponseWriter, r *http.Request) {
+		body, err := readBody(w, r)
+		if err != nil {
+			writeJSON(w, http.StatusBadRequest, ScheduleResponse{Error: err.Error()})
+			return
+		}
+		sum := sha256.Sum256(body)
+		if reply, ok := svc.storedReply(sum); ok {
+			writeReply(w, reply)
+			return
+		}
 		var spec InstanceSpec
-		if err := decodeBody(w, r, &spec); err != nil {
+		if err := decodeJSON(body, &spec); err != nil {
 			writeJSON(w, http.StatusBadRequest, ScheduleResponse{Error: err.Error()})
 			return
 		}
@@ -106,8 +126,16 @@ func NewHTTPHandler(svc *Service) http.Handler {
 		}
 		ctx, cancel := context.WithTimeout(r.Context(), svc.lim.solveDeadline)
 		defer cancel()
-		res := svc.Do(ctx, req)
-		writeJSON(w, statusFor(res.Err), toResponse(res))
+		key := cacheKey(req)
+		res, stored := svc.do(ctx, req, key)
+		if stored == nil {
+			writeJSON(w, statusFor(res.Err), toResponse(res))
+			return
+		}
+		// A digest hit: encode once, then write and store the same bytes.
+		reply := encodeJSON(toResponse(res))
+		writeReply(w, reply)
+		svc.cacheFill(key, stored, sum, reply)
 	})
 	mux.HandleFunc("POST /v1/batch", func(w http.ResponseWriter, r *http.Request) {
 		var batch BatchRequest
@@ -257,11 +285,42 @@ func writeMetrics(w io.Writer, st Stats) {
 	}
 }
 
-// decodeBody decodes exactly one JSON value from the request body:
-// anything but whitespace after it is an error, as it is for the CLI's
-// DecodeRequest.
+// encodeJSON renders v as the surface's indented JSON with a trailing
+// newline (json.Encoder's SetIndent form): every reply, stored hit
+// replies included, is encoded here. A value JSON cannot carry, such as
+// a NaN, encodes to nil: an empty body.
+func encodeJSON(v any) []byte {
+	b, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return nil
+	}
+	return append(b, '\n')
+}
+
+// decodeBody reads the request body and decodes it into v.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes))
+	body, err := readBody(w, r)
+	if err != nil {
+		return err
+	}
+	return decodeJSON(body, v)
+}
+
+// readBody reads the whole request body, at most MaxRequestBytes of it.
+// The buffer grows as bytes arrive, never from the client's
+// Content-Length, so a header alone cannot make the server allocate.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxRequestBytes))
+	if err != nil {
+		return nil, fmt.Errorf("decoding request: %w", err)
+	}
+	return body, nil
+}
+
+// decodeJSON decodes exactly one JSON value from body: anything but
+// whitespace after it is an error, as it is for the CLI's DecodeRequest.
+func decodeJSON(body []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(body))
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("decoding request: %w", err)
 	}

@@ -3,10 +3,14 @@ package service
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -44,6 +48,25 @@ const scheduleBody = `{
 		{"allowed": [{"proc": 0, "time": 2}, {"proc": 0, "time": 3}]}
 	]
 }`
+
+// reindent returns body with its whitespace redone: compact when indent
+// is empty, else indented by it. The result decodes to the same spec but
+// is not byte-identical to body.
+func reindent(t testing.TB, body, indent string) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := json.Compact(&buf, []byte(body)); err != nil {
+		t.Fatal(err)
+	}
+	if indent != "" {
+		compact := buf.Bytes()
+		buf = bytes.Buffer{}
+		if err := json.Indent(&buf, compact, "", indent); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf.String()
+}
 
 func TestHTTPScheduleAndCacheHit(t *testing.T) {
 	srv, _ := newTestServer(t)
@@ -175,6 +198,34 @@ func TestHTTPErrors(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /v1/schedule status %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestHTTPBodyBufferFollowsBytes: a request that claims a 64 MiB
+// Content-Length but carries a short body costs the server what the
+// body holds, not what the header says. Each endpoint's body buffer
+// grows as bytes arrive.
+func TestHTTPBodyBufferFollowsBytes(t *testing.T) {
+	svc := New(Config{Workers: 1})
+	defer svc.Close(context.Background())
+	h := NewHTTPHandler(svc)
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/schedule", scheduleBody},
+		{"/v1/batch", `{"requests":[` + scheduleBody + `]}`},
+	} {
+		req := httptest.NewRequest(http.MethodPost, tc.path, strings.NewReader(tc.body))
+		req.ContentLength = MaxRequestBytes
+		rec := httptest.NewRecorder()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		h.ServeHTTP(rec, req)
+		runtime.ReadMemStats(&after)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d (%s)", tc.path, rec.Code, rec.Body)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 8<<20 {
+			t.Errorf("%s: %d bytes allocated for a %d-byte body that claimed %d", tc.path, got, len(tc.body), MaxRequestBytes)
+		}
 	}
 }
 
@@ -371,5 +422,260 @@ func TestHTTPLegacyWorkersFieldIgnored(t *testing.T) {
 		if !bytes.Equal(gotSession, wantSession) {
 			t.Fatalf("%s: legacy session solve differs:\n%s\nwant\n%s", field, gotSession, wantSession)
 		}
+	}
+}
+
+// serveRecorded runs one request through h in process.
+func serveRecorded(h http.Handler, body string) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/schedule", strings.NewReader(body)))
+	return rec
+}
+
+// wantScheduleReply encodes the /v1/schedule reply for the schedule in
+// key's cache entry the way the handler has always written it:
+// json.Encoder with a two-space indent and a trailing newline.
+func wantScheduleReply(t *testing.T, svc *Service, key string, cacheHit bool) []byte {
+	t.Helper()
+	sc, ok := svc.cacheGet(key)
+	if !ok {
+		t.Fatalf("no cache entry for %s", key)
+	}
+	spec := EncodeSchedule(sc)
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(ScheduleResponse{Schedule: &spec, CacheHit: cacheHit}); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// sessionReput re-puts key's entry the way a session solve on the same
+// instance does when it misses (solveSessionLocked): it solves the
+// session and puts the schedule under the shared cache key.
+func sessionReput(svc *Service, id, key string) error {
+	h, err := svc.lockSession(id)
+	if err != nil {
+		return err
+	}
+	defer h.mu.Unlock()
+	if got := cacheKey(Request{InstanceKey: h.digest, Mode: ModeAll, Opts: h.opts}); got != key {
+		return fmt.Errorf("session cache key %s, want the schedule key %s", got, key)
+	}
+	out, err := h.sess.Solve()
+	if err != nil {
+		return err
+	}
+	svc.cachePut(key, out)
+	return nil
+}
+
+// TestHTTPStoredReplyMatchesDigestHit: a byte-identical /v1/schedule
+// body answered from the stored reply gets the status, Content-Type,
+// bytes and counter ticks of a digest hit decoded the long way, through
+// eviction, a session re-put of the entry, trailing data, an oversized
+// body and Close.
+func TestHTTPStoredReplyMatchesDigestHit(t *testing.T) {
+	svc := New(Config{Workers: 1})
+	defer svc.Close(context.Background())
+	h := NewHTTPHandler(svc)
+	req, err := DecodeRequest([]byte(scheduleBody))
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := cacheKey(req)
+	variant := reindent(t, scheduleBody, "\t")
+	stored := func(body string) bool {
+		svc.cacheMu.Lock()
+		defer svc.cacheMu.Unlock()
+		_, ok := svc.byBody[sha256.Sum256([]byte(body))]
+		return ok
+	}
+	counters := func() [3]uint64 {
+		st := svc.Stats()
+		return [3]uint64{st.Submitted, st.Completed, st.CacheHits}
+	}
+	// post checks one reply and returns the counter deltas it caused.
+	post := func(step, body string, wantStatus int, want []byte) [3]uint64 {
+		t.Helper()
+		before := counters()
+		rec := serveRecorded(h, body)
+		after := counters()
+		if rec.Code != wantStatus {
+			t.Fatalf("%s: status %d, want %d (%s)", step, rec.Code, wantStatus, rec.Body)
+		}
+		if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+			t.Fatalf("%s: Content-Type %q", step, ct)
+		}
+		if want != nil && !bytes.Equal(rec.Body.Bytes(), want) {
+			t.Fatalf("%s: reply\n%s\nwant\n%s", step, rec.Body, want)
+		}
+		return [3]uint64{after[0] - before[0], after[1] - before[1], after[2] - before[2]}
+	}
+	hitTicks := [3]uint64{1, 1, 1}
+	// hitTwice posts body on the digest path (it must not be stored yet),
+	// then again on the stored path, and checks both against want.
+	hitTwice := func(step, body string) {
+		t.Helper()
+		if stored(body) {
+			t.Fatalf("%s: body stored before its digest hit", step)
+		}
+		want := wantScheduleReply(t, svc, key, true)
+		if d := post(step+" digest hit", body, http.StatusOK, want); d != hitTicks {
+			t.Fatalf("%s digest hit: counter deltas %v, want %v", step, d, hitTicks)
+		}
+		if !stored(body) {
+			t.Fatalf("%s: digest hit stored no reply", step)
+		}
+		if d := post(step+" stored hit", body, http.StatusOK, want); d != hitTicks {
+			t.Fatalf("%s stored hit: counter deltas %v, want %v", step, d, hitTicks)
+		}
+	}
+
+	post("miss", scheduleBody, http.StatusOK, nil)
+	if stored(scheduleBody) {
+		t.Fatal("a miss stored a reply")
+	}
+	if got := serveRecorded(h, variant).Body.Bytes(); !bytes.Equal(got, wantScheduleReply(t, svc, key, true)) {
+		t.Fatalf("whitespace variant:\n%s", got)
+	}
+	if d := post("variant repeat", variant, http.StatusOK, wantScheduleReply(t, svc, key, true)); d != hitTicks {
+		t.Fatalf("variant repeat: counter deltas %v", d)
+	}
+	// Filling for the original body replaces the variant's stored reply:
+	// an entry holds one.
+	hitTwice("original", scheduleBody)
+	if stored(variant) {
+		t.Fatal("entry holds two stored replies")
+	}
+
+	// Eviction takes the stored reply and its index with the entry.
+	for i := 0; i <= cacheEntries; i++ {
+		other, err := BuildRequest(testSpec(2, 16, 10, CostSpec{Model: "affine", Alpha: float64(2 + i), Rate: 1}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res := svc.Do(context.Background(), other); res.Err != nil {
+			t.Fatal(res.Err)
+		}
+	}
+	if _, ok := svc.cacheGet(key); ok || stored(scheduleBody) {
+		t.Fatalf("entry survived eviction (stored reply %v)", stored(scheduleBody))
+	}
+	if len(svc.byBody) != 0 {
+		t.Fatalf("%d body index entries outlive their cache entries", len(svc.byBody))
+	}
+	if d := post("miss after eviction", scheduleBody, http.StatusOK, nil); d[2] != 0 {
+		t.Fatalf("post-eviction request was a hit: %v", d)
+	}
+	hitTwice("after eviction", scheduleBody)
+
+	// A session solve on the same instance re-puts the entry and drops
+	// the reply encoded from the old schedule.
+	var spec InstanceSpec
+	if err := json.Unmarshal([]byte(scheduleBody), &spec); err != nil {
+		t.Fatal(err)
+	}
+	id, _, err := svc.CreateSession(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sessionReput(svc, id, key); err != nil {
+		t.Fatal(err)
+	}
+	hitTwice("after session re-put", scheduleBody)
+
+	// Anything but the stored bytes takes the full path, errors included.
+	post("trailing garbage", scheduleBody+" garbage", http.StatusBadRequest,
+		[]byte("{\n  \"error\": \"decoding request: unexpected data after the top-level JSON value\",\n  \"cache_hit\": false\n}\n"))
+	post("trailing value", scheduleBody+`{"procs":-1}`, http.StatusBadRequest,
+		[]byte("{\n  \"error\": \"decoding request: unexpected data after the top-level JSON value\",\n  \"cache_hit\": false\n}\n"))
+	oversized := strings.TrimSuffix(scheduleBody, "}") + `, "pad": "` + strings.Repeat("x", MaxRequestBytes) + `"}`
+	post("oversized", oversized, http.StatusBadRequest,
+		[]byte("{\n  \"error\": \"decoding request: http: request body too large\",\n  \"cache_hit\": false\n}\n"))
+
+	// A closed service refuses a stored body like any other.
+	if !stored(scheduleBody) {
+		t.Fatal("stored reply lost before Close")
+	}
+	svc.Close(context.Background())
+	for _, body := range []string{scheduleBody, variant} {
+		rec := serveRecorded(h, body)
+		if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") != "1" {
+			t.Fatalf("after Close: status %d, Retry-After %q", rec.Code, rec.Header().Get("Retry-After"))
+		}
+	}
+}
+
+// TestHTTPStoredReplyConcurrent: clients posting the stored body and
+// whitespace variants race sessions re-putting the same cache entry;
+// every 200 reply is the same bytes. Run under -race.
+func TestHTTPStoredReplyConcurrent(t *testing.T) {
+	svc := New(Config{Workers: 2})
+	defer svc.Close(context.Background())
+	h := NewHTTPHandler(svc)
+	req, err := DecodeRequest([]byte(scheduleBody))
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := cacheKey(req)
+	var spec InstanceSpec
+	if err := json.Unmarshal([]byte(scheduleBody), &spec); err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]string, 2)
+	for i := range ids {
+		if ids[i], _, err = svc.CreateSession(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	serveRecorded(h, scheduleBody)
+	want := wantScheduleReply(t, svc, key, true)
+	bodies := []string{scheduleBody, reindent(t, scheduleBody, ""), reindent(t, scheduleBody, "\t")}
+
+	const clients, posts = 6, 60
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for _, id := range ids {
+		wg.Add(1)
+		go func(id string) {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					if err := sessionReput(svc, id, key); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}(id)
+	}
+	errs := make(chan string, clients*posts)
+	var posters sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		posters.Add(1)
+		go func(c int) {
+			defer posters.Done()
+			for i := 0; i < posts; i++ {
+				rec := serveRecorded(h, bodies[(c+i)%len(bodies)])
+				if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want) {
+					errs <- fmt.Sprintf("client %d post %d: status %d\n%s", c, i, rec.Code, rec.Body)
+				}
+			}
+		}(c)
+	}
+	posters.Wait()
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Fatal(e)
+	}
+	if got := wantScheduleReply(t, svc, key, true); !bytes.Equal(got, want) {
+		t.Fatalf("entry's schedule changed under re-puts:\n%s", got)
 	}
 }

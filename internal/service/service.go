@@ -3,6 +3,7 @@ package service
 import (
 	"container/list"
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"log"
@@ -190,6 +191,9 @@ type Service struct {
 	cacheMu sync.Mutex
 	cache   map[string]*list.Element
 	lru     *list.List // front = most recent; values are *cacheEntry
+	// byBody indexes the entries that hold a stored reply by the
+	// sha256 of the request body that filled it (cacheFill).
+	byBody map[[sha256.Size]byte]*list.Element
 
 	sessMu   sync.Mutex
 	sessions map[string]*sessionHandle
@@ -210,9 +214,15 @@ type task struct {
 	done chan Result
 }
 
+// cacheEntry is one digest-cache result. reply, when set, is the exact
+// /v1/schedule digest-hit reply for sched, and body is the sha256 of the
+// request body that filled it: a byte-identical body is answered from
+// reply alone. Replacing sched drops reply; an entry holds at most one.
 type cacheEntry struct {
 	key   string
 	sched *sched.Schedule
+	reply []byte
+	body  [sha256.Size]byte
 }
 
 // New starts a service with cfg's worker pool. The caller owns the
@@ -245,6 +255,7 @@ func Open(cfg Config) (*Service, error) {
 		queue:    make(chan *task, queuePerWorker*cfg.Workers),
 		cache:    map[string]*list.Element{},
 		lru:      list.New(),
+		byBody:   map[[sha256.Size]byte]*list.Element{},
 		sessions: map[string]*sessionHandle{},
 	}
 	if s.durable() {
@@ -273,38 +284,55 @@ func (s *Service) Submit(ctx context.Context, req Request) (*sched.Schedule, err
 // came from the digest cache. Only ctx bounds the wait; the HTTP surface
 // gives each request SolveDeadline.
 func (s *Service) Do(ctx context.Context, req Request) Result {
+	res, _ := s.do(ctx, req, cacheKey(req))
+	return res
+}
+
+// do is Do for a request whose cacheKey the caller computed. On a
+// digest-cache hit it also returns the entry's own schedule: the handle
+// cacheFill checks before it stores a reply.
+func (s *Service) do(ctx context.Context, req Request, key string) (Result, *sched.Schedule) {
 	if req.Instance == nil {
-		return Result{Err: errors.New("service: nil instance")}
+		return Result{Err: errors.New("service: nil instance")}, nil
 	}
-	s.closeMu.RLock()
-	closed := s.closed
-	s.closeMu.RUnlock()
-	if closed {
+	if s.isClosed() {
 		// A draining service refuses everything, even cacheable repeats —
 		// enqueue would refuse anyway, and answering some requests but
 		// not others during shutdown is a confusing half-open state.
-		return Result{Err: ErrClosed}
+		return Result{Err: ErrClosed}, nil
 	}
-	if hit, ok := s.cacheGet(cacheKey(req)); ok {
-		s.submitted.Add(1)
-		s.completed.Add(1)
-		s.cacheHits.Add(1)
-		return Result{Schedule: hit, CacheHit: true}
+	if stored, ok := s.cacheLookup(key); ok {
+		s.countHit()
+		return Result{Schedule: copySchedule(stored), CacheHit: true}, stored
 	}
 	t := &task{ctx: ctx, req: req, done: make(chan Result, 1)}
 	if err := s.enqueue(ctx, t); err != nil {
-		return Result{Err: err}
+		return Result{Err: err}, nil
 	}
 	s.submitted.Add(1)
 	select {
 	case r := <-t.done:
-		return r
+		return r, nil
 	case <-ctx.Done():
 		// The worker that eventually dequeues t sees the dead context and
 		// drops it without solving.
 		s.canceled.Add(1)
-		return Result{Err: ctx.Err()}
+		return Result{Err: ctx.Err()}, nil
 	}
+}
+
+// isClosed reports whether Close has begun.
+func (s *Service) isClosed() bool {
+	s.closeMu.RLock()
+	defer s.closeMu.RUnlock()
+	return s.closed
+}
+
+// countHit counts a request answered from the digest cache on arrival.
+func (s *Service) countHit() {
+	s.submitted.Add(1)
+	s.completed.Add(1)
+	s.cacheHits.Add(1)
 }
 
 // SubmitBatch submits every request and waits for all results, aligned
@@ -506,6 +534,17 @@ func cacheKey(req Request) string {
 }
 
 func (s *Service) cacheGet(key string) (*sched.Schedule, bool) {
+	stored, ok := s.cacheLookup(key)
+	if !ok {
+		return nil, false
+	}
+	// Hand out a copy: callers own their schedule and may mutate it.
+	return copySchedule(stored), true
+}
+
+// cacheLookup returns the entry's own schedule, which callers must not
+// mutate or hand out.
+func (s *Service) cacheLookup(key string) (*sched.Schedule, bool) {
 	if key == "" {
 		return nil, false
 	}
@@ -516,8 +555,7 @@ func (s *Service) cacheGet(key string) (*sched.Schedule, bool) {
 		return nil, false
 	}
 	s.lru.MoveToFront(el)
-	// Hand out a copy: callers own their schedule and may mutate it.
-	return copySchedule(el.Value.(*cacheEntry).sched), true
+	return el.Value.(*cacheEntry).sched, true
 }
 
 func (s *Service) cachePut(key string, sc *sched.Schedule) {
@@ -528,15 +566,69 @@ func (s *Service) cachePut(key string, sc *sched.Schedule) {
 	s.cacheMu.Lock()
 	defer s.cacheMu.Unlock()
 	if el, ok := s.cache[key]; ok {
-		el.Value.(*cacheEntry).sched = stored
+		// A session solve shares the key: the new schedule invalidates the
+		// reply encoded from the old one.
+		e := el.Value.(*cacheEntry)
+		s.dropReply(e)
+		e.sched = stored
 		s.lru.MoveToFront(el)
 		return
 	}
 	s.cache[key] = s.lru.PushFront(&cacheEntry{key: key, sched: stored})
 	for s.lru.Len() > cacheEntries {
-		oldest := s.lru.Back()
-		s.lru.Remove(oldest)
-		delete(s.cache, oldest.Value.(*cacheEntry).key)
+		oldest := s.lru.Remove(s.lru.Back()).(*cacheEntry)
+		s.dropReply(oldest)
+		delete(s.cache, oldest.key)
+	}
+}
+
+// cacheFill stores reply, the encoded digest-hit reply for the schedule
+// `from` that cacheLookup returned, under the sha256 of the request body.
+// A fill that lost a race with cachePut or eviction stores nothing, so a
+// stored reply always matches its entry's current schedule.
+func (s *Service) cacheFill(key string, from *sched.Schedule, body [sha256.Size]byte, reply []byte) {
+	if reply == nil {
+		return
+	}
+	s.cacheMu.Lock()
+	defer s.cacheMu.Unlock()
+	el, ok := s.cache[key]
+	if !ok || el.Value.(*cacheEntry).sched != from {
+		return
+	}
+	e := el.Value.(*cacheEntry)
+	s.dropReply(e)
+	e.reply, e.body = reply, body
+	s.byBody[body] = el
+}
+
+// storedReply answers a request body that filled an entry: it returns
+// the stored reply and counts the hit as Do does. A closed service
+// returns nothing, so the request falls through to Do's refusal.
+func (s *Service) storedReply(body [sha256.Size]byte) ([]byte, bool) {
+	if s.isClosed() {
+		return nil, false
+	}
+	s.cacheMu.Lock()
+	el, ok := s.byBody[body]
+	var reply []byte
+	if ok {
+		s.lru.MoveToFront(el)
+		reply = el.Value.(*cacheEntry).reply
+	}
+	s.cacheMu.Unlock()
+	if !ok {
+		return nil, false
+	}
+	s.countHit()
+	return reply, true
+}
+
+// dropReply detaches e's stored reply and its body index; cacheMu held.
+func (s *Service) dropReply(e *cacheEntry) {
+	if e.reply != nil {
+		delete(s.byBody, e.body)
+		e.reply = nil
 	}
 }
 

@@ -217,9 +217,7 @@ func validSessionID(id string) error {
 // a draining service refuses mutations and solves too, matching the
 // stateless path's 503 contract.
 func (s *Service) sessionsOpen() error {
-	s.closeMu.RLock()
-	defer s.closeMu.RUnlock()
-	if s.closed {
+	if s.isClosed() {
 		return ErrClosed
 	}
 	return nil

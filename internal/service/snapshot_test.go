@@ -156,6 +156,7 @@ func TestSnapshotRestoreDifferential(t *testing.T) {
 func solveUncached(svc *Service, id string) Result {
 	svc.cacheMu.Lock()
 	clear(svc.cache)
+	clear(svc.byBody)
 	svc.lru.Init()
 	svc.cacheMu.Unlock()
 	return svc.SolveSession(context.Background(), id)

@@ -2,8 +2,9 @@
 # Captures the benchmark ladder as a JSON snapshot. Each rung times one
 # layer a request crosses, bottom up: the bipartite matcher probe and
 # prefix sweep, one lazy-greedy round, a cold ScheduleAll and a session
-# slide, Service.Do on a cache miss and on a hit, the HTTP handler, an
-# fsynced journal append, and the router hop. The rung
+# slide, Service.Do on a cache miss and on a hit, the HTTP handler on a
+# stored-reply hit and on a digest hit, an fsynced journal append, and
+# the router hop. The rung
 # list below is the only place the ladder is defined; each benchmark
 # lives next to its package.
 #

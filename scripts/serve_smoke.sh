@@ -1,8 +1,9 @@
 #!/bin/sh
 # End-to-end smoke test for the serving layer: start `powersched serve`,
-# wait for /healthz, post the same instance twice, and check that the
-# response schedules the jobs and that the second request registered as a
-# digest-cache hit in /stats. Then the durability phase: restart with
+# wait for /healthz, post the same instance three times, and check that
+# the response schedules the jobs, that the second request registered as
+# a digest-cache hit in /stats, and that the third (answered from the
+# stored reply bytes) is byte-identical to the second. Then the durability phase: restart with
 # -state-dir, create and mutate a session, kill -9 the server, restart on
 # the same state dir, and check that no session is loaded before traffic
 # and that the first touch restores the session with the same digest
@@ -45,14 +46,20 @@ first="$(curl -fsS -X POST -d "$req" "$base/v1/schedule")"
 echo "$first" | jq -e '.schedule.scheduled == 3 and (.schedule.intervals | length) >= 1 and (.cache_hit == false)' >/dev/null \
     || { echo "unexpected first response: $first" >&2; exit 1; }
 
-second="$(curl -fsS -X POST -d "$req" "$base/v1/schedule")"
-echo "$second" | jq -e '.cache_hit == true' >/dev/null \
-    || { echo "repeat request missed the cache: $second" >&2; exit 1; }
-[ "$(echo "$first" | jq -c .schedule)" = "$(echo "$second" | jq -c .schedule)" ] \
+# The second post is a digest hit, encoded once and stored; the third is
+# answered from those stored bytes and must match the second byte for byte.
+replies="$(dirname "$bin")"
+curl -fsS -X POST -d "$req" -o "$replies/second.json" "$base/v1/schedule"
+jq -e '.cache_hit == true' "$replies/second.json" >/dev/null \
+    || { echo "repeat request missed the cache: $(cat "$replies/second.json")" >&2; exit 1; }
+[ "$(echo "$first" | jq -c .schedule)" = "$(jq -c .schedule "$replies/second.json")" ] \
     || { echo "cached schedule differs" >&2; exit 1; }
+curl -fsS -X POST -d "$req" -o "$replies/third.json" "$base/v1/schedule"
+cmp "$replies/second.json" "$replies/third.json" \
+    || { echo "stored-reply hit differs from the digest hit" >&2; exit 1; }
 
-curl -fsS "$base/stats" | jq -e '.cache_hits >= 1 and .submitted >= 2 and .errors == 0' >/dev/null \
-    || { echo "stats do not show the cache hit" >&2; exit 1; }
+curl -fsS "$base/stats" | jq -e '.cache_hits >= 2 and .submitted >= 3 and .errors == 0' >/dev/null \
+    || { echo "stats do not show the cache hits" >&2; exit 1; }
 
 batch_ok="$(curl -fsS -X POST -d "{\"requests\": [$req, $req]}" "$base/v1/batch" | jq '[.results[] | select(.error == null or .error == "")] | length')"
 [ "$batch_ok" = "2" ] || { echo "batch results: $batch_ok of 2 ok" >&2; exit 1; }
