@@ -16,10 +16,18 @@ type Matcher struct {
 	matchY  []int32
 	size    int
 
-	// visited stamps Y vertices per augmenting search, avoiding O(ny)
-	// clears between searches.
+	// visited stamps the Y vertices augmenting searches reach, avoiding
+	// O(ny) clears between searches. A search starts a new stamp only
+	// when the matching changed since the last one (changed): a failed
+	// search leaves the Y vertices it reached dead (see augment), and
+	// the searches that follow it skip them.
 	visited []int32
 	stamp   int32
+	changed bool
+
+	// scans counts adjacency entries the searches examined — a
+	// host-independent work figure for tests and benchmarks.
+	scans int64
 
 	// undo journals the (x, y) rematches performed while a GainOfSet
 	// probe is live, so the probe rolls back exactly what its augmenting
@@ -44,6 +52,7 @@ func NewMatcher(g *Graph) *Matcher {
 		matchX:  make([]int32, g.nx),
 		matchY:  make([]int32, g.ny),
 		visited: make([]int32, g.ny),
+		changed: true, // stamp 0 marks every Y vertex
 	}
 	for i := range m.matchX {
 		m.matchX[i] = -1
@@ -143,7 +152,9 @@ func (m *Matcher) probeEnable(x int) int {
 }
 
 // endProbe disables the probe's vertices and rolls back every rematch it
-// journaled, restoring the committed matching exactly.
+// journaled, restoring the committed matching exactly. A rollback that
+// undid rematches changes the matching the probe's searches saw, so the
+// next search starts a new stamp.
 func (m *Matcher) endProbe() {
 	for _, x := range m.added {
 		m.enabled.Remove(x)
@@ -153,19 +164,39 @@ func (m *Matcher) endProbe() {
 		m.matchX[e.x] = e.prevX
 		m.matchY[e.y] = e.prevY
 	}
+	if len(m.undo) > 0 {
+		m.changed = true
+	}
 	m.logging = false
 }
 
 // augment searches for an augmenting path starting at enabled X vertex x
 // (Kuhn's algorithm). Recursion only passes through already-matched X
 // vertices, which are enabled by construction.
+//
+// A failed search leaves every Y vertex it stamped matched, with every
+// neighbour of its partner stamped too: it scanned each partner's whole
+// adjacency list. Enabling or disabling unmatched X vertices keeps that
+// set closed, so until the matching changes an alternating path that
+// enters it can never reach a free Y vertex. The next search may
+// therefore keep the stamp and skip those vertices: it would have
+// explored them and failed without writing anything, so it finds the
+// same augmenting path, or none, as a search on a fresh stamp.
 func (m *Matcher) augment(x int32) bool {
-	m.stamp++
-	return m.try(x)
+	if m.changed {
+		m.stamp++
+		m.changed = false
+	}
+	if m.try(x) {
+		m.changed = true
+		return true
+	}
+	return false
 }
 
 func (m *Matcher) try(x int32) bool {
 	for _, y := range m.g.adjX[x] {
+		m.scans++
 		if m.visited[y] == m.stamp {
 			continue
 		}

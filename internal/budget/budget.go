@@ -369,38 +369,53 @@ type lazyEntry struct {
 	round int // greedy round when the ratio was computed
 }
 
-// lazyHeap is a manual max-heap of lazyEntry ordered by (ratio desc, idx
-// asc) — a total order, since an index appears at most once, so the pop
-// sequence is implementation-independent. container/heap was dropped: its
-// interface{}-boxed Push allocated on every reinsertion, one alloc per
-// stale revalidation (see TestLazyHeapPushDoesNotAllocate).
+// lazyHeap is a manual 4-ary max-heap of lazyEntry ordered by (ratio
+// desc, idx asc) — a total order, since an index appears at most once, so
+// the pop sequence is implementation-independent and the arity only sets
+// the cost: a 4-ary heap is half as deep as a binary one, so a pop moves
+// half as many entries.
+// container/heap was dropped: its interface{}-boxed Push allocated on
+// every reinsertion, one alloc per stale revalidation (see
+// TestLazyHeapPushDoesNotAllocate).
 type lazyHeap []lazyEntry
 
-func (h lazyHeap) less(i, j int) bool {
-	if h[i].ratio != h[j].ratio {
-		return h[i].ratio > h[j].ratio
+// heapArity is the lazy heap's fan-out; siftDown's tournament is
+// written for exactly four children.
+const heapArity = 4
+
+// before reports whether a pops before b.
+func before(a, b *lazyEntry) bool {
+	if a.ratio != b.ratio {
+		return a.ratio > b.ratio
 	}
-	return h[i].idx < h[j].idx
+	return a.idx < b.idx
 }
 
 // init establishes the heap invariant over arbitrary contents.
 func (h lazyHeap) init() {
-	for i := len(h)/2 - 1; i >= 0; i-- {
+	if len(h) < 2 {
+		return
+	}
+	for i := (len(h) - 2) / heapArity; i >= 0; i-- {
 		h.siftDown(i)
 	}
 }
 
+// push and siftDown move a hole instead of swapping: the moving entry is
+// written once, where it comes to rest.
 func (h *lazyHeap) push(e lazyEntry) {
 	*h = append(*h, e)
 	hh := *h
-	for i := len(hh) - 1; i > 0; {
-		p := (i - 1) / 2
-		if !hh.less(i, p) {
+	i := len(hh) - 1
+	for i > 0 {
+		p := (i - 1) / heapArity
+		if !before(&e, &hh[p]) {
 			break
 		}
-		hh[i], hh[p] = hh[p], hh[i]
+		hh[i] = hh[p]
 		i = p
 	}
+	hh[i] = e
 }
 
 func (h *lazyHeap) pop() lazyEntry {
@@ -409,27 +424,52 @@ func (h *lazyHeap) pop() lazyEntry {
 	n := len(hh) - 1
 	hh[0] = hh[n]
 	*h = hh[:n]
-	hh[:n].siftDown(0)
+	if n > 0 {
+		hh[:n].siftDown(0)
+	}
 	return top
 }
 
+// siftDown moves h[i] down to its place. A node with all four children
+// picks the first among them by a two-round tournament — three
+// comparisons, two of them independent — rather than a scan.
 func (h lazyHeap) siftDown(i int) {
 	n := len(h)
+	e := h[i]
 	for {
-		l := 2*i + 1
-		if l >= n {
-			return
+		c := heapArity*i + 1
+		var m int
+		if c+heapArity <= n {
+			kids := h[c : c+heapArity : c+heapArity]
+			a, b := 0, 2
+			if before(&kids[1], &kids[0]) {
+				a = 1
+			}
+			if before(&kids[3], &kids[2]) {
+				b = 3
+			}
+			if before(&kids[b], &kids[a]) {
+				a = b
+			}
+			m = c + a
+		} else {
+			if c >= n {
+				break
+			}
+			m = c
+			for k := c + 1; k < n; k++ {
+				if before(&h[k], &h[m]) {
+					m = k
+				}
+			}
 		}
-		m := l
-		if r := l + 1; r < n && h.less(r, l) {
-			m = r
+		if !before(&h[m], &e) {
+			break
 		}
-		if !h.less(m, i) {
-			return
-		}
-		h[i], h[m] = h[m], h[i]
+		h[i] = h[m]
 		i = m
 	}
+	h[i] = e
 }
 
 // initHeap probes every candidate and returns the initialized lazy heap.

@@ -363,35 +363,78 @@ func TestLazyHeapPushDoesNotAllocate(t *testing.T) {
 }
 
 // TestLazyHeapOrdersLikeSort cross-checks the manual heap's pop order
-// against the documented total order (ratio desc, idx asc).
+// against the documented total order (ratio desc, idx asc) at every size
+// from 0 to 70, which crosses the 4-ary heap's level boundaries (a second
+// level starts at 2 entries, a third at 6, a fourth at 22, and 70 leaves
+// the fourth partly filled). It fills the heap three ways: by push, by the bulk
+// init NewStepwiseExact uses, and by interleaving pops with pushes that
+// re-insert popped entries at a lower ratio, as revalidate does with
+// stale ones.
 func TestLazyHeapOrdersLikeSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 50; trial++ {
-		n := 1 + rng.Intn(60)
+	order := func(a, b lazyEntry) int {
+		if a.ratio != b.ratio {
+			if a.ratio > b.ratio {
+				return -1
+			}
+			return 1
+		}
+		return a.idx - b.idx
+	}
+	for n := 0; n <= 70; n++ {
 		entries := make([]lazyEntry, n)
 		for i := range entries {
 			entries[i] = lazyEntry{idx: i, ratio: float64(rng.Intn(8))}
 		}
 		rng.Shuffle(n, func(i, j int) { entries[i], entries[j] = entries[j], entries[i] })
+		want := slices.Clone(entries)
+		slices.SortFunc(want, order)
 
-		h := make(lazyHeap, 0, n)
+		pushed := make(lazyHeap, 0, n)
 		for _, e := range entries {
-			h.push(e)
+			pushed.push(e)
 		}
-		want := append([]lazyEntry(nil), entries...)
-		slices.SortFunc(want, func(a, b lazyEntry) int {
-			if a.ratio != b.ratio {
-				if a.ratio > b.ratio {
-					return -1
+		bulk := append(make(lazyHeap, 0, n), entries...)
+		bulk.init()
+		for _, c := range []struct {
+			name string
+			h    *lazyHeap
+		}{{"push", &pushed}, {"init", &bulk}} {
+			for i, w := range want {
+				if got := c.h.pop(); got.idx != w.idx {
+					t.Fatalf("n=%d %s: pop %d got idx %d, want %d", n, c.name, i, got.idx, w.idx)
 				}
-				return 1
 			}
-			return a.idx - b.idx
-		})
-		for i, w := range want {
+		}
+
+		// Interleaved: every pop is checked against the reference set;
+		// a popped entry goes back in at a lower ratio half the time, and
+		// new entries arrive between pops.
+		h := append(make(lazyHeap, 0, n), entries...)
+		h.init()
+		ref := slices.Clone(want)
+		next := n // indices of entries pushed mid-run
+		for len(ref) > 0 {
 			got := h.pop()
-			if got.idx != w.idx {
-				t.Fatalf("trial %d pop %d: got idx %d, want %d", trial, i, got.idx, w.idx)
+			if got.idx != ref[0].idx {
+				t.Fatalf("n=%d interleaved: got idx %d, want %d", n, got.idx, ref[0].idx)
+			}
+			ref = ref[1:]
+			if rng.Intn(2) == 0 {
+				got.ratio -= float64(1 + rng.Intn(4))
+				h.push(got)
+				ref = append(ref, got)
+				slices.SortFunc(ref, order)
+			}
+			if next < 2*n && rng.Intn(3) == 0 {
+				e := lazyEntry{idx: next, ratio: float64(rng.Intn(8))}
+				next++
+				h.push(e)
+				ref = append(ref, e)
+				slices.SortFunc(ref, order)
+			}
+			if len(h) != len(ref) {
+				t.Fatalf("n=%d interleaved: heap holds %d entries, want %d", n, len(h), len(ref))
 			}
 		}
 	}

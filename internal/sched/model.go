@@ -137,7 +137,7 @@ func (m *Model) Candidates(policy CandidatePolicy) ([]Interval, error) {
 		return nil, err
 	}
 	out := make([]Interval, 0, n)
-	m.eachCandidate(policy, func(iv Interval) { out = append(out, iv) })
+	m.eachCandidate(policy, func(iv Interval, _ []int) { out = append(out, iv) })
 	return out, nil
 }
 
@@ -170,28 +170,45 @@ func (m *Model) candidateCount(policy CandidatePolicy) (int, error) {
 }
 
 // eachCandidate calls fn on every interval of the policy's enumeration,
-// in order, without materializing the list (buildCandidates prices each
-// one as it comes). The policy must have passed candidateCount.
-func (m *Model) eachCandidate(policy CandidatePolicy, fn func(Interval)) {
+// in order, with the interval's slot items — IntervalItems(iv), read off
+// the per-processor index as the enumeration walks it instead of by a
+// binary search per interval — without materializing the list
+// (buildCandidates prices each one as it comes). The policy must have
+// passed candidateCount.
+func (m *Model) eachCandidate(policy CandidatePolicy, fn func(iv Interval, items []int)) {
 	switch policy {
 	case SingleSlots:
 		for _, s := range m.Slots {
-			fn(Interval{Proc: s.Proc, Start: s.Time, End: s.Time + 1})
+			iv := Interval{Proc: s.Proc, Start: s.Time, End: s.Time + 1}
+			fn(iv, m.IntervalItems(iv))
 		}
 	case EventPoints:
 		for proc := 0; proc < m.Ins.Procs; proc++ {
-			times := m.timesByProc[proc]
+			times, xs := m.timesByProc[proc], m.slotsByProc[proc]
 			for i := range times {
 				for j := i; j < len(times); j++ {
-					fn(Interval{Proc: proc, Start: times[i], End: times[j] + 1})
+					fn(Interval{Proc: proc, Start: times[i], End: times[j] + 1}, xs[i:j+1:j+1])
 				}
 			}
 		}
 	case AllPairs:
 		for proc := 0; proc < m.Ins.Procs; proc++ {
+			times, xs := m.timesByProc[proc], m.slotsByProc[proc]
+			lo := 0 // first slot at or after s
 			for s := 0; s < m.Ins.Horizon; s++ {
+				for lo < len(times) && times[lo] < s {
+					lo++
+				}
+				hi := lo // first slot at or after e
 				for e := s + 1; e <= m.Ins.Horizon; e++ {
-					fn(Interval{Proc: proc, Start: s, End: e})
+					for hi < len(times) && times[hi] < e {
+						hi++
+					}
+					var items []int
+					if hi > lo {
+						items = xs[lo:hi:hi]
+					}
+					fn(Interval{Proc: proc, Start: s, End: e}, items)
 				}
 			}
 		}
@@ -220,8 +237,9 @@ func (m *Model) IntervalItems(iv Interval) []int {
 }
 
 // candidate pairs an interval with its precomputed cost and slot items.
-// items is always a contiguous run of slotsByProc[iv.Proc] — the fact the
-// prefix sweep (sweepGains) prices candidates by.
+// items is always a contiguous run of slotsByProc[iv.Proc] — the fact
+// firstSlotGroup, and with it the prefix sweep (sweepGains) and
+// coverableSlots, relies on.
 type candidate struct {
 	iv    Interval
 	cost  float64
@@ -243,7 +261,7 @@ func (m *Model) buildCandidates(policy CandidatePolicy, extra []Interval) ([]can
 		}
 	}
 	out := make([]candidate, 0, n+len(extra))
-	add := func(iv Interval) {
+	add := func(iv Interval, items []int) {
 		if err != nil {
 			return
 		}
@@ -255,13 +273,13 @@ func (m *Model) buildCandidates(policy CandidatePolicy, extra []Interval) ([]can
 			err = fmt.Errorf("sched: negative cost %g for interval %v", c, iv)
 			return
 		}
-		if items := m.IntervalItems(iv); len(items) > 0 {
+		if len(items) > 0 {
 			out = append(out, candidate{iv: iv, cost: c, items: items})
 		}
 	}
 	m.eachCandidate(policy, add)
 	for _, iv := range extra {
-		add(iv)
+		add(iv, m.IntervalItems(iv))
 	}
 	if err != nil {
 		return nil, err
@@ -288,13 +306,7 @@ func (m *Model) sweepGains(cands []candidate) []float64 {
 	mat := bipartite.NewMatcher(m.G)
 	var small [64]int // prefix-gain scratch for runs up to 64 slots
 	for lo := 0; lo < len(cands); {
-		first, run := cands[lo].items[0], cands[lo].items
-		hi := lo + 1
-		for ; hi < len(cands) && cands[hi].items[0] == first; hi++ {
-			if len(cands[hi].items) > len(run) {
-				run = cands[hi].items
-			}
-		}
+		hi, run := firstSlotGroup(cands, lo)
 		prefix := small[:0]
 		if len(run) > len(small) {
 			m.sweepBuf = slices.Grow(m.sweepBuf[:0], len(run))
@@ -309,6 +321,21 @@ func (m *Model) sweepGains(cands []candidate) []float64 {
 	}
 	m.sweepMat = mat
 	return gains
+}
+
+// firstSlotGroup returns the end hi of the run of consecutive candidates
+// cands[lo:hi] that share cands[lo]'s first slot, and the longest of
+// their item lists. Every candidate's items are a contiguous run of its
+// processor's sorted slots, so the group's lists are all prefixes of
+// that longest one.
+func firstSlotGroup(cands []candidate, lo int) (hi int, run []int) {
+	first, run := cands[lo].items[0], cands[lo].items
+	for hi = lo + 1; hi < len(cands) && cands[hi].items[0] == first; hi++ {
+		if len(cands[hi].items) > len(run) {
+			run = cands[hi].items
+		}
+	}
+	return hi, run
 }
 
 // budgetSubsets converts candidates to budget.Subset values over the slot

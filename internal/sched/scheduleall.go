@@ -155,13 +155,17 @@ func enabledSet(model *Model, awake []int) *bitset.Set {
 	return s
 }
 
-// coverableSlots returns the union of all finite-cost candidates' slots.
+// coverableSlots returns the union of all finite-cost candidates' slots:
+// the union of each first-slot group's longest run (firstSlotGroup), which
+// holds every other list of its group.
 func coverableSlots(model *Model, cands []candidate) *bitset.Set {
 	s := bitset.New(len(model.Slots))
-	for _, c := range cands {
-		for _, x := range c.items {
+	for lo := 0; lo < len(cands); {
+		hi, run := firstSlotGroup(cands, lo)
+		for _, x := range run {
 			s.Add(x)
 		}
+		lo = hi
 	}
 	return s
 }

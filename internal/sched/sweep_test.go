@@ -2,11 +2,13 @@ package sched
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
 
 	"repro/internal/bipartite"
+	"repro/internal/bitset"
 	"repro/internal/budget"
 	"repro/internal/power"
 )
@@ -129,6 +131,52 @@ func TestScheduleAllEvalsMatchLazyGreedy(t *testing.T) {
 		}
 		if got.Evals != want.Evals {
 			t.Fatalf("%s: ScheduleAll billed %d evals, LazyGreedy %d", label, got.Evals, want.Evals)
+		}
+	})
+}
+
+// TestCandidateItemsMatchIntervalItems: the slot runs the enumeration
+// hands out are exactly IntervalItems of each candidate's interval, every
+// finite-cost interval with slots becomes a candidate, and coverableSlots
+// (which unions one run per first-slot group) equals the union of every
+// candidate's items.
+func TestCandidateItemsMatchIntervalItems(t *testing.T) {
+	forEachSweepCase(t, 12, func(label string, ins *Instance, opts Options) {
+		m, err := NewModel(ins)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cands, err := m.buildCandidates(opts.Policy, opts.Extra)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		ivs, err := m.Candidates(opts.Policy)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		var want []Interval
+		for _, iv := range append(ivs, opts.Extra...) {
+			if c := ins.Cost.Cost(iv.Proc, iv.Start, iv.End); !math.IsInf(c, 1) && len(m.IntervalItems(iv)) > 0 {
+				want = append(want, iv)
+			}
+		}
+		if len(cands) != len(want) {
+			t.Fatalf("%s: %d candidates, want %d", label, len(cands), len(want))
+		}
+		union := bitset.New(len(m.Slots))
+		for i, c := range cands {
+			if c.iv != want[i] {
+				t.Fatalf("%s: candidate %d is %v, want %v", label, i, c.iv, want[i])
+			}
+			if !slices.Equal(c.items, m.IntervalItems(c.iv)) {
+				t.Fatalf("%s: candidate %v items %v, IntervalItems %v", label, c.iv, c.items, m.IntervalItems(c.iv))
+			}
+			for _, x := range c.items {
+				union.Add(x)
+			}
+		}
+		if got := coverableSlots(m, cands); !got.Equal(union) {
+			t.Fatalf("%s: coverableSlots %v, union of candidate items %v", label, got.Elements(), union.Elements())
 		}
 	})
 }

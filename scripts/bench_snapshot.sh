@@ -14,7 +14,9 @@
 # BENCH_pr16.json. Every rung runs 5 times at a fixed benchtime (about
 # 2 minutes in all on 2 CPUs); the snapshot keeps the median and the
 # quartiles q1/q3 of ns/op, so scripts/bench_diff.sh can tell a
-# slowdown from noise, plus the median B/op and allocs/op. It also
+# slowdown from noise, plus the median B/op and allocs/op and the median
+# of every custom metric a rung reports with b.ReportMetric (a work
+# counter such as the matcher's edges/op), under "metrics". It also
 # records the capture environment (go version, OS/arch, CPU model, CPU
 # count, GOMAXPROCS), because numbers from different machines are not
 # comparable. The script fails if any rung produced no samples.
@@ -75,10 +77,17 @@ function sortv(v, n,    i, j, x) {
     }
     if (!(name in samples)) { order[++nr] = name; pkgOf[name] = pkg }
     k = ++samples[name]
-    for (i = 2; i <= NF; i++) {
-        if ($i == "ns/op")     ns[name, k]     = $(i - 1)
-        if ($i == "B/op")      bytes[name, k]  = $(i - 1)
-        if ($i == "allocs/op") allocs[name, k] = $(i - 1)
+    for (i = 4; i <= NF; i += 2) {
+        if ($i == "ns/op")          ns[name, k]     = $(i - 1)
+        else if ($i == "B/op")      bytes[name, k]  = $(i - 1)
+        else if ($i == "allocs/op") allocs[name, k] = $(i - 1)
+        else {
+            if (!((name, $i) in seenUnit)) {
+                seenUnit[name, $i] = 1
+                units[name] = units[name] (units[name] == "" ? "" : " ") $i
+            }
+            metric[name, $i, k] = $(i - 1)
+        }
     }
 }
 END {
@@ -98,8 +107,19 @@ END {
         name = order[r]; n = samples[name]
         for (k = 1; k <= n; k++) { t[k] = ns[name, k] + 0; b[k] = bytes[name, k] + 0; a[k] = allocs[name, k] + 0 }
         sortv(t, n); sortv(b, n); sortv(a, n)
-        printf "%s\n    {\"name\": \"%s\", \"pkg\": \"%s\", \"ns_per_op\": %s, \"ns_q1\": %s, \"ns_q3\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}", \
+        printf "%s\n    {\"name\": \"%s\", \"pkg\": \"%s\", \"ns_per_op\": %s, \"ns_q1\": %s, \"ns_q3\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s", \
             (r > 1 ? "," : ""), name, pkgOf[name], q(t, n, 0.5), q(t, n, 0.25), q(t, n, 0.75), q(b, n, 0.5), q(a, n, 0.5)
+        if (units[name] != "") {
+            nu = split(units[name], unit, " ")
+            printf ", \"metrics\": {"
+            for (u = 1; u <= nu; u++) {
+                for (k = 1; k <= n; k++) w[k] = metric[name, unit[u], k] + 0
+                sortv(w, n)
+                printf "%s\"%s\": %s", (u > 1 ? ", " : ""), unit[u], q(w, n, 0.5)
+            }
+            printf "}"
+        }
+        printf "}"
     }
     printf "\n  ]\n}\n"
 }
