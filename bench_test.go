@@ -97,16 +97,29 @@ func solveColdPool(n int) []*sched.Instance {
 // BenchmarkScheduleAllSolveCold is ScheduleAll as a cold wire solve runs
 // it — model build, candidate pricing, the sweep-seeded lazy greedy and
 // schedule extraction — cycling through distinct instances so no state
-// carries over between operations.
+// carries over between operations. evals/op is the oracle calls
+// (Schedule.Evals) a solve bills on average over the pool, counted off
+// the clock so the figure does not depend on b.N: a host-independent
+// work figure.
 func BenchmarkScheduleAllSolveCold(b *testing.B) {
 	pool := solveColdPool(64)
+	solve := func(i int) *sched.Schedule {
+		s, err := sched.ScheduleAll(pool[i%len(pool)], sched.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return s
+	}
+	var evals int64
+	for i := range pool {
+		evals += solve(i).Evals
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sched.ScheduleAll(pool[i%len(pool)], sched.Options{}); err != nil {
-			b.Fatal(err)
-		}
+		solve(i)
 	}
+	b.ReportMetric(float64(evals)/float64(len(pool)), "evals/op")
 }
 
 // BenchmarkSessionResolve measures the session's re-solve cycle —
@@ -154,8 +167,28 @@ func BenchmarkSessionResolve(b *testing.B) {
 // 40-job Poisson-burst trace (2 processors, horizon 80, window 2) drops
 // its oldest job, admits the next one and re-solves. RemoveJob forces a
 // model rebuild, so each step pays model build, candidate pricing and
-// the sweep-priced lazy greedy.
+// the sweep-priced lazy greedy. evals/op is the oracle calls a re-solve
+// bills on average over one 40-step cycle of the window, counted off the
+// clock on a twin session.
 func BenchmarkSessionSlide(b *testing.B) {
+	step := slideSession(b)
+	twin := slideSession(b)
+	var evals int64
+	for i := 0; i < 40; i++ {
+		evals += twin(i).Evals
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step(i)
+	}
+	b.ReportMetric(float64(evals)/40, "evals/op")
+}
+
+// slideSession opens BenchmarkSessionSlide's session, solved once, and
+// returns its step i: drop the oldest job, admit trace job i+20 (mod
+// 40), re-solve.
+func slideSession(b *testing.B) func(i int) *sched.Schedule {
 	tr := workload.PoissonBurstTrace(rand.New(rand.NewSource(1)),
 		workload.TraceParams{Procs: 2, Horizon: 80, Jobs: 40, Window: 2})
 	ins := tr.FinalInstance()
@@ -168,18 +201,18 @@ func BenchmarkSessionSlide(b *testing.B) {
 	if _, err := sess.Solve(); err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func(i int) *sched.Schedule {
 		if err := sess.RemoveJob(0); err != nil {
 			b.Fatal(err)
 		}
 		if _, err := sess.AddJob(jobs[(i+20)%len(jobs)]); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := sess.Solve(); err != nil {
+		s, err := sess.Solve()
+		if err != nil {
 			b.Fatal(err)
 		}
+		return s
 	}
 }
 

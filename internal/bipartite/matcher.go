@@ -34,7 +34,7 @@ type Matcher struct {
 	// paths touched instead of snapshotting whole match arrays.
 	logging bool
 	undo    []rematch
-	added   []int // probe scratch: temporarily enabled vertices
+	added   []int // probe scratch: temporarily enabled vertices, cap nx
 }
 
 // rematch records one matchX/matchY write pair for rollback.
@@ -134,6 +134,11 @@ func (m *Matcher) PrefixGains(xs []int, gains []int) {
 func (m *Matcher) beginProbe() {
 	m.logging = true
 	m.undo = m.undo[:0]
+	if m.added == nil {
+		// A probe enables each X vertex at most once, so added is
+		// sized once, on the first probe, and never regrows.
+		m.added = make([]int, 0, m.g.nx)
+	}
 	m.added = m.added[:0]
 }
 

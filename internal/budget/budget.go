@@ -26,6 +26,22 @@
 // utility, real-valued job values) lazy and eager disagreed 10 times, in
 // pick order or assignment, which is why sched's prize modes stay eager.
 //
+// The lazy greedy works on groups of subsets (Problem.Groups): runs of
+// subsets that are prefixes of one longest member, such as sched's
+// candidate intervals sharing a first slot. The heap holds one entry per
+// group, keyed by its best live member's last-known (ratio desc, idx
+// asc). Every member's last-known gain is an upper bound on its true gain
+// (capped gains of a monotone submodular F only shrink; sched's matching
+// utility is a transversal-matroid rank, a polymatroid), so the maximum
+// of a group's stale keys bounds the group's true best under the same
+// total order. A popped stale group is re-priced whole by one prefix
+// pass over its longest live member, which gives every live member's
+// fresh gain for about the cost of one probe; a popped fresh group's best
+// member is therefore the eager argmax, ties to the lowest index, and the
+// picks and trace are exactly Greedy's for integral utilities. After a
+// pick the group goes back with its other members' now-stale gains. With
+// one subset per group this is the classical lazy loop, probe for probe.
+//
 // Both greedies are serial: each pick depends on the one before it, so
 // the only work a second goroutine could take is one round's probes, and
 // on the measured hosts sharding those across oracle replicas never paid
@@ -37,6 +53,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/bitset"
 	"repro/internal/submodular"
@@ -54,7 +71,6 @@ type Subset struct {
 	Items *bitset.Set
 	Elems []int
 	Cost  float64
-	Label string // optional, for diagnostics
 }
 
 // unionInto adds the subset's items to dst.
@@ -74,6 +90,19 @@ type Problem struct {
 	F         submodular.Function
 	Subsets   []Subset
 	Threshold float64
+
+	// Groups optionally cuts Subsets into runs of consecutive subsets
+	// whose Elems are all prefixes of the run's longest member:
+	// Groups[g] is the index of group g's first subset, Groups[0] is 0,
+	// the indices increase, and group g ends where group g+1 starts (the
+	// last one at len(Subsets)). When F's incremental oracle can price
+	// prefixes (submodular.AsPrefixPricer), the lazy greedy keeps one heap
+	// entry per group and re-prices a stale group with one prefix pass
+	// (see the package doc). Nil, or an oracle without prefix pricing,
+	// makes every subset its own group. Groups change how many oracle
+	// calls a run bills, not its picks (for integral utilities; see the
+	// package doc on float ties).
+	Groups []int
 }
 
 // Options tune the greedy.
@@ -167,6 +196,14 @@ type workspace struct {
 	inc     submodular.Incremental
 	itemsOf [][]int // materialized Items, only when some subset lacks Elems
 
+	// Group re-pricing: the oracle's prefix pricing and the problem's
+	// groups, both nil unless the problem has groups and the oracle can
+	// price prefixes (then every subset is its own group); prefix is the
+	// pass's scratch, sized to the longest group member.
+	pre    submodular.PrefixPricer
+	groups []int
+	prefix []float64
+
 	// cur is the current union, maintained on both paths (it is
 	// Result.Union); scratch is the plain-Eval probe buffer.
 	cur     *bitset.Set
@@ -189,6 +226,16 @@ func newWorkspace(f submodular.Function, p Problem, opts Options) *workspace {
 		ws.scratch = bitset.New(p.F.Universe())
 		return ws
 	}
+	if p.Groups != nil {
+		if ws.pre, _ = submodular.AsPrefixPricer(ws.inc); ws.pre != nil {
+			ws.groups = p.Groups
+			longest := 0
+			for i := range p.Subsets {
+				longest = max(longest, len(p.Subsets[i].Elems))
+			}
+			ws.prefix = make([]float64, longest)
+		}
+	}
 	for i := range p.Subsets {
 		if p.Subsets[i].Elems == nil {
 			ws.itemsOf = make([][]int, len(p.Subsets))
@@ -203,6 +250,27 @@ func newWorkspace(f submodular.Function, p Problem, opts Options) *workspace {
 		}
 	}
 	return ws
+}
+
+// groupCount returns the number of groups the lazy loop keys its heap
+// by.
+func (ws *workspace) groupCount() int {
+	if ws.groups == nil {
+		return len(ws.subsets)
+	}
+	return len(ws.groups)
+}
+
+// group returns group g's subsets, [lo, hi).
+func (ws *workspace) group(g int) (lo, hi int) {
+	if ws.groups == nil {
+		return g, g + 1
+	}
+	lo, hi = ws.groups[g], len(ws.subsets)
+	if g+1 < len(ws.groups) {
+		hi = ws.groups[g+1]
+	}
+	return lo, hi
 }
 
 // items returns subset i's element list for the incremental oracles.
@@ -245,11 +313,15 @@ func (ws *workspace) probe(i int, base, curU float64) (gain, ratio float64, ok b
 	if gain <= tol {
 		return 0, 0, false
 	}
-	ratio = math.Inf(1)
+	return gain, ws.ratio(i, gain), true
+}
+
+// ratio is subset i's gain per unit cost; a free subset's is +Inf.
+func (ws *workspace) ratio(i int, gain float64) float64 {
 	if c := ws.subsets[i].Cost; c > tol {
-		ratio = gain / c
+		return gain / c
 	}
-	return gain, ratio, true
+	return math.Inf(1)
 }
 
 // base returns the committed oracle value (0 on the plain path, where
@@ -358,24 +430,74 @@ func validate(p Problem, opts Options) error {
 			return fmt.Errorf("budget: subset %d has negative cost %g", i, s.Cost)
 		}
 	}
+	return validateGroups(p)
+}
+
+// validateGroups checks Problem.Groups: starts at 0, increasing, in
+// range, and every member's Elems a prefix of its group's longest.
+func validateGroups(p Problem) error {
+	if p.Groups == nil {
+		return nil
+	}
+	if len(p.Subsets) > 0 && (len(p.Groups) == 0 || p.Groups[0] != 0) {
+		return fmt.Errorf("budget: groups must start at subset 0")
+	}
+	for g, lo := range p.Groups {
+		hi := len(p.Subsets)
+		if g+1 < len(p.Groups) {
+			hi = p.Groups[g+1]
+		}
+		if lo >= hi {
+			return fmt.Errorf("budget: group %d is empty or out of order (subsets %d..%d)", g, lo, hi)
+		}
+		run := p.Subsets[lo].Elems
+		for i := lo; i < hi; i++ {
+			if len(p.Subsets[i].Elems) == 0 {
+				return fmt.Errorf("budget: grouped subset %d has no Elems", i)
+			}
+			if len(p.Subsets[i].Elems) > len(run) {
+				run = p.Subsets[i].Elems
+			}
+		}
+		for i := lo; i < hi; i++ {
+			if !isPrefix(p.Subsets[i].Elems, run) {
+				return fmt.Errorf("budget: subset %d is not a prefix of its group's longest member", i)
+			}
+		}
+	}
 	return nil
 }
 
-// lazyEntry is a heap entry holding a stale ratio upper bound.
+// isPrefix reports whether a is a prefix of b. Views of one backing
+// array that start at the same element (sched's candidates are runs of
+// one slot index) are answered without comparing elements.
+func isPrefix(a, b []int) bool {
+	if len(a) > len(b) {
+		return false
+	}
+	if len(a) == 0 || &a[0] == &b[0] {
+		return true
+	}
+	return slices.Equal(a, b[:len(a)])
+}
+
+// lazyEntry is a group's heap entry: its best live member idx and that
+// member's last-known ratio, an upper bound on every member's true one.
 type lazyEntry struct {
 	idx   int
 	ratio float64
-	gain  float64
-	round int // greedy round when the ratio was computed
+	grp   int
+	round int // greedy round when the group was last priced
 }
 
 // lazyHeap is a manual 4-ary max-heap of lazyEntry ordered by (ratio
-// desc, idx asc) — a total order, since an index appears at most once, so
+// desc, idx asc) — a total order, since a subset heads at most one
+// entry, so
 // the pop sequence is implementation-independent and the arity only sets
 // the cost: a 4-ary heap is half as deep as a binary one, so a pop moves
 // half as many entries.
 // container/heap was dropped: its interface{}-boxed Push allocated on
-// every reinsertion, one alloc per stale revalidation (see
+// every reinsertion, one alloc per stale re-pricing (see
 // TestLazyHeapPushDoesNotAllocate).
 type lazyHeap []lazyEntry
 
@@ -470,43 +592,6 @@ func (h lazyHeap) siftDown(i int) {
 		i = m
 	}
 	h[i] = e
-}
-
-// initHeap probes every candidate and returns the initialized lazy heap.
-func (ws *workspace) initHeap(curU float64) lazyHeap {
-	h := make(lazyHeap, 0, len(ws.subsets))
-	base := ws.base()
-	for i := range ws.subsets {
-		if gain, ratio, ok := ws.probe(i, base, curU); ok {
-			h = append(h, lazyEntry{idx: i, ratio: ratio, gain: gain})
-		}
-	}
-	h.init()
-	return h
-}
-
-// revalidate re-probes a stale heap entry against the current solution
-// and reinserts it, stamped with the current round, if it still helps. A
-// fresh gain above the entry's stale bound returns ErrBrokenBound.
-func (ws *workspace) revalidate(h *lazyHeap, e lazyEntry, curU float64, round int) error {
-	gain, ratio, ok := ws.probe(e.idx, ws.base(), curU)
-	if err := checkBound(e, gain, curU, round); err != nil {
-		return err
-	}
-	if ok {
-		h.push(lazyEntry{idx: e.idx, ratio: ratio, gain: gain, round: round})
-	}
-	return nil
-}
-
-// checkBound is the lazy loop's free soundness check: the fresh gain the
-// re-probe just computed must not exceed the stale bound e held.
-func checkBound(e lazyEntry, fresh, curU float64, round int) error {
-	if fresh > e.gain+boundSlack(e.gain, curU) {
-		return fmt.Errorf("%w: subset %d re-probed at gain %g above its bound %g in round %d",
-			ErrBrokenBound, e.idx, fresh, e.gain, round)
-	}
-	return nil
 }
 
 // LazyGreedy computes the same solution as Greedy with (typically far)

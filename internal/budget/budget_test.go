@@ -368,7 +368,7 @@ func TestLazyHeapPushDoesNotAllocate(t *testing.T) {
 // level starts at 2 entries, a third at 6, a fourth at 22, and 70 leaves
 // the fourth partly filled). It fills the heap three ways: by push, by the bulk
 // init NewStepwiseExact uses, and by interleaving pops with pushes that
-// re-insert popped entries at a lower ratio, as revalidate does with
+// re-insert popped entries at a lower ratio, as re-pricing does with
 // stale ones.
 func TestLazyHeapOrdersLikeSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
@@ -451,7 +451,7 @@ func TestElemsSubsetsEquivalent(t *testing.T) {
 			elemsP := p
 			elemsP.Subsets = make([]Subset, len(p.Subsets))
 			for i, s := range p.Subsets {
-				elemsP.Subsets[i] = Subset{Elems: s.Items.Elements(), Cost: s.Cost, Label: s.Label}
+				elemsP.Subsets[i] = Subset{Elems: s.Items.Elements(), Cost: s.Cost}
 			}
 			for _, opts := range []Options{
 				{Eps: 0.05},

@@ -21,6 +21,10 @@ type Stepwise struct {
 	f  *submodular.Counting
 	ws *workspace
 
+	// gains[i] is subset i's last-known capped gain: exact if its group
+	// was priced this round, its stale upper bound otherwise, and 0 once
+	// it is picked or can no longer help.
+	gains []float64
 	h     lazyHeap
 	round int
 
@@ -32,83 +36,141 @@ type Stepwise struct {
 }
 
 // NewStepwise validates the problem and prepares a resumable run whose
-// initial heap is built by probing every candidate up front (exactly
-// LazyGreedy's initial heap build).
+// initial heap is built by probing every subset up front, one oracle
+// call each.
 func NewStepwise(p Problem, opts Options) (*Stepwise, error) {
-	s, err := newStepwise(p, opts)
-	if err != nil {
-		return nil, err
+	gains := make([]float64, len(p.Subsets))
+	for i := range gains {
+		gains[i] = math.NaN()
 	}
-	s.h = s.ws.initHeap(s.curU)
-	return s, nil
+	return NewStepwiseExact(p, opts, gains)
 }
 
 // NewStepwiseExact prepares a run whose initial heap is seeded from exact
 // initial gains: gains[i] is subset i's capped gain against the initial
 // base set — precisely what the initial probe would return — or NaN to
 // have the run probe subset i itself. Exact entries are seeded fresh
-// (round 0, never re-probed before the first pick) and each is billed as
+// (round 0, never re-priced before the first pick) and each is billed as
 // one oracle call, so the heap, the pick sequence and Result.Evals are
 // those of NewStepwise(p, opts). An exact gain that understates the
-// truth is caught like any stale bound: when its entry is re-probed in a
+// truth is caught like any stale bound: when its group is re-priced in a
 // later round, the fresh gain exceeds the seeded one (ErrBrokenBound).
+// The run takes gains over as its per-subset bounds and overwrites it.
 func NewStepwiseExact(p Problem, opts Options, gains []float64) (*Stepwise, error) {
 	if len(gains) != len(p.Subsets) {
 		return nil, fmt.Errorf("budget: %d exact gains for %d subsets", len(gains), len(p.Subsets))
 	}
-	s, err := newStepwise(p, opts)
-	if err != nil {
-		return nil, err
-	}
-	s.h = make(lazyHeap, 0, len(p.Subsets))
-	var unknown []int
-	for i, g := range gains {
-		if math.IsNaN(g) {
-			unknown = append(unknown, i)
-			continue
-		}
-		gain := math.Min(p.Threshold, g)
-		if gain <= tol {
-			continue
-		}
-		ratio := math.Inf(1)
-		if c := p.Subsets[i].Cost; c > tol {
-			ratio = gain / c
-		}
-		s.h = append(s.h, lazyEntry{idx: i, ratio: ratio, gain: gain})
-	}
-	s.f.Charge(int64(len(gains) - len(unknown)))
-	s.probeFresh(unknown)
-	s.h.init()
-	return s, nil
-}
-
-// newStepwise validates p and sets up a run with an empty heap.
-func newStepwise(p Problem, opts Options) (*Stepwise, error) {
 	if err := validate(p, opts); err != nil {
 		return nil, err
 	}
 	f := submodular.NewCounting(p.F)
 	ws := newWorkspace(f, p, opts)
-	return &Stepwise{
+	s := &Stepwise{
 		p:      p,
 		f:      f,
 		ws:     ws,
+		gains:  gains,
 		curU:   math.Min(p.Threshold, ws.utility()),
 		target: (1 - opts.Eps) * p.Threshold,
 		res:    &Result{Union: ws.cur},
-	}, nil
-}
-
-// probeFresh probes the listed subsets like initHeap's sweep and appends
-// the useful ones to the heap in index order.
-func (s *Stepwise) probeFresh(idx []int) {
-	base := s.ws.base()
-	for _, i := range idx {
-		if gain, ratio, ok := s.ws.probe(i, base, s.curU); ok {
-			s.h = append(s.h, lazyEntry{idx: i, ratio: ratio, gain: gain})
+	}
+	base := ws.base()
+	known := 0
+	for i, g := range gains {
+		if math.IsNaN(g) {
+			g, _, _ = ws.probe(i, base, s.curU)
+		} else {
+			known++
+			g = math.Min(p.Threshold, g)
+		}
+		if g <= tol {
+			g = 0
+		}
+		gains[i] = g
+	}
+	f.Charge(int64(known))
+	s.h = make(lazyHeap, 0, ws.groupCount())
+	for g := 0; g < ws.groupCount(); g++ {
+		if e, ok := s.best(g, 0); ok {
+			s.h = append(s.h, e)
 		}
 	}
+	s.h.init()
+	return s, nil
+}
+
+// best returns group g's heap entry, stamped with round: its live member
+// of highest last-known ratio, ties to the lowest index. ok is false when
+// no member is live.
+func (s *Stepwise) best(g, round int) (e lazyEntry, ok bool) {
+	lo, hi := s.ws.group(g)
+	for i := lo; i < hi; i++ {
+		if s.gains[i] == 0 {
+			continue
+		}
+		if r := s.ws.ratio(i, s.gains[i]); !ok || r > e.ratio {
+			e, ok = lazyEntry{idx: i, ratio: r, grp: g, round: round}, true
+		}
+	}
+	return e, ok
+}
+
+// reprice refreshes every live member of stale group g against the
+// current solution and pushes the group back, stamped with the current
+// round, if a member still helps. A group with one live member is
+// probed; a larger one is priced by one prefix pass over its longest
+// live member, which holds every other as a prefix. A fresh gain above
+// its member's stale bound returns ErrBrokenBound.
+func (s *Stepwise) reprice(g int) error {
+	lo, hi := s.ws.group(g)
+	longest, live := -1, 0
+	for i := lo; i < hi; i++ {
+		if s.gains[i] == 0 {
+			continue
+		}
+		live++
+		if longest < 0 || len(s.ws.items(i)) > len(s.ws.items(longest)) {
+			longest = i
+		}
+	}
+	base := s.ws.base()
+	if live == 1 {
+		gain, _, _ := s.ws.probe(longest, base, s.curU)
+		if err := s.settle(longest, gain); err != nil {
+			return err
+		}
+	} else {
+		run := s.ws.items(longest)
+		prefix := s.ws.prefix[:len(run)]
+		s.ws.pre.PrefixGains(run, prefix)
+		for i := lo; i < hi; i++ {
+			if s.gains[i] == 0 {
+				continue
+			}
+			gain := math.Min(s.ws.x, base+prefix[len(s.ws.items(i))-1]) - s.curU
+			if gain <= tol {
+				gain = 0
+			}
+			if err := s.settle(i, gain); err != nil {
+				return err
+			}
+		}
+	}
+	if e, ok := s.best(g, s.round); ok {
+		s.h.push(e)
+	}
+	return nil
+}
+
+// settle records subset i's fresh gain after checking it against the
+// stale bound it replaces — the lazy loop's free soundness check.
+func (s *Stepwise) settle(i int, fresh float64) error {
+	if bound := s.gains[i]; fresh > bound+boundSlack(bound, s.curU) {
+		return fmt.Errorf("%w: subset %d re-probed at gain %g above its bound %g in round %d",
+			ErrBrokenBound, i, fresh, bound, s.round)
+	}
+	s.gains[i] = fresh
+	return nil
 }
 
 // Done reports whether the run has reached its target (or failed).
@@ -125,7 +187,7 @@ func (s *Stepwise) Result() *Result {
 // Step advances the run by one greedy pick. It returns (step, true, nil)
 // after a pick, (Step{}, false, nil) when the target was already met, and
 // (Step{}, false, err) when no remaining subset can improve utility
-// (ErrInfeasible) or a re-probe broke its heap bound (ErrBrokenBound).
+// (ErrInfeasible) or a re-pricing broke a stale bound (ErrBrokenBound).
 // The pick sequence is exactly Greedy's for integral utilities (see the
 // package doc).
 func (s *Stepwise) Step() (Step, bool, error) {
@@ -136,8 +198,9 @@ func (s *Stepwise) Step() (Step, bool, error) {
 		s.done = true
 		return Step{}, false, nil
 	}
-	// The classical lazy loop: pop the top entry; if it was probed this
-	// round it is the pick, otherwise re-probe it and push it back.
+	// The lazy loop over groups: pop the top entry; if its group was
+	// priced this round, its best member is the pick, otherwise re-price
+	// the group and push it back.
 	var pick lazyEntry
 	found := false
 	for len(s.h) > 0 {
@@ -147,7 +210,7 @@ func (s *Stepwise) Step() (Step, bool, error) {
 			found = true
 			break
 		}
-		if err := s.ws.revalidate(&s.h, e, s.curU, s.round); err != nil {
+		if err := s.reprice(e.grp); err != nil {
 			s.err = err
 			s.Result()
 			return Step{}, false, err
@@ -158,14 +221,21 @@ func (s *Stepwise) Step() (Step, bool, error) {
 		s.Result()
 		return Step{}, false, s.err
 	}
+	gain := s.gains[pick.idx]
+	s.gains[pick.idx] = 0
 	s.ws.markPicked(pick.idx)
 	s.p.Subsets[pick.idx].unionInto(s.ws.cur)
-	s.curU += pick.gain
+	s.curU += gain
 	s.round++
 	s.res.Chosen = append(s.res.Chosen, pick.idx)
 	s.res.Cost += s.p.Subsets[pick.idx].Cost
+	// The group's other members keep this round's gains as their stale
+	// bounds.
+	if e, ok := s.best(pick.grp, pick.round); ok {
+		s.h.push(e)
+	}
 	st := Step{
-		Subset: pick.idx, Gain: pick.gain, Ratio: pick.ratio, Cost: s.res.Cost, Utility: s.curU,
+		Subset: pick.idx, Gain: gain, Ratio: pick.ratio, Cost: s.res.Cost, Utility: s.curU,
 	}
 	s.res.Trace = append(s.res.Trace, st)
 	if s.curU >= s.target-tol {

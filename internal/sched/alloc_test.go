@@ -16,9 +16,10 @@ var raceEnabled bool
 // slots, window 2 — BenchmarkScheduleAllSolveCold's pool) at most one
 // above the lazy greedy that probes every candidate for its initial
 // heap: the prefix sweep reuses one matcher, handed on to the greedy
-// afterwards, and a Model-owned buffer, so pricing the heap by sweep adds
-// only the slice of gains it returns (114 allocations on this instance
-// against the probing path's 113).
+// afterwards, and a Model-owned buffer, and the greedy takes over the
+// slice of gains it returns as its per-candidate bounds, where the
+// probing path allocates that slice itself (108 allocations on this
+// instance on both paths).
 func TestScheduleAllSweepAllocs(t *testing.T) {
 	tr := workload.PoissonBurstTrace(rand.New(rand.NewSource(1)),
 		workload.TraceParams{Procs: 2, Horizon: 64, Jobs: 20, Window: 2})

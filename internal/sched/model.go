@@ -31,7 +31,8 @@ type Model struct {
 
 	// Prefix-sweep state (sweepGains), reused across solves — one reason
 	// a Model must not run concurrent solves, already the documented
-	// contract: scratch for runs longer than the sweep's stack buffer,
+	// contract: scratch for runs longer than a stack buffer (prefixBuf,
+	// shared by the sweep and the greedy's group re-pricing),
 	// and the sweep's matcher, rolled back to empty, until the greedy's
 	// primary oracle adopts it (sweptMatchFn).
 	sweepBuf []int
@@ -307,12 +308,7 @@ func (m *Model) sweepGains(cands []candidate) []float64 {
 	var small [64]int // prefix-gain scratch for runs up to 64 slots
 	for lo := 0; lo < len(cands); {
 		hi, run := firstSlotGroup(cands, lo)
-		prefix := small[:0]
-		if len(run) > len(small) {
-			m.sweepBuf = slices.Grow(m.sweepBuf[:0], len(run))
-			prefix = m.sweepBuf
-		}
-		prefix = prefix[:len(run)]
+		prefix := m.prefixBuf(small[:0], len(run))
 		mat.PrefixGains(run, prefix)
 		for i := lo; i < hi; i++ {
 			gains[i] = float64(prefix[len(cands[i].items)-1])
@@ -321,6 +317,33 @@ func (m *Model) sweepGains(cands []candidate) []float64 {
 	}
 	m.sweepMat = mat
 	return gains
+}
+
+// prefixBuf returns n ints of prefix-gain scratch: small's backing array
+// (a caller's stack buffer) when it has room, the model's sweepBuf, grown
+// once, for longer runs.
+func (m *Model) prefixBuf(small []int, n int) []int {
+	if n <= cap(small) {
+		return small[:n]
+	}
+	m.sweepBuf = slices.Grow(m.sweepBuf[:0], n)
+	return m.sweepBuf[:n]
+}
+
+// candidateGroups returns the index of every first-slot group's first
+// candidate (firstSlotGroup): the budget problem's Groups, whose members
+// are all prefixes of their group's longest run.
+func candidateGroups(cands []candidate) []int {
+	count := 0
+	for lo := 0; lo < len(cands); count++ {
+		lo, _ = firstSlotGroup(cands, lo)
+	}
+	groups := make([]int, 0, count)
+	for lo := 0; lo < len(cands); {
+		groups = append(groups, lo)
+		lo, _ = firstSlotGroup(cands, lo)
+	}
+	return groups
 }
 
 // firstSlotGroup returns the end hi of the run of consecutive candidates
@@ -413,6 +436,18 @@ func (o *matchOracle) Value() float64 { return float64(o.mat.Size()) }
 // Gain implements submodular.Incremental.
 func (o *matchOracle) Gain(items []int) float64 { return float64(o.mat.GainOfSet(items)) }
 
+// PrefixGains implements submodular.PrefixPricer with one
+// Matcher.PrefixGains pass, so the lazy greedy re-prices a first-slot
+// group of candidates for the cost of one probe of its longest run.
+func (o *matchOracle) PrefixGains(items []int, gains []float64) {
+	var small [64]int // as in sweepGains
+	prefix := o.fn.m.prefixBuf(small[:0], len(items))
+	o.mat.PrefixGains(items, prefix)
+	for i, g := range prefix {
+		gains[i] = float64(g)
+	}
+}
+
 // Commit implements submodular.Incremental.
 func (o *matchOracle) Commit(items []int) float64 { return float64(o.mat.EnableSet(items)) }
 
@@ -478,6 +513,7 @@ var (
 	_ submodular.IncrementalProvider = matchFn{}
 	_ submodular.IncrementalProvider = weightedMatchFn{}
 	_ submodular.Incremental         = (*matchOracle)(nil)
+	_ submodular.PrefixPricer        = (*matchOracle)(nil)
 	_ submodular.Incremental         = (*weightedOracle)(nil)
 )
 

@@ -78,6 +78,7 @@ func (m *Model) scheduleAllInput(opts Options) (*solveInput, error) {
 			F:         matchFn{m},
 			Subsets:   budgetSubsets(cands),
 			Threshold: float64(n),
+			Groups:    candidateGroups(cands),
 		},
 		eps: eps,
 	}, nil

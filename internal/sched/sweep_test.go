@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"slices"
@@ -16,6 +17,8 @@ import (
 // sweepCostModels returns one of each of the seven cost models for a
 // procs × horizon instance, each behind an Unavailable mask that blocks a
 // few random slots, so that some candidates price at +Inf and are pruned.
+// The masks draw from rng in sorted name order, so a seed always yields
+// the same models.
 func sweepCostModels(rng *rand.Rand, procs, horizon int) map[string]power.CostModel {
 	perProc := func(lo, spread float64) []float64 {
 		out := make([]float64, procs)
@@ -37,8 +40,8 @@ func sweepCostModels(rng *rand.Rand, procs, horizon int) map[string]power.CostMo
 		"sleep-state":   power.NewSleepState(3, 1, 0.5),
 		"composite":     power.NewComposite(perProc(1, 3), perProc(0.5, 1.5), 3, price),
 	}
-	for name, base := range models {
-		u := power.NewUnavailable(base, horizon)
+	for _, name := range slices.Sorted(maps.Keys(models)) {
+		u := power.NewUnavailable(models[name], horizon)
 		for k := rng.Intn(3); k > 0; k-- {
 			u.Block(rng.Intn(procs), rng.Intn(horizon))
 		}
@@ -59,15 +62,18 @@ func sweepExtras(rng *rand.Rand, procs, horizon int) []Interval {
 }
 
 // forEachSweepCase runs fn over random instances under every cost model
-// and candidate policy, with extra intervals.
+// and candidate policy, with extra intervals. Models are visited in
+// sorted name order, since each draws its extras from the shared rng:
+// every run checks the same cases.
 func forEachSweepCase(t *testing.T, trials int, fn func(label string, ins *Instance, opts Options)) {
 	t.Helper()
 	for trial := 0; trial < trials; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)*4099 + 7))
 		base := randomOracleInstance(rng)
-		for name, cost := range sweepCostModels(rng, base.Procs, base.Horizon) {
+		models := sweepCostModels(rng, base.Procs, base.Horizon)
+		for _, name := range slices.Sorted(maps.Keys(models)) {
 			ins := *base
-			ins.Cost = cost
+			ins.Cost = models[name]
 			extra := sweepExtras(rng, ins.Procs, ins.Horizon)
 			for _, policy := range []CandidatePolicy{EventPoints, SingleSlots, AllPairs} {
 				fn(fmt.Sprintf("trial %d %s %v", trial, name, policy), &ins, Options{Policy: policy, Extra: extra})
@@ -102,8 +108,10 @@ func TestSweepGainsMatchGainOfSet(t *testing.T) {
 }
 
 // TestScheduleAllEvalsMatchLazyGreedy: the sweep-seeded ScheduleAll picks
-// what budget.LazyGreedy picks on the same problem and bills the same
-// number of oracle calls.
+// what the textbook budget.LazyGreedy (one heap entry per candidate, no
+// groups) picks on the same problem, and bills no more oracle calls:
+// re-pricing a first-slot group by one prefix pass replaces a probe per
+// stale member.
 func TestScheduleAllEvalsMatchLazyGreedy(t *testing.T) {
 	forEachSweepCase(t, 6, func(label string, ins *Instance, opts Options) {
 		m, err := NewModel(ins)
@@ -122,14 +130,16 @@ func TestScheduleAllEvalsMatchLazyGreedy(t *testing.T) {
 		if errI != nil {
 			return
 		}
-		want, err := budget.LazyGreedy(in.prob, budget.Options{Eps: in.eps})
+		ungrouped := in.prob
+		ungrouped.Groups = nil
+		want, err := budget.LazyGreedy(ungrouped, budget.Options{Eps: in.eps})
 		if err != nil {
 			t.Fatalf("%s: LazyGreedy: %v", label, err)
 		}
 		if !slices.Equal(got.Intervals, chosenIntervals(in.cands, want.Chosen)) {
 			t.Fatalf("%s: picks %v, LazyGreedy %v", label, got.Intervals, chosenIntervals(in.cands, want.Chosen))
 		}
-		if got.Evals != want.Evals {
+		if got.Evals > want.Evals {
 			t.Fatalf("%s: ScheduleAll billed %d evals, LazyGreedy %d", label, got.Evals, want.Evals)
 		}
 	})

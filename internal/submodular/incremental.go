@@ -31,6 +31,35 @@ type Incremental interface {
 	Reset()
 }
 
+// PrefixPricer is implemented by incremental oracles that can price every
+// prefix of an item list in one pass — a matching augments one vertex at
+// a time, so the gains of all prefixes cost what one Gain of the whole
+// list does. The lazy budgeted greedy uses it to re-price a group of
+// candidates that are prefixes of one another (budget.Problem.Groups).
+type PrefixPricer interface {
+	// PrefixGains writes to gains[i] what Gain(items[:i+1]) would
+	// return, for every i < len(items), without committing anything.
+	// gains must have room for len(items) entries.
+	PrefixGains(items []int, gains []float64)
+}
+
+// AsPrefixPricer returns inc's prefix pricing, or (nil, false) when inc
+// cannot price prefixes. For an oracle from AsIncremental that wraps a
+// Counting, the pricer keeps counting: one pass costs one call, like one
+// Gain. Callers must ask through AsPrefixPricer rather than type-assert:
+// the counting wrapper has the method whether or not its oracle can
+// honor it.
+func AsPrefixPricer(inc Incremental) (PrefixPricer, bool) {
+	if w, ok := inc.(*countingIncremental); ok {
+		if w.pre == nil {
+			return nil, false
+		}
+		return w, true
+	}
+	pp, ok := inc.(PrefixPricer)
+	return pp, ok
+}
+
 // IncrementalProvider is implemented by stateless Functions that can
 // manufacture a fresh incremental oracle for themselves. Algorithms
 // type-assert for it (via AsIncremental) to take the fast path and fall
@@ -54,17 +83,19 @@ func AsIncremental(f Function) (Incremental, bool) {
 		if !ok {
 			return nil, false
 		}
-		return &countingIncremental{inc: inner, c: v}, true
+		pre, _ := inner.(PrefixPricer)
+		return &countingIncremental{inc: inner, pre: pre, c: v}, true
 	case IncrementalProvider:
 		return v.NewIncremental(), true
 	}
 	return nil, false
 }
 
-// countingIncremental charges Gain and Eval probes to the wrapped
-// Counting's call counter.
+// countingIncremental charges Gain and Eval probes, and PrefixGains
+// passes, to the wrapped Counting's call counter.
 type countingIncremental struct {
 	inc Incremental
+	pre PrefixPricer // inc's prefix pricing, nil when it has none
 	c   *Counting
 }
 
@@ -81,6 +112,13 @@ func (w *countingIncremental) Gain(items []int) float64 {
 }
 
 func (w *countingIncremental) Commit(items []int) float64 { return w.inc.Commit(items) }
+
+// PrefixGains implements PrefixPricer when the wrapped oracle does (see
+// AsPrefixPricer), billing the whole pass as one call.
+func (w *countingIncremental) PrefixGains(items []int, gains []float64) {
+	w.c.count()
+	w.pre.PrefixGains(items, gains)
+}
 
 // ---- Coverage ----
 
