@@ -59,26 +59,21 @@ import (
 	"repro/internal/submodular"
 )
 
-// Subset is one allowable subset with its cost (Definition 1). The subset
-// itself may be given as a bitset (Items), as an element list (Elems), or
-// both; at least one must be set. Elems is the representation the
-// incremental probe loop consumes directly — callers that already hold
-// element lists (sched's candidate items) pass them as Elems and skip the
-// bitset round-trip entirely. When both are set they must denote the same
-// subset; Elems must not contain out-of-universe elements and its order
-// must be deterministic for the run to be reproducible.
+// Subset is one allowable subset with its cost (Definition 1), given as
+// its element list. The incremental probe loop consumes Elems directly,
+// so callers that already hold element lists (sched's candidate items)
+// pass them without copying. Elems must not contain out-of-universe
+// elements, and its order must be deterministic for the run to be
+// reproducible. An empty (or nil) Elems is the empty subset: it never
+// raises the utility, so the greedy never picks it, and a grouped
+// problem rejects it (a group's members are non-empty prefixes).
 type Subset struct {
-	Items *bitset.Set
 	Elems []int
 	Cost  float64
 }
 
-// unionInto adds the subset's items to dst.
+// unionInto adds the subset's elements to dst.
 func (s *Subset) unionInto(dst *bitset.Set) {
-	if s.Items != nil {
-		dst.UnionWith(s.Items)
-		return
-	}
 	for _, e := range s.Elems {
 		dst.Add(e)
 	}
@@ -182,9 +177,9 @@ func boundSlack(bound, curU float64) float64 {
 }
 
 // workspace is the per-run state shared by Greedy and LazyGreedy: the
-// incremental oracle (or the plain-Eval probe buffer) and the
-// candidates' materialized item lists. Everything is allocated once per
-// run — the probe loops allocate nothing per round.
+// incremental oracle (or the plain-Eval probe buffer) and the group
+// re-pricing scratch. Everything is allocated once per run — the probe
+// loops allocate nothing per round.
 type workspace struct {
 	f submodular.Function
 	x float64 // utility cap (Problem.Threshold)
@@ -193,8 +188,7 @@ type workspace struct {
 
 	// Incremental fast path: the oracle every probe and pick goes
 	// through. nil on the plain-Eval path.
-	inc     submodular.Incremental
-	itemsOf [][]int // materialized Items, only when some subset lacks Elems
+	inc submodular.Incremental
 
 	// Group re-pricing: the oracle's prefix pricing and the problem's
 	// groups, both nil unless the problem has groups and the oracle can
@@ -236,19 +230,6 @@ func newWorkspace(f submodular.Function, p Problem, opts Options) *workspace {
 			ws.prefix = make([]float64, longest)
 		}
 	}
-	for i := range p.Subsets {
-		if p.Subsets[i].Elems == nil {
-			ws.itemsOf = make([][]int, len(p.Subsets))
-			for j := range p.Subsets {
-				if p.Subsets[j].Elems != nil {
-					ws.itemsOf[j] = p.Subsets[j].Elems
-				} else {
-					ws.itemsOf[j] = p.Subsets[j].Items.Elements()
-				}
-			}
-			break
-		}
-	}
 	return ws
 }
 
@@ -274,12 +255,7 @@ func (ws *workspace) group(g int) (lo, hi int) {
 }
 
 // items returns subset i's element list for the incremental oracles.
-func (ws *workspace) items(i int) []int {
-	if ws.itemsOf != nil {
-		return ws.itemsOf[i]
-	}
-	return ws.subsets[i].Elems
-}
+func (ws *workspace) items(i int) []int { return ws.subsets[i].Elems }
 
 // markPicked commits the chosen subset to the incremental oracle. The
 // caller updates cur itself (both paths need the union).
@@ -413,29 +389,33 @@ func validate(p Problem, opts Options) error {
 	}
 	n := p.F.Universe()
 	for i, s := range p.Subsets {
-		if s.Items == nil && s.Elems == nil {
-			return fmt.Errorf("budget: subset %d has neither Items nor Elems", i)
-		}
-		if s.Items != nil && s.Items.Universe() != n {
-			return fmt.Errorf("budget: subset %d universe %d, want %d", i, s.Items.Universe(), n)
-		}
-		if s.Items == nil {
-			for _, e := range s.Elems {
-				if e < 0 || e >= n {
-					return fmt.Errorf("budget: subset %d element %d outside universe %d", i, e, n)
-				}
-			}
-		}
 		if s.Cost < 0 {
 			return fmt.Errorf("budget: subset %d has negative cost %g", i, s.Cost)
 		}
+		if p.Groups == nil {
+			if err := inUniverse(s.Elems, i, n); err != nil {
+				return err
+			}
+		}
 	}
-	return validateGroups(p)
+	return validateGroups(p, n)
+}
+
+// inUniverse checks that subset i's elems all lie in [0, n).
+func inUniverse(elems []int, i, n int) error {
+	for _, e := range elems {
+		if e < 0 || e >= n {
+			return fmt.Errorf("budget: subset %d element %d outside universe %d", i, e, n)
+		}
+	}
+	return nil
 }
 
 // validateGroups checks Problem.Groups: starts at 0, increasing, in
-// range, and every member's Elems a prefix of its group's longest.
-func validateGroups(p Problem) error {
+// range, and every member's Elems a prefix of its group's longest, whose
+// elements lie in the universe of size n — so every member's do too,
+// and validate skips the per-subset range check on grouped problems.
+func validateGroups(p Problem, n int) error {
 	if p.Groups == nil {
 		return nil
 	}
@@ -447,17 +427,21 @@ func validateGroups(p Problem) error {
 		if g+1 < len(p.Groups) {
 			hi = p.Groups[g+1]
 		}
-		if lo >= hi {
-			return fmt.Errorf("budget: group %d is empty or out of order (subsets %d..%d)", g, lo, hi)
+		if lo >= hi || hi > len(p.Subsets) {
+			return fmt.Errorf("budget: group %d is empty, out of order or out of range (subsets %d..%d)", g, lo, hi)
 		}
-		run := p.Subsets[lo].Elems
+		longest := lo
 		for i := lo; i < hi; i++ {
 			if len(p.Subsets[i].Elems) == 0 {
 				return fmt.Errorf("budget: grouped subset %d has no Elems", i)
 			}
-			if len(p.Subsets[i].Elems) > len(run) {
-				run = p.Subsets[i].Elems
+			if len(p.Subsets[i].Elems) > len(p.Subsets[longest].Elems) {
+				longest = i
 			}
+		}
+		run := p.Subsets[longest].Elems
+		if err := inUniverse(run, longest, n); err != nil {
+			return err
 		}
 		for i := lo; i < hi; i++ {
 			if !isPrefix(p.Subsets[i].Elems, run) {

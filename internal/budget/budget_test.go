@@ -18,7 +18,7 @@ func setCoverProblem(m int, sets [][]int, costs []float64) Problem {
 	subsets := make([]Subset, len(sets))
 	for i, s := range sets {
 		bs[i] = bitset.FromSlice(m, s)
-		subsets[i] = Subset{Items: bitset.FromSlice(len(sets), []int{i}), Cost: costs[i]}
+		subsets[i] = Subset{Elems: []int{i}, Cost: costs[i]}
 	}
 	f := coverageOverPicks{cov: submodular.NewCoverage(m, bs, nil)}
 	return Problem{F: f, Subsets: subsets, Threshold: float64(m)}
@@ -286,7 +286,7 @@ func oracleProblems(rng *rand.Rand) map[string]Problem {
 		if items.Empty() {
 			items.Add(rng.Intn(nItems))
 		}
-		subsets[i] = Subset{Items: items, Cost: 0.5 + rng.Float64()*3}
+		subsets[i] = Subset{Elems: items.Elements(), Cost: 0.5 + rng.Float64()*3}
 	}
 
 	problems := map[string]Problem{}
@@ -440,63 +440,28 @@ func TestLazyHeapOrdersLikeSort(t *testing.T) {
 	}
 }
 
-// TestElemsSubsetsEquivalent checks the element-list subset
-// representation end to end: a problem whose subsets carry only Elems
-// solves identically — picks, cost, utility, union — to the same problem
-// with bitset Items, on the incremental and plain-Eval paths.
-func TestElemsSubsetsEquivalent(t *testing.T) {
-	for trial := 0; trial < 6; trial++ {
-		rng := rand.New(rand.NewSource(int64(trial)*6151 + 29))
-		for oracle, p := range oracleProblems(rng) {
-			elemsP := p
-			elemsP.Subsets = make([]Subset, len(p.Subsets))
-			for i, s := range p.Subsets {
-				elemsP.Subsets[i] = Subset{Elems: s.Items.Elements(), Cost: s.Cost}
-			}
-			for _, opts := range []Options{
-				{Eps: 0.05},
-				{Eps: 0.05, PlainEval: true},
-			} {
-				ref, refErr := LazyGreedy(p, opts)
-				got, gotErr := LazyGreedy(elemsP, opts)
-				if (refErr == nil) != (gotErr == nil) {
-					t.Fatalf("%s plain=%t: feasibility disagreement: %v vs %v",
-						oracle, opts.PlainEval, refErr, gotErr)
-				}
-				if refErr != nil {
-					continue
-				}
-				if !slices.Equal(ref.Chosen, got.Chosen) {
-					t.Fatalf("%s plain=%t: picks diverged:\nitems %v\nelems %v",
-						oracle, opts.PlainEval, ref.Chosen, got.Chosen)
-				}
-				if ref.Utility != got.Utility || !ref.Union.Equal(got.Union) {
-					t.Fatalf("%s plain=%t: result diverged", oracle, opts.PlainEval)
-				}
-			}
-		}
-	}
-}
-
-// TestValidateRejectsBadElems pins the Elems validation added alongside
-// the representation: missing both representations and out-of-universe
-// elements are errors.
+// TestValidateRejectsBadElems pins the Elems range check: an
+// out-of-universe element is an error, in an ungrouped subset and in a
+// grouped one (where validate checks each group's longest member only).
 func TestValidateRejectsBadElems(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	p := oracleProblems(rng)["modular"]
-
-	missing := p
-	missing.Subsets = append([]Subset(nil), p.Subsets...)
-	missing.Subsets[0] = Subset{Cost: 1}
-	if _, err := Greedy(missing, Options{Eps: 0.1}); err == nil {
-		t.Fatalf("accepted a subset with neither Items nor Elems")
-	}
 
 	oob := p
 	oob.Subsets = append([]Subset(nil), p.Subsets...)
 	oob.Subsets[0] = Subset{Elems: []int{p.F.Universe()}, Cost: 1}
 	if _, err := Greedy(oob, Options{Eps: 0.1}); err == nil {
 		t.Fatalf("accepted an out-of-universe element")
+	}
+
+	n := p.F.Universe()
+	for _, bad := range []int{-1, n} {
+		grouped := Problem{F: p.F, Threshold: 1, Groups: []int{0, 2}, Subsets: []Subset{
+			{Elems: []int{0}, Cost: 1}, {Elems: []int{0, bad}, Cost: 1}, {Elems: []int{1}, Cost: 1},
+		}}
+		if _, err := LazyGreedy(grouped, Options{Eps: 0.1}); err == nil || errors.Is(err, ErrInfeasible) {
+			t.Fatalf("accepted out-of-universe element %d in a grouped subset (err %v)", bad, err)
+		}
 	}
 }
 

@@ -204,12 +204,12 @@ func TestGroupedBrokenBoundCaught(t *testing.T) {
 	}
 }
 
-// TestValidateRejectsBadGroups: groups must start at 0, increase, and
-// hold only prefixes of their longest member.
+// TestValidateRejectsBadGroups: groups must start at 0, increase, stay
+// in range, and hold only prefixes of their longest member.
 func TestValidateRejectsBadGroups(t *testing.T) {
 	cov := submodular.NewCoverage(3, []*bitset.Set{bitset.Full(3), bitset.Full(3), bitset.Full(3)}, nil)
 	subsets := []Subset{{Elems: []int{0}, Cost: 1}, {Elems: []int{0, 1}, Cost: 1}, {Elems: []int{2}, Cost: 1}}
-	for _, groups := range [][]int{{}, {1}, {0, 0, 2}, {0, 2, 1}, {0, 3}, {0, 1, 2, 3}, {0, 2, 2}, {0}} {
+	for _, groups := range [][]int{{}, {1}, {0, 0, 2}, {0, 2, 1}, {0, 3}, {0, 5}, {0, 1, 2, 3}, {0, 2, 2}, {0}} {
 		p := Problem{F: prefixFn{evalFn{cov}}, Subsets: subsets, Threshold: 3, Groups: groups}
 		if _, err := LazyGreedy(p, Options{Eps: 0.1}); err == nil || errors.Is(err, ErrInfeasible) {
 			t.Errorf("groups %v accepted (err %v)", groups, err)

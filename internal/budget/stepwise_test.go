@@ -149,9 +149,6 @@ func initialGains(p Problem) []float64 {
 	curU := math.Min(p.Threshold, base)
 	for i := range p.Subsets {
 		items := p.Subsets[i].Elems
-		if items == nil {
-			items = p.Subsets[i].Items.Elements()
-		}
 		var v float64
 		if incremental {
 			v = base + inc.Gain(items)

@@ -160,144 +160,171 @@ func CheckConcurrent(m power.CostModel, procs, horizon int) error {
 	return <-errs
 }
 
-// EagerScheduleAll is the textbook reference for Theorem 2.2.1, rebuilt
-// from sched's public surface rather than its solve path: the eager
-// budget.Greedy (every unpicked candidate probed every round) over
-// Model.MatchingUtility, with the candidates of Model.Candidates plus
-// opts.Extra priced by the instance's cost model, infinite-cost and
-// slotless intervals pruned as ScheduleAll prunes them, and the schedule
-// read off a final maximum matching over the awake slots. opts.PlainOracle
-// selects from-scratch probes; opts.Policy, opts.Eps and opts.Extra mean
-// what they mean to ScheduleAll, and the remaining options are ignored. Its output is what
-// ScheduleAll must reproduce byte for byte (Schedule.SameAs); Evals is
-// the eager greedy's probe count. An instance whose jobs cannot all be
-// scheduled returns an error wrapping sched.ErrUnschedulable.
-func EagerScheduleAll(ins *sched.Instance, opts sched.Options) (*sched.Schedule, error) {
+// Reference is Theorem 2.2.1's budget problem rebuilt from sched's
+// public surface rather than its solve path: the candidates of
+// Model.Candidates (or opts.Candidates when non-nil, as ScheduleAll reads
+// it) priced by the instance's cost model, infinite-cost and slotless
+// intervals pruned as ScheduleAll prunes them, as budget subsets over
+// Model.MatchingUtility with threshold n and no groups. Eps is ε as
+// ScheduleAll resolves it. Any budget greedy can solve Problem; Schedule
+// reads the result back.
+type Reference struct {
+	Problem budget.Problem
+	Eps     float64
+
+	ins       *sched.Instance
+	model     *sched.Model
+	intervals []sched.Interval // Problem.Subsets[i]'s interval
+	fullOnly  bool             // default ε: a schedule must place every job
+}
+
+// NewReference builds the reference problem for ins under opts. An
+// instance whose jobs cannot all be matched inside the candidates' slots
+// returns an error wrapping sched.ErrUnschedulable.
+func NewReference(ins *sched.Instance, opts sched.Options) (*Reference, error) {
 	model, err := sched.NewModel(ins)
 	if err != nil {
 		return nil, err
 	}
+	ivs := opts.Candidates
+	if ivs == nil {
+		ivs, _ = model.Candidates(sched.EventPoints)
+	}
 	n := len(ins.Jobs)
-	if n == 0 {
-		return &sched.Schedule{Assignment: []sched.SlotKey{}}, nil
+	r := &Reference{Eps: opts.Eps, ins: ins, model: model, fullOnly: opts.Eps <= 0}
+	if r.fullOnly {
+		r.Eps = 1 / float64(n+1)
 	}
-	ivs, err := model.Candidates(opts.Policy)
-	if err != nil {
-		return nil, err
-	}
-	var cands []sched.Interval
-	var subsets []budget.Subset
-	for _, iv := range append(ivs, opts.Extra...) {
+	enabled := bitset.New(model.G.NX())
+	for _, iv := range ivs {
 		if iv.Proc < 0 || iv.Proc >= ins.Procs || iv.Start < 0 || iv.End > ins.Horizon || iv.Start >= iv.End {
-			return nil, fmt.Errorf("conformance: extra candidate %v outside instance", iv)
+			return nil, fmt.Errorf("conformance: candidate %v outside instance", iv)
 		}
 		c := ins.Cost.Cost(iv.Proc, iv.Start, iv.End)
 		if math.IsInf(c, 1) || math.IsNaN(c) {
 			continue
 		}
+		if c < 0 {
+			return nil, fmt.Errorf("conformance: negative cost %g for interval %v", c, iv)
+		}
 		items := model.IntervalItems(iv)
 		if len(items) == 0 {
 			continue
 		}
-		cands = append(cands, iv)
-		subsets = append(subsets, budget.Subset{Elems: items, Cost: c})
-	}
-	// Every job must be matchable inside the slots some candidate covers.
-	enabled := bitset.New(model.G.NX())
-	for _, sub := range subsets {
-		for _, x := range sub.Elems {
+		r.intervals = append(r.intervals, iv)
+		r.Problem.Subsets = append(r.Problem.Subsets, budget.Subset{Elems: items, Cost: c})
+		for _, x := range items {
 			enabled.Add(x)
 		}
 	}
+	// Every job must be matchable inside the slots some candidate covers.
 	if got := bipartite.MaxMatchingSize(model.G, enabled); got < n {
-		return nil, fmt.Errorf("%w: eager reference matches %d of %d jobs", sched.ErrUnschedulable, got, n)
+		return nil, fmt.Errorf("%w: reference matches %d of %d jobs", sched.ErrUnschedulable, got, n)
 	}
-	eps := opts.Eps
-	if eps <= 0 {
-		eps = 1 / float64(n+1)
+	r.Problem.F = model.MatchingUtility()
+	r.Problem.Threshold = float64(n)
+	return r, nil
+}
+
+// Schedule reads the schedule off a completed greedy run over r.Problem:
+// the picked intervals in pick order, jobs placed by a final maximum
+// matching over their slots, and Evals the run's oracle calls. With the
+// default ε a run that leaves a job unplaced is an error wrapping
+// sched.ErrUnschedulable.
+func (r *Reference) Schedule(res *budget.Result) (*sched.Schedule, error) {
+	n := len(r.ins.Jobs)
+	enabled := bitset.New(r.model.G.NX())
+	out := &sched.Schedule{Assignment: make([]sched.SlotKey, n), Evals: res.Evals}
+	for _, i := range res.Chosen {
+		for _, x := range r.Problem.Subsets[i].Elems {
+			enabled.Add(x)
+		}
+		out.Intervals = append(out.Intervals, r.intervals[i])
+		out.Cost += r.Problem.Subsets[i].Cost
 	}
-	res, err := budget.Greedy(budget.Problem{
-		F: model.MatchingUtility(), Subsets: subsets, Threshold: float64(n),
-	}, budget.Options{Eps: eps, PlainEval: opts.PlainOracle})
+	_, _, matchY := bipartite.MaxMatching(r.model.G, enabled)
+	for j := range out.Assignment {
+		out.Assignment[j] = sched.Unassigned
+		if x := matchY[j]; x >= 0 {
+			out.Assignment[j] = r.model.Slots[x]
+			out.Value += r.ins.Jobs[j].Value
+			out.Scheduled++
+		}
+	}
+	if out.Scheduled < n && r.fullOnly {
+		return nil, fmt.Errorf("%w: reference stopped at %d of %d", sched.ErrUnschedulable, out.Scheduled, n)
+	}
+	return out, nil
+}
+
+// solve runs greedy over the reference problem, with from-scratch
+// probes (budget.Options.PlainEval) when plain is set, and reads the
+// schedule back.
+func (r *Reference) solve(greedy func(budget.Problem, budget.Options) (*budget.Result, error), plain bool) (*sched.Schedule, error) {
+	res, err := greedy(r.Problem, budget.Options{Eps: r.Eps, PlainEval: plain})
 	if errors.Is(err, budget.ErrInfeasible) {
 		return nil, fmt.Errorf("%w: %v", sched.ErrUnschedulable, err)
 	}
 	if err != nil {
 		return nil, err
 	}
-	enabled.Clear()
-	for _, i := range res.Chosen {
-		for _, x := range subsets[i].Elems {
-			enabled.Add(x)
-		}
+	return r.Schedule(res)
+}
+
+// EagerScheduleAll is the textbook reference for Theorem 2.2.1: the
+// eager budget.Greedy (every unpicked candidate probed every round, each
+// probe a from-scratch matching) over the Reference problem. Its output
+// is what ScheduleAll must reproduce byte for byte (Schedule.SameAs);
+// Evals is the eager greedy's probe count. An instance whose jobs cannot
+// all be scheduled returns an error wrapping sched.ErrUnschedulable.
+func EagerScheduleAll(ins *sched.Instance, opts sched.Options) (*sched.Schedule, error) {
+	ref, err := NewReference(ins, opts)
+	if err != nil {
+		return nil, err
 	}
-	_, _, matchY := bipartite.MaxMatching(model.G, enabled)
-	out := &sched.Schedule{Assignment: make([]sched.SlotKey, n), Evals: res.Evals}
-	for _, i := range res.Chosen {
-		out.Intervals = append(out.Intervals, cands[i])
-		out.Cost += subsets[i].Cost
-	}
-	for j := range out.Assignment {
-		out.Assignment[j] = sched.Unassigned
-		if x := matchY[j]; x >= 0 {
-			out.Assignment[j] = model.Slots[x]
-			out.Value += ins.Jobs[j].Value
-			out.Scheduled++
-		}
-	}
-	if out.Scheduled < n && opts.Eps <= 0 {
-		return nil, fmt.Errorf("%w: eager reference stopped at %d of %d", sched.ErrUnschedulable, out.Scheduled, n)
-	}
-	return out, nil
+	return ref.solve(budget.Greedy, true)
 }
 
 // CheckSolve exercises the solver contract on one instance. The baseline
-// is EagerScheduleAll with from-scratch probes; both ScheduleAll arms —
-// the default sweep-seeded lazy path over the incremental matcher and
-// the plain-oracle lazy path — must produce a schedule byte-identical to
-// it (Schedule.SameAs) that Schedule.Validate accepts. If ScheduleAll
-// rejects the instance (e.g. the model's blocked slots make it
-// unschedulable), the baseline must reject it too and both arms must
-// fail the same way as the first.
+// is EagerScheduleAll. Two arms must produce a schedule byte-identical to
+// it (Schedule.SameAs) that Schedule.Validate accepts: ScheduleAll — the
+// sweep-seeded, group-keyed lazy greedy over the incremental matcher —
+// and the classical lazy greedy (budget.LazyGreedy, one heap entry per
+// candidate, from-scratch probes) over the Reference problem. If
+// ScheduleAll rejects the instance (e.g. the model's blocked slots make
+// it unschedulable), the baseline must reject it too, the same way.
 func CheckSolve(ins *sched.Instance, opts sched.Options) error {
-	baseOpts := opts
-	baseOpts.PlainOracle = true
-	base, baseErr := EagerScheduleAll(ins, baseOpts)
+	ref, baseErr := NewReference(ins, opts)
+	var base *sched.Schedule
+	if baseErr == nil {
+		base, baseErr = ref.solve(budget.Greedy, true)
+	}
 	if baseErr == nil {
 		if err := base.Validate(ins); err != nil {
 			return fmt.Errorf("conformance: eager baseline schedule infeasible: %w", err)
 		}
 	}
-	_, firstErr := sched.ScheduleAll(ins, opts)
-	if (firstErr == nil) != (baseErr == nil) ||
-		(firstErr != nil && errors.Is(firstErr, sched.ErrUnschedulable) != errors.Is(baseErr, sched.ErrUnschedulable)) {
-		return fmt.Errorf("conformance: ScheduleAll error %v, eager baseline error %v", firstErr, baseErr)
+	got, err := sched.ScheduleAll(ins, opts)
+	if (err == nil) != (baseErr == nil) ||
+		(err != nil && errors.Is(err, sched.ErrUnschedulable) != errors.Is(baseErr, sched.ErrUnschedulable)) {
+		return fmt.Errorf("conformance: ScheduleAll error %v, eager baseline error %v", err, baseErr)
 	}
-	for _, plain := range []bool{false, true} {
-		o := opts
-		o.PlainOracle = plain
-		got, err := sched.ScheduleAll(ins, o)
-		label := fmt.Sprintf("plain=%t", plain)
-		if firstErr != nil {
-			if err == nil {
-				return fmt.Errorf("conformance: %s solved an instance the default path rejects (%v)", label, firstErr)
-			}
-			if !errors.Is(err, sched.ErrUnschedulable) ||
-				!errors.Is(firstErr, sched.ErrUnschedulable) {
-				if err.Error() != firstErr.Error() {
-					return fmt.Errorf("conformance: %s error %q, default path %q", label, err, firstErr)
-				}
-			}
-			continue
+	if err != nil {
+		return nil
+	}
+	lazy, err := ref.solve(budget.LazyGreedy, true)
+	if err != nil {
+		return fmt.Errorf("conformance: classical lazy greedy: %w", err)
+	}
+	for _, arm := range []struct {
+		label string
+		s     *sched.Schedule
+	}{{"ScheduleAll", got}, {"classical lazy greedy", lazy}} {
+		if err := arm.s.SameAs(base); err != nil {
+			return fmt.Errorf("conformance: %s diverges from the eager baseline: %w", arm.label, err)
 		}
-		if err != nil {
-			return fmt.Errorf("conformance: %s: %w", label, err)
-		}
-		if err := got.SameAs(base); err != nil {
-			return fmt.Errorf("conformance: %s diverges from the eager baseline: %w", label, err)
-		}
-		if err := got.Validate(ins); err != nil {
-			return fmt.Errorf("conformance: %s schedule infeasible: %w", label, err)
+		if err := arm.s.Validate(ins); err != nil {
+			return fmt.Errorf("conformance: %s schedule infeasible: %w", arm.label, err)
 		}
 	}
 	return nil

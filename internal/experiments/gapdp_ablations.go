@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/budget"
+	"repro/internal/conformance"
 	"repro/internal/gapdp"
 	"repro/internal/power"
 	"repro/internal/sched"
@@ -118,23 +119,32 @@ func A1(cfg Config) *stats.Table {
 	return tbl
 }
 
-// A2 compares candidate-interval policies: solution cost and candidate
-// pool size.
+// A2 compares candidate-interval families: solution cost and candidate
+// pool size. EventPoints is ScheduleAll's default; the other two are
+// given as Options.Candidates.
 func A2(cfg Config) *stats.Table {
 	tbl := stats.NewTable("A2 — candidate interval policies (schedule-all)",
 		"policy", "cost/B", "wall ms")
 	trials := pick(cfg, 6, 3)
 	type row struct {
-		policy sched.CandidatePolicy
 		name   string
+		family func(*sched.Model) []sched.Interval // nil: the default
 	}
-	for _, r := range []row{{sched.EventPoints, "event-points"}, {sched.SingleSlots, "single-slots"}, {sched.AllPairs, "all-pairs"}} {
+	for _, r := range []row{{"event-points", nil}, {"single-slots", singleSlots}, {"all-pairs", allPairs}} {
 		ratios := make([]float64, trials)
 		walls := make([]float64, trials)
 		parTrials(trials, cfg.Seed, func(trial int, rng *rand.Rand) {
 			ins, b := e2Instance(rng, 16)
 			start := time.Now()
-			s, err := sched.ScheduleAll(ins, sched.Options{Policy: r.policy})
+			m, err := sched.NewModel(ins)
+			if err != nil {
+				return
+			}
+			var opts sched.Options
+			if r.family != nil {
+				opts.Candidates = r.family(m)
+			}
+			s, err := m.ScheduleAll(opts)
 			if err != nil {
 				return
 			}
@@ -147,10 +157,37 @@ func A2(cfg Config) *stats.Table {
 	return tbl
 }
 
-// A3 compares the incremental-matcher oracle (the default) with the
-// from-scratch Hopcroft–Karp oracle path (PlainOracle) — identical
-// schedules, different wall time, probe cost and probe count (only the
-// incremental arm can re-price a candidate group by one prefix pass).
+// singleSlots is the finest candidate family: one unit interval per
+// usable slot, in the model's slot order.
+func singleSlots(m *sched.Model) []sched.Interval {
+	out := make([]sched.Interval, len(m.Slots))
+	for i, s := range m.Slots {
+		out[i] = sched.Interval{Proc: s.Proc, Start: s.Time, End: s.Time + 1}
+	}
+	return out
+}
+
+// allPairs is the exhaustive candidate family: every [s, e) on every
+// processor, quadratic in the horizon.
+func allPairs(m *sched.Model) []sched.Interval {
+	h := m.Ins.Horizon
+	out := make([]sched.Interval, 0, m.Ins.Procs*h*(h+1)/2)
+	for proc := 0; proc < m.Ins.Procs; proc++ {
+		for s := 0; s < h; s++ {
+			for e := s + 1; e <= h; e++ {
+				out = append(out, sched.Interval{Proc: proc, Start: s, End: e})
+			}
+		}
+	}
+	return out
+}
+
+// A3 compares the incremental-matcher oracle (ScheduleAll) with the
+// from-scratch Hopcroft–Karp oracle: the classical lazy greedy with
+// budget.Options.PlainEval over conformance's Reference problem —
+// identical schedules, different wall time, probe cost and probe count
+// (only the incremental arm can re-price a candidate group by one prefix
+// pass).
 func A3(cfg Config) *stats.Table {
 	tbl := stats.NewTable("A3 — incremental matcher vs Hopcroft–Karp recompute",
 		"n jobs", "inc ms", "hk ms", "speedup ×", "inc evals", "hk evals", "same cost (frac)")
@@ -170,7 +207,7 @@ func A3(cfg Config) *stats.Table {
 			t0 := time.Now()
 			f, err1 := sched.ScheduleAll(ins, sched.Options{})
 			t1 := time.Now()
-			h, err2 := sched.ScheduleAll(ins, sched.Options{PlainOracle: true})
+			h, err2 := hkScheduleAll(ins)
 			t2 := time.Now()
 			if err1 != nil || err2 != nil {
 				return
@@ -189,6 +226,20 @@ func A3(cfg Config) *stats.Table {
 	}
 	tbl.Note = "Both arms run the lazy greedy and pick identical interval sequences at identical cost (Lemma 2.2.2 marginals agree). They no longer bill the same evals: the incremental arm keeps one heap entry per first-slot group and re-prices a stale group with one prefix pass of the matcher (one eval), where the HK arm re-probes each stale candidate by a full Hopcroft–Karp run."
 	return tbl
+}
+
+// hkScheduleAll is A3's from-scratch arm: budget.LazyGreedy with
+// from-scratch probes over the same candidates ScheduleAll prices.
+func hkScheduleAll(ins *sched.Instance) (*sched.Schedule, error) {
+	ref, err := conformance.NewReference(ins, sched.Options{})
+	if err != nil {
+		return nil, err
+	}
+	res, err := budget.LazyGreedy(ref.Problem, budget.Options{Eps: ref.Eps, PlainEval: true})
+	if err != nil {
+		return nil, err
+	}
+	return ref.Schedule(res)
 }
 
 // A4 sweeps ε for schedule-all: looser ε stops earlier (cheaper) but may

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"repro/internal/bitset"
 	"repro/internal/setcover"
 	"repro/internal/submodular"
 )
@@ -10,9 +9,4 @@ import (
 // universe is the set indices.
 func toCoverage(ins *setcover.Instance) *submodular.Coverage {
 	return submodular.NewCoverage(ins.N, ins.Sets, nil)
-}
-
-// singleton returns the one-element subset {i} over a universe of n items.
-func singleton(n, i int) *bitset.Set {
-	return bitset.FromSlice(n, []int{i})
 }

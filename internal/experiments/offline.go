@@ -21,7 +21,7 @@ func coverBudgetProblem(ins *setcover.Instance) budget.Problem {
 	cov := toCoverage(ins)
 	subs := make([]budget.Subset, len(ins.Sets))
 	for i := range ins.Sets {
-		subs[i] = budget.Subset{Items: singleton(len(ins.Sets), i), Cost: ins.Costs[i]}
+		subs[i] = budget.Subset{Elems: []int{i}, Cost: ins.Costs[i]}
 	}
 	return budget.Problem{F: cov, Subsets: subs, Threshold: float64(ins.N)}
 }

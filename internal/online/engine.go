@@ -46,7 +46,7 @@ type Engine struct {
 }
 
 // NewEngine opens an empty rolling-horizon engine over the given
-// dimensions. opts tunes the session's solves (policy, eps, solver tier).
+// dimensions. opts tunes the session's solves (ε and candidate family).
 func NewEngine(procs, horizon int, cost power.CostModel, opts sched.Options) (*Engine, error) {
 	sess, err := sched.NewSession(&sched.Instance{Procs: procs, Horizon: horizon, Cost: cost}, opts)
 	if err != nil {

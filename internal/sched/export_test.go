@@ -7,21 +7,5 @@ import "repro/internal/budget"
 // path the sweep replaced, kept for the allocation pin in
 // alloc_test.go.
 func ScheduleAllProbed(ins *Instance, opts Options) (*Schedule, error) {
-	m, err := NewModel(ins)
-	if err != nil {
-		return nil, err
-	}
-	in, err := m.scheduleAllInput(opts)
-	if err != nil {
-		return nil, err
-	}
-	sw, err := budget.NewStepwise(in.prob, budget.Options{Eps: in.eps})
-	if err != nil {
-		return nil, err
-	}
-	res, err := sw.Solve()
-	if err != nil {
-		return nil, err
-	}
-	return m.finishScheduleAll(opts, in, res)
+	return greedyScheduleAll(ins, opts, budget.LazyGreedy, false)
 }

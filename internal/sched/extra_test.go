@@ -6,8 +6,20 @@ import (
 	"repro/internal/power"
 )
 
+// withEventPoints returns the EventPoints family of ins's model followed
+// by extra: how a caller adds given intervals to the default family.
+func withEventPoints(t *testing.T, ins *Instance, extra ...Interval) Options {
+	t.Helper()
+	m, err := NewModel(ins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev, _ := m.Candidates(EventPoints)
+	return Options{Candidates: append(ev, extra...)}
+}
+
 // TestExtraCandidatesUsed: a discounted caller-supplied block beats the
-// policy's enumeration and should be chosen.
+// EventPoints enumeration and should be chosen.
 func TestExtraCandidatesUsed(t *testing.T) {
 	// The oracle discounts exactly the interval [0,4): half price.
 	base := power.Affine{Alpha: 4, Rate: 1}
@@ -31,8 +43,7 @@ func TestExtraCandidatesUsed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	extra, err := ScheduleAll(ins, Options{
-		Extra: []Interval{{Proc: 0, Start: 0, End: 4}}})
+	extra, err := ScheduleAll(ins, withEventPoints(t, ins, Interval{Proc: 0, Start: 0, End: 4}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,15 +60,11 @@ func TestExtraCandidatesUsed(t *testing.T) {
 
 func TestExtraCandidatesValidated(t *testing.T) {
 	ins := tinyInstance()
-	_, err := ScheduleAll(ins, Options{
-		Extra: []Interval{{Proc: 9, Start: 0, End: 2}},
-	})
+	_, err := ScheduleAll(ins, withEventPoints(t, ins, Interval{Proc: 9, Start: 0, End: 2}))
 	if err == nil {
 		t.Fatal("out-of-range extra candidate accepted")
 	}
-	_, err = ScheduleAll(ins, Options{
-		Extra: []Interval{{Proc: 0, Start: 3, End: 3}},
-	})
+	_, err = ScheduleAll(ins, withEventPoints(t, ins, Interval{Proc: 0, Start: 3, End: 3}))
 	if err == nil {
 		t.Fatal("empty extra candidate accepted")
 	}
@@ -71,9 +78,7 @@ func TestExtraCandidatesPrize(t *testing.T) {
 	for _, j := range ins.Jobs {
 		total += j.Value
 	}
-	s, err := PrizeCollectingExact(ins, total, Options{
-		Extra: []Interval{{Proc: 0, Start: 0, End: 9}},
-	})
+	s, err := PrizeCollectingExact(ins, total, withEventPoints(t, ins, Interval{Proc: 0, Start: 0, End: 9}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/bipartite"
 	"repro/internal/bitset"
+	"repro/internal/budget"
 	"repro/internal/power"
 	"repro/internal/submodular"
 )
@@ -97,17 +99,41 @@ func TestMatchingOraclesIncremental(t *testing.T) {
 	}
 }
 
+// plainPrizeCollecting is PrizeCollecting with from-scratch probes
+// (budget.Options.PlainEval): the same candidates, reachability check and
+// eager greedy over the weighted matching utility.
+func plainPrizeCollecting(ins *Instance, z, eps float64) (*Schedule, error) {
+	m, err := NewModel(ins)
+	if err != nil {
+		return nil, err
+	}
+	cands, err := m.buildCandidates(nil)
+	if err != nil {
+		return nil, err
+	}
+	if best, _, _ := bipartite.WeightedValue(m.G, m.Values, m.Order, coverableSlots(m, cands)); best < z {
+		return nil, ErrValueUnreachable
+	}
+	prob := budget.Problem{F: weightedMatchFn{m}, Subsets: budgetSubsets(cands), Threshold: z}
+	res, err := budget.Greedy(prob, budget.Options{Eps: eps, PlainEval: true})
+	if err != nil {
+		return nil, err
+	}
+	return extractWeighted(m, res.Union.Elements(), chosenIntervals(cands, res.Chosen)), nil
+}
+
 // TestPlainOracleMatchesIncremental checks that the from-scratch and
 // incremental oracle paths produce identical schedules for both the
 // schedule-all and prize-collecting greedy stacks, and that both
-// schedule-all paths match the eager reference.
+// schedule-all paths match the eager reference. The from-scratch arms
+// run the same problems with budget.Options.PlainEval.
 func TestPlainOracleMatchesIncremental(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)*7907 + 13))
 		ins := randomOracleInstance(rng)
 
 		inc, errInc := ScheduleAll(ins, Options{})
-		plain, errPlain := ScheduleAll(ins, Options{PlainOracle: true})
+		plain, errPlain := greedyScheduleAll(ins, Options{}, budget.LazyGreedy, true)
 		eager, errEager := eagerScheduleAll(ins, Options{})
 		if (errInc == nil) != (errPlain == nil) || (errInc == nil) != (errEager == nil) {
 			t.Fatalf("trial %d: paths disagree on feasibility: inc=%v plain=%v eager=%v",
@@ -132,7 +158,7 @@ func TestPlainOracleMatchesIncremental(t *testing.T) {
 		}
 		z := 0.6 * total
 		pInc, errInc := PrizeCollecting(ins, z, Options{Eps: 0.1})
-		pPlain, errPlain := PrizeCollecting(ins, z, Options{Eps: 0.1, PlainOracle: true})
+		pPlain, errPlain := plainPrizeCollecting(ins, z, 0.1)
 		if (errInc == nil) != (errPlain == nil) {
 			t.Fatalf("trial %d: prize paths disagree on feasibility: inc=%v plain=%v", trial, errInc, errPlain)
 		}
@@ -157,11 +183,11 @@ func TestCandidateRepricingAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewModel: %v", err)
 	}
-	if _, err := m.buildCandidates(EventPoints, nil); err != nil { // warm the scratch
+	if _, err := m.buildCandidates(nil); err != nil { // warm the scratch
 		t.Fatalf("buildCandidates: %v", err)
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		cands, err := m.buildCandidates(EventPoints, nil)
+		cands, err := m.buildCandidates(nil)
 		if err != nil || len(cands) == 0 {
 			t.Fatalf("buildCandidates: %d cands, %v", len(cands), err)
 		}

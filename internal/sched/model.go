@@ -131,86 +131,35 @@ func (m *Model) addJob(job Job) {
 	m.Order = bipartite.WeightedOrder(m.Values)
 }
 
-// Candidates enumerates candidate awake intervals under the policy.
-func (m *Model) Candidates(policy CandidatePolicy) ([]Interval, error) {
-	n, err := m.candidateCount(policy)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Interval, 0, n)
-	m.eachCandidate(policy, func(iv Interval, _ []int) { out = append(out, iv) })
+// Candidates enumerates the EventPoints candidate awake intervals. The
+// error is always nil: the parameter and the error remain only for the
+// call in perfbench/trace.go.
+func (m *Model) Candidates(CandidatePolicy) ([]Interval, error) {
+	out := make([]Interval, 0, m.candidateCount())
+	m.eachCandidate(func(iv Interval, _ []int) { out = append(out, iv) })
 	return out, nil
 }
 
-// candidateCount returns the exact size of the policy's enumeration, or
-// the error that rules the policy out for this model.
-func (m *Model) candidateCount(policy CandidatePolicy) (int, error) {
-	switch policy {
-	case SingleSlots:
-		return len(m.Slots), nil
-	case EventPoints:
-		total := 0
-		for _, times := range m.timesByProc {
-			total += len(times) * (len(times) + 1) / 2
-		}
-		return total, nil
-	case AllPairs:
-		const maxAllPairs = 4_000_000
-		h := m.Ins.Horizon
-		// Guard p·h² > maxAllPairs by division: the product itself can
-		// overflow int on adversarial horizons. h > 2000 alone already
-		// exceeds the cap (Procs ≥ 1), and h ≤ 2000 keeps h² safe.
-		if p := m.Ins.Procs; h > 2000 || p > maxAllPairs/(h*h) {
-			return 0, fmt.Errorf("sched: AllPairs would enumerate ~%.3g intervals; use EventPoints",
-				float64(p)*float64(h)*float64(h)/2)
-		}
-		return m.Ins.Procs * h * (h + 1) / 2, nil
-	default:
-		return 0, fmt.Errorf("sched: unknown candidate policy %d", int(policy))
+// candidateCount returns the size of the EventPoints enumeration.
+func (m *Model) candidateCount() int {
+	total := 0
+	for _, times := range m.timesByProc {
+		total += len(times) * (len(times) + 1) / 2
 	}
+	return total
 }
 
-// eachCandidate calls fn on every interval of the policy's enumeration,
-// in order, with the interval's slot items — IntervalItems(iv), read off
-// the per-processor index as the enumeration walks it instead of by a
-// binary search per interval — without materializing the list
-// (buildCandidates prices each one as it comes). The policy must have
-// passed candidateCount.
-func (m *Model) eachCandidate(policy CandidatePolicy, fn func(iv Interval, items []int)) {
-	switch policy {
-	case SingleSlots:
-		for _, s := range m.Slots {
-			iv := Interval{Proc: s.Proc, Start: s.Time, End: s.Time + 1}
-			fn(iv, m.IntervalItems(iv))
-		}
-	case EventPoints:
-		for proc := 0; proc < m.Ins.Procs; proc++ {
-			times, xs := m.timesByProc[proc], m.slotsByProc[proc]
-			for i := range times {
-				for j := i; j < len(times); j++ {
-					fn(Interval{Proc: proc, Start: times[i], End: times[j] + 1}, xs[i:j+1:j+1])
-				}
-			}
-		}
-	case AllPairs:
-		for proc := 0; proc < m.Ins.Procs; proc++ {
-			times, xs := m.timesByProc[proc], m.slotsByProc[proc]
-			lo := 0 // first slot at or after s
-			for s := 0; s < m.Ins.Horizon; s++ {
-				for lo < len(times) && times[lo] < s {
-					lo++
-				}
-				hi := lo // first slot at or after e
-				for e := s + 1; e <= m.Ins.Horizon; e++ {
-					for hi < len(times) && times[hi] < e {
-						hi++
-					}
-					var items []int
-					if hi > lo {
-						items = xs[lo:hi:hi]
-					}
-					fn(Interval{Proc: proc, Start: s, End: e}, items)
-				}
+// eachCandidate calls fn on every EventPoints interval, in order, with
+// the interval's slot items — IntervalItems(iv), read off the
+// per-processor index as the enumeration walks it instead of by a binary
+// search per interval — without materializing the list (buildCandidates
+// prices each one as it comes).
+func (m *Model) eachCandidate(fn func(iv Interval, items []int)) {
+	for proc := 0; proc < m.Ins.Procs; proc++ {
+		times, xs := m.timesByProc[proc], m.slotsByProc[proc]
+		for i := range times {
+			for j := i; j < len(times); j++ {
+				fn(Interval{Proc: proc, Start: times[i], End: times[j] + 1}, xs[i:j+1:j+1])
 			}
 		}
 	}
@@ -247,21 +196,22 @@ type candidate struct {
 	items []int
 }
 
-// buildCandidates prices and prunes the candidate intervals (the policy's
-// enumeration plus any caller-supplied extras): infinite-cost
-// (unavailable) and slotless intervals are dropped; negative costs are an
-// input error.
-func (m *Model) buildCandidates(policy CandidatePolicy, extra []Interval) ([]candidate, error) {
-	n, err := m.candidateCount(policy)
-	if err != nil {
-		return nil, err
+// buildCandidates prices and prunes the candidate intervals (the
+// EventPoints enumeration when family is nil, family itself otherwise):
+// infinite-cost (unavailable) and slotless intervals are dropped;
+// negative costs and intervals outside the instance are input errors.
+func (m *Model) buildCandidates(family []Interval) ([]candidate, error) {
+	n := len(family)
+	if family == nil {
+		n = m.candidateCount()
 	}
-	for _, iv := range extra {
+	for _, iv := range family {
 		if iv.Proc < 0 || iv.Proc >= m.Ins.Procs || iv.Start < 0 || iv.End > m.Ins.Horizon || iv.Start >= iv.End {
-			return nil, fmt.Errorf("sched: extra candidate %v outside instance", iv)
+			return nil, fmt.Errorf("sched: candidate %v outside instance", iv)
 		}
 	}
-	out := make([]candidate, 0, n+len(extra))
+	out := make([]candidate, 0, n)
+	var err error
 	add := func(iv Interval, items []int) {
 		if err != nil {
 			return
@@ -278,8 +228,10 @@ func (m *Model) buildCandidates(policy CandidatePolicy, extra []Interval) ([]can
 			out = append(out, candidate{iv: iv, cost: c, items: items})
 		}
 	}
-	m.eachCandidate(policy, add)
-	for _, iv := range extra {
+	if family == nil {
+		m.eachCandidate(add)
+	}
+	for _, iv := range family {
 		add(iv, m.IntervalItems(iv))
 	}
 	if err != nil {
@@ -294,10 +246,11 @@ func (m *Model) buildCandidates(policy CandidatePolicy, extra []Interval) ([]can
 // its processor's sorted slots, so the candidates sharing a first slot
 // are prefixes of the longest of them, and their gains — maximum
 // matchings over those slots — are entries of that run's prefix gains.
-// The policies' enumerations emit each start's candidates together, so
+// The EventPoints enumeration emits each start's candidates together, so
 // one Matcher.PrefixGains pass per group of consecutive candidates with
-// the same first slot prices them all: O(k²) augmenting searches per
-// processor of k slots, where probing each candidate costs O(k³). The
+// the same first slot prices them all (a given family that scatters a
+// start's candidates only splits its groups): O(k²) augmenting searches
+// per processor of k slots, where probing each candidate costs O(k³). The
 // values equal what the initial probes would return, so the heap, the
 // picks and the billed evals are unchanged. The sweep's matcher is left
 // rolled back to empty in m.sweepMat, for the greedy's primary oracle to

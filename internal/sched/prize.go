@@ -38,7 +38,7 @@ func prizeCollecting(model *Model, z float64, opts Options) (*Schedule, error) {
 		}
 		return s, nil
 	}
-	cands, err := model.buildCandidates(opts.Policy, opts.Extra)
+	cands, err := model.buildCandidates(opts.Candidates)
 	if err != nil {
 		return nil, err
 	}
@@ -59,7 +59,7 @@ func prizeCollecting(model *Model, z float64, opts Options) (*Schedule, error) {
 	// float-valued, and the lazy heap can resolve exact floating-point
 	// ties differently (see the budget package doc): switching would
 	// change prize answers on the wire at equal cost and value.
-	res, err := budget.Greedy(prob, budget.Options{Eps: eps, PlainEval: opts.PlainOracle})
+	res, err := budget.Greedy(prob, budget.Options{Eps: eps})
 	if err != nil {
 		return nil, fmt.Errorf("sched: greedy failed: %w", err)
 	}
@@ -109,7 +109,7 @@ func (m *Model) PrizeCollectingExact(z float64, opts Options) (*Schedule, error)
 	}
 	// Augmentation loop from the proof of Theorem 2.3.3: add the cheapest
 	// candidate interval that strictly increases the achievable value.
-	cands, err := model.buildCandidates(opts.Policy, opts.Extra)
+	cands, err := model.buildCandidates(opts.Candidates)
 	if err != nil {
 		return nil, err
 	}

@@ -81,50 +81,27 @@ type Schedule struct {
 	Evals      int64   // utility-oracle calls spent by the greedy
 }
 
-// CandidatePolicy selects how candidate awake intervals are enumerated
-// (ablation A2).
-type CandidatePolicy int
+// CandidatePolicy names the default candidate family; EventPoints is its
+// only value. It exists only for the Model.Candidates(EventPoints) call
+// in perfbench/trace.go; other families are passed as
+// Options.Candidates.
+type CandidatePolicy struct{}
 
-const (
-	// EventPoints enumerates, per processor, every interval whose
-	// endpoints are slots some job can actually use. This is the default:
-	// it is polynomial and loses nothing, since shrinking an interval to
-	// its outermost usable slots only lowers cost under any monotone
-	// model, and non-monotone oracles price the full interval anyway.
-	EventPoints CandidatePolicy = iota
-	// SingleSlots enumerates one unit interval per usable slot — the
-	// finest decomposition; cheap but pays α per slot under affine costs.
-	SingleSlots
-	// AllPairs enumerates every [s,e) on every processor. Exhaustive;
-	// quadratic in the horizon.
-	AllPairs
-)
-
-func (p CandidatePolicy) String() string {
-	switch p {
-	case EventPoints:
-		return "event-points"
-	case SingleSlots:
-		return "single-slots"
-	case AllPairs:
-		return "all-pairs"
-	default:
-		return fmt.Sprintf("policy(%d)", int(p))
-	}
-}
+// EventPoints enumerates, per processor, every interval whose endpoints
+// are slots some job can actually use. It is polynomial and loses
+// nothing under a monotone cost model: shrinking an interval to its
+// outermost usable slots never raises its cost (DESIGN §3).
+var EventPoints CandidatePolicy
 
 // Options tune the scheduling algorithms.
 type Options struct {
-	Policy CandidatePolicy
-	Eps    float64 // bicriteria slack for PrizeCollecting; ScheduleAll defaults to 1/(n+1)
-	// PlainOracle forces from-scratch matching oracles (a fresh
-	// Hopcroft–Karp / weighted rebuild per probe) instead of the default
-	// incremental matchers — the ablation A3 baseline.
-	PlainOracle bool
-	// Extra adds caller-supplied candidate awake intervals on top of the
-	// policy's enumeration — the thesis's "costs might be explicitly given
-	// in the input" mode, e.g. contract blocks a power provider offers.
-	Extra []Interval
+	Eps float64 // bicriteria slack for PrizeCollecting; ScheduleAll defaults to 1/(n+1)
+	// Candidates is the family of candidate awake intervals. Nil means
+	// EventPoints. A non-nil list is the exact family, used as given:
+	// the thesis's "costs might be explicitly given in the input" mode.
+	// EventPoints plus a power provider's contract blocks is
+	// append(ev, blocks...) with ev from Model.Candidates(EventPoints).
+	Candidates []Interval
 }
 
 // Errors returned by the algorithms.
@@ -159,7 +136,7 @@ func (e *UnschedulableError) Unwrap() error { return ErrUnschedulable }
 // decision — the interval sequence, the per-job assignment, and the
 // totals all match (Cost and Value to 1e-9, since different solve paths
 // may sum the same terms in different orders). Evals is ignored: solve
-// paths (eager, lazy, plain-oracle) legitimately spend different probe
+// paths (eager, lazy, from-scratch) legitimately spend different probe
 // counts for the same answer. A nil error means identical; otherwise the error names
 // the first divergence. The differential self-checks (conformance.CheckSolve,
 // the session and engine tests) all compare through this one helper.

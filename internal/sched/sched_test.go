@@ -11,12 +11,10 @@ import (
 	"repro/internal/submodular"
 )
 
-// eagerScheduleAll is the textbook eager reference for ScheduleAll: the
-// same prepared solve input (candidates, Hall check, ε) run through
-// budget.Greedy, which probes every unpicked candidate every round. The
-// from-scratch twin built only from the public surface is
-// conformance.EagerScheduleAll.
-func eagerScheduleAll(ins *Instance, opts Options) (*Schedule, error) {
+// greedyScheduleAll runs greedy (budget.Greedy or budget.LazyGreedy)
+// over ScheduleAll's prepared solve input — candidates, Hall check, ε
+// and first-slot groups — with from-scratch probes when plain is set.
+func greedyScheduleAll(ins *Instance, opts Options, greedy func(budget.Problem, budget.Options) (*budget.Result, error), plain bool) (*Schedule, error) {
 	m, err := NewModel(ins)
 	if err != nil {
 		return nil, err
@@ -28,11 +26,43 @@ func eagerScheduleAll(ins *Instance, opts Options) (*Schedule, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := budget.Greedy(in.prob, budget.Options{Eps: in.eps, PlainEval: opts.PlainOracle})
+	res, err := greedy(in.prob, budget.Options{Eps: in.eps, PlainEval: plain})
 	if err != nil {
 		return nil, err
 	}
 	return m.finishScheduleAll(opts, in, res)
+}
+
+// eagerScheduleAll is the textbook eager reference for ScheduleAll: the
+// same prepared solve input run through budget.Greedy, which probes
+// every unpicked candidate every round. The twin built only from the
+// public surface is conformance.EagerScheduleAll.
+func eagerScheduleAll(ins *Instance, opts Options) (*Schedule, error) {
+	return greedyScheduleAll(ins, opts, budget.Greedy, false)
+}
+
+// singleSlots is the finest candidate family: one unit interval per
+// usable slot, in slot-index order.
+func singleSlots(m *Model) []Interval {
+	out := make([]Interval, len(m.Slots))
+	for i, s := range m.Slots {
+		out[i] = Interval{Proc: s.Proc, Start: s.Time, End: s.Time + 1}
+	}
+	return out
+}
+
+// allPairs is the exhaustive candidate family: every [s, e) on every
+// processor.
+func allPairs(ins *Instance) []Interval {
+	var out []Interval
+	for proc := 0; proc < ins.Procs; proc++ {
+		for s := 0; s < ins.Horizon; s++ {
+			for e := s + 1; e <= ins.Horizon; e++ {
+				out = append(out, Interval{Proc: proc, Start: s, End: e})
+			}
+		}
+	}
+	return out
 }
 
 // window returns the slots [lo, hi) on proc as an Allowed list.
@@ -399,38 +429,27 @@ func TestMultiIntervalJob(t *testing.T) {
 	}
 }
 
+// TestCandidatePolicies: ScheduleAll schedules every job under the
+// default family and under given SingleSlots and AllPairs families.
 func TestCandidatePolicies(t *testing.T) {
 	ins := tinyInstance()
-	for _, policy := range []CandidatePolicy{EventPoints, SingleSlots, AllPairs} {
-		s, err := ScheduleAll(ins, Options{Policy: policy})
+	m, err := NewModel(ins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, family := range map[string][]Interval{
+		"event-points": nil, "single-slots": singleSlots(m), "all-pairs": allPairs(ins),
+	} {
+		s, err := ScheduleAll(ins, Options{Candidates: family})
 		if err != nil {
-			t.Fatalf("%v: %v", policy, err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		if s.Scheduled != 3 {
-			t.Fatalf("%v: scheduled %d", policy, s.Scheduled)
+			t.Fatalf("%s: scheduled %d", name, s.Scheduled)
 		}
 		if err := s.Validate(ins); err != nil {
-			t.Fatalf("%v: %v", policy, err)
+			t.Fatalf("%s: %v", name, err)
 		}
-	}
-}
-
-func TestAllPairsGuard(t *testing.T) {
-	ins := &Instance{
-		Procs: 10, Horizon: 5000,
-		Jobs: []Job{{Allowed: []SlotKey{{0, 0}}}},
-		Cost: power.Affine{Alpha: 1, Rate: 1},
-	}
-	_, err := ScheduleAll(ins, Options{Policy: AllPairs})
-	if err == nil {
-		t.Fatal("AllPairs on huge horizon should refuse")
-	}
-}
-
-func TestPolicyString(t *testing.T) {
-	if EventPoints.String() != "event-points" || SingleSlots.String() != "single-slots" ||
-		AllPairs.String() != "all-pairs" || CandidatePolicy(9).String() != "policy(9)" {
-		t.Fatal("CandidatePolicy.String mismatch")
 	}
 }
 

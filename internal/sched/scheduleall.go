@@ -51,7 +51,7 @@ type solveInput struct {
 // over the coverable slots, and assembles Theorem 2.2.1's budget problem.
 func (m *Model) scheduleAllInput(opts Options) (*solveInput, error) {
 	n := len(m.Ins.Jobs)
-	cands, err := m.buildCandidates(opts.Policy, opts.Extra)
+	cands, err := m.buildCandidates(opts.Candidates)
 	if err != nil {
 		return nil, err
 	}
@@ -86,21 +86,11 @@ func (m *Model) scheduleAllInput(opts Options) (*solveInput, error) {
 
 // scheduleAllExact runs the exact greedy — the stepwise lazy greedy, its
 // initial heap priced by the prefix sweep — over an already-built solve
-// input. PlainOracle runs skip the sweep and probe every candidate
-// through Eval, keeping the from-scratch arm independent of the matcher
-// machinery.
+// input.
 func (m *Model) scheduleAllExact(opts Options, in *solveInput) (*Schedule, error) {
-	bopts := budget.Options{Eps: in.eps, PlainEval: opts.PlainOracle}
-	var sw *budget.Stepwise
-	var err error
-	if opts.PlainOracle {
-		sw, err = budget.NewStepwise(in.prob, bopts)
-	} else {
-		gains := m.sweepGains(in.cands)
-		prob := in.prob
-		prob.F = sweptMatchFn{matchFn{m}}
-		sw, err = budget.NewStepwiseExact(prob, bopts, gains)
-	}
+	prob := in.prob
+	prob.F = sweptMatchFn{matchFn{m}}
+	sw, err := budget.NewStepwiseExact(prob, budget.Options{Eps: in.eps}, m.sweepGains(in.cands))
 	if err != nil {
 		return nil, fmt.Errorf("sched: greedy failed: %w", err)
 	}

@@ -19,9 +19,9 @@ import (
 //     reproduces the from-scratch layout the equivalence contract needs.
 //   - SetUnavailable re-prices candidates only; the graph and the slot
 //     universe stay valid untouched.
-//   - AdvanceHorizon invalidates nothing under EventPoints/SingleSlots
-//     (candidates are derived from usable slots, not the horizon) — even
-//     the cached schedule survives; only AllPairs re-enumerates.
+//   - AdvanceHorizon invalidates nothing (candidates are derived from
+//     usable slots, or given, not from the horizon) — even the cached
+//     schedule survives.
 //
 // Solve runs ScheduleAll's own solve (sweep-priced lazy greedy) on the
 // session's model, so at any mutation history it is byte-identical to
@@ -164,21 +164,15 @@ func (s *Session) SetUnavailable(proc, t int) error {
 }
 
 // AdvanceHorizon extends the horizon to h (it can only grow — the
-// rolling-horizon engine never travels back). Under EventPoints and
-// SingleSlots nothing is invalidated, not even the cached schedule:
-// candidates derive from usable slots, which only new jobs introduce.
-// AllPairs enumerates over the horizon itself and is re-enumerated.
+// rolling-horizon engine never travels back). Nothing is invalidated,
+// not even the cached schedule: EventPoints candidates derive from
+// usable slots, which only new jobs introduce, and a given family does
+// not change.
 func (s *Session) AdvanceHorizon(h int) error {
 	if h < s.ins.Horizon {
 		return fmt.Errorf("sched: session horizon can only advance (%d < %d)", h, s.ins.Horizon)
 	}
-	if h == s.ins.Horizon {
-		return nil
-	}
 	s.ins.Horizon = h
-	if s.opts.Policy == AllPairs {
-		s.cached = nil
-	}
 	return nil
 }
 

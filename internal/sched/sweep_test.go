@@ -61,11 +61,11 @@ func sweepExtras(rng *rand.Rand, procs, horizon int) []Interval {
 	return extra
 }
 
-// forEachSweepCase runs fn over random instances under every cost model
-// and candidate policy, with extra intervals. Models are visited in
+// forEachSweepInstance runs fn over random instances under every cost
+// model, each with extra intervals drawn for it. Models are visited in
 // sorted name order, since each draws its extras from the shared rng:
 // every run checks the same cases.
-func forEachSweepCase(t *testing.T, trials int, fn func(label string, ins *Instance, opts Options)) {
+func forEachSweepInstance(t *testing.T, trials int, fn func(label string, ins *Instance, extra []Interval)) {
 	t.Helper()
 	for trial := 0; trial < trials; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)*4099 + 7))
@@ -74,12 +74,34 @@ func forEachSweepCase(t *testing.T, trials int, fn func(label string, ins *Insta
 		for _, name := range slices.Sorted(maps.Keys(models)) {
 			ins := *base
 			ins.Cost = models[name]
-			extra := sweepExtras(rng, ins.Procs, ins.Horizon)
-			for _, policy := range []CandidatePolicy{EventPoints, SingleSlots, AllPairs} {
-				fn(fmt.Sprintf("trial %d %s %v", trial, name, policy), &ins, Options{Policy: policy, Extra: extra})
-			}
+			fn(fmt.Sprintf("trial %d %s", trial, name), &ins, sweepExtras(rng, ins.Procs, ins.Horizon))
 		}
 	}
+}
+
+// forEachSweepCase runs fn over forEachSweepInstance's instances under
+// the EventPoints, SingleSlots and AllPairs candidate families, each with
+// the instance's extra intervals appended. EventPoints with no extras
+// runs as the nil (default) family.
+func forEachSweepCase(t *testing.T, trials int, fn func(label string, ins *Instance, opts Options)) {
+	t.Helper()
+	forEachSweepInstance(t, trials, func(label string, ins *Instance, extra []Interval) {
+		m, err := NewModel(ins)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev, _ := m.Candidates(EventPoints)
+		for _, fam := range []struct {
+			name string
+			ivs  []Interval
+		}{{"event-points", ev}, {"single-slots", singleSlots(m)}, {"all-pairs", allPairs(ins)}} {
+			var opts Options
+			if fam.name != "event-points" || len(extra) > 0 {
+				opts.Candidates = append(fam.ivs, extra...)
+			}
+			fn(label+" "+fam.name, ins, opts)
+		}
+	})
 }
 
 // TestSweepGainsMatchGainOfSet: every prefix-sweep gain equals a separate
@@ -90,7 +112,7 @@ func TestSweepGainsMatchGainOfSet(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cands, err := m.buildCandidates(opts.Policy, opts.Extra)
+		cands, err := m.buildCandidates(opts.Candidates)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
@@ -156,16 +178,16 @@ func TestCandidateItemsMatchIntervalItems(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cands, err := m.buildCandidates(opts.Policy, opts.Extra)
+		cands, err := m.buildCandidates(opts.Candidates)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
-		ivs, err := m.Candidates(opts.Policy)
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
+		ivs := opts.Candidates
+		if ivs == nil {
+			ivs, _ = m.Candidates(EventPoints)
 		}
 		var want []Interval
-		for _, iv := range append(ivs, opts.Extra...) {
+		for _, iv := range ivs {
 			if c := ins.Cost.Cost(iv.Proc, iv.Start, iv.End); !math.IsInf(c, 1) && len(m.IntervalItems(iv)) > 0 {
 				want = append(want, iv)
 			}
@@ -187,6 +209,43 @@ func TestCandidateItemsMatchIntervalItems(t *testing.T) {
 		}
 		if got := coverableSlots(m, cands); !got.Equal(union) {
 			t.Fatalf("%s: coverableSlots %v, union of candidate items %v", label, got.Elements(), union.Elements())
+		}
+	})
+}
+
+// TestNilCandidatesMeanEventPoints: Options{Candidates: ev}, with ev the
+// EventPoints enumeration, solves exactly as Options{} does — the same
+// schedule and the same Evals — both cold and through a Session.
+func TestNilCandidatesMeanEventPoints(t *testing.T) {
+	forEachSweepInstance(t, 12, func(label string, ins *Instance, _ []Interval) {
+		m, err := NewModel(ins)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev, _ := m.Candidates(EventPoints)
+		solvers := map[string]func(Options) (*Schedule, error){
+			"cold": func(opts Options) (*Schedule, error) { return ScheduleAll(ins, opts) },
+			"session": func(opts Options) (*Schedule, error) {
+				sess, err := NewSession(ins, opts)
+				if err != nil {
+					return nil, err
+				}
+				return sess.Solve()
+			},
+		}
+		for path, solve := range solvers {
+			want, wantErr := solve(Options{})
+			got, gotErr := solve(Options{Candidates: ev})
+			if (wantErr == nil) != (gotErr == nil) {
+				t.Fatalf("%s %s: nil family err %v, EventPoints family err %v", label, path, wantErr, gotErr)
+			}
+			if wantErr != nil {
+				continue
+			}
+			if err := got.SameAs(want); err != nil || got.Evals != want.Evals {
+				t.Fatalf("%s %s: EventPoints family diverges from nil (evals %d vs %d): %v",
+					label, path, got.Evals, want.Evals, err)
+			}
 		}
 	})
 }

@@ -518,17 +518,16 @@ func (s *Service) solve(models *modelCache, req Request) Result {
 }
 
 // cacheKey mixes the instance digest with every request field that
-// changes the answer, including caller-supplied extra candidate
-// intervals. Empty when the request opted out of caching.
+// changes the answer, including a caller-supplied candidate family
+// (non-nil Opts.Candidates). Empty when the request opted out of caching.
 func cacheKey(req Request) string {
 	if req.InstanceKey == "" {
 		return ""
 	}
-	key := fmt.Sprintf("%s|m%d|z%g|e%g|i%t|p%d|po%t",
-		req.InstanceKey, req.Mode, req.Z, req.Opts.Eps, req.Improve,
-		req.Opts.Policy, req.Opts.PlainOracle)
-	if len(req.Opts.Extra) > 0 {
-		key += fmt.Sprintf("|x%v", req.Opts.Extra)
+	key := fmt.Sprintf("%s|m%d|z%g|e%g|i%t",
+		req.InstanceKey, req.Mode, req.Z, req.Opts.Eps, req.Improve)
+	if req.Opts.Candidates != nil {
+		key += fmt.Sprintf("|c%v", req.Opts.Candidates)
 	}
 	return key
 }

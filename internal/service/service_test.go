@@ -253,16 +253,22 @@ func TestServiceCacheOptOut(t *testing.T) {
 }
 
 // TestServiceCacheKeySeparatesExtraIntervals: requests differing only in
-// caller-supplied extra candidate intervals must not share cache entries.
+// a caller-supplied extra candidate interval (the EventPoints family plus
+// one block) must not share cache entries.
 func TestServiceCacheKeySeparatesExtraIntervals(t *testing.T) {
 	req, err := BuildRequest(testSpecs()[0])
 	if err != nil {
 		t.Fatal(err)
 	}
+	m, err := sched.NewModel(req.Instance)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev, _ := m.Candidates(sched.EventPoints)
 	withExtra := req
-	withExtra.Opts.Extra = []sched.Interval{{Proc: 0, Start: 0, End: 16}}
+	withExtra.Opts.Candidates = append(ev, sched.Interval{Proc: 0, Start: 0, End: 16})
 	if cacheKey(req) == cacheKey(withExtra) {
-		t.Fatal("cache key ignores Opts.Extra")
+		t.Fatal("cache key ignores Opts.Candidates")
 	}
 	svc := New(Config{Workers: 1})
 	defer svc.Close(context.Background())

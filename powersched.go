@@ -52,17 +52,10 @@ type (
 	Interval = sched.Interval
 	// Schedule is the algorithms' output: intervals, assignments, cost.
 	Schedule = sched.Schedule
-	// Options tunes candidate enumeration and greedy strategy.
+	// Options sets the bicriteria slack ε and, optionally, the exact
+	// family of candidate awake intervals (nil: every interval between
+	// two usable slots of a processor).
 	Options = sched.Options
-	// CandidatePolicy selects candidate awake-interval enumeration.
-	CandidatePolicy = sched.CandidatePolicy
-)
-
-// Candidate policies.
-const (
-	EventPoints = sched.EventPoints
-	SingleSlots = sched.SingleSlots
-	AllPairs    = sched.AllPairs
 )
 
 // Unassigned marks an unscheduled job in Schedule.Assignment.

@@ -153,8 +153,8 @@ func TestFacadeBudgetedGreedy(t *testing.T) {
 	prob := powersched.BudgetProblem{
 		F: f,
 		Subsets: []powersched.BudgetSubset{
-			{Items: bitset.FromSlice(2, []int{0}), Cost: 1},
-			{Items: bitset.FromSlice(2, []int{1}), Cost: 1},
+			{Elems: []int{0}, Cost: 1},
+			{Elems: []int{1}, Cost: 1},
 		},
 		Threshold: 4,
 	}

@@ -1,7 +1,8 @@
 #!/bin/sh
 # One-command contract lint: builds cmd/powerschedlint and runs the
 # whole suite through `go vet -vettool`, so local runs match the CI
-# lint job exactly. staticcheck and govulncheck piggyback when they are
+# lint job exactly. It also vets the perfbench module, which builds
+# against sched's exported surface. staticcheck and govulncheck piggyback when they are
 # installed and are skipped with a note when they are not — the
 # powerschedlint pass is the part that must always run.
 #
@@ -25,6 +26,9 @@ go build -o bin/powerschedlint ./cmd/powerschedlint
 echo "lint: go vet (standard analyzers)"
 # shellcheck disable=SC2086 # patterns are intentionally word-split
 go vet $pkgs
+
+echo "lint: go vet in perfbench (its own module, built against sched's exported surface)"
+(cd perfbench && go vet ./...)
 
 echo "lint: go vet -vettool=powerschedlint (contract analyzers)"
 # shellcheck disable=SC2086
