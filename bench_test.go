@@ -61,7 +61,7 @@ func BenchmarkA3IncrementalMatching(b *testing.B) { benchExperiment(b, "A3") }
 func BenchmarkA4EpsilonSweep(b *testing.B)        { benchExperiment(b, "A4") }
 
 // BenchmarkScheduleAllLazy isolates one solve from the experiments'
-// trial-level parallelism: one planted instance, one sweep-seeded lazy
+// trial-level parallelism: one planted instance, one group-keyed lazy
 // incremental greedy. This is the latency story a single service request
 // sees; the experiment benchmarks above measure throughput.
 func BenchmarkScheduleAllLazy(b *testing.B) {
@@ -95,7 +95,7 @@ func solveColdPool(n int) []*sched.Instance {
 }
 
 // BenchmarkScheduleAllSolveCold is ScheduleAll as a cold wire solve runs
-// it — model build, candidate pricing, the sweep-seeded lazy greedy and
+// it — model build, candidate pricing, the group-keyed lazy greedy and
 // schedule extraction — cycling through distinct instances so no state
 // carries over between operations. evals/op is the oracle calls
 // (Schedule.Evals) a solve bills on average over the pool, counted off
@@ -167,7 +167,7 @@ func BenchmarkSessionResolve(b *testing.B) {
 // 40-job Poisson-burst trace (2 processors, horizon 80, window 2) drops
 // its oldest job, admits the next one and re-solves. RemoveJob forces a
 // model rebuild, so each step pays model build, candidate pricing and
-// the sweep-priced lazy greedy. evals/op is the oracle calls a re-solve
+// the group-keyed lazy greedy. evals/op is the oracle calls a re-solve
 // bills on average over one 40-step cycle of the window, counted off the
 // clock on a twin session.
 func BenchmarkSessionSlide(b *testing.B) {

@@ -39,8 +39,10 @@
 // fresh gain for about the cost of one probe; a popped fresh group's best
 // member is therefore the eager argmax, ties to the lowest index, and the
 // picks and trace are exactly Greedy's for integral utilities. After a
-// pick the group goes back with its other members' now-stale gains. With
-// one subset per group this is the classical lazy loop, probe for probe.
+// pick the group goes back with its other members' now-stale gains. The
+// initial heap is priced the same way, one pass per group, but billed as
+// one oracle call per subset, as probing each would be. With one subset
+// per group this is the classical lazy loop, probe for probe.
 //
 // Both greedies are serial: each pick depends on the one before it, so
 // the only work a second goroutine could take is one round's probes, and
@@ -92,11 +94,11 @@ type Problem struct {
 	// the indices increase, and group g ends where group g+1 starts (the
 	// last one at len(Subsets)). When F's incremental oracle can price
 	// prefixes (submodular.AsPrefixPricer), the lazy greedy keeps one heap
-	// entry per group and re-prices a stale group with one prefix pass
-	// (see the package doc). Nil, or an oracle without prefix pricing,
-	// makes every subset its own group. Groups change how many oracle
-	// calls a run bills, not its picks (for integral utilities; see the
-	// package doc on float ties).
+	// entry per group and prices a group, initially and whenever it is
+	// stale, with one prefix pass (see the package doc). Nil, or an
+	// oracle without prefix pricing, makes every subset its own group.
+	// Groups change how many oracle calls a run bills, not its picks (for
+	// integral utilities; see the package doc on float ties).
 	Groups []int
 }
 
@@ -161,9 +163,7 @@ var ErrInfeasible = errors.New("budget: threshold unreachable with given subsets
 // fresh gain exceeds the stale upper bound its heap entry held by more
 // than boundSlack. Lazy evaluation is exact only while those bounds hold,
 // so the run stops instead of picking from a heap it can no longer trust.
-// On a run seeded by its own probes a violation means F is not
-// submodular; on one seeded with NewStepwiseExact it can also mean an
-// exact gain under-stated the truth.
+// A violation means F is not submodular.
 var ErrBrokenBound = errors.New("budget: lazy gain bound violated")
 
 const tol = 1e-12
@@ -178,7 +178,7 @@ func boundSlack(bound, curU float64) float64 {
 
 // workspace is the per-run state shared by Greedy and LazyGreedy: the
 // incremental oracle (or the plain-Eval probe buffer) and the group
-// re-pricing scratch. Everything is allocated once per run — the probe
+// pricing scratch. Everything is allocated once per run — the probe
 // loops allocate nothing per round.
 type workspace struct {
 	f submodular.Function
@@ -190,7 +190,7 @@ type workspace struct {
 	// through. nil on the plain-Eval path.
 	inc submodular.Incremental
 
-	// Group re-pricing: the oracle's prefix pricing and the problem's
+	// Group pricing: the oracle's prefix pricing and the problem's
 	// groups, both nil unless the problem has groups and the oracle can
 	// price prefixes (then every subset is its own group); prefix is the
 	// pass's scratch, sized to the longest group member.
@@ -586,9 +586,9 @@ func (h lazyHeap) siftDown(i int) {
 // two savings: fewer probes, and each probe cheaper. A re-probe above its
 // stale bound stops the run with ErrBrokenBound.
 func LazyGreedy(p Problem, opts Options) (*Result, error) {
-	s, err := NewStepwise(p, opts)
+	s, err := newStepwise(p, opts)
 	if err != nil {
 		return nil, err
 	}
-	return s.Solve()
+	return s.solve()
 }

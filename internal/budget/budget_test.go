@@ -367,7 +367,7 @@ func TestLazyHeapPushDoesNotAllocate(t *testing.T) {
 // from 0 to 70, which crosses the 4-ary heap's level boundaries (a second
 // level starts at 2 entries, a third at 6, a fourth at 22, and 70 leaves
 // the fourth partly filled). It fills the heap three ways: by push, by the bulk
-// init NewStepwiseExact uses, and by interleaving pops with pushes that
+// init newStepwise uses, and by interleaving pops with pushes that
 // re-insert popped entries at a lower ratio, as re-pricing does with
 // stale ones.
 func TestLazyHeapOrdersLikeSort(t *testing.T) {

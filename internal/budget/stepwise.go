@@ -7,16 +7,12 @@ import (
 	"repro/internal/submodular"
 )
 
-// Stepwise is the resumable form of the lazy budgeted greedy: the same
-// pick sequence as LazyGreedy (and Greedy, for integral utilities),
-// advanced one pick at a time. It exists so that callers able to price
-// the initial gains in bulk (sched.Model.ScheduleAll prices every
-// candidate interval with one prefix sweep per start slot) can seed the
-// initial heap exactly through NewStepwiseExact and skip the initial
-// probe sweep.
+// stepwise is the resumable form of the lazy budgeted greedy behind
+// LazyGreedy, advanced one pick at a time so that tests and the
+// StepwiseRound benchmark can step a run.
 //
-// A Stepwise must not be shared between goroutines.
-type Stepwise struct {
+// A stepwise run must not be shared between goroutines.
+type stepwise struct {
 	p  Problem
 	f  *submodular.Counting
 	ws *workspace
@@ -35,74 +31,51 @@ type Stepwise struct {
 	err    error
 }
 
-// NewStepwise validates the problem and prepares a resumable run whose
-// initial heap is built by probing every subset up front, one oracle
-// call each.
-func NewStepwise(p Problem, opts Options) (*Stepwise, error) {
-	gains := make([]float64, len(p.Subsets))
-	for i := range gains {
-		gains[i] = math.NaN()
-	}
-	return NewStepwiseExact(p, opts, gains)
-}
-
-// NewStepwiseExact prepares a run whose initial heap is seeded from exact
-// initial gains: gains[i] is subset i's capped gain against the initial
-// base set — precisely what the initial probe would return — or NaN to
-// have the run probe subset i itself. Exact entries are seeded fresh
-// (round 0, never re-priced before the first pick) and each is billed as
-// one oracle call, so the heap, the pick sequence and Result.Evals are
-// those of NewStepwise(p, opts). An exact gain that understates the
-// truth is caught like any stale bound: when its group is re-priced in a
-// later round, the fresh gain exceeds the seeded one (ErrBrokenBound).
-// The run takes gains over as its per-subset bounds and overwrites it.
-func NewStepwiseExact(p Problem, opts Options, gains []float64) (*Stepwise, error) {
-	if len(gains) != len(p.Subsets) {
-		return nil, fmt.Errorf("budget: %d exact gains for %d subsets", len(gains), len(p.Subsets))
-	}
+// newStepwise validates the problem and prepares a run whose initial
+// heap holds every group priced against the initial base set — by the
+// same price that re-prices a stale group, starting from bounds of +Inf
+// (every subset live, no bound to break). A group of several subsets is
+// thus priced by one prefix pass when the oracle can price prefixes, and
+// every other subset by its own probe. The initial pricing bills one
+// oracle call per subset however it was priced, so Result.Evals does not
+// depend on the grouping before the first pick.
+func newStepwise(p Problem, opts Options) (*stepwise, error) {
 	if err := validate(p, opts); err != nil {
 		return nil, err
 	}
 	f := submodular.NewCounting(p.F)
 	ws := newWorkspace(f, p, opts)
-	s := &Stepwise{
+	s := &stepwise{
 		p:      p,
 		f:      f,
 		ws:     ws,
-		gains:  gains,
+		gains:  make([]float64, len(p.Subsets)),
 		curU:   math.Min(p.Threshold, ws.utility()),
 		target: (1 - opts.Eps) * p.Threshold,
 		res:    &Result{Union: ws.cur},
 	}
-	base := ws.base()
-	known := 0
-	for i, g := range gains {
-		if math.IsNaN(g) {
-			g, _, _ = ws.probe(i, base, s.curU)
-		} else {
-			known++
-			g = math.Min(p.Threshold, g)
-		}
-		if g <= tol {
-			g = 0
-		}
-		gains[i] = g
+	for i := range s.gains {
+		s.gains[i] = math.Inf(1)
 	}
-	f.Charge(int64(known))
+	before := f.Calls()
 	s.h = make(lazyHeap, 0, ws.groupCount())
 	for g := 0; g < ws.groupCount(); g++ {
+		_ = s.price(g) // no gain breaks a bound of +Inf
 		if e, ok := s.best(g, 0); ok {
 			s.h = append(s.h, e)
 		}
 	}
 	s.h.init()
+	// A prefix pass billed one call for its whole group; bill the initial
+	// pricing one call per subset, as probing each would.
+	f.Charge(int64(len(p.Subsets)) - (f.Calls() - before))
 	return s, nil
 }
 
 // best returns group g's heap entry, stamped with round: its live member
 // of highest last-known ratio, ties to the lowest index. ok is false when
 // no member is live.
-func (s *Stepwise) best(g, round int) (e lazyEntry, ok bool) {
+func (s *stepwise) best(g, round int) (e lazyEntry, ok bool) {
 	lo, hi := s.ws.group(g)
 	for i := lo; i < hi; i++ {
 		if s.gains[i] == 0 {
@@ -115,13 +88,25 @@ func (s *Stepwise) best(g, round int) (e lazyEntry, ok bool) {
 	return e, ok
 }
 
-// reprice refreshes every live member of stale group g against the
-// current solution and pushes the group back, stamped with the current
-// round, if a member still helps. A group with one live member is
-// probed; a larger one is priced by one prefix pass over its longest
-// live member, which holds every other as a prefix. A fresh gain above
-// its member's stale bound returns ErrBrokenBound.
-func (s *Stepwise) reprice(g int) error {
+// reprice refreshes stale group g against the current solution and
+// pushes it back, stamped with the current round, if a member still
+// helps.
+func (s *stepwise) reprice(g int) error {
+	if err := s.price(g); err != nil {
+		return err
+	}
+	if e, ok := s.best(g, s.round); ok {
+		s.h.push(e)
+	}
+	return nil
+}
+
+// price records the fresh gain of every live member of group g against
+// the current solution. A group with one live member is probed; a larger
+// one is priced by one prefix pass over its longest live member, which
+// holds every other as a prefix. A fresh gain above its member's stale
+// bound returns ErrBrokenBound (settle).
+func (s *stepwise) price(g int) error {
 	lo, hi := s.ws.group(g)
 	longest, live := -1, 0
 	for i := lo; i < hi; i++ {
@@ -136,36 +121,33 @@ func (s *Stepwise) reprice(g int) error {
 	base := s.ws.base()
 	if live == 1 {
 		gain, _, _ := s.ws.probe(longest, base, s.curU)
-		if err := s.settle(longest, gain); err != nil {
+		return s.settle(longest, gain)
+	}
+	run := s.ws.items(longest)
+	prefix := s.ws.prefix[:len(run)]
+	s.ws.pre.PrefixGains(run, prefix)
+	for i := lo; i < hi; i++ {
+		if s.gains[i] == 0 {
+			continue
+		}
+		gain := math.Min(s.ws.x, base+prefix[len(s.ws.items(i))-1]) - s.curU
+		if gain <= tol {
+			gain = 0
+		}
+		if err := s.settle(i, gain); err != nil {
 			return err
 		}
-	} else {
-		run := s.ws.items(longest)
-		prefix := s.ws.prefix[:len(run)]
-		s.ws.pre.PrefixGains(run, prefix)
-		for i := lo; i < hi; i++ {
-			if s.gains[i] == 0 {
-				continue
-			}
-			gain := math.Min(s.ws.x, base+prefix[len(s.ws.items(i))-1]) - s.curU
-			if gain <= tol {
-				gain = 0
-			}
-			if err := s.settle(i, gain); err != nil {
-				return err
-			}
-		}
-	}
-	if e, ok := s.best(g, s.round); ok {
-		s.h.push(e)
 	}
 	return nil
 }
 
 // settle records subset i's fresh gain after checking it against the
-// stale bound it replaces — the lazy loop's free soundness check.
-func (s *Stepwise) settle(i int, fresh float64) error {
-	if bound := s.gains[i]; fresh > bound+boundSlack(bound, s.curU) {
+// stale bound it replaces — the lazy loop's free soundness check. The
+// slack is computed only for a gain above its bound, which a submodular
+// oracle returns at most by rounding, so the check costs one comparison
+// per priced member (the initial pricing's +Inf bounds included).
+func (s *stepwise) settle(i int, fresh float64) error {
+	if bound := s.gains[i]; fresh > bound && fresh > bound+boundSlack(bound, s.curU) {
 		return fmt.Errorf("%w: subset %d re-probed at gain %g above its bound %g in round %d",
 			ErrBrokenBound, i, fresh, bound, s.round)
 	}
@@ -173,24 +155,21 @@ func (s *Stepwise) settle(i int, fresh float64) error {
 	return nil
 }
 
-// Done reports whether the run has reached its target (or failed).
-func (s *Stepwise) Done() bool { return s.done }
-
-// Result returns the run's result so far: picks, cost, and trace reflect
+// result returns the run's result so far: picks, cost, and trace reflect
 // the steps taken; Utility and Evals are refreshed on every call.
-func (s *Stepwise) Result() *Result {
+func (s *stepwise) result() *Result {
 	s.res.Utility = s.ws.utility()
 	s.res.Evals = s.f.Calls()
 	return s.res
 }
 
-// Step advances the run by one greedy pick. It returns (step, true, nil)
+// step advances the run by one greedy pick. It returns (step, true, nil)
 // after a pick, (Step{}, false, nil) when the target was already met, and
 // (Step{}, false, err) when no remaining subset can improve utility
 // (ErrInfeasible) or a re-pricing broke a stale bound (ErrBrokenBound).
 // The pick sequence is exactly Greedy's for integral utilities (see the
 // package doc).
-func (s *Stepwise) Step() (Step, bool, error) {
+func (s *stepwise) step() (Step, bool, error) {
 	if s.err != nil {
 		return Step{}, false, s.err
 	}
@@ -212,13 +191,13 @@ func (s *Stepwise) Step() (Step, bool, error) {
 		}
 		if err := s.reprice(e.grp); err != nil {
 			s.err = err
-			s.Result()
+			s.result()
 			return Step{}, false, err
 		}
 	}
 	if !found {
 		s.err = fmt.Errorf("%w: stuck at utility %g of %g", ErrInfeasible, s.curU, s.p.Threshold)
-		s.Result()
+		s.result()
 		return Step{}, false, s.err
 	}
 	gain := s.gains[pick.idx]
@@ -244,17 +223,15 @@ func (s *Stepwise) Step() (Step, bool, error) {
 	return st, true, nil
 }
 
-// Solve runs Step to completion and returns the final result — identical
-// picks to LazyGreedy (and, by the lazy-evaluation argument, to Greedy
-// for integral utilities).
-func (s *Stepwise) Solve() (*Result, error) {
+// solve runs step to completion and returns the final result.
+func (s *stepwise) solve() (*Result, error) {
 	for {
-		_, ok, err := s.Step()
+		_, ok, err := s.step()
 		if err != nil {
 			return s.res, err
 		}
 		if !ok {
-			return s.Result(), nil
+			return s.result(), nil
 		}
 	}
 }

@@ -288,8 +288,8 @@ func EagerScheduleAll(ins *sched.Instance, opts sched.Options) (*sched.Schedule,
 // CheckSolve exercises the solver contract on one instance. The baseline
 // is EagerScheduleAll. Two arms must produce a schedule byte-identical to
 // it (Schedule.SameAs) that Schedule.Validate accepts: ScheduleAll — the
-// sweep-seeded, group-keyed lazy greedy over the incremental matcher —
-// and the classical lazy greedy (budget.LazyGreedy, one heap entry per
+// group-keyed lazy greedy over the incremental matcher, each first-slot
+// group priced by one prefix pass — and the classical lazy greedy (budget.LazyGreedy, one heap entry per
 // candidate, from-scratch probes) over the Reference problem. If
 // ScheduleAll rejects the instance (e.g. the model's blocked slots make
 // it unschedulable), the baseline must reject it too, the same way.

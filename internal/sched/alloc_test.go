@@ -11,37 +11,28 @@ import (
 // raceEnabled is set by race_test.go in -race builds.
 var raceEnabled bool
 
-// TestScheduleAllSweepAllocs pins ScheduleAll's allocations on the
-// solve-cold serving shape (20 Poisson-burst jobs, 2 processors, 64
-// slots, window 2 — BenchmarkScheduleAllSolveCold's pool) at most one
-// above the lazy greedy that probes every candidate for its initial
-// heap: the prefix sweep reuses one matcher, handed on to the greedy
-// afterwards, and a Model-owned buffer, and the greedy takes over the
-// slice of gains it returns as its per-candidate bounds, where the
-// probing path allocates that slice itself (108 allocations on this
-// instance on both paths).
-func TestScheduleAllSweepAllocs(t *testing.T) {
-	tr := workload.PoissonBurstTrace(rand.New(rand.NewSource(1)),
-		workload.TraceParams{Procs: 2, Horizon: 64, Jobs: 20, Window: 2})
-	ins := tr.FinalInstance()
-	swept, err := sched.ScheduleAll(ins, sched.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	probed, err := sched.ScheduleAllProbed(ins, sched.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := swept.SameAs(probed); err != nil || swept.Evals != probed.Evals {
-		t.Fatalf("sweep path diverges from the probing path (evals %d vs %d): %v", swept.Evals, probed.Evals, err)
-	}
+// TestScheduleAllAllocs pins ScheduleAll's allocations on the solve-cold
+// serving shape (20 Poisson-burst jobs, 2 processors, 64 slots, window
+// 2 — BenchmarkScheduleAllSolveCold's pool): the model, the candidates,
+// the budget problem and one greedy run with its matcher take 108
+// allocations on this instance. The pin keeps per-candidate work, such
+// as a second initial-pricing matcher or a gains slice per solve beside
+// the greedy's own, from coming back.
+func TestScheduleAllAllocs(t *testing.T) {
+	const pin = 108
 	if raceEnabled {
 		t.Skip("the race detector drops sync.Pool entries at random, adding allocations")
 	}
-	sweptAllocs := testing.AllocsPerRun(20, func() { _, _ = sched.ScheduleAll(ins, sched.Options{}) })
-	probedAllocs := testing.AllocsPerRun(20, func() { _, _ = sched.ScheduleAllProbed(ins, sched.Options{}) })
-	if sweptAllocs > probedAllocs+1 {
-		t.Fatalf("ScheduleAll allocates %v times per solve, the probing lazy path %v", sweptAllocs, probedAllocs)
+	tr := workload.PoissonBurstTrace(rand.New(rand.NewSource(1)),
+		workload.TraceParams{Procs: 2, Horizon: 64, Jobs: 20, Window: 2})
+	ins := tr.FinalInstance()
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := sched.ScheduleAll(ins, sched.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > pin {
+		t.Fatalf("ScheduleAll allocates %v times per solve, pinned at %d", allocs, pin)
 	}
 }
 

@@ -29,14 +29,11 @@ type Model struct {
 	timesByProc [][]int // sorted distinct slot times per processor
 	slotsByProc [][]int // X indices parallel to timesByProc
 
-	// Prefix-sweep state (sweepGains), reused across solves — one reason
-	// a Model must not run concurrent solves, already the documented
-	// contract: scratch for runs longer than a stack buffer (prefixBuf,
-	// shared by the sweep and the greedy's group re-pricing),
-	// and the sweep's matcher, rolled back to empty, until the greedy's
-	// primary oracle adopts it (sweptMatchFn).
-	sweepBuf []int
-	sweepMat *bipartite.Matcher
+	// prefixScratch is the greedy's prefix-pricing scratch for runs
+	// longer than a stack buffer (prefixBuf), reused across solves — one
+	// reason a Model must not run concurrent solves, already the
+	// documented contract.
+	prefixScratch []int
 }
 
 // NewModel builds the bipartite formulation. Only slots usable by some job
@@ -188,7 +185,7 @@ func (m *Model) IntervalItems(iv Interval) []int {
 
 // candidate pairs an interval with its precomputed cost and slot items.
 // items is always a contiguous run of slotsByProc[iv.Proc] — the fact
-// firstSlotGroup, and with it the prefix sweep (sweepGains) and
+// firstSlotGroup, and with it the greedy's groups (candidateGroups) and
 // coverableSlots, relies on.
 type candidate struct {
 	iv    Interval
@@ -240,47 +237,15 @@ func (m *Model) buildCandidates(family []Interval) ([]candidate, error) {
 	return out, nil
 }
 
-// sweepGains prices every candidate's exact gain against the empty slot
-// set, for seeding the lazy greedy's initial heap
-// (budget.NewStepwiseExact). A candidate's items are a contiguous run of
-// its processor's sorted slots, so the candidates sharing a first slot
-// are prefixes of the longest of them, and their gains — maximum
-// matchings over those slots — are entries of that run's prefix gains.
-// The EventPoints enumeration emits each start's candidates together, so
-// one Matcher.PrefixGains pass per group of consecutive candidates with
-// the same first slot prices them all (a given family that scatters a
-// start's candidates only splits its groups): O(k²) augmenting searches
-// per processor of k slots, where probing each candidate costs O(k³). The
-// values equal what the initial probes would return, so the heap, the
-// picks and the billed evals are unchanged. The sweep's matcher is left
-// rolled back to empty in m.sweepMat, for the greedy's primary oracle to
-// adopt (sweptMatchFn).
-func (m *Model) sweepGains(cands []candidate) []float64 {
-	gains := make([]float64, len(cands))
-	mat := bipartite.NewMatcher(m.G)
-	var small [64]int // prefix-gain scratch for runs up to 64 slots
-	for lo := 0; lo < len(cands); {
-		hi, run := firstSlotGroup(cands, lo)
-		prefix := m.prefixBuf(small[:0], len(run))
-		mat.PrefixGains(run, prefix)
-		for i := lo; i < hi; i++ {
-			gains[i] = float64(prefix[len(cands[i].items)-1])
-		}
-		lo = hi
-	}
-	m.sweepMat = mat
-	return gains
-}
-
 // prefixBuf returns n ints of prefix-gain scratch: small's backing array
-// (a caller's stack buffer) when it has room, the model's sweepBuf, grown
-// once, for longer runs.
+// (a caller's stack buffer) when it has room, the model's prefixScratch,
+// grown once, for longer runs.
 func (m *Model) prefixBuf(small []int, n int) []int {
 	if n <= cap(small) {
 		return small[:n]
 	}
-	m.sweepBuf = slices.Grow(m.sweepBuf[:0], n)
-	return m.sweepBuf[:n]
+	m.prefixScratch = slices.Grow(m.prefixScratch[:0], n)
+	return m.prefixScratch[:n]
 }
 
 // candidateGroups returns the index of every first-slot group's first
@@ -351,23 +316,6 @@ func (f matchFn) NewIncremental() submodular.Incremental {
 	return &matchOracle{fn: f, mat: bipartite.NewMatcher(f.m.G)}
 }
 
-// sweptMatchFn is matchFn for the greedy that follows a prefix sweep:
-// its incremental oracle adopts the sweep's matcher (m.sweepMat) instead
-// of allocating one — rolled back to empty it is indistinguishable from
-// a fresh matcher, and its probe journals are already grown. Once the
-// matcher is taken, later calls allocate as matchFn does.
-type sweptMatchFn struct{ matchFn }
-
-// NewIncremental implements submodular.IncrementalProvider.
-func (f sweptMatchFn) NewIncremental() submodular.Incremental {
-	mat := f.m.sweepMat
-	if mat == nil {
-		mat = bipartite.NewMatcher(f.m.G)
-	}
-	f.m.sweepMat = nil
-	return &matchOracle{fn: f.matchFn, mat: mat}
-}
-
 // matchOracle adapts bipartite.Matcher to submodular.Incremental.
 type matchOracle struct {
 	fn  matchFn
@@ -393,7 +341,7 @@ func (o *matchOracle) Gain(items []int) float64 { return float64(o.mat.GainOfSet
 // Matcher.PrefixGains pass, so the lazy greedy re-prices a first-slot
 // group of candidates for the cost of one probe of its longest run.
 func (o *matchOracle) PrefixGains(items []int, gains []float64) {
-	var small [64]int // as in sweepGains
+	var small [64]int // prefix-gain scratch for runs up to 64 slots
 	prefix := o.fn.m.prefixBuf(small[:0], len(items))
 	o.mat.PrefixGains(items, prefix)
 	for i, g := range prefix {
@@ -403,11 +351,6 @@ func (o *matchOracle) PrefixGains(items []int, gains []float64) {
 
 // Commit implements submodular.Incremental.
 func (o *matchOracle) Commit(items []int) float64 { return float64(o.mat.EnableSet(items)) }
-
-// Reset implements submodular.Incremental.
-func (o *matchOracle) Reset() {
-	o.mat = bipartite.NewMatcher(o.fn.m.G)
-}
 
 // weightedMatchFn is Lemma 2.3.2's utility: F(S) = maximum total job value
 // of a matching saturating only slot-vertices in S. Monotone submodular.
@@ -453,11 +396,6 @@ func (o *weightedOracle) Gain(items []int) float64 { return o.mat.GainOfSet(item
 
 // Commit implements submodular.Incremental.
 func (o *weightedOracle) Commit(items []int) float64 { return o.mat.EnableSet(items) }
-
-// Reset implements submodular.Incremental.
-func (o *weightedOracle) Reset() {
-	o.mat = bipartite.NewWeightedMatcher(o.fn.m.G, o.fn.m.Values, o.fn.m.Order)
-}
 
 // Functions exposed for property tests.
 var (

@@ -199,7 +199,7 @@ func TestScheduleAllValidatesOnRandom(t *testing.T) {
 	}
 }
 
-// TestFastMatchesBudgetPath: the default path (sweep-seeded lazy greedy,
+// TestFastMatchesBudgetPath: the default path (group-keyed lazy greedy,
 // incremental matcher) picks the eager budget greedy's exact sequence.
 func TestFastMatchesBudgetPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))

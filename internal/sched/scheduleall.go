@@ -20,12 +20,14 @@ func ScheduleAll(ins *Instance, opts Options) (*Schedule, error) {
 	return model.ScheduleAll(opts)
 }
 
-// ScheduleAll runs Theorem 2.2.1's algorithm on the prebuilt model. Reusing
-// one Model across calls on the same instance (as the serving layer's
-// workers do for a batch) amortizes graph construction and the
+// ScheduleAll runs Theorem 2.2.1's algorithm on the prebuilt model: the
+// lazy budgeted greedy (budget.LazyGreedy) over the candidate intervals,
+// grouped by first slot so that one prefix pass prices a whole group.
+// Reusing one Model across calls on the same instance (as the serving
+// layer's workers do for a batch) amortizes graph construction and the
 // per-processor slot indexes. Solves reuse per-model scratch buffers
-// (candidate enumeration and re-pricing), so a Model must not be shared
-// between goroutines running concurrently — the contract it always had.
+// (prefix pricing of long runs), so a Model must not be shared between
+// goroutines running concurrently — the contract it always had.
 func (m *Model) ScheduleAll(opts Options) (*Schedule, error) {
 	n := len(m.Ins.Jobs)
 	if n == 0 {
@@ -35,7 +37,11 @@ func (m *Model) ScheduleAll(opts Options) (*Schedule, error) {
 	if err != nil {
 		return nil, err
 	}
-	return m.scheduleAllExact(opts, in)
+	res, err := budget.LazyGreedy(in.prob, budget.Options{Eps: in.eps})
+	if err != nil {
+		return nil, fmt.Errorf("sched: greedy failed: %w", err)
+	}
+	return m.finishScheduleAll(opts, in, res)
 }
 
 // solveInput is the prepared greedy problem for one schedule-all run: the
@@ -82,23 +88,6 @@ func (m *Model) scheduleAllInput(opts Options) (*solveInput, error) {
 		},
 		eps: eps,
 	}, nil
-}
-
-// scheduleAllExact runs the exact greedy — the stepwise lazy greedy, its
-// initial heap priced by the prefix sweep — over an already-built solve
-// input.
-func (m *Model) scheduleAllExact(opts Options, in *solveInput) (*Schedule, error) {
-	prob := in.prob
-	prob.F = sweptMatchFn{matchFn{m}}
-	sw, err := budget.NewStepwiseExact(prob, budget.Options{Eps: in.eps}, m.sweepGains(in.cands))
-	if err != nil {
-		return nil, fmt.Errorf("sched: greedy failed: %w", err)
-	}
-	res, err := sw.Solve()
-	if err != nil {
-		return nil, fmt.Errorf("sched: greedy failed: %w", err)
-	}
-	return m.finishScheduleAll(opts, in, res)
 }
 
 // finishScheduleAll extracts the schedule from a completed greedy run.

@@ -23,10 +23,10 @@ import (
 //     usable slots, or given, not from the horizon) — even the cached
 //     schedule survives.
 //
-// Solve runs ScheduleAll's own solve (sweep-priced lazy greedy) on the
-// session's model, so at any mutation history it is byte-identical to
-// ScheduleAll on an equivalent instance built from scratch — intervals,
-// assignment, cost, value, and Evals. Sessions carry no warm-start
+// Solve runs Model.ScheduleAll on the session's model, so at any
+// mutation history it is byte-identical to ScheduleAll on an equivalent
+// instance built from scratch — intervals, assignment, cost, value, and
+// Evals. Sessions carry no warm-start
 // hints from one solve to the next; DESIGN §1 says why.
 //
 // A Session is not safe for concurrent use; callers serialize access
@@ -177,20 +177,14 @@ func (s *Session) AdvanceHorizon(h int) error {
 }
 
 // Solve returns Theorem 2.2.1's schedule for the session's current
-// instance: it runs exactly ScheduleAll's solve on the session's model,
-// so schedule and Evals are those of ScheduleAll on the same instance
+// instance: it runs Model.ScheduleAll on the session's model, so
+// schedule and Evals are those of ScheduleAll on the same instance
 // built from scratch. Repeated Solves without intervening mutations are
 // answered from the session cache with zero oracle calls.
 func (s *Session) Solve() (*Schedule, error) {
 	if s.cached != nil {
 		s.lastEvals = 0
 		s.cacheHits++
-		return copySchedule(s.cached), nil
-	}
-	if len(s.ins.Jobs) == 0 {
-		s.cached = &Schedule{Assignment: []SlotKey{}}
-		s.lastEvals = 0
-		s.solves++
 		return copySchedule(s.cached), nil
 	}
 	if s.model == nil {
@@ -200,11 +194,7 @@ func (s *Session) Solve() (*Schedule, error) {
 		}
 		s.model = m
 	}
-	in, err := s.model.scheduleAllInput(s.opts)
-	if err != nil {
-		return nil, err
-	}
-	sched, err := s.model.scheduleAllExact(s.opts, in)
+	sched, err := s.model.ScheduleAll(s.opts)
 	if err != nil {
 		return nil, err
 	}

@@ -116,7 +116,7 @@ func TestSessionMatchesFromScratchUnderMutations(t *testing.T) {
 
 // TestSessionWarmResolveBeatsColdOnASeries pins the session's eval
 // accounting on the A-series planted instances: a re-solve after a small
-// mutation is ScheduleAll's sweep-priced solve, so it spends exactly the
+// mutation is ScheduleAll's solve, so it spends exactly the
 // oracle calls of solving the mutated instance from scratch, and picks
 // the eager reference's schedule.
 func TestSessionWarmResolveBeatsColdOnASeries(t *testing.T) {
@@ -284,4 +284,42 @@ func TestSessionMutationValidation(t *testing.T) {
 		t.Fatal("horizon shrink accepted")
 	}
 	checkAgainstFromScratch(t, sess, Options{}, "after rejected mutations")
+}
+
+// TestSessionEmptySolve: an empty session solves to the empty schedule
+// at zero evals, answers a repeat from its cache, and keeps the model
+// that solve built: the next AddJob extends it in place, and the solve
+// after that matches ScheduleAll on the same instance.
+func TestSessionEmptySolve(t *testing.T) {
+	ins := &Instance{Procs: 2, Horizon: 6, Cost: power.Affine{Alpha: 2, Rate: 1}}
+	sess, err := NewSession(ins, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < 2; k++ {
+		got, err := sess.Solve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Intervals) != 0 || len(got.Assignment) != 0 || got.Cost != 0 || sess.LastEvals() != 0 {
+			t.Fatalf("solve %d of the empty session: %+v, %d evals", k, got, sess.LastEvals())
+		}
+	}
+	if solves, hits := sess.Stats(); solves != 1 || hits != 1 || sess.model == nil {
+		t.Fatalf("stats (%d solves, %d hits), model built %v; want (1, 1), true", solves, hits, sess.model != nil)
+	}
+	if _, err := sess.AddJob(Job{Value: 1, Allowed: []SlotKey{{Proc: 1, Time: 2}, {Proc: 0, Time: 4}}}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := sess.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ScheduleAll(sess.Instance(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := got.SameAs(want); err != nil || got.Evals != want.Evals || sess.TotalEvals() != want.Evals {
+		t.Fatalf("after AddJob: %v (evals %d, total %d, cold %d)", err, got.Evals, sess.TotalEvals(), want.Evals)
+	}
 }

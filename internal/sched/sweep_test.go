@@ -8,7 +8,6 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/bipartite"
 	"repro/internal/bitset"
 	"repro/internal/budget"
 	"repro/internal/power"
@@ -104,32 +103,7 @@ func forEachSweepCase(t *testing.T, trials int, fn func(label string, ins *Insta
 	})
 }
 
-// TestSweepGainsMatchGainOfSet: every prefix-sweep gain equals a separate
-// GainOfSet probe of the candidate's slots from an empty matcher.
-func TestSweepGainsMatchGainOfSet(t *testing.T) {
-	forEachSweepCase(t, 12, func(label string, ins *Instance, opts Options) {
-		m, err := NewModel(ins)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cands, err := m.buildCandidates(opts.Candidates)
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		gains := m.sweepGains(cands)
-		if len(gains) != len(cands) {
-			t.Fatalf("%s: %d gains for %d candidates", label, len(gains), len(cands))
-		}
-		empty := bipartite.NewMatcher(m.G)
-		for i, c := range cands {
-			if want := float64(empty.GainOfSet(c.items)); gains[i] != want {
-				t.Fatalf("%s: candidate %v swept gain %g, GainOfSet %g", label, c.iv, gains[i], want)
-			}
-		}
-	})
-}
-
-// TestScheduleAllEvalsMatchLazyGreedy: the sweep-seeded ScheduleAll picks
+// TestScheduleAllEvalsMatchLazyGreedy: the group-keyed ScheduleAll picks
 // what the textbook budget.LazyGreedy (one heap entry per candidate, no
 // groups) picks on the same problem, and bills no more oracle calls:
 // re-pricing a first-slot group by one prefix pass replaces a probe per

@@ -27,15 +27,14 @@ type Incremental interface {
 	Gain(items []int) float64
 	// Commit adds items to S and returns the realized gain.
 	Commit(items []int) float64
-	// Reset empties the base set.
-	Reset()
 }
 
 // PrefixPricer is implemented by incremental oracles that can price every
 // prefix of an item list in one pass — a matching augments one vertex at
 // a time, so the gains of all prefixes cost what one Gain of the whole
-// list does. The lazy budgeted greedy uses it to re-price a group of
-// candidates that are prefixes of one another (budget.Problem.Groups).
+// list does. The lazy budgeted greedy uses it to price a group of
+// candidates that are prefixes of one another (budget.Problem.Groups),
+// for its initial heap and whenever the group is stale.
 type PrefixPricer interface {
 	// PrefixGains writes to gains[i] what Gain(items[:i+1]) would
 	// return, for every i < len(items), without committing anything.
@@ -46,7 +45,9 @@ type PrefixPricer interface {
 // AsPrefixPricer returns inc's prefix pricing, or (nil, false) when inc
 // cannot price prefixes. For an oracle from AsIncremental that wraps a
 // Counting, the pricer keeps counting: one pass costs one call, like one
-// Gain. Callers must ask through AsPrefixPricer rather than type-assert:
+// Gain (a caller that bills a pass as the probes it replaces, as the lazy
+// greedy's initial pricing does, tops it up with Counting.Charge).
+// Callers must ask through AsPrefixPricer rather than type-assert:
 // the counting wrapper has the method whether or not its oracle can
 // honor it.
 func AsPrefixPricer(inc Incremental) (PrefixPricer, bool) {
@@ -102,7 +103,6 @@ type countingIncremental struct {
 func (w *countingIncremental) Universe() int     { return w.inc.Universe() }
 func (w *countingIncremental) Base() *bitset.Set { return w.inc.Base() }
 func (w *countingIncremental) Value() float64    { return w.inc.Value() }
-func (w *countingIncremental) Reset()            { w.inc.Reset() }
 
 func (w *countingIncremental) Eval(s *bitset.Set) float64 { return w.c.Eval(s) }
 
@@ -191,13 +191,6 @@ func (ic *IncCoverage) Commit(items []int) float64 {
 	return gain
 }
 
-// Reset implements Incremental.
-func (ic *IncCoverage) Reset() {
-	ic.base.Clear()
-	ic.covered.Clear()
-	ic.value = 0
-}
-
 // ---- FacilityLocation ----
 
 // IncFacilityLocation keeps each client's best committed benefit, so a
@@ -281,15 +274,6 @@ func (ifl *IncFacilityLocation) Commit(items []int) float64 {
 	return gain
 }
 
-// Reset implements Incremental.
-func (ifl *IncFacilityLocation) Reset() {
-	ifl.base.Clear()
-	for i := range ifl.best {
-		ifl.best[i] = 0
-	}
-	ifl.value = 0
-}
-
 // ---- Modular ----
 
 // IncModular answers probes in O(|items|): the marginal of an additive
@@ -341,12 +325,6 @@ func (im *IncModular) Commit(items []int) float64 {
 	}
 	im.value += gain
 	return gain
-}
-
-// Reset implements Incremental.
-func (im *IncModular) Reset() {
-	im.base.Clear()
-	im.value = 0
 }
 
 // ---- ConcaveCardinality ----
@@ -412,12 +390,6 @@ func (icc *IncConcave) Commit(items []int) float64 {
 	}
 	icc.count += added
 	return gain
-}
-
-// Reset implements Incremental.
-func (icc *IncConcave) Reset() {
-	icc.base.Clear()
-	icc.count = 0
 }
 
 // Interface conformance.

@@ -69,9 +69,6 @@ func (c *Counting) Charge(n int64) { atomic.AddInt64(&c.calls, n) }
 // Calls returns the number of Eval calls so far.
 func (c *Counting) Calls() int64 { return atomic.LoadInt64(&c.calls) }
 
-// Reset zeroes the call counter.
-func (c *Counting) Reset() { atomic.StoreInt64(&c.calls, 0) }
-
 // Coverage is the weighted coverage function: items are sets over a ground
 // set of m elements, and F(S) is the total weight of the union of the
 // chosen sets. Monotone submodular; with unit weights it is Max-Cover's
